@@ -553,8 +553,13 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
 
     if "generators" not in sections:
         raise PresentationFormatError("missing [generators] section")
-    gen_names = tuple(
-        n for _, line in sections["generators"] for n in line.split())
+    gen_names: tuple[str, ...] = ()
+    for lineno, line in sections["generators"]:
+        for n in line.split():
+            if n in gen_names:
+                raise PresentationFormatError(
+                    f"line {lineno}: duplicate generator {n!r}")
+            gen_names += (n,)
     params = tuple(
         n for _, line in sections.get("params", ()) for n in line.split())
     alphabet = Alphabet(gen_names)

@@ -25,7 +25,11 @@ from .hopf import (
 )
 from .parser import ParseError, parse_expression
 from .reports import CheckRecord, CheckReport, report_to_json_dict
-from .rewrite import StepLimitExceeded, check_local_confluence
+from .rewrite import (
+    RuleOrientationError,
+    StepLimitExceeded,
+    check_local_confluence,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -190,10 +194,15 @@ def cmd_contract(args) -> int:
 
 def cmd_solve_commutator(args) -> int:
     cfg = _config(args)
+    if args.ln and cfg.lam_zero:
+        print("error: --ln is not supported with --lam-zero", file=sys.stderr)
+        return EXIT_USAGE
+    h = catalog.ekappa2_final_presentation(cfg.truncation_order,
+                                           with_commutator_rule=False)
+    if cfg.lam_zero:
+        h = catalog.classical_limit(h)
     outcome = contract.solve_commutator(
-        catalog.ekappa2_final_presentation(
-            cfg.truncation_order, with_commutator_rule=False),
-        "eta", "etabar",
+        h, "eta", "etabar",
         contract.standard_commutator_basis(cfg.truncation_order),
         cfg.step_limit)
     report = CheckReport()
@@ -372,7 +381,7 @@ def main(argv=None) -> int:
         print(f"step limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (ParseError, catalog.PresentationFormatError, AlphabetMismatch,
-            MissingImage, FileNotFoundError) as exc:
+            MissingImage, RuleOrientationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (contract.AdjointResidue, contract.UnknownCommutatorNeeded,

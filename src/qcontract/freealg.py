@@ -289,6 +289,27 @@ class GeneratorMap:
         return out
 
 
+def accumulate_scaled(acc: dict, terms: dict, s: Scalar) -> None:
+    """``acc += terms * s`` in place over word -> Scalar dicts.
+
+    Zero products are skipped and vanishing sums removed, so a sum built
+    this way has the terms, in the same order, of one built by adding
+    ``Element.scaled`` results one at a time."""
+    for w, c in terms.items():
+        c = c * s
+        if not c.terms:
+            continue
+        cur = acc.get(w)
+        if cur is None:
+            acc[w] = c
+            continue
+        c = cur + c
+        if c.terms:
+            acc[w] = c
+        else:
+            del acc[w]
+
+
 def tensor_embed(x: Element, slot: int, slot_count: int = 2) -> Element:
     """Retag a base-algebra element into one tensor slot."""
     if x.alphabet.slot_count != 1:

@@ -15,6 +15,7 @@ from .freealg import (
     Element,
     GeneratorMap,
     MapKind,
+    accumulate_scaled,
     retag_slots,
     slot_parts,
     to_base_slot,
@@ -117,15 +118,16 @@ class HopfPresentation:
         base elements to base elements)."""
         p2 = self.base.at_slots(2)
         x2 = p2.normal_form(x2)
-        out = Element.zero(self.base.alphabet, self.order)
+        acc: dict = {}
         for word, coeff in x2.terms.items():
             parts = slot_parts(word)
             u = Element.from_word(self.base.alphabet,
                                   to_base_slot(parts.get(1, ())), self.order)
             v = Element.from_word(self.base.alphabet,
                                   to_base_slot(parts.get(2, ())), self.order)
-            out = out + (left(u) * right(v)).scaled(coeff)
-        return self.base.normal_form(out)
+            accumulate_scaled(acc, (left(u) * right(v)).terms, coeff)
+        return self.base.normal_form(
+            Element(self.base.alphabet, acc, self.order))
 
     def _id(self, x: Element) -> Element:
         return x

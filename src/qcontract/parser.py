@@ -76,6 +76,8 @@ def tokenize(text: str) -> list[Token]:
                     while i < n and text[i].isdigit():
                         i += 1
                     den = int(text[ds:i])
+            if den == 0:
+                raise ParseError("division by zero", line, col)
             tokens.append(Token("NUMBER", Fraction(num, den), line, col))
             col += i - start
             continue

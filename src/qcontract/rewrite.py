@@ -17,6 +17,7 @@ from .freealg import (
     Element,
     GeneratorId,
     Word,
+    accumulate_scaled,
     word_key,
 )
 from .scalars import Scalar
@@ -212,13 +213,13 @@ class Presentation:
             raise AlphabetMismatch(
                 f"element over {x.alphabet} fed to presentation over {self.alphabet}")
         budget = [step_limit]
-        out = Element.zero(self.alphabet, self.trunc_order)
+        acc: dict = {}
         for word, coeff in x.terms.items():
             nf_w, fr = self._nf_word(word, budget)
             if fired is not None:
                 fired |= fr
-            out = out + nf_w.scaled(coeff)
-        return out
+            accumulate_scaled(acc, nf_w.terms, coeff)
+        return Element(self.alphabet, acc, self.trunc_order)
 
     def rule_labels(self) -> list[str]:
         return [r.label for r in self.rules]

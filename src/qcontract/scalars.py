@@ -9,12 +9,21 @@ quantum group) and ``lam`` (the inverse kappa surviving the contraction), and
 ``eps`` is the contraction bookkeeping variable (the inverse of the
 contraction parameter).  eps powers above a fixed truncation order are
 discarded by every operation; everything else is exact rational arithmetic.
+
+A Gaussian rational is stored as three ints ``(a + b*i)/d`` in canonical
+form, ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have equal
+triples.  Sums and products work on the ints and reduce once per result
+(no gcd at all when the denominator is 1); ``Scalar`` products accumulate
+unreduced triples per term and build their result without re-cleaning it.
+Products of parameter monomials are memoised by their exponent tuples,
+since few distinct monomials occur.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, gcd
 from typing import Callable, Iterable
 
 DEFAULT_TRUNCATION_ORDER = 1
@@ -29,55 +38,84 @@ class TruncationMismatch(ValueError):
 
 
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    Stored as three ints ``(a + b*i)/d`` in canonical form (``d > 0``,
+    ``gcd(a, b, d) == 1``), so equal values have equal triples.  ``re`` and
+    ``im`` are read-only ``Fraction`` views.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            rd, idn = re.denominator, im.denominator
+            # both parts are in lowest terms, so over the lcm of their
+            # denominators the triple is already canonical
+            d = rd // gcd(rd, idn) * idn
+            a = re.numerator * (d // rd)
+            b = im.numerator * (d // idn)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
     @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self._a, -self._b, self._d)
 
     def __add__(self, other):
         other = _as_gr(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _canon(*_add3(self._a, self._b, self._d,
+                             other._a, other._b, other._d))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _as_gr(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _canon(*_add3(self._a, self._b, self._d,
+                             -other._a, -other._b, other._d))
 
     def __rsub__(self, other):
         return _as_gr(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
         other = _as_gr(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _canon(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                      self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _as_gr(other)
-        n = other.re * other.re + other.im * other.im
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return self * GaussianRational(other.re / n, -other.im / n)
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
+        d2 = other._d
+        return _canon((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                      self._d * n)
 
     def __rtruediv__(self, other):
         return _as_gr(other) / self
@@ -87,7 +125,8 @@ class GaussianRational:
             other = _as_gr(other)
         except TypeError:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -97,6 +136,39 @@ class GaussianRational:
 
     def __str__(self):
         return format_gaussian(self)
+
+
+_new = object.__new__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _gr(a: int, b: int, d: int) -> GaussianRational:
+    """``(a + b*i)/d`` from a triple already in canonical form."""
+    z = _new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _canon(a: int, b: int, d: int) -> GaussianRational:
+    """``(a + b*i)/d`` for any ``d > 0``, reduced to canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _gr(a, b, d)
+
+
+def _add3(a1, b1, d1, a2, b2, d2) -> tuple[int, int, int]:
+    """Unreduced sum of two triples."""
+    if d1 == d2:
+        return a1 + a2, b1 + b2, d1
+    return a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2
 
 
 GR_ZERO = GaussianRational(0)
@@ -172,14 +244,11 @@ class ParamMonomial:
         return ParamMonomial((n, -e) for n, e in self.exps)
 
     def __mul__(self, other: "ParamMonomial") -> "ParamMonomial":
-        if self.is_unit:
+        if not self.exps:
             return other
-        if other.is_unit:
+        if not other.exps:
             return self
-        acc = dict(self.exps)
-        for n, e in other.exps:
-            acc[n] = acc.get(n, 0) + e
-        return ParamMonomial(acc.items())
+        return _mono_product(self.exps, other.exps)
 
     def __eq__(self, other):
         return isinstance(other, ParamMonomial) and self.exps == other.exps
@@ -201,6 +270,15 @@ class ParamMonomial:
 
 
 _MONO_UNIT = ParamMonomial()
+
+
+# few distinct monomials occur; the bound only guards against unbounded growth
+@lru_cache(maxsize=1 << 16)
+def _mono_product(e1: tuple, e2: tuple) -> ParamMonomial:
+    acc = dict(e1)
+    for n, e in e2:
+        acc[n] = acc.get(n, 0) + e
+    return ParamMonomial(acc.items())
 
 
 def scalar_term_key(key: tuple[ParamMonomial, int]):
@@ -304,10 +382,17 @@ class Scalar:
     def __add__(self, other):
         other = self._coerce(other)
         acc = dict(self.terms)
-        for key, coeff in other.terms.items():
+        for key, c in other.terms.items():
             cur = acc.get(key)
-            acc[key] = coeff if cur is None else cur + coeff
-        return Scalar(acc, self.truncation_order)
+            if cur is None:
+                acc[key] = c
+                continue
+            a, b, d = _add3(cur._a, cur._b, cur._d, c._a, c._b, c._d)
+            if a or b:
+                acc[key] = _canon(a, b, d)
+            else:
+                del acc[key]
+        return _scalar(acc, self.truncation_order)
 
     __radd__ = __add__
 
@@ -318,25 +403,42 @@ class Scalar:
         return self._coerce(other) - self
 
     def __neg__(self):
-        return Scalar(
-            {key: -coeff for key, coeff in self.terms.items()},
+        return _scalar(
+            {key: _gr(-c._a, -c._b, c._d) for key, c in self.terms.items()},
             self.truncation_order,
         )
 
     def __mul__(self, other):
         other = self._coerce(other)
         order = self.truncation_order
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # a single-term factor sends distinct terms to distinct keys
+            out = {}
+            for (m1, e1), c1 in self.terms.items():
+                a1, b1, d1 = c1._a, c1._b, c1._d
+                for (m2, e2), c2 in other.terms.items():
+                    e = e1 + e2
+                    if e <= order:
+                        a2, b2 = c2._a, c2._b
+                        out[(m1 * m2, e)] = _canon(a1 * a2 - b1 * b2,
+                                                   a1 * b2 + b1 * a2,
+                                                   d1 * c2._d)
+            return _scalar(out, order)
+        # products summed as unreduced (a, b, d) triples, reduced once
         acc: dict = {}
         for (m1, e1), c1 in self.terms.items():
+            a1, b1, d1 = c1._a, c1._b, c1._d
             for (m2, e2), c2 in other.terms.items():
                 e = e1 + e2
                 if e > order:
                     continue
                 key = (m1 * m2, e)
-                c = c1 * c2
+                a2, b2 = c2._a, c2._b
+                a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c2._d
                 cur = acc.get(key)
-                acc[key] = c if cur is None else cur + c
-        return Scalar(acc, order)
+                acc[key] = (a, b, d) if cur is None else _add3(*cur, a, b, d)
+        return _scalar({key: _canon(a, b, d)
+                        for key, (a, b, d) in acc.items() if a or b}, order)
 
     __rmul__ = __mul__
 
@@ -356,8 +458,8 @@ class Scalar:
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation; all parameters and eps are treated as real."""
-        return Scalar(
-            {key: coeff.conjugate() for key, coeff in self.terms.items()},
+        return _scalar(
+            {key: _gr(c._a, -c._b, c._d) for key, c in self.terms.items()},
             self.truncation_order,
         )
 
@@ -424,6 +526,18 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self}; order={self.truncation_order})"
+
+
+_set_terms = Scalar.terms.__set__
+_set_order = Scalar.truncation_order.__set__
+
+
+def _scalar(terms: dict, order: int) -> Scalar:
+    """A Scalar from terms already clean: nonzero, eps at most ``order``."""
+    s = _new(Scalar)
+    _set_terms(s, terms)
+    _set_order(s, order)
+    return s
 
 
 def _join_signed(parts: list[str]) -> str:

@@ -46,6 +46,30 @@ class TestNf:
                            "--step-limit", "2", "d*d*d*a*a*a")
         assert code == 3
 
+    def test_division_by_zero_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "nf", "-p", "builtin:suq2", "a + 1/0")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: line 1, col 5: division by zero"
+
+    def test_misoriented_rule_file_exits_2(self, capsys, tmp_path):
+        text = (DATA / "suq2.preso").read_text()
+        assert "c*b -> b*c" in text
+        src = tmp_path / "flipped.preso"
+        src.write_text(text.replace("c*b -> b*c", "b*c -> c*b"))
+        code, _, err = run(capsys, "nf", "-p", str(src), "a")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "b*c -> c*b" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_duplicate_generator_file_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "dup.preso"
+        src.write_text("[generators]\na a b\n\n[rules]\nb*a -> a*b\n")
+        code, _, err = run(capsys, "nf", "-p", str(src), "a")
+        assert code == 2
+        assert err.strip() == "error: line 2: duplicate generator 'a'"
+
     def test_file_presentation(self, capsys, tmp_path):
         src = tmp_path / "toy.preso"
         src.write_text("[generators]\nx y\n\n[rules]\ny*x -> x*y\n")
@@ -105,6 +129,24 @@ class TestSolveCommutator:
         code, out, _ = run(capsys, "solve-commutator", "--ln")
         assert code == 0
         assert "coefficient[K*N]  = lam" in out
+
+    def test_lam_zero_solves_the_classical_limit(self, capsys):
+        for order in ("1", "2"):
+            code, out, _ = run(capsys, "solve-commutator", "--order", order,
+                               "--lam-zero", "--output", "json")
+            assert code == 0
+            by_name = {c["name"]: c["residual"]
+                       for c in json.loads(out)["checks"]}
+            assert by_name.pop("solver/eta-etabar/status") == "unique"
+            assert by_name == {
+                f"solver/eta-etabar/coefficient[{label}]": "0"
+                for label in ("eta", "etabar", "E-1", "F-1")}
+
+    def test_ln_with_lam_zero_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "solve-commutator", "--ln", "--lam-zero")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: --ln is not supported with --lam-zero"
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "solve-commutator", "--output", "json")

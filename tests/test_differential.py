@@ -1,0 +1,248 @@
+"""Differential tests: the integer-triple Gaussian rationals and the
+dict-accumulating normal form against independent slow paths."""
+
+from fractions import Fraction
+from math import gcd
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcontract import catalog
+from qcontract.parser import parse_expression
+from qcontract.rewrite import StepLimitExceeded, normal_form_random
+from qcontract.sampling import random_element
+from qcontract.scalars import GaussianRational, ParamMonomial, Scalar
+
+
+class FracPair:
+    """Oracle: a Gaussian rational as a plain pair of Fractions."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return FracPair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return FracPair(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return FracPair(self.re * o.re - self.im * o.im,
+                        self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        n = o.re * o.re + o.im * o.im
+        return self * FracPair(o.re / n, -o.im / n)
+
+    def __neg__(self):
+        return FracPair(-self.re, -self.im)
+
+    def conjugate(self):
+        return FracPair(self.re, -self.im)
+
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+    def __str__(self):
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+        imabs = abs(im)
+        istr = "i" if imabs == 1 else f"{imabs}*i"
+        return f"({re}{'+' if im > 0 else '-'}{istr})"
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def gr_of(p: FracPair) -> GaussianRational:
+    return GaussianRational(p.re, p.im)
+
+
+def assert_same(z: GaussianRational, p: FracPair):
+    a, b, d = z._a, z._b, z._d
+    assert d > 0 and gcd(a, b, d) == 1, (a, b, d)
+    assert (z.re, z.im) == (p.re, p.im)
+    assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+    assert str(z) == str(p)
+    assert repr(z) == repr(p)
+
+
+small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+pairs = st.builds(FracPair, small, small)
+
+
+class TestGaussianRationalAgainstFractionPairs:
+    @given(pairs, pairs)
+    @settings(max_examples=300)
+    def test_binary_operations(self, x, y):
+        zx, zy = gr_of(x), gr_of(y)
+        assert_same(zx, x)
+        assert_same(zx + zy, x + y)
+        assert_same(zx - zy, x - y)
+        assert_same(zx * zy, x * y)
+        if not y.is_zero():
+            assert_same(zx / zy, x / y)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                zx / zy
+
+    @given(pairs)
+    @settings(max_examples=200)
+    def test_unary_operations(self, x):
+        z = gr_of(x)
+        assert_same(-z, -x)
+        assert_same(z.conjugate(), x.conjugate())
+        assert z.is_zero == x.is_zero()
+
+    @given(pairs, small)
+    @settings(max_examples=200)
+    def test_mixed_operands(self, x, r):
+        z, p = gr_of(x), FracPair(r)
+        assert_same(z + r, x + p)
+        assert_same(r + z, p + x)
+        assert_same(z - r, x - p)
+        assert_same(r - z, p - x)
+        assert_same(z * r, x * p)
+        assert_same(r * z, p * x)
+        assert (z == r) == (x.re == r and x.im == 0)
+
+    @given(pairs, pairs)
+    @settings(max_examples=200)
+    def test_equality_and_hash(self, x, y):
+        zx, zy = gr_of(x), gr_of(y)
+        assert (zx == zy) == (x.re == y.re and x.im == y.im)
+        if not y.is_zero():
+            # the same value reached by another route
+            again = (zx * zy) / zy
+            assert again == zx
+            assert hash(again) == hash(zx)
+
+    def test_integer_and_fraction_constructors_agree(self):
+        assert GaussianRational(3, -2) == GaussianRational(Fraction(6, 2),
+                                                           Fraction(-4, 2))
+        assert hash(GaussianRational(3)) == hash(GaussianRational(Fraction(3)))
+        z = GaussianRational(Fraction(1, 6), Fraction(-3, 4))
+        assert (z._a, z._b, z._d) == (2, -9, 12)
+
+    def test_reduction_to_integers(self):
+        half = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+        z = half + half
+        assert (z._a, z._b, z._d) == (1, 1, 1)
+        assert str(z) == "(1+i)"
+
+
+# -- scalars, term by term ----------------------------------------------------
+
+MONOS = [ParamMonomial(), ParamMonomial.of("lam"), ParamMonomial.of("q", -1),
+         ParamMonomial((("q", 2), ("lam", 1)))]
+
+
+@st.composite
+def oracle_terms(draw, order):
+    n = draw(st.integers(0, 4))
+    out = {}
+    for _ in range(n):
+        key = (draw(st.sampled_from(MONOS)), draw(st.integers(0, order)))
+        out[key] = draw(pairs)
+    return out
+
+
+def scalar_of(terms: dict, order: int) -> Scalar:
+    return Scalar({k: gr_of(v) for k, v in terms.items()}, order)
+
+
+def oracle_mono_mul(m1, m2):
+    acc = dict(m1.exps)
+    for n, e in m2.exps:
+        acc[n] = acc.get(n, 0) + e
+    return ParamMonomial(acc.items())
+
+
+def oracle_add(t1, t2):
+    acc = dict(t1)
+    for k, v in t2.items():
+        acc[k] = acc[k] + v if k in acc else v
+    return acc
+
+
+def oracle_mul(t1, t2, order):
+    acc = {}
+    for (m1, e1), c1 in t1.items():
+        for (m2, e2), c2 in t2.items():
+            if e1 + e2 > order:
+                continue
+            key = (oracle_mono_mul(m1, m2), e1 + e2)
+            acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
+    return acc
+
+
+def assert_scalar_matches(s: Scalar, terms: dict, order: int):
+    expected = {k: v for k, v in terms.items()
+                if not v.is_zero() and k[1] <= order}
+    assert set(s.terms) == set(expected)
+    for key, coeff in s.terms.items():
+        assert_same(coeff, expected[key])
+
+
+@given(st.integers(0, 3).flatmap(
+    lambda k: st.tuples(st.just(k), oracle_terms(k), oracle_terms(k))))
+@settings(max_examples=200)
+def test_scalar_arithmetic_against_oracle(case):
+    order, t1, t2 = case
+    s1, s2 = scalar_of(t1, order), scalar_of(t2, order)
+    assert_scalar_matches(s1 * s2, oracle_mul(t1, t2, order), order)
+    assert_scalar_matches(s1 + s2, oracle_add(t1, t2), order)
+    assert_scalar_matches(s1 - s2, oracle_add(t1, {k: -v for k, v in t2.items()}),
+                          order)
+    assert_scalar_matches(-s1, {k: -v for k, v in t1.items()}, order)
+    assert_scalar_matches(s1.conjugate(),
+                          {k: v.conjugate() for k, v in t1.items()}, order)
+
+
+def test_monomial_products_are_memoised_and_correct():
+    a, b = MONOS[2], MONOS[3]
+    p = a * b
+    assert p == oracle_mono_mul(a, b)
+    assert a * b is p
+    assert (p * a.inverse()) == b
+
+
+# -- normal forms -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_normal_form_matches_random_strategy(name, seed):
+    h = catalog.load_presentation(f"builtin:{name}", 2)
+    p = h.base
+    rng = Random(seed)
+    for _ in range(6):
+        x = random_element(rng, p, degree=4, n_terms=4, params=("q", "lam"))
+        assert p.normal_form(x) == normal_form_random(p, x, Random(seed + 99))
+
+
+# Smallest step limits at which these inputs reduce at order 2; fixed by the
+# step accounting of the rewriter and unchanged by scalar representation.
+STEP_THRESHOLDS = [
+    ("suq2", "d*d*d*a*a*a", 20),
+    ("suq2", "(a+b+c+d)^4", 642),
+    ("ekappa2-klmn", "(K+L+M+N)^3 + N*M*L*K", 116),
+    ("ekappa2-final", "(eta+etabar+E+F)^3", 118),
+]
+
+
+@pytest.mark.parametrize("name,expr,limit", STEP_THRESHOLDS)
+def test_step_limit_threshold(name, expr, limit):
+    for warm in (False, True):
+        p = catalog.load_presentation(f"builtin:{name}", 2).base
+        x = parse_expression(expr, p.alphabet, ("lam", "q"), 2)
+        if warm:
+            p.normal_form(x)  # cached words replay their step counts
+        with pytest.raises(StepLimitExceeded):
+            p.normal_form(x, limit - 1)
+        assert not p.normal_form(x, limit).is_zero
