@@ -12,14 +12,24 @@ Three presentations ship with the package:
     The same algebra rewritten in the exponential variables eta, etabar,
     E and F = E^-1, including the consistency-determined commutator rule.
 
-Each builtin also exists as a text file under ``data/``; the files are
-bit-exact serializations of the builders and are what ``builtin:`` URIs load,
-so the parser is exercised on every load.
+Each builtin exists only as a text file under ``data/``, equation tags
+included; ``builtin:`` URIs and the loader functions below parse it, so the
+parser is exercised on every load.  The files are in canonical form:
+serializing a loaded builtin reproduces its file byte for byte.
+
+Some file entries are derived rather than free data.  In ``ekappa2-klmn``
+the rule for L*J is the reduction of [L, J] = -J [L, K] J by M^2 -> K^2 - 1
+and K*J -> 1, and the antipode is induced by that of the source algebra
+through the contraction.  In ``ekappa2-final`` the F-rules follow from the
+E-rules by conjugating with the inverse, and the counit and antipode solve
+the Hopf axioms on generators.  The confluence and Hopf suites certify all
+of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -43,13 +53,17 @@ _BUILTIN_FILES = {
     "ekappa2-final": "ekappa2_final.preso",
 }
 
-# equation tags carried into reports
+# equation tags of checks that no presentation file carries
 TAG_RTT = "Eq. (1)-(2)"
-TAG_COPRODUCT_T = "Eq. (3)"
-TAG_ANTIPODE_STAR_T = "Eq. (4)"
 TAG_ANSATZ = "Eq. (5)-(6)"
 TAG_DETERMINANT = "Eq. (7)"
 TAG_D_SERIES = "Eq. (8)"
+
+SUQ2_PARAMS = ("q",)
+SUQ2_ALPHABET = Alphabet(("b", "c", "a", "d"))
+KLMN_PARAMS = ("lam",)
+KLMN_ALPHABET = Alphabet(("J", "K", "M", "N", "L"))
+FINAL_ALPHABET = Alphabet(("F", "E", "eta", "etabar"))
 
 
 class PresentationFormatError(ValueError):
@@ -67,8 +81,11 @@ def _mk_rule(alphabet: Alphabet, params: tuple[str, ...], order: int,
         raise PresentationFormatError(
             f"rule left-hand side must be a plain word: {lhs_text!r}")
     rhs = parse_expression(rhs_text, alphabet, params, order)
-    label = f"{format_word(word, 1)} -> {format_element(rhs)}"
-    return RewriteRule(word, rhs, label)
+    return RewriteRule(word, rhs, _rule_text(word, rhs))
+
+
+def _rule_text(lhs, rhs: Element) -> str:
+    return f"{format_word(lhs, 1)} -> {format_element(rhs)}"
 
 
 def _gen_map(alphabet: Alphabet, params, order, kind: MapKind,
@@ -86,192 +103,34 @@ def _gen_map(alphabet: Alphabet, params, order, kind: MapKind,
 
 
 # --------------------------------------------------------------------------
-# SU_q(2)
+# the builtins, loaded from their files
 # --------------------------------------------------------------------------
-
-SUQ2_PARAMS = ("q",)
-SUQ2_ALPHABET = Alphabet(("b", "c", "a", "d"))
-
-_SUQ2_RULES = [
-    ("a*b", "q*b*a", TAG_RTT),
-    ("a*c", "q*c*a", TAG_RTT),
-    ("c*b", "b*c", TAG_RTT),
-    ("d*b", "q^-1*b*d", TAG_RTT),
-    ("d*c", "q^-1*c*d", TAG_RTT),
-    ("a*d", "1 + q*b*c", TAG_DETERMINANT),
-    ("d*a", "1 + q^-1*b*c", TAG_DETERMINANT),
-]
-
-_SUQ2_COPRODUCT = {
-    "a": "a ox a + b ox c",
-    "b": "a ox b + b ox d",
-    "c": "c ox a + d ox c",
-    "d": "c ox b + d ox d",
-}
-_SUQ2_COUNIT = {"a": "1", "b": "0", "c": "0", "d": "1"}
-_SUQ2_ANTIPODE = {"a": "d", "b": "-q^-1*b", "c": "-q*c", "d": "a"}
-_SUQ2_STAR = {"a": "d", "b": "-q*c", "c": "-q^-1*b", "d": "a"}
 
 
 def suq2_presentation(order: int = 1) -> HopfPresentation:
-    alph = SUQ2_ALPHABET
-    rules = []
-    tags = {}
-    for lhs, rhs, tag in _SUQ2_RULES:
-        r = _mk_rule(alph, SUQ2_PARAMS, order, lhs, rhs)
-        rules.append(r)
-        tags[r.label] = tag
-    base = Presentation(alph, rules, order, name="suq2", params=SUQ2_PARAMS)
-    alph2 = alph.at_slots(2)
-    return HopfPresentation(
-        base=base,
-        coproduct=_gen_map(alph, SUQ2_PARAMS, order, MapKind.HOMOMORPHISM,
-                           _SUQ2_COPRODUCT, target=alph2),
-        counit=_parse_counit(alph, SUQ2_PARAMS, order, _SUQ2_COUNIT),
-        antipode=_gen_map(alph, SUQ2_PARAMS, order, MapKind.ANTIHOMOMORPHISM,
-                          _SUQ2_ANTIPODE),
-        star=_gen_map(alph, SUQ2_PARAMS, order, MapKind.STAR, _SUQ2_STAR),
-        excluded=frozenset(),
-        name="suq2",
-        rule_tags=tags,
-        coproduct_tags={n: TAG_COPRODUCT_T for n in alph.names},
-        antipode_tag=TAG_ANTIPODE_STAR_T,
-    )
-
-
-# --------------------------------------------------------------------------
-# E_kappa(2) in K, L, M, N (plus the adjoint J = K^-1)
-# --------------------------------------------------------------------------
-
-KLMN_PARAMS = ("lam",)
-KLMN_ALPHABET = Alphabet(("J", "K", "M", "N", "L"))
-
-# L*J is the reduction of [L, J] = -J [L, K] J using M^2 -> K^2 - 1 and
-# K*J -> 1; certified by the confluence suite together with the K/J rules.
-_KLMN_RULES = [
-    ("N*K", "K*N", "Eq. (21)"),
-    ("N*M", "M*N", "Eq. (23)"),
-    ("M*K", "K*M", "Eq. (18)"),
-    ("M*M", "K*K - 1", "Eq. (9)"),
-    ("L*K", "K*L + lam*M*M", "Eq. (10)"),
-    ("L*M", "M*L + lam*M*K", "Eq. (22)"),
-    ("M*J", "J*M", None),
-    ("N*J", "J*N", None),
-    ("K*J", "1", "Eq. (8)"),
-    ("J*K", "1", "Eq. (8)"),
-    ("L*J", "J*L + lam*J*J - lam", None),
-]
-
-_KLMN_COPRODUCT = {
-    "K": "K ox K + M ox M",            # Eq. (11)
-    "M": "K ox M + M ox K",            # Eq. (12)
-    "L": "K ox L + L ox K + i*N ox M - i*M ox N",   # Eq. (13)
-    "N": "K ox N - i*L ox M + i*M ox L + N ox K",   # Eq. (14)
-}
-_KLMN_COUNIT = {"K": "1", "L": "0", "M": "0", "N": "0"}
-# The antipode images are not free data: they are induced by the antipode of
-# the source algebra through the contraction and validated by the axiom
-# checkers.
-_KLMN_ANTIPODE = {"K": "K", "L": "-L", "M": "-M", "N": "-N - i*lam*M"}
-_KLMN_STAR = {"K": "K", "L": "-L", "M": "-M", "N": "-N - i*lam*M",
-              "J": "J"}  # Eq. (15)
-
-_KLMN_COPRODUCT_TAGS = {"K": "Eq. (11)", "M": "Eq. (12)", "L": "Eq. (13)",
-                        "N": "Eq. (14)"}
+    return load_presentation("builtin:suq2", order)
 
 
 def ekappa2_klmn_presentation(order: int = 1) -> HopfPresentation:
-    alph = KLMN_ALPHABET
-    rules = []
-    tags = {}
-    for lhs, rhs, tag in _KLMN_RULES:
-        r = _mk_rule(alph, KLMN_PARAMS, order, lhs, rhs)
-        rules.append(r)
-        if tag:
-            tags[r.label] = tag
-    base = Presentation(alph, rules, order, name="ekappa2-klmn",
-                        params=KLMN_PARAMS)
-    alph2 = alph.at_slots(2)
-    return HopfPresentation(
-        base=base,
-        coproduct=_gen_map(alph, KLMN_PARAMS, order, MapKind.HOMOMORPHISM,
-                           _KLMN_COPRODUCT, target=alph2),
-        counit=_parse_counit(alph, KLMN_PARAMS, order, _KLMN_COUNIT),
-        antipode=_gen_map(alph, KLMN_PARAMS, order, MapKind.ANTIHOMOMORPHISM,
-                          _KLMN_ANTIPODE),
-        star=_gen_map(alph, KLMN_PARAMS, order, MapKind.STAR, _KLMN_STAR),
-        excluded=frozenset({"J"}),
-        name="ekappa2-klmn",
-        rule_tags=tags,
-        coproduct_tags=dict(_KLMN_COPRODUCT_TAGS),
-    )
-
-
-# --------------------------------------------------------------------------
-# E_kappa(2) in exponential variables
-# --------------------------------------------------------------------------
-
-FINAL_PARAMS = ("lam",)
-FINAL_ALPHABET = Alphabet(("F", "E", "eta", "etabar"))
-
-# The F-rules follow from the E-rules by conjugating with the inverse;
-# certified by the confluence suite together with E*F -> 1, F*E -> 1.
-_FINAL_RULES = [
-    ("E*F", "1", "Eq. (24)"),
-    ("F*E", "1", "Eq. (24)"),
-    ("eta*E", "E*eta + lam*E - lam", "Eq. (33)"),
-    ("etabar*E", "E*etabar + lam*E - lam*E*E", "Eq. (34)"),
-    ("eta*F", "F*eta + lam*F*F - lam*F", None),
-    ("etabar*F", "F*etabar + lam - lam*F", None),
-    ("etabar*eta", "eta*etabar - lam*etabar - lam*eta", "Eq. (35)"),
-]
-
-_FINAL_COPRODUCT = {
-    "eta": "eta ox 1 + F ox eta",          # Eq. (30)
-    "etabar": "etabar ox 1 + E ox etabar",  # Eq. (31)
-    "E": "E ox E",                          # Eq. (32)
-    "F": "F ox F",
-}
-_FINAL_COUNIT = {"eta": "0", "etabar": "0", "E": "1", "F": "1"}
-# Derived data: counit and antipode are fixed by solving the Hopf axioms on
-# generators and validated by the checkers.
-_FINAL_ANTIPODE = {"eta": "-E*eta", "etabar": "-F*etabar", "E": "F", "F": "E"}
-_FINAL_STAR = {"eta": "etabar", "etabar": "eta", "E": "F", "F": "E"}
-
-_FINAL_COPRODUCT_TAGS = {"eta": "Eq. (30)", "etabar": "Eq. (31)",
-                         "E": "Eq. (32)"}
+    return load_presentation("builtin:ekappa2-klmn", order)
 
 
 def ekappa2_final_presentation(order: int = 1,
                                with_commutator_rule: bool = True) -> HopfPresentation:
-    alph = FINAL_ALPHABET
-    rules = []
-    tags = {}
-    for lhs, rhs, tag in _FINAL_RULES:
-        if not with_commutator_rule and lhs == "etabar*eta":
-            continue
-        r = _mk_rule(alph, FINAL_PARAMS, order, lhs, rhs)
-        rules.append(r)
-        if tag:
-            tags[r.label] = tag
-    name = "ekappa2-final" if with_commutator_rule else "ekappa2-final-open"
-    base = Presentation(alph, rules, order, name=name, params=FINAL_PARAMS)
-    alph2 = alph.at_slots(2)
-    return HopfPresentation(
-        base=base,
-        coproduct=_gen_map(alph, FINAL_PARAMS, order, MapKind.HOMOMORPHISM,
-                           _FINAL_COPRODUCT, target=alph2),
-        counit=_parse_counit(alph, FINAL_PARAMS, order, _FINAL_COUNIT),
-        antipode=_gen_map(alph, FINAL_PARAMS, order, MapKind.ANTIHOMOMORPHISM,
-                          _FINAL_ANTIPODE),
-        star=_gen_map(alph, FINAL_PARAMS, order, MapKind.STAR, _FINAL_STAR),
-        excluded=frozenset(),
-        name=name,
-        rule_tags=tags,
-        coproduct_tags=dict(_FINAL_COPRODUCT_TAGS),
-    )
+    """The exponential-variable presentation; without the commutator rule
+    it is the ``-open`` variant the solver starts from."""
+    h = load_presentation("builtin:ekappa2-final", order)
+    if with_commutator_rule:
+        return h
+    alph = h.base.alphabet
+    pair = (alph.gen("etabar"), alph.gen("eta"))
+    name = "ekappa2-final-open"
+    base = Presentation(alph, [r for r in h.base.rules if r.lhs != pair],
+                        order, name=name, params=h.base.params)
+    return replace(h, base=base, name=name)
 
 
+#: the loader of each builtin by name; the benchmark's tracer test reads it
 _BUILDERS = {
     "suq2": suq2_presentation,
     "ekappa2-klmn": ekappa2_klmn_presentation,
@@ -513,6 +372,9 @@ def final_to_klmn_map(order: int = 1, lam_zero: bool = False) -> GeneratorMap:
 _SECTIONS = ("params", "generators", "rules", "coproduct", "counit",
              "antipode", "star", "excluded")
 _HOPF_SECTIONS = ("coproduct", "counit", "antipode", "star")
+#: sections whose lines may end in an ``@ tag`` (an equation tag); of the
+#: section headers only ``[antipode]`` takes one
+_TAGGED_SECTIONS = ("rules", "coproduct")
 
 
 def _parse_counit(alphabet, params, order, entries: dict[str, str]) -> dict[str, Scalar]:
@@ -531,37 +393,48 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
     """Parse the line-oriented presentation format.
 
     Returns a :class:`HopfPresentation` when all four structure-map sections
-    are present, otherwise a bare :class:`Presentation`.
+    are present, otherwise a bare :class:`Presentation` (which keeps no
+    tags).  A rule or coproduct line may end in ``@ tag`` and the
+    ``[antipode]`` header in ``@ tag``; the tags label the checks in reports.
     """
-    sections: dict[str, list[tuple[int, str]]] = {}
+    sections: dict[str, list[tuple[int, str, str]]] = {}
+    antipode_tag = None
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line, _, tag = raw.split("#", 1)[0].partition("@")
+        line, tag = line.strip(), tag.strip()
+        if not line and not tag:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
             if current not in _SECTIONS:
                 raise PresentationFormatError(
                     f"line {lineno}: unknown section [{current}]")
+            if tag and current != "antipode":
+                raise PresentationFormatError(
+                    f"line {lineno}: only the [antipode] header takes a tag")
             sections.setdefault(current, [])
+            antipode_tag = tag or antipode_tag
             continue
         if current is None:
             raise PresentationFormatError(
                 f"line {lineno}: content before any section header")
-        sections[current].append((lineno, line))
+        if tag and current not in _TAGGED_SECTIONS:
+            raise PresentationFormatError(
+                f"line {lineno}: lines of [{current}] take no tag")
+        sections[current].append((lineno, line, tag))
 
     if "generators" not in sections:
         raise PresentationFormatError("missing [generators] section")
     gen_names: tuple[str, ...] = ()
-    for lineno, line in sections["generators"]:
+    for lineno, line, _ in sections["generators"]:
         for n in line.split():
             if n in gen_names:
                 raise PresentationFormatError(
                     f"line {lineno}: duplicate generator {n!r}")
             gen_names += (n,)
     params = tuple(
-        n for _, line in sections.get("params", ()) for n in line.split())
+        n for _, line, _ in sections.get("params", ()) for n in line.split())
     alphabet = Alphabet(gen_names)
 
     def split_arrow(line: str, lineno: int) -> tuple[str, str]:
@@ -572,13 +445,16 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
         return lhs.strip(), rhs.strip()
 
     rules = []
-    for lineno, line in sections.get("rules", ()):
+    rule_tags = {}
+    for lineno, line, tag in sections.get("rules", ()):
         lhs, rhs = split_arrow(line, lineno)
         try:
             rules.append(_mk_rule(alphabet, params, order, lhs, rhs))
         except ParseError as exc:
             raise PresentationFormatError(
                 f"line {lineno}: {exc}") from exc
+        if tag:
+            rule_tags[rules[-1].label] = tag
     base = Presentation(alphabet, rules, order, name=name, params=params)
 
     if not any(s in sections for s in _HOPF_SECTIONS):
@@ -588,83 +464,76 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
             raise PresentationFormatError(
                 f"incomplete Hopf data: missing [{s}] section")
 
-    def collect(section: str) -> dict[str, str]:
-        out = {}
-        for lineno, line in sections[section]:
+    def collect(section: str) -> tuple[dict[str, str], dict[str, str]]:
+        images, tags = {}, {}
+        for lineno, line, tag in sections[section]:
             lhs, rhs = split_arrow(line, lineno)
             if lhs not in gen_names:
                 raise PresentationFormatError(
                     f"line {lineno}: unknown generator {lhs!r}")
-            out[lhs] = rhs
-        return out
+            images[lhs] = rhs
+            if tag:
+                tags[lhs] = tag
+        return images, tags
 
     excluded = frozenset(
-        n for _, line in sections.get("excluded", ()) for n in line.split())
-    alph2 = alphabet.at_slots(2)
+        n for _, line, _ in sections.get("excluded", ()) for n in line.split())
+    coproduct, coproduct_tags = collect("coproduct")
     return HopfPresentation(
         base=base,
         coproduct=_gen_map(alphabet, params, order, MapKind.HOMOMORPHISM,
-                           collect("coproduct"), target=alph2),
-        counit=_parse_counit(alphabet, params, order, collect("counit")),
+                           coproduct, target=alphabet.at_slots(2)),
+        counit=_parse_counit(alphabet, params, order, collect("counit")[0]),
         antipode=_gen_map(alphabet, params, order, MapKind.ANTIHOMOMORPHISM,
-                          collect("antipode")),
-        star=_gen_map(alphabet, params, order, MapKind.STAR, collect("star")),
+                          collect("antipode")[0]),
+        star=_gen_map(alphabet, params, order, MapKind.STAR,
+                      collect("star")[0]),
         excluded=excluded,
         name=name,
+        rule_tags=rule_tags,
+        coproduct_tags=coproduct_tags,
+        antipode_tag=antipode_tag,
     )
 
 
-def _format_map_line(name: str, img: Element) -> str:
-    return f"{name} -> {format_element(img)}"
+def _tagged(line: str, tag: str | None) -> str:
+    return f"{line} @ {tag}" if tag else line
 
 
 def serialize_presentation(h) -> str:
-    """Canonical text form; bit-exact against the shipped builtin files."""
+    """Canonical text form, tags included; the shipped builtin files are
+    fixpoints of parsing followed by serializing."""
     if isinstance(h, HopfPresentation):
         base, hopf = h.base, h
     else:
         base, hopf = h, None
-    params: set[str] = set()
-    for r in base.rules:
-        for c in r.rhs.terms.values():
-            for (mono, _eps) in c.terms:
-                for pname, _ in mono.exps:
-                    params.add(pname)
+    elems = [r.rhs for r in base.rules]
     if hopf:
-        for m in (hopf.coproduct, hopf.antipode, hopf.star):
-            for img in m.images.values():
-                for c in img.terms.values():
-                    for (mono, _eps) in c.terms:
-                        for pname, _ in mono.exps:
-                            params.add(pname)
+        elems += [img for m in (hopf.coproduct, hopf.antipode, hopf.star)
+                  for img in m.images.values()]
+    params = {pname for x in elems for c in x.terms.values()
+              for (mono, _eps) in c.terms for pname, _ in mono.exps}
     lines = [f"# presentation: {base.name}"]
     lines += ["", "[params]"] + sorted(params)
     lines += ["", "[generators]", " ".join(base.alphabet.names)]
     lines += ["", "[rules]"]
-    lines += [r.label for r in base.rules]
+    lines += [_tagged(_rule_text(r.lhs, r.rhs),
+                      hopf and hopf.rule_tags.get(r.label))
+              for r in base.rules]
     if hopf:
-        names = [n for n in base.alphabet.names]
+        alph = base.alphabet
+        names = hopf.hopf_generators()
+
+        def images(m: GeneratorMap, names, tags=None) -> list[str]:
+            return [_tagged(f"{n} -> {format_element(m.images[alph.gen(n)])}",
+                            (tags or {}).get(n)) for n in names]
+
         lines += ["", "[coproduct]"]
-        for n in names:
-            if n in hopf.excluded:
-                continue
-            img = hopf.coproduct.images[base.alphabet.gen(n)]
-            lines.append(_format_map_line(n, img))
-        lines += ["", "[counit]"]
-        for n in names:
-            if n in hopf.excluded:
-                continue
-            lines.append(f"{n} -> {hopf.counit[n]}")
-        lines += ["", "[antipode]"]
-        for n in names:
-            if n in hopf.excluded:
-                continue
-            img = hopf.antipode.images[base.alphabet.gen(n)]
-            lines.append(_format_map_line(n, img))
-        lines += ["", "[star]"]
-        for n in names:
-            img = hopf.star.images[base.alphabet.gen(n)]
-            lines.append(_format_map_line(n, img))
+        lines += images(hopf.coproduct, names, hopf.coproduct_tags)
+        lines += ["", "[counit]"] + [f"{n} -> {hopf.counit[n]}" for n in names]
+        lines += ["", _tagged("[antipode]", hopf.antipode_tag)]
+        lines += images(hopf.antipode, names)
+        lines += ["", "[star]"] + images(hopf.star, alph.names)
         if hopf.excluded:
             lines += ["", "[excluded]", " ".join(sorted(hopf.excluded))]
     return "\n".join(lines) + "\n"
@@ -674,6 +543,13 @@ def builtin_source(name: str, catalog_dir: str | Path | None = None) -> str:
     fname = _BUILTIN_FILES[name]
     if catalog_dir is not None:
         return (Path(catalog_dir) / fname).read_text()
+    return _shipped_source(fname)
+
+
+@lru_cache(maxsize=None)
+def _shipped_source(fname: str) -> str:
+    # the shipped files do not change while the program runs, and every
+    # contraction and solver run loads several builtins
     return (resources.files("qcontract") / "data" / fname).read_text()
 
 
@@ -687,28 +563,14 @@ def load_presentation(source: str | Path, order: int = 1,
         if name not in BUILTIN_NAMES:
             raise PresentationFormatError(
                 f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}")
-        text = builtin_source(name, catalog_dir)
-        h = parse_presentation_text(text, order, name=name)
-        if isinstance(h, HopfPresentation):
-            built = _BUILDERS[name](order)
-            h.rule_tags.update(built.rule_tags)
-            h.coproduct_tags.update(built.coproduct_tags)
-            h.antipode_tag = built.antipode_tag
+        h = parse_presentation_text(builtin_source(name, catalog_dir), order,
+                                    name=name)
     else:
         path = Path(src)
-        text = path.read_text()
-        h = parse_presentation_text(text, order, name=path.stem)
+        h = parse_presentation_text(path.read_text(), order, name=path.stem)
     if lam_zero:
         if not isinstance(h, HopfPresentation):
             raise PresentationFormatError(
                 "classical limit requires full Hopf data")
         h = classical_limit(h)
     return h
-
-
-def coproduct_tag(presentation_name: str, generator: str) -> str | None:
-    if presentation_name.startswith("ekappa2-klmn"):
-        return _KLMN_COPRODUCT_TAGS.get(generator)
-    if presentation_name.startswith("ekappa2-final"):
-        return _FINAL_COPRODUCT_TAGS.get(generator)
-    return None

@@ -29,7 +29,8 @@ from .freealg import (
     Element,
     GeneratorMap,
     MapKind,
-    retag_slots,
+    format_element,
+    format_word,
     tensor_embed,
 )
 from .hopf import HopfPresentation, grouplike_residual
@@ -99,7 +100,11 @@ class ContractionAnsatz:
         }
         self.d_series = self._derive_d()
         self.images["d"] = self.d_series.reduced
-        self._slot_images: dict[tuple[str, int], Element] = {}
+        src = source.base.alphabet
+        self._map = GeneratorMap(
+            {src.gen(n): img for n, img in self.images.items()},
+            MapKind.HOMOMORPHISM, src, alph, order)
+        self._map2 = self._map.on_slots(2)
 
     @classmethod
     def standard(cls, order: int = 1, lam_zero: bool = False) -> "ContractionAnsatz":
@@ -129,39 +134,11 @@ class ContractionAnsatz:
     def apply(self, x: Element) -> Element:
         """Contract a source element into the target free algebra (no
         reduction; q powers are expanded and truncated)."""
-        alph = self.target.base.alphabet
-        out = Element.zero(alph, self.order)
-        for word, coeff in x.terms.items():
-            prod = Element.unit(alph, self.order).scaled(
-                self._subst_scalar(coeff))
-            for g in word:
-                prod = prod * self.images[g.name]
-                if prod.is_zero:
-                    break
-            out = out + prod
-        return out
-
-    def _slot_image(self, name: str, slot: int) -> Element:
-        key = (name, slot)
-        img = self._slot_images.get(key)
-        if img is None:
-            img = tensor_embed(self.images[name], slot, slot_count=2)
-            self._slot_images[key] = img
-        return img
+        return self._map.apply(x.map_scalars(self._subst_scalar))
 
     def apply_tensor(self, x2: Element) -> Element:
         """Slot-wise contraction of a 2-slot source element."""
-        alph2 = self.target.base.alphabet.at_slots(2)
-        out = Element.zero(alph2, self.order)
-        for word, coeff in x2.terms.items():
-            prod = Element.unit(alph2, self.order).scaled(
-                self._subst_scalar(coeff))
-            for g in word:
-                prod = prod * self._slot_image(g.name, g.slot)
-                if prod.is_zero:
-                    break
-            out = out + prod
-        return out
+        return self._map2.apply(x2.map_scalars(self._subst_scalar))
 
     # -- the d series ----------------------------------------------------------
 
@@ -518,21 +495,13 @@ def verify_change_of_variables(order: int = 1, lam_zero: bool = False,
         rel = rule.as_element(final.base.alphabet)
         rec(f"realize/rule/{rule.label}", nf(realize.apply(rel)),
             final.rule_tags.get(rule.label))
-    alph2f = final.base.alphabet.at_slots(2)
-    real2_images = {}
-    for name in final.base.alphabet.names:
-        img = realize.images[final.base.alphabet.gen(name)]
-        for slot in (1, 2):
-            real2_images[alph2f.gen(name, slot)] = retag_slots(
-                img, {0: slot}, 2)
-    realize2 = GeneratorMap(real2_images, MapKind.HOMOMORPHISM, alph2f,
-                            p2.alphabet, order)
+    realize2 = realize.on_slots(2)
     for name in final.base.alphabet.names:
         g = Element.generator(final.base.alphabet, name, order)
         lhs = target.apply_coproduct(realize.apply(g))
         rhs = nf2(realize2.apply(final.apply_coproduct(g)))
         rec(f"realize/coproduct/{name}", nf2(lhs - rhs),
-            catalog.coproduct_tag(final.name, name))
+            final.coproduct_tags.get(name))
         star_sq = nf(target.apply_star(realize.apply(g))
                      - realize.apply(final.star.apply(g)))
         rec(f"realize/star/{name}", star_sq, None)
@@ -565,15 +534,19 @@ class SolveOutcome:
         return self.status == "unique"
 
 
-def _extend_alphabet(alph: Alphabet) -> Alphabet:
-    return Alphabet(alph.names + (MARKER,), alph.slot_count)
-
-
-def _rebind_rules(rules, alph: Alphabet, order: int):
-    out = []
-    for r in rules:
-        out.append(RewriteRule(r.lhs, r.rhs.rebind(alph), r.label))
-    return out
+def _commutator_rule(alph: Alphabet, x_name: str, y_name: str,
+                     value: Element) -> RewriteRule:
+    """[x, y] = value as the rule rewriting the deglex-larger of x y and
+    y x: either y x -> x y - value or x y -> y x + value."""
+    gx, gy = alph.gen(x_name), alph.gen(y_name)
+    if alph.letter_key(gy) > alph.letter_key(gx):
+        lhs = (gy, gx)
+        rhs = Element.from_word(alph, (gx, gy), value.order) - value
+    else:
+        lhs = (gx, gy)
+        rhs = Element.from_word(alph, (gy, gx), value.order) + value
+    return RewriteRule(lhs, rhs,
+                       f"{format_word(lhs, 1)} -> {format_element(rhs)}")
 
 
 def _split_marker(x: Element):
@@ -690,6 +663,50 @@ def _solve_affine_system(base: Element, directions: dict[str, Element],
     return SolveOutcome("unique", solution, rank, len(columns))
 
 
+def _solve_marker(p: Presentation, x_name: str, y_name: str,
+                  expr: Element, basis: dict[str, Element],
+                  offsets: dict[str, Element] | None,
+                  step_limit: int) -> SolveOutcome:
+    """Solve for [x, y] = sum_w c_w w such that ``expr`` vanishes.
+
+    ``p`` presents the algebra without a rule for the x y / y x words, and
+    ``expr`` lives in it or in its tensor square.  A marker letter stands
+    for [x, y] in the rule ordering the pair, so the normal form of
+    ``expr`` is affine in the marker: its marker-free part is the constant
+    term, and putting w in place of the marker (plus ``offsets[w]``, when
+    given) gives the direction of each unknown c_w.
+    """
+    order = p.trunc_order
+    alph_z = Alphabet(p.alphabet.names + (MARKER,))
+    rules = [RewriteRule(r.lhs, r.rhs.rebind(alph_z), r.label)
+             for r in p.rules]
+    gx, gy = p.alphabet.gen(x_name), p.alphabet.gen(y_name)
+    if p.is_normal_word((gx, gy)) and p.is_normal_word((gy, gx)):
+        rules.append(_commutator_rule(alph_z, x_name, y_name,
+                                      Element.generator(alph_z, MARKER, order)))
+    slots = expr.alphabet.slot_count
+    p_z = Presentation(alph_z, rules, order,
+                       name=f"{p.name}+marker").at_slots(slots)
+    alph = p_z.alphabet
+    base_terms, contexts = _split_marker(
+        p_z.normal_form(expr.rebind(alph), step_limit))
+
+    marked_slots = {slot for _, slot, _, _ in contexts}
+    directions: dict[str, Element] = {}
+    for label, w in basis.items():
+        direction = (offsets[label].rebind(alph) if offsets
+                     else Element.zero(alph, order))
+        w_at = {s: (tensor_embed(w, s, slots) if s else w).rebind(alph)
+                for s in marked_slots}
+        for (pre, slot, post, coeff) in contexts:
+            ctx = (Element.from_word(alph, pre, order) * w_at[slot]
+                   * Element.from_word(alph, post, order)).scaled(coeff)
+            direction = direction + ctx
+        directions[label] = p_z.normal_form(direction, step_limit)
+    return _solve_affine_system(Element(alph, base_terms, order), directions,
+                                order)
+
+
 def solve_commutator(h: HopfPresentation, x_name: str, y_name: str,
                      basis: dict[str, Element],
                      step_limit: int = DEFAULT_STEP_LIMIT) -> SolveOutcome:
@@ -700,53 +717,14 @@ def solve_commutator(h: HopfPresentation, x_name: str, y_name: str,
     homomorphism condition and the coefficient match is solved exactly.
     """
     order = h.order
-    p = h.base
-    alph_z = _extend_alphabet(p.alphabet)
-    gx = p.alphabet.gen(x_name)
-    gy = p.alphabet.gen(y_name)
-    rules = _rebind_rules(p.rules, alph_z, order)
-    if p.is_normal_word((gx, gy)) and p.is_normal_word((gy, gx)):
-        # orient the deglex-larger product; Z stands for [x, y] = xy - yx
-        one = Scalar.one(order)
-        if alph_z.letter_key(gy) > alph_z.letter_key(gx):
-            lhs = (gy, gx)  # y x -> x y - Z
-            rhs = Element(alph_z, {
-                (gx, gy): one,
-                (alph_z.gen(MARKER),): Scalar.from_rational(-1, order),
-            }, order)
-        else:
-            lhs = (gx, gy)  # x y -> y x + Z
-            rhs = Element(alph_z, {
-                (gy, gx): one,
-                (alph_z.gen(MARKER),): one,
-            }, order)
-        rules.append(RewriteRule(lhs, rhs, "unknown-commutator"))
-    p_z = Presentation(alph_z, rules, order, name=f"{p.name}+marker")
-    p2_z = p_z.at_slots(2)
-
-    dx = h.apply_coproduct(Element.generator(p.alphabet, x_name, order),
+    dx = h.apply_coproduct(Element.generator(h.base.alphabet, x_name, order),
                            step_limit)
-    dy = h.apply_coproduct(Element.generator(p.alphabet, y_name, order),
+    dy = h.apply_coproduct(Element.generator(h.base.alphabet, y_name, order),
                            step_limit)
-    alph2_z = p2_z.alphabet
-    dxz = dx.rebind(alph2_z)
-    dyz = dy.rebind(alph2_z)
-    comm2 = p2_z.normal_form(dxz * dyz - dyz * dxz, step_limit)
-    base_terms, contexts = _split_marker(comm2)
-    base = Element(alph2_z, base_terms, order)
-
-    directions: dict[str, Element] = {}
-    for label, w in basis.items():
-        dw = h.apply_coproduct(w, step_limit).rebind(alph2_z)
-        direction = -dw
-        for (pre, slot, post, coeff) in contexts:
-            w_emb = tensor_embed(w, slot, slot_count=2).rebind(alph2_z)
-            ctx = (Element.from_word(alph2_z, pre, order) * w_emb
-                   * Element.from_word(alph2_z, post, order)).scaled(coeff)
-            direction = direction + ctx
-        directions[label] = p2_z.normal_form(direction, step_limit)
-
-    return _solve_affine_system(base, directions, order)
+    offsets = {label: -h.apply_coproduct(w, step_limit)
+               for label, w in basis.items()}
+    return _solve_marker(h.base, x_name, y_name, dx * dy - dy * dx, basis,
+                         offsets, step_limit)
 
 
 def standard_commutator_basis(order: int = 1) -> dict[str, Element]:
@@ -763,16 +741,14 @@ def standard_commutator_basis(order: int = 1) -> dict[str, Element]:
 def commutator_rule_from_solution(solution: dict[str, Element | Scalar],
                                   basis: dict[str, Element],
                                   x_name: str, y_name: str,
-                                  order: int) -> RewriteRule:
-    """Install [x, y] = sum c_w w as the oriented rule y x -> x y - sum."""
-    alph = FINAL_ALPHABET
-    gx, gy = alph.gen(x_name), alph.gen(y_name)
-    rhs = Element(alph, {(gx, gy): Scalar.one(order)}, order)
+                                  order: int,
+                                  alphabet: Alphabet = FINAL_ALPHABET) -> RewriteRule:
+    """Install [x, y] = sum c_w w as the rule rewriting the deglex-larger
+    of x y and y x."""
+    value = Element.zero(alphabet, order)
     for label, coeff in solution.items():
-        rhs = rhs - basis[label].scaled(coeff)
-    from .freealg import format_element, format_word
-    return RewriteRule((gy, gx), rhs,
-                       f"{format_word((gy, gx), 1)} -> {format_element(rhs)}")
+        value = value + basis[label].scaled(coeff)
+    return _commutator_rule(alphabet, x_name, y_name, value)
 
 
 def solver_suite(order: int = 1, lam_zero: bool = False,
@@ -852,51 +828,21 @@ def solve_ln_commutator(order: int = 1, basis: dict[str, Element] | None = None,
     if basis is None:
         basis = ln_basis_kmn(order)
     p = catalog.ekappa2_klmn_presentation(order).base
-    alph_z = _extend_alphabet(p.alphabet)
-    rules = _rebind_rules(p.rules, alph_z, order)
-    gl, gn = p.alphabet.gen("L"), p.alphabet.gen("N")
-    one = Scalar.one(order)
-    rules.append(RewriteRule(
-        (gl, gn),
-        Element(alph_z, {(gn, gl): one,
-                         (alph_z.gen(MARKER),): one}, order),
-        "unknown-LN"))
-    p_z = Presentation(alph_z, rules, order, name="klmn+LN-marker")
-
     named = klmn_named_elements(order)
-    eta = named["eta"].definition.rebind(alph_z)
-    etabar = named["etabar"].definition.rebind(alph_z)
+    eta = named["eta"].definition
+    etabar = named["etabar"].definition
     lam = Scalar.param("lam", order)
     expr = (eta * etabar - etabar * eta) - (etabar + eta).scaled(lam)
-    nfz = p_z.normal_form(expr, step_limit)
-    base_terms, contexts = _split_marker(nfz)
-    base = Element(alph_z, base_terms, order)
-
-    directions: dict[str, Element] = {}
-    for label, w in basis.items():
-        wz = w.rebind(alph_z)
-        direction = Element.zero(alph_z, order)
-        for (pre, slot, post, coeff) in contexts:
-            ctx = (Element.from_word(alph_z, pre, order) * wz
-                   * Element.from_word(alph_z, post, order)).scaled(coeff)
-            direction = direction + ctx
-        directions[label] = p_z.normal_form(direction, step_limit)
-    return _solve_affine_system(base, directions, order)
+    return _solve_marker(p, "L", "N", expr, basis, None, step_limit)
 
 
 def klmn_with_ln_rule(solution: dict[str, Scalar], basis: dict[str, Element],
                       order: int = 1) -> Presentation:
     """The K, L, M, N presentation extended with the solved L N rule."""
     p = catalog.ekappa2_klmn_presentation(order).base
-    alph = p.alphabet
-    gl, gn = alph.gen("L"), alph.gen("N")
-    rhs = Element(alph, {(gn, gl): Scalar.one(order)}, order)
-    for label, coeff in solution.items():
-        rhs = rhs + basis[label].scaled(coeff)
-    from .freealg import format_element, format_word
-    rule = RewriteRule((gl, gn), rhs,
-                       f"{format_word((gl, gn), 1)} -> {format_element(rhs)}")
-    return Presentation(alph, list(p.rules) + [rule], order,
+    rule = commutator_rule_from_solution(solution, basis, "L", "N", order,
+                                         alphabet=p.alphabet)
+    return Presentation(p.alphabet, list(p.rules) + [rule], order,
                         name="ekappa2-klmn+LN")
 
 

@@ -266,27 +266,33 @@ class GeneratorMap:
     target: Alphabet
     order: int
 
-    def image(self, g: GeneratorId) -> Element:
-        img = self.images.get(g)
-        if img is None:
-            raise MissingImage(f"no image for generator {g!r}")
-        return img
-
     def apply(self, x: Element) -> Element:
         if x.alphabet != self.source:
             raise AlphabetMismatch("element not over the map's source alphabet")
+        star = self.kind is MapKind.STAR
+        reverse = self.kind is not MapKind.HOMOMORPHISM
         out = Element.zero(self.target, self.order)
         for word, coeff in x.terms.items():
-            if self.kind is MapKind.STAR:
-                coeff = coeff.conjugate()
-            letters = reversed(word) if self.kind is not MapKind.HOMOMORPHISM else word
-            prod = Element.unit(self.target, self.order).scaled(coeff)
-            for g in letters:
-                prod = prod * self.image(g)
+            prod = Element.unit(self.target, self.order).scaled(
+                coeff.conjugate() if star else coeff)
+            for g in reversed(word) if reverse else word:
+                img = self.images.get(g)
+                if img is None:
+                    raise MissingImage(f"no image for generator {g!r}")
+                prod = prod * img
                 if prod.is_zero:
                     break
             out = out + prod
         return out
+
+    def on_slots(self, slot_count: int = 2) -> "GeneratorMap":
+        """The slot-wise extension to a tensor power: a letter in slot s
+        goes to its image moved into slot s."""
+        source = self.source.at_slots(slot_count)
+        images = {GeneratorId(g.name, s): tensor_embed(img, s, slot_count)
+                  for g, img in self.images.items() for s in source.slots}
+        return GeneratorMap(images, self.kind, source,
+                            self.target.at_slots(slot_count), self.order)
 
 
 def accumulate_scaled(acc: dict, terms: dict, s: Scalar) -> None:

@@ -99,16 +99,8 @@ class HopfPresentation:
 
     def star_tensor(self, x2: Element) -> Element:
         """Slot-wise star on the 2-slot algebra."""
-        p2 = self.base.at_slots(2)
-        images = {}
-        for name in self.base.alphabet.names:
-            img = self.star.images[self.base.alphabet.gen(name)]
-            for slot in (1, 2):
-                images[p2.alphabet.gen(name, slot)] = retag_slots(
-                    img, {0: slot}, 2)
-        m = GeneratorMap(images, MapKind.STAR, p2.alphabet, p2.alphabet,
-                         self.order)
-        return p2.normal_form(m.apply(x2))
+        return self.base.at_slots(2).normal_form(
+            self.star.on_slots(2).apply(x2))
 
     # -- convolution-style folds ---------------------------------------------
 

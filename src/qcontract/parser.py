@@ -11,6 +11,10 @@ Grammar (whitespace-insensitive)::
 
 ``[x,y]`` is the commutator, names resolve to generators or parameters,
 ``i`` is the imaginary unit and ``eps`` the truncation variable.
+
+Expanding a power can blow up, so with a step limit each multiplication
+inside ``x^n`` costs one step plus one per letter it may write (terms of
+the two factors times their summed degrees), charged before it is done.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .freealg import Alphabet, Element, tensor_embed
+from .rewrite import StepLimitExceeded
 from .scalars import Scalar
 
 RESERVED = {"i", "eps", "ox"}
@@ -95,12 +100,14 @@ def tokenize(text: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, tokens: list[Token], alphabet: Alphabet,
-                 params: tuple[str, ...], order: int):
+                 params: tuple[str, ...], order: int,
+                 step_limit: int | None = None):
         self.tokens = tokens
         self.pos = 0
         self.alphabet = alphabet
         self.params = params
         self.order = order
+        self.budget = step_limit
 
     # -- token helpers -----------------------------------------------------
 
@@ -200,10 +207,19 @@ class _Parser:
             return self._power(atom, exp)
         return atom
 
+    def _charge(self, a: Element, b: Element):
+        if self.budget is None:
+            return
+        self.budget -= 1 + len(a.terms) * len(b.terms) * (a.degree()
+                                                          + b.degree())
+        if self.budget < 0:
+            raise StepLimitExceeded("step limit exceeded while expanding a power")
+
     def _power(self, x: Element, exp: int) -> Element:
         if exp >= 0:
             out = Element.unit(x.alphabet, self.order)
             for _ in range(exp):
+                self._charge(out, x)
                 out = out * x
             return out
         if len(x.terms) == 1 and () in x.terms:
@@ -214,6 +230,7 @@ class _Parser:
                 self.fail("negative power of a non-invertible scalar")
             out = Element.unit(x.alphabet, self.order)
             for _ in range(-exp):
+                self._charge(out, x)
                 out = out.scaled(inv)
             return out
         self.fail("negative powers are only defined for scalar monomials")
@@ -251,13 +268,14 @@ class _Parser:
 
 
 def parse_expression(text: str, alphabet: Alphabet, params: tuple[str, ...],
-                     order: int) -> Element:
+                     order: int, step_limit: int | None = None) -> Element:
     """Parse ``text`` into an element over ``alphabet``.
 
     Raises :class:`ParseError` with line/column on malformed input or
-    unknown symbols.
+    unknown symbols, and :class:`StepLimitExceeded` when expanding powers
+    would take more than ``step_limit`` steps (no limit when None).
     """
-    parser = _Parser(tokenize(text), alphabet, params, order)
+    parser = _Parser(tokenize(text), alphabet, params, order, step_limit)
     out = parser.parse_expr()
     tail = parser.peek()
     if tail.kind != "END":

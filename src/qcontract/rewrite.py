@@ -282,10 +282,17 @@ class Ambiguity:
 
 @dataclass
 class ConfluenceItem:
+    """A resolved or unresolved ambiguity; one longer than ``max_overlap``
+    is skipped (not reduced) and counts as unresolved."""
+
     ambiguity: Ambiguity
     resolved: bool
-    nf_left: Element
-    nf_right: Element
+    nf_left: Element | None
+    nf_right: Element | None
+
+    @property
+    def skipped(self) -> bool:
+        return self.nf_left is None
 
 
 @dataclass
@@ -306,8 +313,9 @@ def _word_element(p: Presentation, word: Word) -> Element:
 
 
 def critical_pairs(p: Presentation, max_overlap: int) -> list[Ambiguity]:
-    """All overlap and inclusion ambiguities among rule lhs words, up to
-    ambiguity words of ``max_overlap`` letters."""
+    """All overlap and inclusion ambiguities among rule lhs words.  The set
+    is finite (an overlap word has at most |l_i| + |l_j| - 1 letters), so
+    none is left out; ``max_overlap`` must reach the longest lhs."""
     longest = max((len(r.lhs) for r in p.rules), default=0)
     if max_overlap < longest:
         raise ValueError(
@@ -322,8 +330,6 @@ def critical_pairs(p: Presentation, max_overlap: int) -> list[Ambiguity]:
                 if li[-k:] != lj[:k]:
                     continue
                 word = li + lj[k:]
-                if len(word) > max_overlap:
-                    continue
                 left = ri.rhs * _word_element(p, lj[k:])
                 right = _word_element(p, li[:-k]) * rj.rhs
                 out.append(Ambiguity(word, i, j, "overlap", left, right))
@@ -331,8 +337,6 @@ def critical_pairs(p: Presentation, max_overlap: int) -> list[Ambiguity]:
             if i != j and len(lj) < len(li):
                 for pos in range(len(li) - len(lj) + 1):
                     if li[pos:pos + len(lj)] != lj:
-                        continue
-                    if len(li) > max_overlap:
                         continue
                     right = (_word_element(p, li[:pos]) * rj.rhs
                              * _word_element(p, li[pos + len(lj):]))
@@ -342,8 +346,13 @@ def critical_pairs(p: Presentation, max_overlap: int) -> list[Ambiguity]:
 
 def check_local_confluence(p: Presentation, max_overlap: int = 6,
                            step_limit: int = DEFAULT_STEP_LIMIT) -> ConfluenceReport:
+    """Reduce both sides of every ambiguity whose word has at most
+    ``max_overlap`` letters; each longer one is a skipped failure."""
     report = ConfluenceReport(presentation=p.name or "presentation")
     for amb in critical_pairs(p, max_overlap):
+        if len(amb.word) > max_overlap:
+            report.items.append(ConfluenceItem(amb, False, None, None))
+            continue
         nl = p.normal_form(amb.left, step_limit)
         nr = p.normal_form(amb.right, step_limit)
         report.items.append(ConfluenceItem(amb, nl == nr, nl, nr))

@@ -129,7 +129,12 @@ class GaussianRational:
                 and self._d == other._d)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the int or Fraction it equals
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -4,6 +4,7 @@ import pytest
 import sympy
 
 from qcontract import catalog
+from qcontract.freealg import format_word
 from qcontract.hopf import HopfPresentation
 from qcontract.parser import parse_expression
 from qcontract.rewrite import RuleOrientationError
@@ -127,15 +128,64 @@ class TestRuleDerivations:
         assert self._rel(suq2, "d*a") == det + entries[((2, 1), (2, 1))]
 
 
+RTT = "Eq. (1)-(2)"
+#: the equation tags each builtin file must carry: per rule (by left-hand
+#: side), per coproduct generator, and for the counit/antipode pair
+EXPECTED_TAGS = {
+    "suq2": (
+        {"a*b": RTT, "a*c": RTT, "c*b": RTT, "d*b": RTT, "d*c": RTT,
+         "a*d": "Eq. (7)", "d*a": "Eq. (7)"},
+        {g: "Eq. (3)" for g in "abcd"},
+        "Eq. (4)",
+    ),
+    "ekappa2-klmn": (
+        {"N*K": "Eq. (21)", "N*M": "Eq. (23)", "M*K": "Eq. (18)",
+         "M^2": "Eq. (9)", "L*K": "Eq. (10)", "L*M": "Eq. (22)",
+         "K*J": "Eq. (8)", "J*K": "Eq. (8)"},
+        {"K": "Eq. (11)", "M": "Eq. (12)", "L": "Eq. (13)",
+         "N": "Eq. (14)"},
+        None,
+    ),
+    "ekappa2-final": (
+        {"E*F": "Eq. (24)", "F*E": "Eq. (24)", "eta*E": "Eq. (33)",
+         "etabar*E": "Eq. (34)", "etabar*eta": "Eq. (35)"},
+        {"eta": "Eq. (30)", "etabar": "Eq. (31)", "E": "Eq. (32)"},
+        None,
+    ),
+}
+
+
+def tags_by_lhs(h):
+    return {format_word(r.lhs, 1): h.rule_tags[r.label]
+            for r in h.base.rules if r.label in h.rule_tags}
+
+
+def structure(h):
+    maps = (h.coproduct, h.antipode, h.star)
+    return ([(r.lhs, r.rhs) for r in h.base.rules],
+            [sorted((repr(g), str(img)) for g, img in m.images.items())
+             for m in maps],
+            h.counit, h.excluded)
+
+
 class TestGoldenFiles:
-    def test_serialization_matches_shipped_files(self):
-        for name, builder in (
-            ("suq2", catalog.suq2_presentation),
-            ("ekappa2-klmn", catalog.ekappa2_klmn_presentation),
-            ("ekappa2-final", catalog.ekappa2_final_presentation),
-        ):
-            text = catalog.builtin_source(name)
-            assert catalog.serialize_presentation(builder(1)) == text
+    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("lam_zero", (False, True))
+    @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+    def test_parse_serialize_fixpoint_keeps_tags(self, name, order, lam_zero):
+        h = catalog.load_presentation(f"builtin:{name}", order,
+                                      lam_zero=lam_zero)
+        text = catalog.serialize_presentation(h)
+        if not lam_zero:
+            assert text == catalog.builtin_source(name)
+        again = catalog.parse_presentation_text(text, order, h.base.name)
+        assert catalog.serialize_presentation(again) == text
+        assert structure(again) == structure(h)
+        rule_tags, coproduct_tags, antipode_tag = EXPECTED_TAGS[name]
+        for x in (h, again):
+            assert tags_by_lhs(x) == rule_tags
+            assert x.coproduct_tags == coproduct_tags
+            assert x.antipode_tag == antipode_tag
 
     def test_builtin_load_round_trips(self):
         for name in catalog.BUILTIN_NAMES:
@@ -143,6 +193,38 @@ class TestGoldenFiles:
             assert isinstance(loaded, HopfPresentation)
             assert catalog.serialize_presentation(loaded) == \
                 catalog.builtin_source(name)
+
+    def test_alphabet_constants_match_the_files(self, suq2, klmn, final):
+        assert catalog.SUQ2_ALPHABET == suq2.base.alphabet
+        assert catalog.KLMN_ALPHABET == klmn.base.alphabet
+        assert catalog.FINAL_ALPHABET == final.base.alphabet
+
+    def test_open_final_drops_only_the_commutator_rule(self, final):
+        h = catalog.ekappa2_final_presentation(1, with_commutator_rule=False)
+        assert h.name == h.base.name == "ekappa2-final-open"
+        assert [r.label for r in h.base.rules] == [
+            r.label for r in final.base.rules
+            if not r.label.startswith("etabar*eta")]
+        assert len(h.base.rules) == len(final.base.rules) - 1
+
+    def test_untagged_file_parses_to_the_same_algebra(self):
+        text = catalog.builtin_source("ekappa2-klmn")
+        untagged = "\n".join(line.split(" @ ")[0]
+                             for line in text.splitlines())
+        h = catalog.parse_presentation_text(untagged, 1, "ekappa2-klmn")
+        assert not h.rule_tags and not h.coproduct_tags
+        assert structure(h) == structure(
+            catalog.ekappa2_klmn_presentation(1))
+
+    @pytest.mark.parametrize("line", (
+        "[generators] @ Eq. (1)\nx y\n",
+        "[generators]\nx y @ Eq. (1)\n",
+        "[generators]\nx y\n[rules] @ Eq. (1)\ny*x -> x*y\n",
+    ))
+    def test_misplaced_tag_is_a_format_error(self, line):
+        with pytest.raises(catalog.PresentationFormatError) as exc:
+            catalog.parse_presentation_text(line, 1)
+        assert "line" in str(exc.value)
 
     def test_builtin_rule_counts(self):
         assert len(catalog.suq2_presentation(1).base.rules) == 7

@@ -1,5 +1,6 @@
 import json
 import shutil
+import time
 from pathlib import Path
 
 import jsonschema
@@ -46,6 +47,20 @@ class TestNf:
                            "--step-limit", "2", "d*d*d*a*a*a")
         assert code == 3
 
+    def test_huge_power_exits_3_within_the_step_limit(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "nf", "-p", "builtin:suq2", "a^99999999")
+        assert time.monotonic() - t0 < 5
+        assert code == 3
+        assert out == ""
+        assert err == ("step limit exceeded: step limit exceeded while "
+                       "expanding a power\n")
+
+    def test_small_power_unchanged(self, capsys):
+        code, out, _ = run(capsys, "nf", "-p", "builtin:suq2", "a^5")
+        assert code == 0
+        assert out == "a^5\n"
+
     def test_division_by_zero_is_parse_error(self, capsys):
         code, out, err = run(capsys, "nf", "-p", "builtin:suq2", "a + 1/0")
         assert code == 2
@@ -84,6 +99,17 @@ class TestConfluence:
             code, out, _ = run(capsys, "confluence", "-p", f"builtin:{name}")
             assert code == 0
             assert "failed: 0" in out
+
+    def test_ambiguities_beyond_max_overlap_fail(self, capsys):
+        _, full, _ = run(capsys, "confluence", "-p", "builtin:suq2")
+        code, out, _ = run(capsys, "confluence", "-p", "builtin:suq2",
+                           "--max-overlap", "2")
+        assert code == 1
+        n = len(full.splitlines()) - 1
+        assert n > 0
+        assert out.splitlines()[-1] == f"checks: {n}  failed: {n}"
+        assert all("skipped: 3 letters exceed --max-overlap 2" in line
+                   for line in out.splitlines()[:-1])
 
     def test_non_confluent_file_fails(self, capsys, tmp_path):
         src = tmp_path / "bad.preso"
@@ -202,6 +228,23 @@ class TestReport:
             "a*d -> q*b*c + 1", "a*d -> 2*q*b*c + 1"))
         code, out, _ = run(capsys, "report", "--catalog-dir", str(bad))
         assert code == 1
+        # the file loads; the math checks on the loaded algebra catch it
+        assert "[ok  ] catalog/load/suq2\n" in out
+        assert "[FAIL] suq2/delta-respects/a*d -> 2*q*b*c + 1" in out
+        assert "[FAIL] suq2/determinant-central" in out
+
+    def test_non_canonical_catalog_file_fails(self, capsys, tmp_path):
+        bad = tmp_path / "cat"
+        bad.mkdir()
+        for f in DATA.glob("*.preso"):
+            shutil.copy(f, bad / f.name)
+        target = bad / "suq2.preso"
+        target.write_text(target.read_text().replace(
+            "a*d -> q*b*c + 1", "a*d -> 1 + q*b*c"))
+        code, out, _ = run(capsys, "report", "--catalog-dir", str(bad))
+        assert code == 1
+        assert ("[FAIL] catalog/load/suq2  residual: not in canonical form"
+                in out)
 
     def test_lam_zero_full_run(self, capsys):
         code, out, _ = run(capsys, "report", "--lam-zero")

@@ -6,7 +6,7 @@ from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcontract import catalog
@@ -112,6 +112,8 @@ class TestGaussianRationalAgainstFractionPairs:
         assert (z == r) == (x.re == r and x.im == 0)
 
     @given(pairs, pairs)
+    @example(FracPair(3), FracPair(1))
+    @example(FracPair(Fraction(-5, 6)), FracPair(0, 1))
     @settings(max_examples=200)
     def test_equality_and_hash(self, x, y):
         zx, zy = gr_of(x), gr_of(y)
@@ -121,6 +123,10 @@ class TestGaussianRationalAgainstFractionPairs:
             again = (zx * zy) / zy
             assert again == zx
             assert hash(again) == hash(zx)
+        if x.im == 0:
+            # a real value hashes like the Fraction (or int) it equals
+            assert zx == x.re and hash(zx) == hash(x.re)
+            assert len({zx, x.re}) == 1
 
     def test_integer_and_fraction_constructors_agree(self):
         assert GaussianRational(3, -2) == GaussianRational(Fraction(6, 2),
