@@ -35,6 +35,7 @@ from pathlib import Path
 
 from .freealg import (
     Alphabet,
+    AlphabetMismatch,
     Element,
     GeneratorMap,
     MapKind,
@@ -43,7 +44,7 @@ from .freealg import (
 )
 from .hopf import HopfPresentation
 from .parser import ParseError, parse_expression
-from .rewrite import Presentation, RewriteRule
+from .rewrite import DEFAULT_STEP_LIMIT, Presentation, RewriteRule
 from .scalars import Scalar
 
 BUILTIN_NAMES = ("suq2", "ekappa2-klmn", "ekappa2-final")
@@ -70,9 +71,21 @@ class PresentationFormatError(ValueError):
     """Malformed presentation source text."""
 
 
+def _parse_side(text: str, alphabet: Alphabet, params: tuple[str, ...],
+                order: int) -> Element:
+    """A rule or map side; expanding its powers may take at most
+    ``DEFAULT_STEP_LIMIT`` steps, so a huge exponent exits promptly."""
+    return parse_expression(text, alphabet, params, order, DEFAULT_STEP_LIMIT)
+
+
 def _mk_rule(alphabet: Alphabet, params: tuple[str, ...], order: int,
              lhs_text: str, rhs_text: str) -> RewriteRule:
-    lhs_elem = parse_expression(lhs_text, alphabet, params, order)
+    lhs_elem = _parse_side(lhs_text, alphabet, params, order)
+    rhs = _parse_side(rhs_text, alphabet, params, order)
+    for side, text in ((lhs_elem, lhs_text), (rhs, rhs_text)):
+        if side.alphabet != alphabet:
+            raise PresentationFormatError(
+                f"rule side must not be a tensor: {text!r}")
     if len(lhs_elem.terms) != 1:
         raise PresentationFormatError(
             f"rule left-hand side must be a single word: {lhs_text!r}")
@@ -80,7 +93,6 @@ def _mk_rule(alphabet: Alphabet, params: tuple[str, ...], order: int,
     if not word or not coeff.is_one:
         raise PresentationFormatError(
             f"rule left-hand side must be a plain word: {lhs_text!r}")
-    rhs = parse_expression(rhs_text, alphabet, params, order)
     return RewriteRule(word, rhs, _rule_text(word, rhs))
 
 
@@ -94,10 +106,15 @@ def _gen_map(alphabet: Alphabet, params, order, kind: MapKind,
     target = target or alphabet
     images = {}
     for name, text in images_text.items():
-        img = parse_expression(text, alphabet, params, order)
+        img = _parse_side(text, alphabet, params, order)
         if img.alphabet != target:
             # letter-free images (units, scalars) promote between slot counts
-            img = img.rebind(target)
+            try:
+                img = img.rebind(target)
+            except AlphabetMismatch as exc:
+                raise PresentationFormatError(
+                    f"image of {name} has the wrong tensor rank: "
+                    f"{text!r}") from exc
         images[alphabet.gen(name, 0)] = img
     return GeneratorMap(images, kind, alphabet, target, order)
 
@@ -380,7 +397,7 @@ _TAGGED_SECTIONS = ("rules", "coproduct")
 def _parse_counit(alphabet, params, order, entries: dict[str, str]) -> dict[str, Scalar]:
     out = {}
     for name, text in entries.items():
-        elem = parse_expression(text, alphabet, params, order)
+        elem = _parse_side(text, alphabet, params, order)
         for w in elem.words():
             if w:
                 raise PresentationFormatError(
@@ -479,8 +496,7 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
     excluded = frozenset(
         n for _, line, _ in sections.get("excluded", ()) for n in line.split())
     coproduct, coproduct_tags = collect("coproduct")
-    return HopfPresentation(
-        base=base,
+    maps = dict(
         coproduct=_gen_map(alphabet, params, order, MapKind.HOMOMORPHISM,
                            coproduct, target=alphabet.at_slots(2)),
         counit=_parse_counit(alphabet, params, order, collect("counit")[0]),
@@ -488,12 +504,13 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
                           collect("antipode")[0]),
         star=_gen_map(alphabet, params, order, MapKind.STAR,
                       collect("star")[0]),
-        excluded=excluded,
-        name=name,
-        rule_tags=rule_tags,
-        coproduct_tags=coproduct_tags,
-        antipode_tag=antipode_tag,
     )
+    try:
+        return HopfPresentation(
+            base=base, excluded=excluded, name=name, rule_tags=rule_tags,
+            coproduct_tags=coproduct_tags, antipode_tag=antipode_tag, **maps)
+    except ValueError as exc:  # a coproduct image hits an excluded letter
+        raise PresentationFormatError(str(exc)) from exc
 
 
 def _tagged(line: str, tag: str | None) -> str:

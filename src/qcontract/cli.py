@@ -26,8 +26,10 @@ from .hopf import (
 from .parser import ParseError, parse_expression
 from .reports import CheckRecord, CheckReport, report_to_json_dict
 from .rewrite import (
+    OverlapBoundError,
     RuleOrientationError,
     StepLimitExceeded,
+    certify,
     check_local_confluence,
 )
 
@@ -136,6 +138,9 @@ def cmd_nf(args) -> int:
     params = _presentation_params(base)
     expr = parse_expression(args.expression, base.alphabet, params,
                             cfg.truncation_order, cfg.step_limit)
+    # a certified presentation reduces through the normal-word table; one
+    # that is not (or whose check exceeds the limit) keeps the rewriter
+    certify(base, cfg.step_limit)
     nf = base.normal_form(expr, cfg.step_limit)
     print(nf)
     return EXIT_OK
@@ -385,7 +390,8 @@ def main(argv=None) -> int:
         print(f"step limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (ParseError, catalog.PresentationFormatError, AlphabetMismatch,
-            MissingImage, RuleOrientationError, FileNotFoundError) as exc:
+            MissingImage, RuleOrientationError, OverlapBoundError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (contract.AdjointResidue, contract.UnknownCommutatorNeeded,

@@ -103,6 +103,16 @@ class Element:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "order", order)
 
+    @classmethod
+    def _of(cls, alphabet: Alphabet, terms: dict, order: int) -> "Element":
+        """An element over ``terms`` as given: for callers whose dicts
+        already hold no zero coefficient."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "alphabet", alphabet)
+        object.__setattr__(x, "terms", terms)
+        object.__setattr__(x, "order", order)
+        return x
+
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
 
@@ -187,15 +197,24 @@ class Element:
             return self.scaled(other)
         self._check(other)
         acc: dict = {}
+        cancelled = False
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 c = c1 * c2
-                if c.is_zero:
+                if not c.terms:
                     continue
                 w = w1 + w2
                 cur = acc.get(w)
-                acc[w] = c if cur is None else cur + c
-        return Element(self.alphabet, acc, self.order)
+                if cur is None:
+                    acc[w] = c
+                else:
+                    c = acc[w] = cur + c
+                    cancelled = cancelled or not c.terms
+        if cancelled:
+            # drop vanishing sums only now, so the surviving terms keep the
+            # order in which they first appeared
+            acc = {w: c for w, c in acc.items() if c.terms}
+        return Element._of(self.alphabet, acc, self.order)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, Scalar)):

@@ -119,7 +119,7 @@ class HopfPresentation:
                                   to_base_slot(parts.get(2, ())), self.order)
             accumulate_scaled(acc, (left(u) * right(v)).terms, coeff)
         return self.base.normal_form(
-            Element(self.base.alphabet, acc, self.order))
+            Element._of(self.base.alphabet, acc, self.order))
 
     def _id(self, x: Element) -> Element:
         return x

@@ -67,18 +67,18 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             num = int(text[start:i])
             den = 1
             if i < n and text[i] == "/":
                 j = i + 1
-                if j < n and text[j].isdigit():
+                if j < n and text[j].isdecimal():
                     i = j
                     ds = i
-                    while i < n and text[i].isdigit():
+                    while i < n and text[i].isdecimal():
                         i += 1
                     den = int(text[ds:i])
             if den == 0:

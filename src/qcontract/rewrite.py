@@ -1,15 +1,40 @@
-"""Presentations and normal forms by exhaustive subword rewriting.
+"""Presentations and normal forms by subword rewriting.
 
 A presentation fixes an alphabet, a degree-lexicographic monomial order and a
 sequence of oriented rules whose left-hand sides strictly dominate every word
 of their right-hand side.  Rewriting therefore terminates; local confluence is
 checked, not assumed, by resolving every overlap and inclusion ambiguity
 between rule left-hand sides.
+
+Two paths compute normal forms:
+
+* The plain rewriter (``Presentation.rewrite``) reduces each word on a stack
+  by the leftmost, strongest redex.  One step is one rule application; a
+  word found in the whole-word cache replays the steps it cost.  Confluence
+  checks, requests for the fired rules and every presentation not certified
+  confluent use it, and it is the oracle of the table path.
+* On a presentation certified confluent, normal forms are unique (Bergman's
+  diamond lemma), so ``nf(u*g) = nf(nf(u)*g)`` and ``normal_form`` multiplies
+  in the basis of normal words, one letter at a time, through a memoised
+  table ``nf(v*g)`` (see :class:`NormalWordTable`).  Here one step is one
+  table fill, which applies one rule, and a fill also costs the steps of
+  the products it multiplies out; a product ``v*g`` that stays normal only
+  appends a letter and costs nothing.  A memoised entry or word replays its
+  recorded cost, so a limit trips at the same value whether the caches are
+  cold or warm.  Counted this way a reduction costs about as many steps as
+  the rewriter's (``(a+b+c+d)^8`` in suq2: 912,084), where counting every
+  product of a normal word by a letter too would cost about four times as
+  many and push inputs that reduce within the default limit over it.
+
+``check_local_confluence`` certifies a presentation when it reduced every
+ambiguity (none skipped) and all of them resolved.  Nothing certifies a
+presentation implicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .freealg import (
     Alphabet,
@@ -27,6 +52,10 @@ DEFAULT_STEP_LIMIT = 10**6
 
 class StepLimitExceeded(RuntimeError):
     """Rewriting exceeded its step budget (nonterminating or explosive rules)."""
+
+
+class OverlapBoundError(ValueError):
+    """An overlap bound below the longest left-hand side."""
 
 
 class RuleOrientationError(ValueError):
@@ -86,6 +115,13 @@ class Presentation:
         # replay the step count so limits behave identically either way
         self._nf_cache: dict[Word, tuple[Element, frozenset[int], int]] = {}
         self._tensor_cache: dict[int, Presentation] = {}
+        # set by check_local_confluence once every ambiguity resolved
+        self._table: NormalWordTable | None = None
+
+    @property
+    def certified(self) -> bool:
+        """Whether a confluence check covering every ambiguity passed."""
+        return self._table is not None
 
     @property
     def slot_count(self) -> int:
@@ -209,9 +245,23 @@ class Presentation:
 
     def normal_form(self, x: Element, step_limit: int = DEFAULT_STEP_LIMIT,
                     fired: set[int] | None = None) -> Element:
-        if x.alphabet != self.alphabet:
-            raise AlphabetMismatch(
-                f"element over {x.alphabet} fed to presentation over {self.alphabet}")
+        """The normal form of ``x``: through the normal-word table on a
+        certified presentation, by the plain rewriter otherwise or when the
+        indices of the fired rules are to be added to ``fired``."""
+        if self._table is None or fired is not None:
+            return self.rewrite(x, step_limit, fired)
+        self._check_alphabet(x)
+        try:
+            return self._table.normal_form(x, step_limit)
+        except RecursionError:
+            # fills nested deeper than the interpreter's stack allows; the
+            # entries already filled stay valid
+            return self.rewrite(x, step_limit)
+
+    def rewrite(self, x: Element, step_limit: int = DEFAULT_STEP_LIMIT,
+                fired: set[int] | None = None) -> Element:
+        """The normal form of ``x`` by the plain rewriter."""
+        self._check_alphabet(x)
         budget = [step_limit]
         acc: dict = {}
         for word, coeff in x.terms.items():
@@ -219,7 +269,12 @@ class Presentation:
             if fired is not None:
                 fired |= fr
             accumulate_scaled(acc, nf_w.terms, coeff)
-        return Element(self.alphabet, acc, self.trunc_order)
+        return Element._of(self.alphabet, acc, self.trunc_order)
+
+    def _check_alphabet(self, x: Element):
+        if x.alphabet != self.alphabet:
+            raise AlphabetMismatch(
+                f"element over {x.alphabet} fed to presentation over {self.alphabet}")
 
     def rule_labels(self) -> list[str]:
         return [r.label for r in self.rules]
@@ -227,6 +282,143 @@ class Presentation:
     def __repr__(self):
         return (f"Presentation({self.name or '?'}: {len(self.alphabet.names)} "
                 f"generators, {len(self.rules)} rules, slots={self.slot_count})")
+
+
+def _charge(budget: list[int], cost: int, name: str):
+    budget[0] -= cost
+    if budget[0] < 0:
+        raise StepLimitExceeded(f"step limit exceeded while reducing in {name}")
+
+
+def _add_term(acc: dict, w, c: Scalar) -> None:
+    """``acc[w] += c`` in place, dropping a vanishing sum."""
+    cur = acc.get(w)
+    if cur is None:
+        acc[w] = c
+        return
+    c = cur + c
+    if c.terms:
+        acc[w] = c
+    else:
+        del acc[w]
+
+
+class NormalWordTable:
+    """Normal forms on a certified-confluent presentation by multiplying
+    normal words by one letter at a time.
+
+    Letters are numbered slot by slot in precedence order, and words are
+    tuples of those numbers.  ``products[v + (g,)]`` holds ``nf(v*g)`` and
+    its cost for a normal word ``v`` with ``v*g`` reducible.  Since ``v`` is
+    irreducible, a redex of ``v*g`` ends at ``g``: with ``v = p*l`` and a
+    rule ``l*g -> r``, filling the entry multiplies the normal prefix ``p``
+    by the letters of each word of ``r`` through the table again.  Each such
+    product is smaller than ``v*g`` in the deglex order, so the recursion
+    ends.  ``words`` is the whole-word memo.  Words not in it are folded in
+    sorted order, so neighbours share their common prefix's partial
+    products on a stack.
+    """
+
+    def __init__(self, p: Presentation):
+        alph = p.alphabet
+        self.alphabet = alph
+        self.order = p.trunc_order
+        self.name = p.name or "presentation"
+        self.letters = tuple(GeneratorId(n, s) for s in alph.slots
+                             for n in alph.names)
+        self.index = {g: i for i, g in enumerate(self.letters)}
+        # per last letter: (length of the rest of the lhs, the rest, rhs
+        # terms), strongest lhs first as in the rewriter
+        self.ending: list[list] = [[] for _ in self.letters]
+        for idx in sorted(range(len(p.rules)), reverse=True,
+                          key=lambda i: p.order.key(p.rules[i].lhs)):
+            r = p.rules[idx]
+            lhs = self._code(r.lhs)
+            rhs = tuple((self._code(w), c) for w, c in r.rhs.terms.items())
+            self.ending[lhs[-1]].append((len(lhs) - 1, lhs[:-1], rhs))
+        self.products: dict[tuple[int, ...], tuple[dict, int]] = {}
+        self.words: dict[tuple[int, ...], tuple[dict, int]] = {}
+
+    def _code(self, word: Word) -> tuple[int, ...]:
+        index = self.index
+        return tuple([index[g] for g in word])
+
+    def normal_form(self, x: Element, step_limit: int) -> Element:
+        budget = [step_limit]
+        name, words = self.name, self.words
+        acc: dict = {}
+        pending = []
+        for word, coeff in x.terms.items():
+            iw = self._code(word)
+            hit = words.get(iw)
+            if hit is None:
+                pending.append((iw, coeff))
+                continue
+            _charge(budget, hit[1], name)
+            accumulate_scaled(acc, hit[0], coeff)
+        if pending:
+            pending.sort(key=itemgetter(0))
+            # stack[i]: nf of the first i letters of ``prev`` and its cost
+            stack = [({(): Scalar.one(self.order)}, 0)]
+            prev: tuple[int, ...] = ()
+            for iw, coeff in pending:
+                k, top = 0, min(len(prev), len(iw))
+                while k < top and prev[k] == iw[k]:
+                    k += 1
+                del stack[k + 1:]
+                _charge(budget, stack[k][1], name)
+                for g in iw[k:]:
+                    terms, cost = stack[-1]
+                    before = budget[0]
+                    terms = self._times(terms, g, budget)
+                    stack.append((terms, cost + before - budget[0]))
+                words[iw] = stack[-1]
+                accumulate_scaled(acc, stack[-1][0], coeff)
+                prev = iw
+        letters = self.letters
+        return Element._of(
+            self.alphabet,
+            {tuple(map(letters.__getitem__, w)): c for w, c in acc.items()},
+            self.order)
+
+    def _times(self, terms: dict, g: int, budget: list[int]) -> dict:
+        """``nf(terms * g)`` for ``terms`` over normal words."""
+        acc: dict = {}
+        ending, products, name = self.ending[g], self.products, self.name
+        for u, c in terms.items():
+            w = u + (g,)
+            hit = products.get(w)
+            if hit is None:
+                n = len(u)
+                for k, rest, rhs in ending:
+                    if k <= n and u[n - k:] == rest:
+                        hit = self._fill(w, u[:n - k], rhs, budget)
+                        break
+                else:
+                    # u*g is normal: appending g applies no rule
+                    _add_term(acc, w, c)
+                    continue
+            else:
+                _charge(budget, hit[1], name)
+            accumulate_scaled(acc, hit[0], c)
+        return acc
+
+    def _fill(self, w: tuple[int, ...], prefix: tuple[int, ...], rhs,
+              budget: list[int]) -> tuple[dict, int]:
+        """Fill ``products[w]`` by the rule whose lhs ends ``w`` after the
+        normal ``prefix``."""
+        before = budget[0]
+        _charge(budget, 1, self.name)  # the fill applies one rule
+        acc: dict = {}
+        for rw, rc in rhs:
+            terms = {prefix: rc}
+            for h in rw:
+                terms = self._times(terms, h, budget)
+            for u, c in terms.items():
+                _add_term(acc, u, c)
+        hit = (acc, before - budget[0])
+        self.products[w] = hit
+        return hit
 
 
 def normal_form_random(p: Presentation, x: Element, rng,
@@ -318,8 +510,9 @@ def critical_pairs(p: Presentation, max_overlap: int) -> list[Ambiguity]:
     none is left out; ``max_overlap`` must reach the longest lhs."""
     longest = max((len(r.lhs) for r in p.rules), default=0)
     if max_overlap < longest:
-        raise ValueError(
-            f"max_overlap {max_overlap} below longest lhs length {longest}")
+        raise OverlapBoundError(
+            f"max overlap {max_overlap} is below the longest left-hand side "
+            f"({longest} letters)")
     out: list[Ambiguity] = []
     rules = p.rules
     for i, ri in enumerate(rules):
@@ -347,13 +540,31 @@ def critical_pairs(p: Presentation, max_overlap: int) -> list[Ambiguity]:
 def check_local_confluence(p: Presentation, max_overlap: int = 6,
                            step_limit: int = DEFAULT_STEP_LIMIT) -> ConfluenceReport:
     """Reduce both sides of every ambiguity whose word has at most
-    ``max_overlap`` letters; each longer one is a skipped failure."""
+    ``max_overlap`` letters by the plain rewriter; each longer one is a
+    skipped failure.  When none is skipped and all resolve, the
+    presentation is certified confluent and ``normal_form`` uses the
+    normal-word table from then on."""
     report = ConfluenceReport(presentation=p.name or "presentation")
     for amb in critical_pairs(p, max_overlap):
         if len(amb.word) > max_overlap:
             report.items.append(ConfluenceItem(amb, False, None, None))
             continue
-        nl = p.normal_form(amb.left, step_limit)
-        nr = p.normal_form(amb.right, step_limit)
+        nl = p.rewrite(amb.left, step_limit)
+        nr = p.rewrite(amb.right, step_limit)
         report.items.append(ConfluenceItem(amb, nl == nr, nl, nr))
+    if report.ok and p._table is None:
+        p._table = NormalWordTable(p)
     return report
+
+
+def certify(p: Presentation, step_limit: int = DEFAULT_STEP_LIMIT) -> bool:
+    """Check local confluence with an overlap bound that covers every
+    ambiguity; true when ``p`` is now certified.  A check that exceeds the
+    step limit leaves ``p`` uncertified."""
+    longest = max((len(r.lhs) for r in p.rules), default=0)
+    try:
+        # no ambiguity word is longer than two left-hand sides
+        check_local_confluence(p, 2 * longest, step_limit)
+    except StepLimitExceeded:
+        pass
+    return p.certified

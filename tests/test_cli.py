@@ -56,6 +56,34 @@ class TestNf:
         assert err == ("step limit exceeded: step limit exceeded while "
                        "expanding a power\n")
 
+    def test_huge_power_in_presentation_file_exits_3_within_the_step_limit(
+            self, capsys, tmp_path):
+        src = tmp_path / "huge.preso"
+        src.write_text("[generators]\nb c\n\n[rules]\nc*b -> b^99999999\n")
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "nf", "-p", str(src), "b")
+        assert time.monotonic() - t0 < 5
+        assert code == 3
+        assert out == ""
+        assert err == ("step limit exceeded: step limit exceeded while "
+                       "expanding a power\n")
+
+    def test_non_ascii_digit_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "nf", "-p", "builtin:suq2", "a^\u00b2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 1, col 3: unexpected character '\u00b2'\n"
+
+    def test_coproduct_hitting_excluded_generator_exits_2(self, capsys,
+                                                          tmp_path):
+        src = tmp_path / "excluded.preso"
+        src.write_text("[generators]\na\n[coproduct]\na -> a ox a\n"
+                       "[counit]\na -> 1\n[antipode]\na -> a\n[star]\n"
+                       "a -> a\n[excluded]\na\n")
+        code, _, err = run(capsys, "nf", "-p", str(src), "a")
+        assert code == 2
+        assert err == "error: coproduct of a hits excluded generator a\n"
+
     def test_small_power_unchanged(self, capsys):
         code, out, _ = run(capsys, "nf", "-p", "builtin:suq2", "a^5")
         assert code == 0
@@ -110,6 +138,14 @@ class TestConfluence:
         assert out.splitlines()[-1] == f"checks: {n}  failed: {n}"
         assert all("skipped: 3 letters exceed --max-overlap 2" in line
                    for line in out.splitlines()[:-1])
+
+    def test_max_overlap_below_longest_lhs_exits_2(self, capsys):
+        code, out, err = run(capsys, "confluence", "-p", "builtin:suq2",
+                             "--max-overlap", "1")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: max overlap 1 is below the longest left-hand "
+                       "side (2 letters)\n")
 
     def test_non_confluent_file_fails(self, capsys, tmp_path):
         src = tmp_path / "bad.preso"

@@ -1,7 +1,9 @@
-"""Differential tests: the integer-triple Gaussian rationals and the
-dict-accumulating normal form against independent slow paths."""
+"""Differential tests: the integer-triple Gaussian rationals, the
+dict-accumulating normal form and the normal-word table against independent
+slow paths."""
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from random import Random
 
@@ -10,8 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcontract import catalog
+from qcontract.cli import main
+from qcontract.freealg import Element
 from qcontract.parser import parse_expression
-from qcontract.rewrite import StepLimitExceeded, normal_form_random
+from qcontract.rewrite import (
+    StepLimitExceeded,
+    certify,
+    check_local_confluence,
+    normal_form_random,
+)
 from qcontract.sampling import random_element
 from qcontract.scalars import GaussianRational, ParamMonomial, Scalar
 
@@ -252,3 +261,112 @@ def test_step_limit_threshold(name, expr, limit):
         with pytest.raises(StepLimitExceeded):
             p.normal_form(x, limit - 1)
         assert not p.normal_form(x, limit).is_zero
+
+
+
+# -- the normal-word table on certified presentations -------------------------
+
+
+def _certified(p):
+    assert not p.certified
+    assert certify(p)
+    return p
+
+
+def _assert_paths_agree(p, x, rng):
+    table = p.normal_form(x)
+    assert table == p.rewrite(x)
+    assert table == normal_form_random(p, x, rng)
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_table_matches_rewriter_and_random_strategy(name, order):
+    h = catalog.load_presentation(f"builtin:{name}", order)
+    p = _certified(h.base)
+    rng = Random(f"{name}-{order}")
+    for _ in range(8):
+        x = random_element(rng, p, degree=6, n_terms=4, params=("q", "lam"))
+        _assert_paths_agree(p, x, rng)
+    # every base word of up to three letters, each on its own
+    for n in range(4):
+        for names in product(p.alphabet.names, repeat=n):
+            x = Element.from_word(p.alphabet, [p.alphabet.gen(g) for g in names],
+                                  order)
+            _assert_paths_agree(p, x, rng)
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_table_matches_rewriter_on_tensor_words(name, order):
+    h = catalog.load_presentation(f"builtin:{name}", order)
+    p2 = _certified(h.base.at_slots(2))
+    rng = Random(f"{name}-{order}-tensor")
+    for _ in range(6):
+        x = random_element(rng, p2, degree=5, n_terms=4, params=("q", "lam"))
+        _assert_paths_agree(p2, x, rng)
+    for g in h.hopf_generators():
+        x = h.coproduct.apply(Element.generator(h.base.alphabet, g, order))
+        _assert_paths_agree(p2, x * x * x, rng)
+
+
+NON_CONFLUENT = "[generators]\nc b a\n\n[rules]\na*b -> 1\nb*c -> 1\n"
+
+
+def test_non_confluent_presentation_is_never_certified(tmp_path, capsys):
+    p = catalog.parse_presentation_text(NON_CONFLUENT, name="bad")
+    assert not check_local_confluence(p, 6).ok
+    assert not certify(p) and not p.certified
+    x = parse_expression("a*b*c + 2*c*b*a*b", p.alphabet, (), 1)
+    assert p.normal_form(x) == p.rewrite(x)
+    src = tmp_path / "bad.preso"
+    src.write_text(NON_CONFLUENT)
+    assert main(["nf", "-p", str(src), "a*b*c + 2*c*b*a*b"]) == 0
+    assert capsys.readouterr().out == f"{p.rewrite(x)}\n"
+
+
+def test_skipped_or_limited_check_does_not_certify():
+    p = catalog.load_presentation("builtin:suq2", 1).base
+    assert not check_local_confluence(p, 2).ok  # 3-letter ambiguities skipped
+    assert not p.certified
+    assert not certify(p, step_limit=1)
+    assert not p.certified
+    assert certify(p)
+
+
+def test_deep_fill_chain_falls_back_to_the_rewriter():
+    # x1 -> x0, x2 -> x1, ...: reducing x699 nests 699 fills
+    n = 700
+    text = ("[generators]\n" + " ".join(f"x{i}" for i in range(n))
+            + "\n\n[rules]\n"
+            + "".join(f"x{i + 1} -> x{i}\n" for i in range(n - 1)))
+    p = catalog.parse_presentation_text(text)
+    assert certify(p)
+    x = parse_expression(f"x{n - 1}^2 + x3", p.alphabet, (), 1)
+    assert str(p.normal_form(x)) == "x0^2 + x0"
+
+
+# Smallest step limits at which these inputs reduce at order 2 on the
+# certified path: one step per table fill, memoised fills replayed.
+CERTIFIED_STEP_THRESHOLDS = [
+    ("suq2", "d*d*d*a*a*a", 18),
+    ("suq2", "(a+b+c+d)^4", 642),
+    ("ekappa2-klmn", "(K+L+M+N)^3 + N*M*L*K", 116),
+    ("ekappa2-final", "(eta+etabar+E+F)^3", 118),
+]
+
+
+@pytest.mark.parametrize("name,expr,limit", CERTIFIED_STEP_THRESHOLDS)
+@pytest.mark.parametrize("warm", ["cold", "same input", "word by word"])
+def test_certified_step_limit_threshold(name, expr, limit, warm):
+    p = catalog.load_presentation(f"builtin:{name}", 2).base
+    assert certify(p)
+    x = parse_expression(expr, p.alphabet, ("lam", "q"), 2)
+    if warm == "same input":
+        p.normal_form(x)
+    elif warm == "word by word":
+        for w in reversed(list(x.terms)):
+            p.normal_form(Element.from_word(p.alphabet, w, 2))
+    with pytest.raises(StepLimitExceeded):
+        p.normal_form(x, limit - 1)
+    assert p.normal_form(x, limit) == p.rewrite(x)
