@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Snapshot the output of a fixed list of qcontract commands.
+
+Usage: snapshot_outputs.py OUTDIR
+
+Each command runs in-process through ``qcontract.cli.main``; its exit code,
+stdout and stderr go to one file in OUTDIR named after its arguments.
+Snapshots of two versions of the program compare with ``diff -r``: no
+difference means every output is byte-identical.  ``--timings`` is left out
+on purpose, since it stamps wall-clock time into the output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from qcontract.cli import main as cli_main
+
+NF_INPUTS = {
+    "suq2": "(a + b + c + d)^3",
+    "ekappa2-klmn": "(K + L + M + N)^3",
+    "ekappa2-final": "(eta + etabar + E + F)^3",
+}
+
+
+def _commands() -> list[list[str]]:
+    cmds = [["report", "--output", "json", "--order", str(k), "--seed", str(s)]
+            for s in (1, 7, 42) for k in range(5)]
+    cmds += [["report", *lz, *out]
+             for lz in ([], ["--lam-zero"])
+             for out in ([], ["--output", "json"])]
+    for name, expr in NF_INPUTS.items():
+        p = ["-p", f"builtin:{name}"]
+        cmds += [["nf", *p, expr], ["confluence", *p], ["hopf-check", *p]]
+    for k in ("1", "4"):
+        cmds += [["contract", "--order", k, *lz, *out]
+                 for lz in ([], ["--lam-zero"])
+                 for out in ([], ["--output", "json"])]
+        cmds += [["solve-commutator", "--order", k, *ln, *lz]
+                 for ln in ([], ["--ln"])
+                 for lz in ([], ["--lam-zero"])]
+    # one limit trips while expanding the power, one while reducing
+    cmds.append(["nf", "--step-limit", "100", "(a + b + c + d)^6"])
+    cmds.append(["nf", "--step-limit", "20", "d*d*d*d*a*a*a*a"])
+    return cmds
+
+
+COMMANDS = _commands()
+
+
+def file_name(argv: list[str]) -> str:
+    """A file name that names the command: its arguments joined by ``_``,
+    with every other character than letters, digits, ``.`` and ``-``
+    replaced by ``_``."""
+    return re.sub(r"[^A-Za-z0-9.-]+", "_", "_".join(argv)).strip("_") + ".txt"
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def snapshot(outdir: Path, commands=COMMANDS) -> list[Path]:
+    outdir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for argv in commands:
+        code, out, err = run(argv)
+        path = outdir / file_name(argv)
+        path.write_text(f"$ qcontract {' '.join(argv)}\nexit: {code}\n"
+                        f"--- stdout\n{out}--- stderr\n{err}")
+        written.append(path)
+    return written
+
+
+def main(args=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("outdir", type=Path)
+    ns = ap.parse_args(args)
+    for path in snapshot(ns.outdir):
+        print(path.name)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

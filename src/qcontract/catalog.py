@@ -100,13 +100,23 @@ def _rule_text(lhs, rhs: Element) -> str:
     return f"{format_word(lhs, 1)} -> {format_element(rhs)}"
 
 
+def _parse_entry(lineno: int, text: str, alphabet: Alphabet,
+                 params: tuple[str, ...], order: int) -> Element:
+    """The right-hand side of a map line; a parse error names the line."""
+    try:
+        return _parse_side(text, alphabet, params, order)
+    except ParseError as exc:
+        raise PresentationFormatError(f"line {lineno}: {exc}") from exc
+
+
 def _gen_map(alphabet: Alphabet, params, order, kind: MapKind,
-             images_text: dict[str, str],
+             entries: dict[str, tuple[int, str]],
              target: Alphabet | None = None) -> GeneratorMap:
+    """The map of one section from ``name -> (line number, image text)``."""
     target = target or alphabet
     images = {}
-    for name, text in images_text.items():
-        img = _parse_side(text, alphabet, params, order)
+    for name, (lineno, text) in entries.items():
+        img = _parse_entry(lineno, text, alphabet, params, order)
         if img.alphabet != target:
             # letter-free images (units, scalars) promote between slot counts
             try:
@@ -162,7 +172,8 @@ _BUILDERS = {
 
 def classical_limit(h: HopfPresentation) -> HopfPresentation:
     """The lam -> 0 degeneration: every deformation term is dropped, leaving
-    the commutative function algebra with the same coproducts."""
+    the commutative function algebra with the same coproducts.  Each rule
+    is relabelled by its lam = 0 text and keeps its equation tag."""
 
     def s0(s: Scalar) -> Scalar:
         return s.set_param_zero("lam")
@@ -174,9 +185,16 @@ def classical_limit(h: HopfPresentation) -> HopfPresentation:
         return GeneratorMap({g: e0(img) for g, img in m.images.items()},
                             m.kind, m.source, m.target, m.order)
 
+    rules, rule_tags = [], {}
+    for r in h.base.rules:
+        rhs = e0(r.rhs)
+        label = _rule_text(r.lhs, rhs)
+        rules.append(RewriteRule(r.lhs, rhs, label))
+        if r.label in h.rule_tags:
+            rule_tags[label] = h.rule_tags[r.label]
     base = Presentation(
         h.base.alphabet,
-        [RewriteRule(r.lhs, e0(r.rhs), r.label) for r in h.base.rules],
+        rules,
         h.base.trunc_order,
         name=f"{h.base.name}@lam=0",
         params=h.base.params,
@@ -189,7 +207,7 @@ def classical_limit(h: HopfPresentation) -> HopfPresentation:
         star=map0(h.star),
         excluded=h.excluded,
         name=f"{h.name}@lam=0",
-        rule_tags=dict(h.rule_tags),
+        rule_tags=rule_tags,
         coproduct_tags=dict(h.coproduct_tags),
         antipode_tag=h.antipode_tag,
     )
@@ -394,10 +412,11 @@ _HOPF_SECTIONS = ("coproduct", "counit", "antipode", "star")
 _TAGGED_SECTIONS = ("rules", "coproduct")
 
 
-def _parse_counit(alphabet, params, order, entries: dict[str, str]) -> dict[str, Scalar]:
+def _parse_counit(alphabet, params, order,
+                  entries: dict[str, tuple[int, str]]) -> dict[str, Scalar]:
     out = {}
-    for name, text in entries.items():
-        elem = _parse_side(text, alphabet, params, order)
+    for name, (lineno, text) in entries.items():
+        elem = _parse_entry(lineno, text, alphabet, params, order)
         for w in elem.words():
             if w:
                 raise PresentationFormatError(
@@ -481,14 +500,15 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
             raise PresentationFormatError(
                 f"incomplete Hopf data: missing [{s}] section")
 
-    def collect(section: str) -> tuple[dict[str, str], dict[str, str]]:
+    def collect(section: str) -> tuple[dict[str, tuple[int, str]],
+                                       dict[str, str]]:
         images, tags = {}, {}
         for lineno, line, tag in sections[section]:
             lhs, rhs = split_arrow(line, lineno)
             if lhs not in gen_names:
                 raise PresentationFormatError(
                     f"line {lineno}: unknown generator {lhs!r}")
-            images[lhs] = rhs
+            images[lhs] = (lineno, rhs)
             if tag:
                 tags[lhs] = tag
         return images, tags

@@ -1,6 +1,12 @@
 """Free noncommutative algebra over exact scalars.
 
 Elements are finite linear combinations of words over a generator alphabet.
+A word is a tuple of letters, and a letter (``GeneratorId``) is a named
+tuple ``(name, slot)``: it compares and hashes as the plain pair, in C, so
+hashing a word or looking it up in a dict never runs Python code.  Letters
+are immutable and print as ``a`` in the base algebra and ``a@2`` in a
+tensor slot.
+
 Tensor squares and cubes are modeled in the same structure: letters carry a
 slot tag (0 for the base algebra, 1..3 for tensor factors) and letters of
 distinct slots are made to commute later by rewrite rules, so one normal-form
@@ -12,6 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .scalars import (
     GaussianRational,
@@ -32,8 +39,7 @@ class MissingImage(ValueError):
     """Raised when a generator map is applied to a letter without an image."""
 
 
-@dataclass(frozen=True)
-class GeneratorId:
+class GeneratorId(NamedTuple):
     name: str
     slot: int = 0
 

@@ -107,19 +107,30 @@ class HopfPresentation:
     def fold_tensor(self, x2: Element, left, right) -> Element:
         """Multiply the two tensor legs back together after applying ``left``
         to the slot-1 part and ``right`` to the slot-2 part (each a map from
-        base elements to base elements)."""
+        base elements to base elements).
+
+        Many tensor words share a leg, so each map runs once per distinct
+        leg word; the images are kept only for this call."""
         p2 = self.base.at_slots(2)
         x2 = p2.normal_form(x2)
+        alph, order = self.base.alphabet, self.order
+
+        def leg(images: dict, fn, part) -> Element:
+            img = images.get(part)
+            if img is None:
+                img = images[part] = fn(
+                    Element.from_word(alph, to_base_slot(part), order))
+            return img
+
+        lefts: dict = {}
+        rights: dict = {}
         acc: dict = {}
         for word, coeff in x2.terms.items():
             parts = slot_parts(word)
-            u = Element.from_word(self.base.alphabet,
-                                  to_base_slot(parts.get(1, ())), self.order)
-            v = Element.from_word(self.base.alphabet,
-                                  to_base_slot(parts.get(2, ())), self.order)
-            accumulate_scaled(acc, (left(u) * right(v)).terms, coeff)
-        return self.base.normal_form(
-            Element._of(self.base.alphabet, acc, self.order))
+            img = (leg(lefts, left, parts.get(1, ()))
+                   * leg(rights, right, parts.get(2, ())))
+            accumulate_scaled(acc, img.terms, coeff)
+        return self.base.normal_form(Element._of(alph, acc, order))
 
     def _id(self, x: Element) -> Element:
         return x

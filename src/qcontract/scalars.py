@@ -17,6 +17,13 @@ triples.  Sums and products work on the ints and reduce once per result
 unreduced triples per term and build their result without re-cleaning it.
 Products of parameter monomials are memoised by their exponent tuples,
 since few distinct monomials occur.
+
+``Scalar.one(order)`` is one shared instance per truncation order, and a
+product with that instance as a factor returns the other factor as it is.
+Most products in the engine have it as a factor (unit elements, the seeds
+of the rewriter's stack, unscaled accumulations).  Sharing is sound only
+because a ``Scalar`` is never changed after it is built: no code may write
+to its ``terms`` dict in place.
 """
 
 from __future__ import annotations
@@ -311,7 +318,9 @@ class Scalar:
 
     ``terms`` maps ``(ParamMonomial, eps_degree)`` to a nonzero
     GaussianRational; no term exceeds ``truncation_order`` in eps.
-    Instances are immutable and all operations are pure.
+    Instances are immutable and all operations are pure.  Results may share
+    objects with the operands (a product with ``Scalar.one(k)`` is the other
+    factor itself), so ``terms`` must never be written to in place.
     """
 
     __slots__ = ("terms", "truncation_order")
@@ -338,7 +347,11 @@ class Scalar:
 
     @classmethod
     def one(cls, order: int) -> "Scalar":
-        return cls({(_MONO_UNIT, 0): GR_ONE}, order)
+        """The unit at ``order``: one shared instance per order."""
+        one = _ONES.get(order)
+        if one is None:
+            one = _ONES[order] = cls({(_MONO_UNIT, 0): GR_ONE}, order)
+        return one
 
     @classmethod
     def from_rational(cls, value, order: int) -> "Scalar":
@@ -416,6 +429,11 @@ class Scalar:
     def __mul__(self, other):
         other = self._coerce(other)
         order = self.truncation_order
+        one = _ONES.get(order)
+        if self is one:
+            return other
+        if other is one:
+            return self
         if len(self.terms) == 1 or len(other.terms) == 1:
             # a single-term factor sends distinct terms to distinct keys
             out = {}
@@ -533,6 +551,8 @@ class Scalar:
         return f"Scalar({self}; order={self.truncation_order})"
 
 
+#: the shared ``Scalar.one`` of each truncation order
+_ONES: dict[int, Scalar] = {}
 _set_terms = Scalar.terms.__set__
 _set_order = Scalar.truncation_order.__set__
 

@@ -4,8 +4,11 @@ import time
 from pathlib import Path
 
 import jsonschema
+import pytest
 
+from qcontract import catalog
 from qcontract.cli import main
+from qcontract.freealg import format_word
 from qcontract.reports import REPORT_SCHEMA
 
 DATA = Path(__file__).parent.parent / "src" / "qcontract" / "data"
@@ -112,6 +115,21 @@ class TestNf:
         code, _, err = run(capsys, "nf", "-p", str(src), "a")
         assert code == 2
         assert err.strip() == "error: line 2: duplicate generator 'a'"
+
+    @pytest.mark.parametrize("section,lineno", [
+        ("coproduct", 5), ("counit", 8), ("antipode", 11), ("star", 14)])
+    def test_bad_map_line_names_its_file_line(self, capsys, tmp_path,
+                                              section, lineno):
+        images = {"coproduct": "a ox a", "counit": "1", "antipode": "a",
+                  "star": "a"}
+        images[section] = "a ox (a"
+        src = tmp_path / "badmap.preso"
+        src.write_text("[generators]\na\n" + "".join(
+            f"\n[{name}]\na -> {text}\n" for name, text in images.items()))
+        code, out, err = run(capsys, "nf", "-p", str(src), "a")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: line {lineno}: line 1, col 8: expected ')'\n"
 
     def test_file_presentation(self, capsys, tmp_path):
         src = tmp_path / "toy.preso"
@@ -286,3 +304,28 @@ class TestReport:
         code, out, _ = run(capsys, "report", "--lam-zero")
         assert code == 0
         assert "failed: 0" in out
+
+    def test_lam_zero_checks_name_rules_by_their_lam_zero_text(self, capsys):
+        code, out, _ = run(capsys, "report", "--lam-zero", "--output", "json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        # rule label -> tag, from the lam = 0 sides of the shipped rules
+        expected = {}
+        for name in ("ekappa2-klmn", "ekappa2-final"):
+            h = catalog.load_presentation(f"builtin:{name}", 1)
+            for r in h.base.rules:
+                rhs = r.rhs.map_scalars(lambda s: s.set_param_zero("lam"))
+                text = f"{format_word(r.lhs, 1)} -> {rhs}"
+                expected[text] = h.rule_tags.get(r.label)
+        ruled = [c for c in checks
+                 if any(part in c["name"] for part in (
+                     "@lam=0/delta-respects/", "@lam=0/star-respects/",
+                     "/realize/rule/"))]
+        assert len(ruled) > 20
+        for c in ruled:
+            label = c["name"].split("/")[-1]
+            assert label in expected, c["name"]
+            assert c["paper_eq"] == expected[label], c["name"]
+            assert "lam" not in label
+        assert "ekappa2-klmn@lam=0/delta-respects/L*K -> K*L" in {
+            c["name"] for c in ruled}

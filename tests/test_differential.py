@@ -1,7 +1,9 @@
 """Differential tests: the integer-triple Gaussian rationals, the
-dict-accumulating normal form and the normal-word table against independent
+dict-accumulating normal form, the normal-word table, the tuple letters, the
+shared scalar one and the leg-memoising tensor fold against independent
 slow paths."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 
 from qcontract import catalog
 from qcontract.cli import main
-from qcontract.freealg import Element
+from qcontract.freealg import Element, GeneratorId, slot_parts, to_base_slot
+from qcontract.hopf import HopfPresentation
 from qcontract.parser import parse_expression
 from qcontract.rewrite import (
     StepLimitExceeded,
@@ -22,7 +25,12 @@ from qcontract.rewrite import (
     normal_form_random,
 )
 from qcontract.sampling import random_element
-from qcontract.scalars import GaussianRational, ParamMonomial, Scalar
+from qcontract.scalars import (
+    GaussianRational,
+    ParamMonomial,
+    Scalar,
+    TruncationMismatch,
+)
 
 
 class FracPair:
@@ -370,3 +378,147 @@ def test_certified_step_limit_threshold(name, expr, limit, warm):
     with pytest.raises(StepLimitExceeded):
         p.normal_form(x, limit - 1)
     assert p.normal_form(x, limit) == p.rewrite(x)
+
+
+# -- letters: a named tuple against the frozen dataclass they replaced --------
+
+
+@dataclass(frozen=True)
+class DataclassLetter:
+    """Oracle: a letter as the frozen dataclass it used to be."""
+
+    name: str
+    slot: int = 0
+
+    def __repr__(self):
+        return self.name if self.slot == 0 else f"{self.name}@{self.slot}"
+
+
+letter_pairs = st.tuples(st.sampled_from(["a", "b", "K", "eta", "etabar"]),
+                         st.integers(0, 3))
+words = st.lists(letter_pairs, max_size=5)
+
+
+def test_letters_hash_in_c():
+    assert GeneratorId.__hash__ is tuple.__hash__
+    assert GeneratorId.__eq__ is tuple.__eq__
+
+
+@given(letter_pairs, letter_pairs)
+@settings(max_examples=200)
+def test_letter_equality_and_hash(x, y):
+    gx, gy = GeneratorId(*x), GeneratorId(*y)
+    ox, oy = DataclassLetter(*x), DataclassLetter(*y)
+    assert (gx == gy) == (ox == oy) == (x == y)
+    assert (gx != gy) == (x != y)
+    assert hash(gx) == hash(GeneratorId(*x))
+    assert repr(gx) == repr(ox) == str(gx)
+    assert (gx.name, gx.slot) == x
+
+
+def test_letter_repr_and_immutability():
+    assert repr(GeneratorId("a")) == "a"
+    assert repr(GeneratorId("a", 2)) == "a@2"
+    assert f"{GeneratorId('K', 1)!r}" == "K@1"
+    g = GeneratorId("a", 1)
+    with pytest.raises(AttributeError):
+        g.name = "b"
+    with pytest.raises(AttributeError):
+        g.slot = 2
+
+
+@given(st.lists(st.tuples(words, st.integers()), max_size=12), st.lists(words))
+@settings(max_examples=200)
+def test_word_dict_lookups_agree_with_dataclass_letters(entries, queries):
+    new = {tuple(GeneratorId(*g) for g in w): v for w, v in entries}
+    old = {tuple(DataclassLetter(*g) for g in w): v for w, v in entries}
+    assert list(new.values()) == list(old.values())
+    for w in [e[0] for e in entries] + queries:
+        assert (new.get(tuple(GeneratorId(*g) for g in w))
+                == old.get(tuple(DataclassLetter(*g) for g in w)))
+
+
+# -- the shared scalar one ----------------------------------------------------
+
+
+def general_one(order: int) -> Scalar:
+    """A unit that is not the shared instance, so products with it take
+    the general path."""
+    return Scalar({(ParamMonomial(), 0): GaussianRational(1)}, order)
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda k: st.tuples(st.just(k), oracle_terms(k))))
+@settings(max_examples=200)
+def test_products_with_the_shared_one(case):
+    order, terms = case
+    x = scalar_of(terms, order)
+    one, slow = Scalar.one(order), general_one(order)
+    assert one is Scalar.one(order) and slow is not one
+    assert one == slow
+    for fast, reference in ((x * one, x * slow), (one * x, slow * x)):
+        assert list(fast.terms.items()) == list(reference.terms.items())
+        assert fast.truncation_order == reference.truncation_order == order
+        assert_scalar_matches(fast, oracle_mul(terms, {
+            (ParamMonomial(), 0): FracPair(1)}, order), order)
+    assert one * one is one
+
+
+@pytest.mark.parametrize("k,m", [(0, 1), (1, 0), (1, 4), (3, 2)])
+def test_shared_one_still_checks_truncation_order(k, m):
+    x = Scalar.param("lam", m)
+    with pytest.raises(TruncationMismatch):
+        Scalar.one(k) * x
+    with pytest.raises(TruncationMismatch):
+        x * Scalar.one(k)
+    with pytest.raises(TruncationMismatch):
+        Scalar.one(k) * Scalar.one(m)
+
+
+# -- tensor folds: one leg map per distinct leg against the per-word loop ------
+
+
+def fold_tensor_per_word(h: HopfPresentation, x2: Element, left, right):
+    """Oracle: apply both leg maps once per tensor word."""
+    x2 = h.base.at_slots(2).normal_form(x2)
+    acc = Element.zero(h.base.alphabet, h.order)
+    for word, coeff in x2.terms.items():
+        parts = slot_parts(word)
+        u = Element.from_word(h.base.alphabet,
+                              to_base_slot(parts.get(1, ())), h.order)
+        v = Element.from_word(h.base.alphabet,
+                              to_base_slot(parts.get(2, ())), h.order)
+        acc = acc + (left(u) * right(v)).scaled(coeff)
+    return h.base.normal_form(acc)
+
+
+def counted(fn, seen: list):
+    def wrapped(x):
+        seen.append(tuple(x.terms))
+        return fn(x)
+    return wrapped
+
+
+@pytest.mark.parametrize("order", range(5))
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_fold_tensor_matches_per_word_loop(name, order):
+    h = catalog.load_presentation(f"builtin:{name}", order)
+    p2 = h.base.at_slots(2)
+    rng = Random(f"fold-{name}-{order}")
+    inputs = [random_element(rng, p2, degree=4, n_terms=4,
+                             params=("q", "lam"), exclude=h.excluded)
+              for _ in range(3)]
+    inputs += [h.apply_coproduct(random_element(
+        rng, h.base, degree=2, params=("q", "lam"), exclude=h.excluded))
+        for _ in range(2)]
+    legs = [(h.apply_antipode, h._id), (h._id, h.apply_antipode),
+            (h._counit_elem, h._id), (h._id, h._counit_elem)]
+    for x2 in inputs:
+        for left, right in legs:
+            seen_l, seen_r = [], []
+            got = h.fold_tensor(x2, counted(left, seen_l),
+                                counted(right, seen_r))
+            assert got == fold_tensor_per_word(h, x2, left, right)
+            # each map ran once per distinct leg word
+            assert len(seen_l) == len(set(seen_l))
+            assert len(seen_r) == len(set(seen_r))
