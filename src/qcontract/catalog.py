@@ -44,7 +44,7 @@ from .freealg import (
 )
 from .hopf import HopfPresentation
 from .parser import ParseError, parse_expression
-from .rewrite import DEFAULT_STEP_LIMIT, Presentation, RewriteRule
+from .rewrite import Presentation, RewriteRule
 from .scalars import Scalar
 
 BUILTIN_NAMES = ("suq2", "ekappa2-klmn", "ekappa2-final")
@@ -71,17 +71,10 @@ class PresentationFormatError(ValueError):
     """Malformed presentation source text."""
 
 
-def _parse_side(text: str, alphabet: Alphabet, params: tuple[str, ...],
-                order: int) -> Element:
-    """A rule or map side; expanding its powers may take at most
-    ``DEFAULT_STEP_LIMIT`` steps, so a huge exponent exits promptly."""
-    return parse_expression(text, alphabet, params, order, DEFAULT_STEP_LIMIT)
-
-
 def _mk_rule(alphabet: Alphabet, params: tuple[str, ...], order: int,
              lhs_text: str, rhs_text: str) -> RewriteRule:
-    lhs_elem = _parse_side(lhs_text, alphabet, params, order)
-    rhs = _parse_side(rhs_text, alphabet, params, order)
+    lhs_elem = parse_expression(lhs_text, alphabet, params, order)
+    rhs = parse_expression(rhs_text, alphabet, params, order)
     for side, text in ((lhs_elem, lhs_text), (rhs, rhs_text)):
         if side.alphabet != alphabet:
             raise PresentationFormatError(
@@ -104,7 +97,7 @@ def _parse_entry(lineno: int, text: str, alphabet: Alphabet,
                  params: tuple[str, ...], order: int) -> Element:
     """The right-hand side of a map line; a parse error names the line."""
     try:
-        return _parse_side(text, alphabet, params, order)
+        return parse_expression(text, alphabet, params, order)
     except ParseError as exc:
         raise PresentationFormatError(f"line {lineno}: {exc}") from exc
 
@@ -123,8 +116,8 @@ def _gen_map(alphabet: Alphabet, params, order, kind: MapKind,
                 img = img.rebind(target)
             except AlphabetMismatch as exc:
                 raise PresentationFormatError(
-                    f"image of {name} has the wrong tensor rank: "
-                    f"{text!r}") from exc
+                    f"line {lineno}: image of {name} has the wrong tensor "
+                    f"rank: {text!r}") from exc
         images[alphabet.gen(name, 0)] = img
     return GeneratorMap(images, kind, alphabet, target, order)
 
@@ -420,7 +413,8 @@ def _parse_counit(alphabet, params, order,
         for w in elem.words():
             if w:
                 raise PresentationFormatError(
-                    f"counit of {name} must be a scalar: {text!r}")
+                    f"line {lineno}: counit of {name} must be a scalar: "
+                    f"{text!r}")
         out[name] = elem.coefficient(())
     return out
 
@@ -486,7 +480,7 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
         lhs, rhs = split_arrow(line, lineno)
         try:
             rules.append(_mk_rule(alphabet, params, order, lhs, rhs))
-        except ParseError as exc:
+        except (ParseError, PresentationFormatError) as exc:
             raise PresentationFormatError(
                 f"line {lineno}: {exc}") from exc
         if tag:

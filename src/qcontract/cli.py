@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass
 from random import Random
 
-from . import __version__, catalog, contract
+from . import __version__, catalog, contract, rewrite
 from .freealg import AlphabetMismatch, MissingImage
 from .hopf import (
     ExcludedGenerator,
@@ -26,6 +26,7 @@ from .hopf import (
 from .parser import ParseError, parse_expression
 from .reports import CheckRecord, CheckReport, report_to_json_dict
 from .rewrite import (
+    DEFAULT_STEP_LIMIT,
     OverlapBoundError,
     RuleOrientationError,
     StepLimitExceeded,
@@ -43,7 +44,7 @@ EXIT_LIMIT = 3
 class RunConfig:
     presentation: str | None = None
     truncation_order: int = 1
-    step_limit: int = 10**6
+    step_limit: int = DEFAULT_STEP_LIMIT
     seed: int = 42
     max_overlap: int = 6
     output: str = "text"
@@ -59,13 +60,21 @@ class RunConfig:
         return d
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"invalid positive integer: {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser, default_presentation=None):
     p.add_argument("-p", "--presentation", default=default_presentation,
                    help="builtin:NAME or a presentation file path")
     p.add_argument("--order", type=int, default=1, dest="truncation_order",
                    choices=range(0, 5), metavar="{0..4}",
                    help="eps truncation order (default 1)")
-    p.add_argument("--step-limit", type=int, default=10**6)
+    p.add_argument("--step-limit", type=_positive_int,
+                   default=DEFAULT_STEP_LIMIT,
+                   help="steps each normal form or expansion may take")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--max-overlap", type=int, default=6)
     p.add_argument("--output", choices=("text", "json"), default="text")
@@ -137,11 +146,11 @@ def cmd_nf(args) -> int:
     base = h.base if isinstance(h, HopfPresentation) else h
     params = _presentation_params(base)
     expr = parse_expression(args.expression, base.alphabet, params,
-                            cfg.truncation_order, cfg.step_limit)
+                            cfg.truncation_order)
     # a certified presentation reduces through the normal-word table; one
     # that is not (or whose check exceeds the limit) keeps the rewriter
-    certify(base, cfg.step_limit)
-    nf = base.normal_form(expr, cfg.step_limit)
+    certify(base)
+    nf = base.normal_form(expr)
     print(nf)
     return EXIT_OK
 
@@ -156,7 +165,7 @@ def cmd_confluence(args) -> int:
     cfg = _config(args)
     h = _load(cfg)
     base = h.base if isinstance(h, HopfPresentation) else h
-    rep = check_local_confluence(base, cfg.max_overlap, cfg.step_limit)
+    rep = check_local_confluence(base, cfg.max_overlap)
     report = CheckReport()
     for item in rep.items:
         amb = item.ambiguity
@@ -182,8 +191,7 @@ def cmd_hopf_check(args) -> int:
         print("presentation has no Hopf data", file=sys.stderr)
         return EXIT_USAGE
     rng = Random(cfg.seed)
-    report = _timed(lambda: run_hopf_suite(h, rng=rng, n_random=25,
-                                           step_limit=cfg.step_limit), cfg)
+    report = _timed(lambda: run_hopf_suite(h, rng=rng, n_random=25), cfg)
     return _emit(report, cfg)
 
 
@@ -193,9 +201,9 @@ def cmd_contract(args) -> int:
     def run():
         report = CheckReport()
         report.extend(contract.contraction_suite(
-            cfg.truncation_order, cfg.lam_zero, cfg.step_limit))
+            cfg.truncation_order, cfg.lam_zero))
         report.extend(contract.verify_change_of_variables(
-            cfg.truncation_order, cfg.lam_zero, cfg.step_limit))
+            cfg.truncation_order, cfg.lam_zero))
         return report
 
     return _emit(_timed(run, cfg), cfg)
@@ -212,8 +220,7 @@ def cmd_solve_commutator(args) -> int:
         h = catalog.classical_limit(h)
     outcome = contract.solve_commutator(
         h, "eta", "etabar",
-        contract.standard_commutator_basis(cfg.truncation_order),
-        cfg.step_limit)
+        contract.standard_commutator_basis(cfg.truncation_order))
     report = CheckReport()
     report.add(CheckRecord(
         name="solver/eta-etabar/status", ok=outcome.ok,
@@ -296,7 +303,7 @@ def cmd_report(args) -> int:
             f"got {sorted(got)} expected {sorted(reference)}",
             paper_eq=catalog.TAG_RTT))
         for comp in catalog.rtt_relations(order):
-            nf = suq2.base.normal_form(comp.element, cfg.step_limit)
+            nf = suq2.base.normal_form(comp.element)
             report.add(CheckRecord(
                 name=f"catalog/rtt/reduces[{comp.row[0]}{comp.row[1]},"
                      f"{comp.col[0]}{comp.col[1]}]",
@@ -304,8 +311,7 @@ def cmd_report(args) -> int:
 
         # confluence of the three builtins
         for h in (suq2_h, klmn_h, final_h):
-            rep = check_local_confluence(h.base, cfg.max_overlap,
-                                         cfg.step_limit)
+            rep = check_local_confluence(h.base, cfg.max_overlap)
             report.add(CheckRecord(
                 name=f"confluence/{h.base.name}",
                 ok=rep.ok,
@@ -315,8 +321,7 @@ def cmd_report(args) -> int:
         # Hopf suites
         rng = Random(cfg.seed)
         for h in (suq2_h, klmn_h, final_h):
-            report.extend(run_hopf_suite(h, rng=rng, n_random=25,
-                                         step_limit=cfg.step_limit))
+            report.extend(run_hopf_suite(h, rng=rng, n_random=25))
 
         # determinant is grouplike and central
         det = catalog.determinant_element(order)
@@ -333,12 +338,10 @@ def cmd_report(args) -> int:
             paper_eq=catalog.TAG_DETERMINANT))
 
         # contraction suites, change of variables, solver
-        report.extend(contract.contraction_suite(order, cfg.lam_zero,
-                                                 cfg.step_limit))
-        report.extend(contract.verify_change_of_variables(
-            order, cfg.lam_zero, cfg.step_limit))
-        report.extend(contract.solver_suite(order, cfg.lam_zero,
-                                            cfg.step_limit))
+        report.extend(contract.contraction_suite(order, cfg.lam_zero))
+        report.extend(contract.verify_change_of_variables(order,
+                                                          cfg.lam_zero))
+        report.extend(contract.solver_suite(order, cfg.lam_zero))
         return report
 
     return _emit(_timed(run, cfg), cfg)
@@ -385,7 +388,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        code = args.fn(args)
+        # every normal form and expansion of the command draws this limit
+        with rewrite.step_limit(args.step_limit):
+            code = args.fn(args)
     except StepLimitExceeded as exc:
         print(f"step limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT

@@ -36,7 +36,7 @@ from .freealg import (
 from .hopf import HopfPresentation, grouplike_residual
 from .parser import parse_expression
 from .reports import CheckRecord, CheckReport
-from .rewrite import DEFAULT_STEP_LIMIT, Presentation, RewriteRule
+from .rewrite import Presentation, RewriteRule
 from .scalars import GaussianRational, Scalar, q_power
 
 
@@ -203,8 +203,7 @@ def _commutation_only_klmn(order: int) -> Presentation:
 
 
 def verify_relation_contraction(ansatz: ContractionAnsatz, rel: Element,
-                                label: str, tag: str | None = None,
-                                step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+                                label: str, tag: str | None = None) -> CheckReport:
     """Contract one source relation and reduce each eps order; raw
     (pre-reduction) residuals are kept in the records."""
     report = CheckReport()
@@ -213,7 +212,7 @@ def verify_relation_contraction(ansatz: ContractionAnsatz, rel: Element,
     zero = Element.zero(ansatz.target.base.alphabet, ansatz.order)
     for k in ansatz.checked_orders():
         raw = comps.get(k, zero)
-        reduced = ansatz.target.base.normal_form(raw, step_limit)
+        reduced = ansatz.target.base.normal_form(raw)
         _guard_ln(reduced, f"relation {label} at eps^{k}")
         report.add(CheckRecord(
             name=f"contract/relation/{label}/eps^{k}",
@@ -225,16 +224,15 @@ def verify_relation_contraction(ansatz: ContractionAnsatz, rel: Element,
     return report
 
 
-def verify_all_relation_contractions(ansatz: ContractionAnsatz,
-                                     step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+def verify_all_relation_contractions(ansatz: ContractionAnsatz) -> CheckReport:
     report = CheckReport()
     for comp in catalog.rtt_relations(ansatz.order):
         label = f"rtt[{comp.row[0]}{comp.row[1]},{comp.col[0]}{comp.col[1]}]"
         report.extend(verify_relation_contraction(
-            ansatz, comp.element, label, catalog.TAG_RTT, step_limit))
+            ansatz, comp.element, label, catalog.TAG_RTT))
     det = catalog.determinant_relation(ansatz.order)
     report.extend(verify_relation_contraction(
-        ansatz, det, "determinant", catalog.TAG_DETERMINANT, step_limit))
+        ansatz, det, "determinant", catalog.TAG_DETERMINANT))
     return report
 
 
@@ -246,22 +244,22 @@ _COPRODUCT_ORDER_TAGS = {
 }
 
 
-def verify_coproduct_contraction(ansatz: ContractionAnsatz, gname: str,
-                                 step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+def verify_coproduct_contraction(ansatz: ContractionAnsatz,
+                                 gname: str) -> CheckReport:
     """The coproduct square: contracting the source coproduct of g must
     agree, order by order, with the target coproduct of the contracted g."""
     report = CheckReport()
     p2 = ansatz.target.base.at_slots(2)
     g = Element.generator(ansatz.source.base.alphabet, gname, ansatz.order)
-    lhs = ansatz.target.apply_coproduct(ansatz.apply(g), step_limit)
-    dq = ansatz.source.apply_coproduct(g, step_limit)
-    rhs = p2.normal_form(ansatz.apply_tensor(dq), step_limit)
+    lhs = ansatz.target.apply_coproduct(ansatz.apply(g))
+    dq = ansatz.source.apply_coproduct(g)
+    rhs = p2.normal_form(ansatz.apply_tensor(dq))
     diff = lhs - rhs
     comps = diff.eps_components()
     zero = Element.zero(p2.alphabet, ansatz.order)
     tags = _COPRODUCT_ORDER_TAGS.get(gname, (None, None))
     for k in ansatz.checked_orders():
-        residual = p2.normal_form(comps.get(k, zero), step_limit)
+        residual = p2.normal_form(comps.get(k, zero))
         _guard_ln(residual, f"coproduct square for {gname} at eps^{k}")
         report.add(CheckRecord(
             name=f"contract/coproduct-square/{gname}/eps^{k}",
@@ -272,8 +270,7 @@ def verify_coproduct_contraction(ansatz: ContractionAnsatz, gname: str,
     return report
 
 
-def verify_star_contraction(ansatz: ContractionAnsatz,
-                            step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+def verify_star_contraction(ansatz: ContractionAnsatz) -> CheckReport:
     """The star square: contracting g* must agree with the target star of
     the contracted g, order by order (this is what fixes the star rules of
     the contracted generators)."""
@@ -286,7 +283,7 @@ def verify_star_contraction(ansatz: ContractionAnsatz,
         comps = (lhs - rhs).eps_components()
         zero = Element.zero(p.alphabet, ansatz.order)
         for k in ansatz.checked_orders():
-            residual = p.normal_form(comps.get(k, zero), step_limit)
+            residual = p.normal_form(comps.get(k, zero))
             report.add(CheckRecord(
                 name=f"contract/star-square/{gname}/eps^{k}",
                 ok=residual.is_zero,
@@ -297,8 +294,7 @@ def verify_star_contraction(ansatz: ContractionAnsatz,
     for name in ("K", "L", "M", "N"):
         t = Element.generator(p.alphabet, name, ansatz.order)
         residual = p.normal_form(
-            ansatz.target.star.apply(ansatz.target.star.apply(t)) - t,
-            step_limit)
+            ansatz.target.star.apply(ansatz.target.star.apply(t)) - t)
         report.add(CheckRecord(
             name=f"contract/star-involution/{name}",
             ok=residual.is_zero,
@@ -308,8 +304,7 @@ def verify_star_contraction(ansatz: ContractionAnsatz,
     return report
 
 
-def verify_d_series(ansatz: ContractionAnsatz,
-                    step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+def verify_d_series(ansatz: ContractionAnsatz) -> CheckReport:
     """The derived d: J-free normal form K - eps L, the two determinant
     identities to first order, and agreement of the raw series with its
     classical two-term display up to commutation moves alone."""
@@ -322,12 +317,12 @@ def verify_d_series(ansatz: ContractionAnsatz,
     report.add(CheckRecord(
         name="contract/d-series/normal-form",
         ok=d.reduced == expected,
-        residual=str(p.normal_form(d.reduced - expected, step_limit)),
+        residual=str(p.normal_form(d.reduced - expected)),
         paper_eq=catalog.TAG_D_SERIES,
         extra={"raw": str(d.raw)},
     ))
     comm_only = _commutation_only_klmn(ansatz.order)
-    resid_display = comm_only.normal_form(d.raw - d.display_form, step_limit)
+    resid_display = comm_only.normal_form(d.raw - d.display_form)
     report.add(CheckRecord(
         name="contract/d-series/raw-matches-display",
         ok=resid_display.is_zero,
@@ -341,14 +336,12 @@ def verify_d_series(ansatz: ContractionAnsatz,
         rel = parse_expression(rel_text, ansatz.source.base.alphabet,
                                ("q",), ansatz.order)
         report.extend(verify_relation_contraction(
-            ansatz, rel, f"d-series/{label}", catalog.TAG_D_SERIES,
-            step_limit))
+            ansatz, rel, f"d-series/{label}", catalog.TAG_D_SERIES))
     # a^-1 sanity: a * a_inverse = 1 through the derived depth
     prod = ansatz.apply(Element.generator(ansatz.source.base.alphabet, "a",
                                           ansatz.order)) * d.a_inverse
     residual = p.normal_form(
-        _eps_truncate(prod, depth) - Element.unit(p.alphabet, ansatz.order),
-        step_limit)
+        _eps_truncate(prod, depth) - Element.unit(p.alphabet, ansatz.order))
     report.add(CheckRecord(
         name="contract/d-series/a-inverse",
         ok=residual.is_zero,
@@ -358,8 +351,7 @@ def verify_d_series(ansatz: ContractionAnsatz,
     return report
 
 
-def verify_star_determines_l(ansatz: ContractionAnsatz,
-                             step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+def verify_star_determines_l(ansatz: ContractionAnsatz) -> CheckReport:
     """Exhibit that L* = -L (through a* = d with the raw d series) is
     equivalent to the first-order mixed relation: the reduction must fire
     the rules oriented from it."""
@@ -371,7 +363,7 @@ def verify_star_determines_l(ansatz: ContractionAnsatz,
         1, Element.zero(p.alphabet, ansatz.order))
     minus_l = -Element.generator(p.alphabet, "L", ansatz.order)
     fired: set[int] = set()
-    residual = p.normal_form(raw_o1 - minus_l, step_limit, fired=fired)
+    residual = p.rewrite(raw_o1 - minus_l, fired=fired)
     lk_rules = {i for i, r in enumerate(p.rules)
                 if r.label.startswith(("L*K", "L*J"))}
     report.add(CheckRecord(
@@ -389,8 +381,8 @@ def verify_star_determines_l(ansatz: ContractionAnsatz,
 # --------------------------------------------------------------------------
 
 
-def verify_change_of_variables(order: int = 1, lam_zero: bool = False,
-                               step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+def verify_change_of_variables(order: int = 1,
+                               lam_zero: bool = False) -> CheckReport:
     """All identities of the exponential-variable change, verified in the
     K, L, M, N algebra, plus the full realization of the final presentation
     (rules and Hopf data) inside it."""
@@ -408,12 +400,12 @@ def verify_change_of_variables(order: int = 1, lam_zero: bool = False,
     half_lam = lam * Scalar.from_rational(Fraction(1, 2), order)
 
     def nf(x):
-        out = p.normal_form(x, step_limit)
+        out = p.normal_form(x)
         _guard_ln(out, "change of variables")
         return out
 
     def nf2(x):
-        out = p2.normal_form(x, step_limit)
+        out = p2.normal_form(x)
         _guard_ln(out, "change of variables (tensor)")
         return out
 
@@ -665,8 +657,7 @@ def _solve_affine_system(base: Element, directions: dict[str, Element],
 
 def _solve_marker(p: Presentation, x_name: str, y_name: str,
                   expr: Element, basis: dict[str, Element],
-                  offsets: dict[str, Element] | None,
-                  step_limit: int) -> SolveOutcome:
+                  offsets: dict[str, Element] | None) -> SolveOutcome:
     """Solve for [x, y] = sum_w c_w w such that ``expr`` vanishes.
 
     ``p`` presents the algebra without a rule for the x y / y x words, and
@@ -688,8 +679,7 @@ def _solve_marker(p: Presentation, x_name: str, y_name: str,
     p_z = Presentation(alph_z, rules, order,
                        name=f"{p.name}+marker").at_slots(slots)
     alph = p_z.alphabet
-    base_terms, contexts = _split_marker(
-        p_z.normal_form(expr.rebind(alph), step_limit))
+    base_terms, contexts = _split_marker(p_z.normal_form(expr.rebind(alph)))
 
     marked_slots = {slot for _, slot, _, _ in contexts}
     directions: dict[str, Element] = {}
@@ -702,14 +692,13 @@ def _solve_marker(p: Presentation, x_name: str, y_name: str,
             ctx = (Element.from_word(alph, pre, order) * w_at[slot]
                    * Element.from_word(alph, post, order)).scaled(coeff)
             direction = direction + ctx
-        directions[label] = p_z.normal_form(direction, step_limit)
+        directions[label] = p_z.normal_form(direction)
     return _solve_affine_system(Element(alph, base_terms, order), directions,
                                 order)
 
 
 def solve_commutator(h: HopfPresentation, x_name: str, y_name: str,
-                     basis: dict[str, Element],
-                     step_limit: int = DEFAULT_STEP_LIMIT) -> SolveOutcome:
+                     basis: dict[str, Element]) -> SolveOutcome:
     """Determine [x, y] = sum_w c_w w from coproduct consistency.
 
     ``h`` must present the algebra without a rule for the x y / y x words;
@@ -717,14 +706,11 @@ def solve_commutator(h: HopfPresentation, x_name: str, y_name: str,
     homomorphism condition and the coefficient match is solved exactly.
     """
     order = h.order
-    dx = h.apply_coproduct(Element.generator(h.base.alphabet, x_name, order),
-                           step_limit)
-    dy = h.apply_coproduct(Element.generator(h.base.alphabet, y_name, order),
-                           step_limit)
-    offsets = {label: -h.apply_coproduct(w, step_limit)
-               for label, w in basis.items()}
+    dx = h.apply_coproduct(Element.generator(h.base.alphabet, x_name, order))
+    dy = h.apply_coproduct(Element.generator(h.base.alphabet, y_name, order))
+    offsets = {label: -h.apply_coproduct(w) for label, w in basis.items()}
     return _solve_marker(h.base, x_name, y_name, dx * dy - dy * dx, basis,
-                         offsets, step_limit)
+                         offsets)
 
 
 def standard_commutator_basis(order: int = 1) -> dict[str, Element]:
@@ -751,8 +737,7 @@ def commutator_rule_from_solution(solution: dict[str, Element | Scalar],
     return _commutator_rule(alphabet, x_name, y_name, value)
 
 
-def solver_suite(order: int = 1, lam_zero: bool = False,
-                 step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+def solver_suite(order: int = 1, lam_zero: bool = False) -> CheckReport:
     """Solve [eta, etabar] from coproduct consistency and confirm the
     result matches the shipped commutator rule."""
     report = CheckReport()
@@ -763,7 +748,7 @@ def solver_suite(order: int = 1, lam_zero: bool = False,
         h_open = catalog.classical_limit(h_open)
         h_full = catalog.classical_limit(h_full)
     basis = standard_commutator_basis(order)
-    outcome = solve_commutator(h_open, "eta", "etabar", basis, step_limit)
+    outcome = solve_commutator(h_open, "eta", "etabar", basis)
     report.add(CheckRecord(
         name="solver/eta-etabar/status",
         ok=outcome.ok,
@@ -820,8 +805,8 @@ def _ln_basis(order: int, max_degree: int, with_n: bool) -> dict[str, Element]:
     return out
 
 
-def solve_ln_commutator(order: int = 1, basis: dict[str, Element] | None = None,
-                        step_limit: int = DEFAULT_STEP_LIMIT) -> SolveOutcome:
+def solve_ln_commutator(order: int = 1,
+                        basis: dict[str, Element] | None = None) -> SolveOutcome:
     """Back-solve the undetermined [L, N] from the final-variable
     commutator identity [eta, etabar] = lam (etabar + eta), treating
     L N -> N L + Z as an unknown rewrite."""
@@ -833,7 +818,7 @@ def solve_ln_commutator(order: int = 1, basis: dict[str, Element] | None = None,
     etabar = named["etabar"].definition
     lam = Scalar.param("lam", order)
     expr = (eta * etabar - etabar * eta) - (etabar + eta).scaled(lam)
-    return _solve_marker(p, "L", "N", expr, basis, None, step_limit)
+    return _solve_marker(p, "L", "N", expr, basis, None)
 
 
 def klmn_with_ln_rule(solution: dict[str, Scalar], basis: dict[str, Element],
@@ -871,16 +856,15 @@ def structural_ansatz_record(ansatz: ContractionAnsatz) -> CheckRecord:
     )
 
 
-def contraction_suite(order: int = 1, lam_zero: bool = False,
-                      step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+def contraction_suite(order: int = 1, lam_zero: bool = False) -> CheckReport:
     """Relations, d series, coproduct and star squares for the contraction."""
     ansatz = ContractionAnsatz.standard(order, lam_zero)
     report = CheckReport()
     report.add(structural_ansatz_record(ansatz))
-    report.extend(verify_d_series(ansatz, step_limit))
-    report.extend(verify_all_relation_contractions(ansatz, step_limit))
+    report.extend(verify_d_series(ansatz))
+    report.extend(verify_all_relation_contractions(ansatz))
     for gname in ("a", "b", "c", "d"):
-        report.extend(verify_coproduct_contraction(ansatz, gname, step_limit))
-    report.extend(verify_star_contraction(ansatz, step_limit))
-    report.extend(verify_star_determines_l(ansatz, step_limit))
+        report.extend(verify_coproduct_contraction(ansatz, gname))
+    report.extend(verify_star_contraction(ansatz))
+    report.extend(verify_star_determines_l(ansatz))
     return report

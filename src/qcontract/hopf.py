@@ -21,7 +21,7 @@ from .freealg import (
     to_base_slot,
 )
 from .reports import CheckRecord, CheckReport
-from .rewrite import DEFAULT_STEP_LIMIT, Presentation
+from .rewrite import Presentation
 from .scalars import Scalar
 
 
@@ -71,12 +71,12 @@ class HopfPresentation:
                     f"{what} undefined: normal form contains {name!r}")
         return nf
 
-    def apply_coproduct(self, x: Element, step_limit: int = DEFAULT_STEP_LIMIT) -> Element:
+    def apply_coproduct(self, x: Element) -> Element:
         """Homomorphic extension of the generator coproducts, normalized in
         the 2-slot algebra."""
         nf = self._guard(x, "coproduct")
         p2 = self.base.at_slots(2)
-        return p2.normal_form(self.coproduct.apply(nf), step_limit)
+        return p2.normal_form(self.coproduct.apply(nf))
 
     def apply_counit(self, x: Element) -> Scalar:
         nf = self._guard(x, "counit")
@@ -162,8 +162,7 @@ def central_residuals(p: Presentation, x: Element) -> list[Element]:
 # -- axiom checkers ----------------------------------------------------------
 
 
-def check_delta_respects_relations(h: HopfPresentation,
-                                   step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+def check_delta_respects_relations(h: HopfPresentation) -> CheckReport:
     """Well-definedness of the coproduct on the quotient: for every rule
     the residual Delta(lhs) - Delta(rhs) must normalize to zero.  Rules that
     mention excluded generators carry no coproduct and are skipped."""
@@ -176,8 +175,7 @@ def check_delta_respects_relations(h: HopfPresentation,
             continue
         lhs_elem = Element.from_word(h.base.alphabet, rule.lhs, h.order)
         residual = p2.normal_form(
-            h.coproduct.apply(lhs_elem) - h.coproduct.apply(rule.rhs),
-            step_limit)
+            h.coproduct.apply(lhs_elem) - h.coproduct.apply(rule.rhs))
         report.add(CheckRecord(
             name=f"{h.name}/delta-respects/{rule.label}",
             ok=residual.is_zero,
@@ -187,8 +185,7 @@ def check_delta_respects_relations(h: HopfPresentation,
     return report
 
 
-def check_coassociativity(h: HopfPresentation,
-                          step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+def check_coassociativity(h: HopfPresentation) -> CheckReport:
     """(Delta (x) id) Delta = (id (x) Delta) Delta on every Hopf generator,
     checked in the 3-slot algebra."""
     report = CheckReport()
@@ -214,7 +211,7 @@ def check_coassociativity(h: HopfPresentation,
         delta_g = h.apply_coproduct(
             Element.generator(h.base.alphabet, name, h.order))
         residual = p3.normal_form(
-            delta_id.apply(delta_g) - id_delta.apply(delta_g), step_limit)
+            delta_id.apply(delta_g) - id_delta.apply(delta_g))
         report.add(CheckRecord(
             name=f"{h.name}/coassociativity/{name}",
             ok=residual.is_zero,
@@ -224,8 +221,7 @@ def check_coassociativity(h: HopfPresentation,
     return report
 
 
-def check_counit_antipode(h: HopfPresentation,
-                          step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+def check_counit_antipode(h: HopfPresentation) -> CheckReport:
     """Counit and antipode axioms on every Hopf generator:
     (eps (x) id) Delta g = g = (id (x) eps) Delta g and
     m(S (x) id) Delta g = eps(g) 1 = m(id (x) S) Delta g."""
@@ -247,7 +243,7 @@ def check_counit_antipode(h: HopfPresentation,
             (f"antipode-right/{name}", id_s - unit_eps),
         ]
         for label, residual in checks:
-            residual = h.base.normal_form(residual, step_limit)
+            residual = h.base.normal_form(residual)
             report.add(CheckRecord(
                 name=f"{h.name}/{label}",
                 ok=residual.is_zero,
@@ -257,15 +253,13 @@ def check_counit_antipode(h: HopfPresentation,
     return report
 
 
-def check_star(h: HopfPresentation,
-               step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+def check_star(h: HopfPresentation) -> CheckReport:
     """Star axioms: involutivity on generators, compatibility with every
     rule, and Delta(x*) = (* (x) *) Delta(x) on Hopf generators."""
     report = CheckReport()
     for name in h.base.alphabet.names:
         g = Element.generator(h.base.alphabet, name, h.order)
-        residual = h.base.normal_form(
-            h.apply_star(h.apply_star(g)) - g, step_limit)
+        residual = h.base.normal_form(h.apply_star(h.apply_star(g)) - g)
         report.add(CheckRecord(
             name=f"{h.name}/star-involution/{name}",
             ok=residual.is_zero,
@@ -273,7 +267,7 @@ def check_star(h: HopfPresentation,
         ))
     for rule in h.base.rules:
         rel = rule.as_element(h.base.alphabet)
-        residual = h.base.normal_form(h.star.apply(rel), step_limit)
+        residual = h.base.normal_form(h.star.apply(rel))
         report.add(CheckRecord(
             name=f"{h.name}/star-respects/{rule.label}",
             ok=residual.is_zero,
@@ -286,7 +280,7 @@ def check_star(h: HopfPresentation,
         g_star = h.apply_star(g)
         lhs = h.apply_coproduct(g_star)
         rhs = h.star_tensor(h.apply_coproduct(g))
-        residual = p2.normal_form(lhs - rhs, step_limit)
+        residual = p2.normal_form(lhs - rhs)
         report.add(CheckRecord(
             name=f"{h.name}/star-coproduct/{name}",
             ok=residual.is_zero,
@@ -296,25 +290,23 @@ def check_star(h: HopfPresentation,
     return report
 
 
-def check_convolution_on_element(h: HopfPresentation, x: Element,
-                                 step_limit: int = DEFAULT_STEP_LIMIT) -> bool:
+def check_convolution_on_element(h: HopfPresentation, x: Element) -> bool:
     """m(S (x) id) Delta x = eps(x) 1, the convolution-inverse identity."""
-    dg = h.apply_coproduct(x, step_limit)
+    dg = h.apply_coproduct(x)
     s_id = h.fold_tensor(dg, h.apply_antipode, h._id)
     unit_eps = Element.unit(h.base.alphabet, h.order).scaled(h.apply_counit(x))
-    return h.base.normal_form(s_id - unit_eps, step_limit).is_zero
+    return h.base.normal_form(s_id - unit_eps).is_zero
 
 
 def run_hopf_suite(h: HopfPresentation, rng=None, n_random: int = 0,
-                   random_degree: int = 3,
-                   step_limit: int = DEFAULT_STEP_LIMIT) -> CheckReport:
+                   random_degree: int = 3) -> CheckReport:
     """All four axiom checkers, plus an optional randomized layer exercising
     the convolution identity and star involutivity on random elements."""
     report = CheckReport()
-    report.extend(check_delta_respects_relations(h, step_limit))
-    report.extend(check_coassociativity(h, step_limit))
-    report.extend(check_counit_antipode(h, step_limit))
-    report.extend(check_star(h, step_limit))
+    report.extend(check_delta_respects_relations(h))
+    report.extend(check_coassociativity(h))
+    report.extend(check_counit_antipode(h))
+    report.extend(check_star(h))
     if rng is not None and n_random > 0:
         from .sampling import random_element
 
@@ -323,10 +315,10 @@ def run_hopf_suite(h: HopfPresentation, rng=None, n_random: int = 0,
             x = random_element(rng, h.base, degree=random_degree,
                                params=("q", "lam"), exclude=h.excluded,
                                forbid_adjacent=(("L", "N"),))
-            if not check_convolution_on_element(h, x, step_limit):
+            if not check_convolution_on_element(h, x):
                 failures += 1
             x_ss = h.apply_star(h.apply_star(x))
-            if not h.base.normal_form(x_ss - x, step_limit).is_zero:
+            if not h.base.normal_form(x_ss - x).is_zero:
                 failures += 1
         report.add(CheckRecord(
             name=f"{h.name}/random-layer/{n_random}-elements",

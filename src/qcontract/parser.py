@@ -12,9 +12,9 @@ Grammar (whitespace-insensitive)::
 ``[x,y]`` is the commutator, names resolve to generators or parameters,
 ``i`` is the imaginary unit and ``eps`` the truncation variable.
 
-Expanding a power can blow up, so with a step limit each multiplication
-inside ``x^n`` costs one step plus one per letter it may write (terms of
-the two factors times their summed degrees), charged before it is done.
+Expanding a power can blow up, so each multiplication inside ``x^n`` costs
+one step of the budget plus one per letter it may write (terms of the two
+factors times their summed degrees), charged before it is done.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .freealg import Alphabet, Element, tensor_embed
-from .rewrite import StepLimitExceeded
+from .rewrite import _charge, allowance
 from .scalars import Scalar
 
 RESERVED = {"i", "eps", "ox"}
@@ -100,14 +100,13 @@ def tokenize(text: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, tokens: list[Token], alphabet: Alphabet,
-                 params: tuple[str, ...], order: int,
-                 step_limit: int | None = None):
+                 params: tuple[str, ...], order: int):
         self.tokens = tokens
         self.pos = 0
         self.alphabet = alphabet
         self.params = params
         self.order = order
-        self.budget = step_limit
+        self.budget = allowance()
 
     # -- token helpers -----------------------------------------------------
 
@@ -208,12 +207,9 @@ class _Parser:
         return atom
 
     def _charge(self, a: Element, b: Element):
-        if self.budget is None:
-            return
-        self.budget -= 1 + len(a.terms) * len(b.terms) * (a.degree()
-                                                          + b.degree())
-        if self.budget < 0:
-            raise StepLimitExceeded("step limit exceeded while expanding a power")
+        _charge(self.budget,
+                1 + len(a.terms) * len(b.terms) * (a.degree() + b.degree()),
+                "step limit exceeded while expanding a power")
 
     def _power(self, x: Element, exp: int) -> Element:
         if exp >= 0:
@@ -268,14 +264,14 @@ class _Parser:
 
 
 def parse_expression(text: str, alphabet: Alphabet, params: tuple[str, ...],
-                     order: int, step_limit: int | None = None) -> Element:
+                     order: int) -> Element:
     """Parse ``text`` into an element over ``alphabet``.
 
     Raises :class:`ParseError` with line/column on malformed input or
     unknown symbols, and :class:`StepLimitExceeded` when expanding powers
-    would take more than ``step_limit`` steps (no limit when None).
+    would take more steps than the current limit (see :mod:`.rewrite`).
     """
-    parser = _Parser(tokenize(text), alphabet, params, order, step_limit)
+    parser = _Parser(tokenize(text), alphabet, params, order)
     out = parser.parse_expr()
     tail = parser.peek()
     if tail.kind != "END":

@@ -9,30 +9,36 @@ between rule left-hand sides.
 Two paths compute normal forms:
 
 * The plain rewriter (``Presentation.rewrite``) reduces each word on a stack
-  by the leftmost, strongest redex.  One step is one rule application; a
-  word found in the whole-word cache replays the steps it cost.  Confluence
-  checks, requests for the fired rules and every presentation not certified
-  confluent use it, and it is the oracle of the table path.
+  by the leftmost, strongest redex.  Confluence checks, requests for the
+  fired rules and every presentation not certified confluent use it, and it
+  is the oracle of the table path.
 * On a presentation certified confluent, normal forms are unique (Bergman's
   diamond lemma), so ``nf(u*g) = nf(nf(u)*g)`` and ``normal_form`` multiplies
   in the basis of normal words, one letter at a time, through a memoised
-  table ``nf(v*g)`` (see :class:`NormalWordTable`).  Here one step is one
-  table fill, which applies one rule, and a fill also costs the steps of
-  the products it multiplies out; a product ``v*g`` that stays normal only
-  appends a letter and costs nothing.  A memoised entry or word replays its
-  recorded cost, so a limit trips at the same value whether the caches are
-  cold or warm.  Counted this way a reduction costs about as many steps as
-  the rewriter's (``(a+b+c+d)^8`` in suq2: 912,084), where counting every
-  product of a normal word by a letter too would cost about four times as
-  many and push inputs that reduce within the default limit over it.
+  table ``nf(v*g)`` (see :class:`NormalWordTable`).
 
 ``check_local_confluence`` certifies a presentation when it reduced every
 ambiguity (none skipped) and all of them resolved.  Nothing certifies a
 presentation implicitly.
+
+The step budget: one limit, ``DEFAULT_STEP_LIMIT`` unless a ``with
+step_limit(n):`` block sets it (the command line sets it once, from
+``--step-limit``, around the whole command).  Each top-level call draws a
+fresh allowance equal to the current limit and raises
+:class:`StepLimitExceeded` when it is spent: ``normal_form``, ``rewrite``,
+``normal_form_random``, each ambiguity side a confluence check reduces and
+``parser.parse_expression``.  One step is one rule application for the
+rewriter and the randomized strategy; for the table, one fill (applying one
+rule) plus the steps of the products it multiplies out, while a product
+``v*g`` that stays normal only appends a letter and is free, so the two
+counts are close (``(a+b+c+d)^8`` in suq2: 950,334 and 912,084).  A memoised
+word or table entry replays the steps it cost, so a limit trips at the same
+value whether the caches are cold or warm.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -48,10 +54,35 @@ from .freealg import (
 from .scalars import Scalar
 
 DEFAULT_STEP_LIMIT = 10**6
+_limit = DEFAULT_STEP_LIMIT
 
 
 class StepLimitExceeded(RuntimeError):
     """Rewriting exceeded its step budget (nonterminating or explosive rules)."""
+
+
+@contextmanager
+def step_limit(n: int):
+    """Set the limit to ``n`` within the block; the previous one comes back
+    on leaving it, by an exception too."""
+    global _limit
+    previous, _limit = _limit, n
+    try:
+        yield
+    finally:
+        _limit = previous
+
+
+def allowance() -> list[int]:
+    """A fresh allowance of the current limit, charged by :func:`_charge`."""
+    return [_limit]
+
+
+def _charge(budget: list[int], cost: int, what: str):
+    """Take ``cost`` steps from ``budget``; raise ``what`` when overdrawn."""
+    budget[0] -= cost
+    if budget[0] < 0:
+        raise StepLimitExceeded(what)
 
 
 class OverlapBoundError(ValueError):
@@ -100,6 +131,8 @@ class Presentation:
         self.order = MonomialOrder(alphabet)
         self.trunc_order = trunc_order
         self.name = name
+        self._exceeded = ("step limit exceeded while reducing in "
+                          f"{name or 'presentation'}")
         self.params = tuple(params)
         self.rules: tuple[RewriteRule, ...] = tuple(rules)
         self._validate()
@@ -203,14 +236,12 @@ class Presentation:
     def is_normal_word(self, word: Word) -> bool:
         return self.find_match(word) is None
 
-    def _nf_word(self, word: Word, budget: list[int]) -> tuple[Element, frozenset[int]]:
+    def _nf_word(self, word: Word, budget: list[int],
+                 what: str) -> tuple[Element, frozenset[int]]:
         cached = self._nf_cache.get(word)
         if cached is not None:
             elem, fired, steps = cached
-            budget[0] -= steps
-            if budget[0] < 0:
-                raise StepLimitExceeded(
-                    f"step limit exceeded while reducing in {self.name or 'presentation'}")
+            _charge(budget, steps, what)
             return elem, fired
         result: dict = {}
         fired: set[int] = set()
@@ -226,10 +257,7 @@ class Presentation:
                 continue
             pos, idx = m
             steps += 1
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise StepLimitExceeded(
-                    f"step limit exceeded while reducing in {self.name or 'presentation'}")
+            _charge(budget, 1, what)
             fired.add(idx)
             rule = self.rules[idx]
             pre = w[:pos]
@@ -243,29 +271,27 @@ class Presentation:
         self._nf_cache[word] = (elem, frozenset(fired), steps)
         return elem, frozenset(fired)
 
-    def normal_form(self, x: Element, step_limit: int = DEFAULT_STEP_LIMIT,
-                    fired: set[int] | None = None) -> Element:
+    def normal_form(self, x: Element) -> Element:
         """The normal form of ``x``: through the normal-word table on a
-        certified presentation, by the plain rewriter otherwise or when the
-        indices of the fired rules are to be added to ``fired``."""
-        if self._table is None or fired is not None:
-            return self.rewrite(x, step_limit, fired)
+        certified presentation, by the plain rewriter otherwise."""
+        if self._table is None:
+            return self.rewrite(x)
         self._check_alphabet(x)
         try:
-            return self._table.normal_form(x, step_limit)
+            return self._table.normal_form(x)
         except RecursionError:
             # fills nested deeper than the interpreter's stack allows; the
             # entries already filled stay valid
-            return self.rewrite(x, step_limit)
+            return self.rewrite(x)
 
-    def rewrite(self, x: Element, step_limit: int = DEFAULT_STEP_LIMIT,
-                fired: set[int] | None = None) -> Element:
-        """The normal form of ``x`` by the plain rewriter."""
+    def rewrite(self, x: Element, fired: set[int] | None = None) -> Element:
+        """The normal form of ``x`` by the plain rewriter; the indices of
+        the rules it fires are added to ``fired`` when given."""
         self._check_alphabet(x)
-        budget = [step_limit]
+        budget, what = allowance(), self._exceeded
         acc: dict = {}
         for word, coeff in x.terms.items():
-            nf_w, fr = self._nf_word(word, budget)
+            nf_w, fr = self._nf_word(word, budget, what)
             if fired is not None:
                 fired |= fr
             accumulate_scaled(acc, nf_w.terms, coeff)
@@ -282,12 +308,6 @@ class Presentation:
     def __repr__(self):
         return (f"Presentation({self.name or '?'}: {len(self.alphabet.names)} "
                 f"generators, {len(self.rules)} rules, slots={self.slot_count})")
-
-
-def _charge(budget: list[int], cost: int, name: str):
-    budget[0] -= cost
-    if budget[0] < 0:
-        raise StepLimitExceeded(f"step limit exceeded while reducing in {name}")
 
 
 def _add_term(acc: dict, w, c: Scalar) -> None:
@@ -323,7 +343,7 @@ class NormalWordTable:
         alph = p.alphabet
         self.alphabet = alph
         self.order = p.trunc_order
-        self.name = p.name or "presentation"
+        self.exceeded = p._exceeded
         self.letters = tuple(GeneratorId(n, s) for s in alph.slots
                              for n in alph.names)
         self.index = {g: i for i, g in enumerate(self.letters)}
@@ -343,9 +363,9 @@ class NormalWordTable:
         index = self.index
         return tuple([index[g] for g in word])
 
-    def normal_form(self, x: Element, step_limit: int) -> Element:
-        budget = [step_limit]
-        name, words = self.name, self.words
+    def normal_form(self, x: Element) -> Element:
+        budget = allowance()
+        what, words = self.exceeded, self.words
         acc: dict = {}
         pending = []
         for word, coeff in x.terms.items():
@@ -354,7 +374,7 @@ class NormalWordTable:
             if hit is None:
                 pending.append((iw, coeff))
                 continue
-            _charge(budget, hit[1], name)
+            _charge(budget, hit[1], what)
             accumulate_scaled(acc, hit[0], coeff)
         if pending:
             pending.sort(key=itemgetter(0))
@@ -366,7 +386,7 @@ class NormalWordTable:
                 while k < top and prev[k] == iw[k]:
                     k += 1
                 del stack[k + 1:]
-                _charge(budget, stack[k][1], name)
+                _charge(budget, stack[k][1], what)
                 for g in iw[k:]:
                     terms, cost = stack[-1]
                     before = budget[0]
@@ -384,7 +404,7 @@ class NormalWordTable:
     def _times(self, terms: dict, g: int, budget: list[int]) -> dict:
         """``nf(terms * g)`` for ``terms`` over normal words."""
         acc: dict = {}
-        ending, products, name = self.ending[g], self.products, self.name
+        ending, products, what = self.ending[g], self.products, self.exceeded
         for u, c in terms.items():
             w = u + (g,)
             hit = products.get(w)
@@ -399,7 +419,7 @@ class NormalWordTable:
                     _add_term(acc, w, c)
                     continue
             else:
-                _charge(budget, hit[1], name)
+                _charge(budget, hit[1], what)
             accumulate_scaled(acc, hit[0], c)
         return acc
 
@@ -408,7 +428,7 @@ class NormalWordTable:
         """Fill ``products[w]`` by the rule whose lhs ends ``w`` after the
         normal ``prefix``."""
         before = budget[0]
-        _charge(budget, 1, self.name)  # the fill applies one rule
+        _charge(budget, 1, self.exceeded)  # the fill applies one rule
         acc: dict = {}
         for rw, rc in rhs:
             terms = {prefix: rc}
@@ -421,8 +441,7 @@ class NormalWordTable:
         return hit
 
 
-def normal_form_random(p: Presentation, x: Element, rng,
-                       step_limit: int = DEFAULT_STEP_LIMIT) -> Element:
+def normal_form_random(p: Presentation, x: Element, rng) -> Element:
     """Normal form under a randomized rewriting strategy.
 
     On a confluent presentation this must agree with the deterministic
@@ -430,7 +449,7 @@ def normal_form_random(p: Presentation, x: Element, rng,
     """
     acc: dict = {}
     stack = list(x.terms.items())
-    steps = 0
+    budget = allowance()
     while stack:
         w, c = stack.pop(rng.randrange(len(stack)))
         matches = []
@@ -443,9 +462,7 @@ def normal_form_random(p: Presentation, x: Element, rng,
             cur = acc.get(w)
             acc[w] = c if cur is None else cur + c
             continue
-        steps += 1
-        if steps > step_limit:
-            raise StepLimitExceeded("randomized strategy exceeded step limit")
+        _charge(budget, 1, "randomized strategy exceeded step limit")
         pos, idx = matches[rng.randrange(len(matches))]
         rule = p.rules[idx]
         pre, suf = w[:pos], w[pos + len(rule.lhs):]
@@ -537,8 +554,8 @@ def critical_pairs(p: Presentation, max_overlap: int) -> list[Ambiguity]:
     return out
 
 
-def check_local_confluence(p: Presentation, max_overlap: int = 6,
-                           step_limit: int = DEFAULT_STEP_LIMIT) -> ConfluenceReport:
+def check_local_confluence(p: Presentation,
+                           max_overlap: int = 6) -> ConfluenceReport:
     """Reduce both sides of every ambiguity whose word has at most
     ``max_overlap`` letters by the plain rewriter; each longer one is a
     skipped failure.  When none is skipped and all resolve, the
@@ -549,22 +566,22 @@ def check_local_confluence(p: Presentation, max_overlap: int = 6,
         if len(amb.word) > max_overlap:
             report.items.append(ConfluenceItem(amb, False, None, None))
             continue
-        nl = p.rewrite(amb.left, step_limit)
-        nr = p.rewrite(amb.right, step_limit)
+        nl = p.rewrite(amb.left)
+        nr = p.rewrite(amb.right)
         report.items.append(ConfluenceItem(amb, nl == nr, nl, nr))
     if report.ok and p._table is None:
         p._table = NormalWordTable(p)
     return report
 
 
-def certify(p: Presentation, step_limit: int = DEFAULT_STEP_LIMIT) -> bool:
+def certify(p: Presentation) -> bool:
     """Check local confluence with an overlap bound that covers every
     ambiguity; true when ``p`` is now certified.  A check that exceeds the
     step limit leaves ``p`` uncertified."""
     longest = max((len(r.lhs) for r in p.rules), default=0)
     try:
         # no ambiguity word is longer than two left-hand sides
-        check_local_confluence(p, 2 * longest, step_limit)
+        check_local_confluence(p, 2 * longest)
     except StepLimitExceeded:
         pass
     return p.certified

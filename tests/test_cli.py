@@ -131,6 +131,31 @@ class TestNf:
         assert out == ""
         assert err == f"error: line {lineno}: line 1, col 8: expected ')'\n"
 
+    @pytest.mark.parametrize("section,line,lineno,message", [
+        ("rule", "a ox a -> a", 5, "rule side must not be a tensor: 'a ox a'"),
+        ("rule", "a*a + a -> a", 5,
+         "rule left-hand side must be a single word: 'a*a + a'"),
+        ("rule", "2*a*a -> a", 5,
+         "rule left-hand side must be a plain word: '2*a*a'"),
+        ("coproduct", "a -> a", 8,
+         "image of a has the wrong tensor rank: 'a'"),
+        ("counit", "a -> a", 11, "counit of a must be a scalar: 'a'"),
+    ])
+    def test_bad_file_entry_names_its_line(self, capsys, tmp_path, section,
+                                           line, lineno, message):
+        lines = {"rule": "a*a -> 1", "coproduct": "a -> a ox a",
+                 "counit": "a -> 1"}
+        lines[section] = line
+        src = tmp_path / "bad.preso"
+        src.write_text(
+            "[generators]\na\n\n[rules]\n{rule}\n\n[coproduct]\n"
+            "{coproduct}\n\n[counit]\n{counit}\n\n[antipode]\na -> a\n"
+            "\n[star]\na -> a\n".format(**lines))
+        code, out, err = run(capsys, "nf", "-p", str(src), "a")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: line {lineno}: {message}\n"
+
     def test_file_presentation(self, capsys, tmp_path):
         src = tmp_path / "toy.preso"
         src.write_text("[generators]\nx y\n\n[rules]\ny*x -> x*y\n")

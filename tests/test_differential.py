@@ -23,6 +23,7 @@ from qcontract.rewrite import (
     certify,
     check_local_confluence,
     normal_form_random,
+    step_limit,
 )
 from qcontract.sampling import random_element
 from qcontract.scalars import (
@@ -266,9 +267,10 @@ def test_step_limit_threshold(name, expr, limit):
         x = parse_expression(expr, p.alphabet, ("lam", "q"), 2)
         if warm:
             p.normal_form(x)  # cached words replay their step counts
-        with pytest.raises(StepLimitExceeded):
-            p.normal_form(x, limit - 1)
-        assert not p.normal_form(x, limit).is_zero
+        with pytest.raises(StepLimitExceeded), step_limit(limit - 1):
+            p.normal_form(x)
+        with step_limit(limit):
+            assert not p.normal_form(x).is_zero
 
 
 
@@ -337,7 +339,8 @@ def test_skipped_or_limited_check_does_not_certify():
     p = catalog.load_presentation("builtin:suq2", 1).base
     assert not check_local_confluence(p, 2).ok  # 3-letter ambiguities skipped
     assert not p.certified
-    assert not certify(p, step_limit=1)
+    with step_limit(1):
+        assert not certify(p)
     assert not p.certified
     assert certify(p)
 
@@ -375,9 +378,11 @@ def test_certified_step_limit_threshold(name, expr, limit, warm):
     elif warm == "word by word":
         for w in reversed(list(x.terms)):
             p.normal_form(Element.from_word(p.alphabet, w, 2))
-    with pytest.raises(StepLimitExceeded):
-        p.normal_form(x, limit - 1)
-    assert p.normal_form(x, limit) == p.rewrite(x)
+    with pytest.raises(StepLimitExceeded), step_limit(limit - 1):
+        p.normal_form(x)
+    with step_limit(limit):
+        table = p.normal_form(x)
+    assert table == p.rewrite(x)
 
 
 # -- letters: a named tuple against the frozen dataclass they replaced --------

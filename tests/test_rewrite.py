@@ -12,6 +12,7 @@ from qcontract.rewrite import (
     check_local_confluence,
     critical_pairs,
     normal_form_random,
+    step_limit,
 )
 from qcontract.sampling import random_element
 
@@ -60,12 +61,13 @@ class TestOrientationValidation:
 class TestStepLimit:
     def test_deep_reduction_hits_small_limit(self, suq2, pe_suq2):
         x = pe_suq2("d*d*d*a*a*a")
-        with pytest.raises(StepLimitExceeded):
-            suq2.base.normal_form(x, step_limit=3)
+        with pytest.raises(StepLimitExceeded), step_limit(3):
+            suq2.base.normal_form(x)
 
     def test_catalog_reductions_stay_well_under_default(self, suq2, pe_suq2):
         x = pe_suq2("d*d*d*a*a*a*b*c*b*c")
-        suq2.base.normal_form(x, step_limit=10**6)  # must not raise
+        with step_limit(10**6):
+            suq2.base.normal_form(x)  # must not raise
 
 
 class TestCriticalPairs:
@@ -201,6 +203,6 @@ class TestNormalFormProperties:
 class TestFiredRuleTracking:
     def test_fired_set_collects_rule_indices(self, suq2, pe_suq2):
         fired = set()
-        suq2.base.normal_form(pe_suq2("a*b"), fired=fired)
+        suq2.base.rewrite(pe_suq2("a*b"), fired=fired)
         labels = {suq2.base.rules[i].label for i in fired}
         assert labels == {"a*b -> q*b*a"}
