@@ -190,6 +190,9 @@ def cmd_hopf_check(args) -> int:
     if not isinstance(h, HopfPresentation):
         print("presentation has no Hopf data", file=sys.stderr)
         return EXIT_USAGE
+    # as in ``nf``: a confluent presentation reduces, and is charged,
+    # through its normal-word table, as ``report`` reduces the builtins
+    certify(h.base)
     rng = Random(cfg.seed)
     report = _timed(lambda: run_hopf_suite(h, rng=rng, n_random=25), cfg)
     return _emit(report, cfg)
@@ -325,10 +328,11 @@ def cmd_report(args) -> int:
 
         # determinant is grouplike and central
         det = catalog.determinant_element(order)
+        grouplike = grouplike_residual(suq2_h, det)
         report.add(CheckRecord(
             name="suq2/determinant-grouplike",
-            ok=grouplike_residual(suq2_h, det).is_zero,
-            residual=str(grouplike_residual(suq2_h, det)),
+            ok=grouplike.is_zero,
+            residual=str(grouplike),
             paper_eq=catalog.TAG_DETERMINANT))
         cen = central_residuals(suq2_h.base, det)
         report.add(CheckRecord(

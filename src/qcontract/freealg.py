@@ -8,9 +8,10 @@ are immutable and print as ``a`` in the base algebra and ``a@2`` in a
 tensor slot.
 
 Tensor squares and cubes are modeled in the same structure: letters carry a
-slot tag (0 for the base algebra, 1..3 for tensor factors) and letters of
-distinct slots are made to commute later by rewrite rules, so one normal-form
-engine serves the algebra and its tensor powers alike.
+slot tag (0 for the base algebra, 1..3 for tensor factors).  Letters of
+distinct slots commute, so ``slot_words`` splits a tensor word into the base
+words of its slots; the tensor powers' normal form, the leg maps of the Hopf
+folds and printing all read a tensor word that way.
 """
 
 from __future__ import annotations
@@ -78,9 +79,6 @@ class Alphabet:
             raise AlphabetMismatch(f"unknown generator {g.name!r}")
         if g.slot not in self.slots:
             raise AlphabetMismatch(f"slot {g.slot} invalid for this alphabet")
-
-    def precedence(self, name: str) -> int:
-        return self.names.index(name)
 
     def letter_key(self, g: GeneratorId) -> tuple[int, int]:
         return (g.slot, self.names.index(g.name))
@@ -368,16 +366,13 @@ def retag_slots(x: Element, mapping: dict[int, int], slot_count: int) -> Element
     return Element(target, terms, x.order)
 
 
-def slot_parts(word: Word) -> dict[int, tuple[GeneratorId, ...]]:
-    """Letters of a word grouped by slot, order preserved within each slot."""
-    out: dict[int, list] = {}
-    for g in word:
-        out.setdefault(g.slot, []).append(g)
-    return {s: tuple(v) for s, v in out.items()}
-
-
-def to_base_slot(word: Word) -> Word:
-    return tuple(GeneratorId(g.name, 0) for g in word)
+def slot_words(word: Word, slot_count: int) -> tuple[Word, ...]:
+    """The letters of each tensor slot of ``word``, in their order, as
+    words of the base algebra."""
+    parts: list[list] = [[] for _ in range(slot_count)]
+    for name, slot in word:
+        parts[slot - 1].append(GeneratorId(name, 0))
+    return tuple(map(tuple, parts))
 
 
 # -- printing ---------------------------------------------------------------
@@ -401,14 +396,7 @@ def _format_run_length(letters: tuple[GeneratorId, ...]) -> str:
 def format_word(word: Word, slot_count: int) -> str:
     if slot_count == 1:
         return _format_run_length(word)
-    slots = [g.slot for g in word]
-    if slots != sorted(slots):
-        # non-normal interleaving; display-only fallback
-        return "*".join(f"{g.name}@{g.slot}" for g in word) if word else "1"
-    parts = slot_parts(word)
-    return " ox ".join(
-        _format_run_length(parts.get(s, ())) for s in range(1, slot_count + 1)
-    )
+    return " ox ".join(map(_format_run_length, slot_words(word, slot_count)))
 
 
 def format_element(x: Element) -> str:

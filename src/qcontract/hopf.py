@@ -17,8 +17,8 @@ from .freealg import (
     MapKind,
     accumulate_scaled,
     retag_slots,
-    slot_parts,
-    to_base_slot,
+    slot_words,
+    tensor_embed,
 )
 from .reports import CheckRecord, CheckReport
 from .rewrite import Presentation
@@ -118,17 +118,15 @@ class HopfPresentation:
         def leg(images: dict, fn, part) -> Element:
             img = images.get(part)
             if img is None:
-                img = images[part] = fn(
-                    Element.from_word(alph, to_base_slot(part), order))
+                img = images[part] = fn(Element.from_word(alph, part, order))
             return img
 
         lefts: dict = {}
         rights: dict = {}
         acc: dict = {}
         for word, coeff in x2.terms.items():
-            parts = slot_parts(word)
-            img = (leg(lefts, left, parts.get(1, ()))
-                   * leg(rights, right, parts.get(2, ())))
+            u, v = slot_words(word, 2)
+            img = leg(lefts, left, u) * leg(rights, right, v)
             accumulate_scaled(acc, img.terms, coeff)
         return self.base.normal_form(Element._of(alph, acc, order))
 
@@ -142,8 +140,6 @@ class HopfPresentation:
 
 def grouplike_residual(h: HopfPresentation, x: Element) -> Element:
     """Delta(x) - x (x) x in the 2-slot algebra (zero iff x is grouplike)."""
-    from .freealg import tensor_embed
-
     p2 = h.base.at_slots(2)
     nf = h.base.normal_form(x)
     lhs = h.apply_coproduct(nf)
@@ -194,9 +190,10 @@ def check_coassociativity(h: HopfPresentation) -> CheckReport:
     alph2 = p2.alphabet
     left_images = {}
     right_images = {}
-    for name in h.hopf_generators():
-        delta_g = h.apply_coproduct(
-            Element.generator(h.base.alphabet, name, h.order))
+    deltas = {name: h.apply_coproduct(
+        Element.generator(h.base.alphabet, name, h.order))
+        for name in h.hopf_generators()}
+    for name, delta_g in deltas.items():
         left_images[alph2.gen(name, 1)] = retag_slots(delta_g, {}, 3)
         left_images[alph2.gen(name, 2)] = Element.generator(
             p3.alphabet, name, h.order, slot=3)
@@ -207,9 +204,7 @@ def check_coassociativity(h: HopfPresentation) -> CheckReport:
                             p3.alphabet, h.order)
     id_delta = GeneratorMap(right_images, MapKind.HOMOMORPHISM, alph2,
                             p3.alphabet, h.order)
-    for name in h.hopf_generators():
-        delta_g = h.apply_coproduct(
-            Element.generator(h.base.alphabet, name, h.order))
+    for name, delta_g in deltas.items():
         residual = p3.normal_form(
             delta_id.apply(delta_g) - id_delta.apply(delta_g))
         report.add(CheckRecord(

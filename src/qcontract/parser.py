@@ -12,9 +12,10 @@ Grammar (whitespace-insensitive)::
 ``[x,y]`` is the commutator, names resolve to generators or parameters,
 ``i`` is the imaginary unit and ``eps`` the truncation variable.
 
-Expanding a power can blow up, so each multiplication inside ``x^n`` costs
-one step of the budget plus one per letter it may write (terms of the two
-factors times their summed degrees), charged before it is done.
+Expanding can blow up, so every product is charged to the step budget
+before it is done: a typed product (``*``, ``ox`` or a commutator) one step
+per pair of terms, each multiplication inside ``x^n`` one step plus one per
+letter it may write (terms of the two factors times their summed degrees).
 """
 
 from __future__ import annotations
@@ -149,6 +150,8 @@ class _Parser:
 
     def mul(self, a, b):
         a, b = self._promote(a, b)
+        _charge(self.budget, len(a.terms) * len(b.terms),
+                "step limit exceeded while expanding a product")
         return a * b
 
     # -- grammar -----------------------------------------------------------
@@ -181,7 +184,7 @@ class _Parser:
             if part.alphabet.slot_count != 1:
                 self.fail("nested tensor factors are not supported")
             emb = tensor_embed(part, slot, slot_count=len(parts))
-            out = emb if out is None else out * emb
+            out = emb if out is None else self.mul(out, emb)
         return out
 
     def parse_slotprod(self) -> Element:
@@ -258,8 +261,7 @@ class _Parser:
             self.expect_op(",")
             y = self.parse_expr()
             self.expect_op("]")
-            x, y = self._promote(x, y)
-            return x * y - y * x
+            return self.mul(x, y) - self.mul(y, x)
         raise ParseError("expected an atom", t.line, t.col)
 
 

@@ -21,6 +21,10 @@ Two paths compute normal forms:
 ambiguity (none skipped) and all of them resolved.  Nothing certifies a
 presentation implicitly.
 
+A tensor square or cube (``Presentation.at_slots``, a :class:`TensorPower`)
+has no rules of its own: it reduces each slot word of a tensor word through
+the base presentation's normal form, whichever of the two paths that is.
+
 The step budget: one limit, ``DEFAULT_STEP_LIMIT`` unless a ``with
 step_limit(n):`` block sets it (the command line sets it once, from
 ``--step-limit``, around the whole command).  Each top-level call draws a
@@ -31,9 +35,11 @@ fresh allowance equal to the current limit and raises
 rewriter and the randomized strategy; for the table, one fill (applying one
 rule) plus the steps of the products it multiplies out, while a product
 ``v*g`` that stays normal only appends a letter and is free, so the two
-counts are close (``(a+b+c+d)^8`` in suq2: 950,334 and 912,084).  A memoised
-word or table entry replays the steps it cost, so a limit trips at the same
-value whether the caches are cold or warm.
+counts are close (``(a+b+c+d)^8`` in suq2: 950,334 and 912,084).  A tensor
+power's normal form charges each slot word the steps of its base reduction;
+moving letters between slots is free.  A memoised word, slot word or table
+entry replays the steps it cost, so a limit trips at the same value whether
+the caches are cold or warm.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .freealg import (
     GeneratorId,
     Word,
     accumulate_scaled,
+    slot_words,
     word_key,
 )
 from .scalars import Scalar
@@ -107,9 +114,6 @@ class MonomialOrder:
     def key(self, word: Word):
         return word_key(self.alphabet, word)
 
-    def gt(self, u: Word, v: Word) -> bool:
-        return self.key(u) > self.key(v)
-
 
 @dataclass(frozen=True)
 class RewriteRule:
@@ -147,7 +151,9 @@ class Presentation:
         # word -> (normal form, fired rule indices, steps spent); cache hits
         # replay the step count so limits behave identically either way
         self._nf_cache: dict[Word, tuple[Element, frozenset[int], int]] = {}
-        self._tensor_cache: dict[int, Presentation] = {}
+        # (slot, word) -> (nf(word) moved into that tensor slot, steps
+        # spent), shared by the tensor powers and replayed like the above
+        self._legs: dict[tuple[int, Word], tuple[dict, int]] = {}
         # set by check_local_confluence once every ambiguity resolved
         self._table: NormalWordTable | None = None
 
@@ -155,10 +161,6 @@ class Presentation:
     def certified(self) -> bool:
         """Whether a confluence check covering every ambiguity passed."""
         return self._table is not None
-
-    @property
-    def slot_count(self) -> int:
-        return self.alphabet.slot_count
 
     def _validate(self):
         seen = set()
@@ -179,46 +181,10 @@ class Presentation:
                     raise RuleOrientationError(
                         r.label, "does not strictly decrease the monomial order")
 
-    # -- tensor powers -----------------------------------------------------
-
-    def at_slots(self, slot_count: int) -> "Presentation":
-        """The same presentation on a tensor power: per-slot rule copies plus
-        rules moving lower-slot letters left."""
-        if slot_count == 1:
-            return self
-        cached = self._tensor_cache.get(slot_count)
-        if cached is not None:
-            return cached
-        alph = self.alphabet.at_slots(slot_count)
-        rules = []
-        for s in alph.slots:
-            for r in self.rules:
-                lhs = tuple(GeneratorId(g.name, s) for g in r.lhs)
-                rhs = Element(
-                    alph,
-                    {tuple(GeneratorId(g.name, s) for g in w): c
-                     for w, c in r.rhs.terms.items()},
-                    self.trunc_order,
-                )
-                rules.append(RewriteRule(lhs, rhs, f"{r.label} @slot{s}"))
-        one = Scalar.one(self.trunc_order)
-        for lo in alph.slots:
-            for hi in alph.slots:
-                if lo >= hi:
-                    continue
-                for xn in alph.names:
-                    for yn in alph.names:
-                        x = GeneratorId(xn, hi)
-                        y = GeneratorId(yn, lo)
-                        rules.append(RewriteRule(
-                            (x, y),
-                            Element(alph, {(y, x): one}, self.trunc_order),
-                            f"slot-swap {xn}@{hi},{yn}@{lo}",
-                        ))
-        p = Presentation(alph, rules, self.trunc_order,
-                         name=f"{self.name}@{slot_count}", params=self.params)
-        self._tensor_cache[slot_count] = p
-        return p
+    def at_slots(self, slot_count: int) -> "Presentation | TensorPower":
+        """The tensor power with ``slot_count`` factors (this presentation
+        itself for one)."""
+        return self if slot_count == 1 else TensorPower(self, slot_count)
 
     # -- rewriting ---------------------------------------------------------
 
@@ -274,40 +240,93 @@ class Presentation:
     def normal_form(self, x: Element) -> Element:
         """The normal form of ``x``: through the normal-word table on a
         certified presentation, by the plain rewriter otherwise."""
-        if self._table is None:
-            return self.rewrite(x)
         self._check_alphabet(x)
-        try:
-            return self._table.normal_form(x)
-        except RecursionError:
-            # fills nested deeper than the interpreter's stack allows; the
-            # entries already filled stay valid
-            return self.rewrite(x)
+        return Element._of(self.alphabet, self._reduce(x.terms, allowance()),
+                           self.trunc_order)
 
     def rewrite(self, x: Element, fired: set[int] | None = None) -> Element:
         """The normal form of ``x`` by the plain rewriter; the indices of
         the rules it fires are added to ``fired`` when given."""
         self._check_alphabet(x)
-        budget, what = allowance(), self._exceeded
+        return Element._of(self.alphabet,
+                           self._rewrite(x.terms, allowance(), fired),
+                           self.trunc_order)
+
+    def _reduce(self, terms: dict, budget: list[int]) -> dict:
+        """The normal form of word -> coefficient ``terms``."""
+        if self._table is not None:
+            try:
+                return self._table.reduce(terms, budget)
+            except RecursionError:
+                # fills nested deeper than the interpreter's stack allows;
+                # the entries already filled stay valid
+                pass
+        return self._rewrite(terms, budget)
+
+    def _rewrite(self, terms: dict, budget: list[int],
+                 fired: set[int] | None = None) -> dict:
         acc: dict = {}
-        for word, coeff in x.terms.items():
-            nf_w, fr = self._nf_word(word, budget, what)
+        for word, coeff in terms.items():
+            nf_w, fr = self._nf_word(word, budget, self._exceeded)
             if fired is not None:
                 fired |= fr
             accumulate_scaled(acc, nf_w.terms, coeff)
-        return Element._of(self.alphabet, acc, self.trunc_order)
+        return acc
 
     def _check_alphabet(self, x: Element):
         if x.alphabet != self.alphabet:
             raise AlphabetMismatch(
                 f"element over {x.alphabet} fed to presentation over {self.alphabet}")
 
-    def rule_labels(self) -> list[str]:
-        return [r.label for r in self.rules]
-
     def __repr__(self):
         return (f"Presentation({self.name or '?'}: {len(self.alphabet.names)} "
-                f"generators, {len(self.rules)} rules, slots={self.slot_count})")
+                f"generators, {len(self.rules)} rules, slots={self.alphabet.slot_count})")
+
+
+class TensorPower:
+    """A presentation's tensor square or cube.  Letters of distinct slots
+    commute, so ``nf(u_1 (x) ... (x) u_n) = nf(u_1) (x) ... (x) nf(u_n)``:
+    ``normal_form`` reduces each slot word of a word by the base
+    presentation's normal form and multiplies the results slot by slot."""
+
+    def __init__(self, base: Presentation, slot_count: int):
+        self.base = base
+        self.alphabet = base.alphabet.at_slots(slot_count)
+        self.trunc_order = base.trunc_order
+        self.name = f"{base.name}@{slot_count}"
+        self._exceeded = f"step limit exceeded while reducing in {self.name}"
+
+    def normal_form(self, x: Element) -> Element:
+        Presentation._check_alphabet(self, x)
+        budget, acc = allowance(), {}
+        try:
+            for word, coeff in x.terms.items():
+                terms = {(): coeff}
+                for slot, part in enumerate(
+                        slot_words(word, self.alphabet.slot_count), 1):
+                    legs = self._leg(slot, part, budget)
+                    terms = {u + v: p for u, c in terms.items()
+                             for v, d in legs.items() if (p := c * d).terms}
+                for w, c in terms.items():
+                    _add_term(acc, w, c)
+        except StepLimitExceeded:
+            raise StepLimitExceeded(self._exceeded) from None
+        return Element._of(self.alphabet, acc, self.trunc_order)
+
+    def _leg(self, slot: int, word: Word, budget: list[int]) -> dict:
+        """The base normal form of the slot word ``word``, moved into
+        ``slot``; the base keeps the memo, so it outlives this object."""
+        base = self.base
+        hit = base._legs.get((slot, word))
+        if hit is not None:
+            _charge(budget, hit[1], self._exceeded)
+            return hit[0]
+        before = budget[0]
+        terms = base._reduce({word: Scalar.one(self.trunc_order)}, budget)
+        moved = {tuple([GeneratorId(g.name, slot) for g in w]): c
+                 for w, c in terms.items()}
+        base._legs[slot, word] = (moved, before - budget[0])
+        return moved
 
 
 def _add_term(acc: dict, w, c: Scalar) -> None:
@@ -341,7 +360,6 @@ class NormalWordTable:
 
     def __init__(self, p: Presentation):
         alph = p.alphabet
-        self.alphabet = alph
         self.order = p.trunc_order
         self.exceeded = p._exceeded
         self.letters = tuple(GeneratorId(n, s) for s in alph.slots
@@ -363,12 +381,12 @@ class NormalWordTable:
         index = self.index
         return tuple([index[g] for g in word])
 
-    def normal_form(self, x: Element) -> Element:
-        budget = allowance()
+    def reduce(self, terms: dict, budget: list[int]) -> dict:
+        """The normal form of the word -> coefficient ``terms``."""
         what, words = self.exceeded, self.words
         acc: dict = {}
         pending = []
-        for word, coeff in x.terms.items():
+        for word, coeff in terms.items():
             iw = self._code(word)
             hit = words.get(iw)
             if hit is None:
@@ -396,10 +414,7 @@ class NormalWordTable:
                 accumulate_scaled(acc, stack[-1][0], coeff)
                 prev = iw
         letters = self.letters
-        return Element._of(
-            self.alphabet,
-            {tuple(map(letters.__getitem__, w)): c for w, c in acc.items()},
-            self.order)
+        return {tuple(map(letters.__getitem__, w)): c for w, c in acc.items()}
 
     def _times(self, terms: dict, g: int, budget: list[int]) -> dict:
         """``nf(terms * g)`` for ``terms`` over normal words."""
@@ -571,6 +586,7 @@ def check_local_confluence(p: Presentation,
         report.items.append(ConfluenceItem(amb, nl == nr, nl, nr))
     if report.ok and p._table is None:
         p._table = NormalWordTable(p)
+        p._legs.clear()  # slot words now reduce, and cost, as table words
     return report
 
 

@@ -36,7 +36,7 @@ def random_scalar(rng: Random, order: int, params: tuple[str, ...] = ("lam",),
 def random_word(rng: Random, p: Presentation, degree: int,
                 exclude=(), forbid_adjacent=()) -> tuple:
     letters = [n for n in p.alphabet.names if n not in exclude]
-    slot = p.alphabet.slots[0] if p.slot_count == 1 else None
+    slot = p.alphabet.slots[0] if p.alphabet.slot_count == 1 else None
     word: list = []
     for _ in range(rng.randint(0, degree)):
         for _attempt in range(20):

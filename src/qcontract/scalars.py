@@ -239,10 +239,6 @@ class ParamMonomial:
     def of(cls, name: str, exp: int = 1) -> "ParamMonomial":
         return cls(((name, exp),))
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.exps
-
     def degree(self, name: str) -> int:
         for n, e in self.exps:
             if n == name:
@@ -378,9 +374,6 @@ class Scalar:
     @property
     def is_one(self) -> bool:
         return self.terms == {(_MONO_UNIT, 0): GR_ONE}
-
-    def max_eps_degree(self) -> int:
-        return max((eps for (_, eps) in self.terms), default=0)
 
     def max_param_degree(self, name: str) -> int:
         return max((abs(m.degree(name)) for (m, _) in self.terms), default=0)

@@ -12,10 +12,11 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from slot_swap import slot_swap_power
 
 from qcontract import catalog
 from qcontract.cli import main
-from qcontract.freealg import Element, GeneratorId, slot_parts, to_base_slot
+from qcontract.freealg import Element, GeneratorId
 from qcontract.hopf import HopfPresentation
 from qcontract.parser import parse_expression
 from qcontract.rewrite import (
@@ -309,15 +310,21 @@ def test_table_matches_rewriter_and_random_strategy(name, order):
 @pytest.mark.parametrize("order", range(5))
 @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
 def test_table_matches_rewriter_on_tensor_words(name, order):
+    # the slot-swap rewriting system of the tensor square, certified: its
+    # table, its rewriter, the randomized strategy and the slot-by-slot
+    # normal form of the tensor square agree
     h = catalog.load_presentation(f"builtin:{name}", order)
-    p2 = _certified(h.base.at_slots(2))
+    p2 = _certified(slot_swap_power(h.base, 2))
+    by_slot = h.base.at_slots(2)
     rng = Random(f"{name}-{order}-tensor")
     for _ in range(6):
         x = random_element(rng, p2, degree=5, n_terms=4, params=("q", "lam"))
         _assert_paths_agree(p2, x, rng)
+        assert by_slot.normal_form(x) == p2.rewrite(x)
     for g in h.hopf_generators():
         x = h.coproduct.apply(Element.generator(h.base.alphabet, g, order))
         _assert_paths_agree(p2, x * x * x, rng)
+        assert by_slot.normal_form(x * x * x) == p2.rewrite(x * x * x)
 
 
 NON_CONFLUENT = "[generators]\nc b a\n\n[rules]\na*b -> 1\nb*c -> 1\n"
@@ -488,11 +495,10 @@ def fold_tensor_per_word(h: HopfPresentation, x2: Element, left, right):
     x2 = h.base.at_slots(2).normal_form(x2)
     acc = Element.zero(h.base.alphabet, h.order)
     for word, coeff in x2.terms.items():
-        parts = slot_parts(word)
-        u = Element.from_word(h.base.alphabet,
-                              to_base_slot(parts.get(1, ())), h.order)
-        v = Element.from_word(h.base.alphabet,
-                              to_base_slot(parts.get(2, ())), h.order)
+        u, v = (Element.from_word(
+            h.base.alphabet,
+            tuple(GeneratorId(g.name) for g in word if g.slot == s), h.order)
+            for s in (1, 2))
         acc = acc + (left(u) * right(v)).scaled(coeff)
     return h.base.normal_form(acc)
 

@@ -74,6 +74,22 @@ def test_limit_bounds_every_normal_form_of_a_command(capsys, argv):
     assert err.startswith("step limit exceeded: ")
 
 
+def test_hopf_check_reduces_through_the_certified_table(capsys):
+    # the slot-swap rewriter needed 1964 steps for this suite
+    code, out, err = _run(capsys, "hopf-check", "-p", "builtin:ekappa2-klmn",
+                          "--step-limit", "1417")
+    assert (code, err) == (0, "")
+
+
+def test_limit_bounds_typed_products(capsys):
+    # 16 + 64 + 256 + 1024 pairs of terms by the fifth factor
+    code, out, err = _run(capsys, "nf", "--step-limit", "1000",
+                          "*".join(["(a+b+c+d)"] * 8))
+    assert (code, out) == (3, "")
+    assert err == ("step limit exceeded: step limit exceeded while expanding "
+                   "a product\n")
+
+
 def test_limit_bounds_presentation_file_expansion(capsys, tmp_path):
     src = tmp_path / "cube.preso"
     src.write_text("[generators]\nb c\n\n[rules]\nc*c*c*c -> b^3\n")

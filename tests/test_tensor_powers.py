@@ -1,0 +1,159 @@
+"""Tensor powers reduce slot by slot through the base presentation's own
+normal form; the oracle is the old rewriting system with per-slot rule
+copies and slot-swap rules (``slot_swap.py``)."""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from slot_swap import slot_swap_power
+
+from qcontract import catalog
+from qcontract.freealg import Alphabet, Element, GeneratorId, format_word
+from qcontract.parser import parse_expression
+from qcontract.rewrite import (
+    Presentation,
+    RewriteRule,
+    StepLimitExceeded,
+    certify,
+    check_local_confluence,
+    step_limit,
+)
+from qcontract.scalars import Scalar
+
+
+@lru_cache(maxsize=None)
+def _powers(name: str, order: int, certified: bool):
+    """A builtin's base presentation and its slot-swap squares and cubes."""
+    p = catalog.load_presentation(f"builtin:{name}", order).base
+    if certified:
+        assert certify(p)
+    return p, {k: slot_swap_power(p, k) for k in (2, 3)}
+
+
+@st.composite
+def tensor_elements(draw, alphabet: Alphabet, order: int):
+    """Up to three interleaved tensor words with rational coefficients,
+    some times eps."""
+    letters = st.builds(GeneratorId, st.sampled_from(alphabet.names),
+                        st.sampled_from(alphabet.slots))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        word = tuple(draw(st.lists(letters, max_size=6)))
+        coeff = Scalar.from_rational(
+            Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
+            order)
+        if draw(st.booleans()):
+            coeff = coeff * Scalar.eps(order)
+        terms[word] = coeff
+    return Element(alphabet, terms, order)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_slot_by_slot_matches_slot_swap_rewriting(name, k, data):
+    order = data.draw(st.integers(0, 4), label="order")
+    certified = data.draw(st.booleans(), label="certified")
+    p, oracles = _powers(name, order, certified)
+    x = data.draw(tensor_elements(oracles[k].alphabet, order))
+    assert p.at_slots(k).normal_form(x) == oracles[k].rewrite(x)
+
+
+@lru_cache(maxsize=None)
+def _marker_powers():
+    """The solver's marker presentation: the open final presentation plus a
+    letter Z standing for [eta, etabar]; it is not confluent."""
+    p = catalog.ekappa2_final_presentation(
+        1, with_commutator_rule=False).base
+    alph = Alphabet(p.alphabet.names + ("Z",))
+    eta, etabar = alph.gen("eta"), alph.gen("etabar")
+    rules = [RewriteRule(r.lhs, r.rhs.rebind(alph), r.label)
+             for r in p.rules]
+    rules.append(RewriteRule(
+        (etabar, eta),
+        Element.from_word(alph, (eta, etabar), 1)
+        - Element.generator(alph, "Z", 1),
+        "etabar*eta -> eta*etabar - Z"))
+    pz = Presentation(alph, rules, 1, name="marker")
+    assert not check_local_confluence(pz, 6).ok
+    assert not pz.certified
+    return pz, {k: slot_swap_power(pz, k) for k in (2, 3)}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_uncertified_marker_presentation_matches(k, data):
+    pz, oracles = _marker_powers()
+    x = data.draw(tensor_elements(oracles[k].alphabet, 1))
+    assert pz.at_slots(k).normal_form(x) == oracles[k].rewrite(x)
+
+
+@lru_cache(maxsize=None)
+def _eps_rule_powers(certified: bool):
+    """A rule with an eps coefficient: at order 1 an eps-weighted word
+    times its slot word's normal form vanishes."""
+    p = catalog.parse_presentation_text(
+        "[generators]\nb a\n\n[rules]\na*b -> eps*b*a\n", 1, name="eps")
+    if certified:
+        assert certify(p)
+    return p, {k: slot_swap_power(p, k) for k in (2, 3)}
+
+
+@pytest.mark.parametrize("certified", [False, True])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_vanishing_products_are_dropped(certified, data):
+    p, oracles = _eps_rule_powers(certified)
+    k = data.draw(st.sampled_from([2, 3]), label="k")
+    x = data.draw(tensor_elements(oracles[k].alphabet, 1))
+    assert p.at_slots(k).normal_form(x) == oracles[k].rewrite(x)
+
+
+def test_tensor_power_has_no_rules():
+    p = catalog.suq2_presentation(1).base
+    assert p.at_slots(1) is p
+    p2 = p.at_slots(2)
+    assert not isinstance(p2, Presentation)
+    assert not hasattr(p2, "rules")
+    assert (p2.alphabet, p2.trunc_order, p2.name) == (
+        p.alphabet.at_slots(2), 1, "suq2@2")
+
+
+def test_interleaved_words_print_slot_by_slot():
+    a1, b1, a2, c3 = (GeneratorId("a", 1), GeneratorId("b", 1),
+                      GeneratorId("a", 2), GeneratorId("c", 3))
+    assert format_word((a2, a1, c3, b1, a2), 3) == "a*b ox a^2 ox c"
+    assert format_word((), 2) == "1 ox 1"
+
+
+# Smallest step limit at which this input reduces in suq2 (x) suq2 at order
+# 2: each slot word costs the steps of its base reduction, a memoised one
+# replayed, and moving letters between slots is free.
+TENSOR_INPUT = "(a ox a + b ox c + c ox b + d ox d)^3"
+TENSOR_THRESHOLD = 160
+
+
+@pytest.mark.parametrize("certified", [False, True])
+@pytest.mark.parametrize("warm", ["cold", "same input", "word by word"])
+def test_tensor_step_limit_threshold(certified, warm):
+    p = catalog.load_presentation("builtin:suq2", 2).base
+    if certified:
+        assert certify(p)
+    x = parse_expression(TENSOR_INPUT, p.alphabet, ("q",), 2)
+    p2 = p.at_slots(2)
+    if warm == "same input":
+        p2.normal_form(x)
+    elif warm == "word by word":
+        for w in reversed(list(x.terms)):
+            p2.normal_form(Element.from_word(x.alphabet, w, 2))
+    with pytest.raises(StepLimitExceeded, match=r"reducing in suq2@2$"), \
+            step_limit(TENSOR_THRESHOLD - 1):
+        p2.normal_form(x)
+    with step_limit(TENSOR_THRESHOLD):
+        got = p2.normal_form(x)
+    assert got == slot_swap_power(p, 2).rewrite(x)
