@@ -22,12 +22,13 @@ the rule for L*J is the reduction of [L, J] = -J [L, K] J by M^2 -> K^2 - 1
 and K*J -> 1, and the antipode is induced by that of the source algebra
 through the contraction.  In ``ekappa2-final`` the F-rules follow from the
 E-rules by conjugating with the inverse, and the counit and antipode solve
-the Hopf axioms on generators.  The confluence and Hopf suites certify all
+the Hopf axioms on generators.  The confluence and Hopf suites check all
 of them.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
@@ -570,10 +571,29 @@ def serialize_presentation(h) -> str:
     return "\n".join(lines) + "\n"
 
 
-def builtin_source(name: str, catalog_dir: str | Path | None = None) -> str:
+_builtin_dir: Path | None = None
+
+
+@contextmanager
+def builtin_dir(path: str | Path | None):
+    """Read every builtin from the directory ``path`` within the block (the
+    shipped files when ``None``); the previous directory comes back on
+    leaving it, by an exception too."""
+    global _builtin_dir
+    previous = _builtin_dir
+    _builtin_dir = None if path is None else Path(path)
+    try:
+        yield
+    finally:
+        _builtin_dir = previous
+
+
+def builtin_source(name: str) -> str:
+    """The text of the builtin ``name``, from the directory set by
+    :func:`builtin_dir`."""
     fname = _BUILTIN_FILES[name]
-    if catalog_dir is not None:
-        return (Path(catalog_dir) / fname).read_text()
+    if _builtin_dir is not None:
+        return (_builtin_dir / fname).read_text()
     return _shipped_source(fname)
 
 
@@ -585,8 +605,7 @@ def _shipped_source(fname: str) -> str:
 
 
 def load_presentation(source: str | Path, order: int = 1,
-                      lam_zero: bool = False,
-                      catalog_dir: str | Path | None = None):
+                      lam_zero: bool = False):
     """Load a presentation from a ``builtin:`` URI or a file path."""
     src = str(source)
     if src.startswith("builtin:"):
@@ -594,8 +613,7 @@ def load_presentation(source: str | Path, order: int = 1,
         if name not in BUILTIN_NAMES:
             raise PresentationFormatError(
                 f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}")
-        h = parse_presentation_text(builtin_source(name, catalog_dir), order,
-                                    name=name)
+        h = parse_presentation_text(builtin_source(name), order, name=name)
     else:
         path = Path(src)
         h = parse_presentation_text(path.read_text(), order, name=path.stem)

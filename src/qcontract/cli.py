@@ -30,7 +30,6 @@ from .rewrite import (
     OverlapBoundError,
     RuleOrientationError,
     StepLimitExceeded,
-    certify,
     check_local_confluence,
 )
 
@@ -49,13 +48,11 @@ class RunConfig:
     max_overlap: int = 6
     output: str = "text"
     timings: bool = False
-    catalog_dir: str | None = None
     lam_zero: bool = False
 
     def public_dict(self) -> dict:
         d = asdict(self)
         d.pop("timings")
-        d.pop("catalog_dir")
         d.pop("lam_zero")
         return d
 
@@ -96,15 +93,13 @@ def _config(args) -> RunConfig:
         max_overlap=args.max_overlap,
         output=args.output,
         timings=args.timings,
-        catalog_dir=args.catalog_dir,
         lam_zero=args.lam_zero,
     )
 
 
 def _load(cfg: RunConfig):
     return catalog.load_presentation(
-        cfg.presentation, cfg.truncation_order, lam_zero=cfg.lam_zero,
-        catalog_dir=cfg.catalog_dir)
+        cfg.presentation, cfg.truncation_order, lam_zero=cfg.lam_zero)
 
 
 def _emit(report: CheckReport, cfg: RunConfig) -> int:
@@ -147,9 +142,6 @@ def cmd_nf(args) -> int:
     params = _presentation_params(base)
     expr = parse_expression(args.expression, base.alphabet, params,
                             cfg.truncation_order)
-    # a certified presentation reduces through the normal-word table; one
-    # that is not (or whose check exceeds the limit) keeps the rewriter
-    certify(base)
     nf = base.normal_form(expr)
     print(nf)
     return EXIT_OK
@@ -188,11 +180,7 @@ def cmd_hopf_check(args) -> int:
     cfg = _config(args)
     h = _load(cfg)
     if not isinstance(h, HopfPresentation):
-        print("presentation has no Hopf data", file=sys.stderr)
-        return EXIT_USAGE
-    # as in ``nf``: a confluent presentation reduces, and is charged,
-    # through its normal-word table, as ``report`` reduces the builtins
-    certify(h.base)
+        raise catalog.PresentationFormatError("presentation has no Hopf data")
     rng = Random(cfg.seed)
     report = _timed(lambda: run_hopf_suite(h, rng=rng, n_random=25), cfg)
     return _emit(report, cfg)
@@ -247,20 +235,18 @@ def cmd_solve_commutator(args) -> int:
 
 
 def _catalog_report(cfg: RunConfig):
-    """Load each builtin (from ``--catalog-dir`` when given) and check that
-    its file is in canonical form; returns the report and the loaded
-    presentations by name."""
+    """Load each builtin and check that its file is in canonical form;
+    returns the report and the loaded presentations by name."""
     report = CheckReport()
     loaded = {}
     for name in catalog.BUILTIN_NAMES:
         try:
-            h = catalog.load_presentation(
-                f"builtin:{name}", cfg.truncation_order,
-                catalog_dir=cfg.catalog_dir)
+            h = catalog.load_presentation(f"builtin:{name}",
+                                          cfg.truncation_order)
             if not isinstance(h, HopfPresentation):
                 residual = "no Hopf data"
             elif (catalog.serialize_presentation(h)
-                  != catalog.builtin_source(name, cfg.catalog_dir)):
+                  != catalog.builtin_source(name)):
                 residual = "not in canonical form"
             else:
                 residual = "0"
@@ -392,8 +378,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        # every normal form and expansion of the command draws this limit
-        with rewrite.step_limit(args.step_limit):
+        # every normal form and expansion of the command draws this limit,
+        # and every builtin it loads is read from this directory
+        with rewrite.step_limit(args.step_limit), \
+                catalog.builtin_dir(args.catalog_dir):
             code = args.fn(args)
     except StepLimitExceeded as exc:
         print(f"step limit exceeded: {exc}", file=sys.stderr)

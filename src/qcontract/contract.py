@@ -655,6 +655,22 @@ def _solve_affine_system(base: Element, directions: dict[str, Element],
     return SolveOutcome("unique", solution, rank, len(columns))
 
 
+def marker_presentation(p: Presentation, x_name: str,
+                        y_name: str) -> Presentation:
+    """``p`` plus the marker letter and, when no rule orders the x y / y x
+    words, the rule setting [x, y] to the marker.  The marker is a free
+    letter, so in general it is not confluent."""
+    order = p.trunc_order
+    alph_z = Alphabet(p.alphabet.names + (MARKER,))
+    rules = [RewriteRule(r.lhs, r.rhs.rebind(alph_z), r.label)
+             for r in p.rules]
+    gx, gy = p.alphabet.gen(x_name), p.alphabet.gen(y_name)
+    if p.is_normal_word((gx, gy)) and p.is_normal_word((gy, gx)):
+        rules.append(_commutator_rule(alph_z, x_name, y_name,
+                                      Element.generator(alph_z, MARKER, order)))
+    return Presentation(alph_z, rules, order, name=f"{p.name}+marker")
+
+
 def _solve_marker(p: Presentation, x_name: str, y_name: str,
                   expr: Element, basis: dict[str, Element],
                   offsets: dict[str, Element] | None) -> SolveOutcome:
@@ -668,16 +684,8 @@ def _solve_marker(p: Presentation, x_name: str, y_name: str,
     given) gives the direction of each unknown c_w.
     """
     order = p.trunc_order
-    alph_z = Alphabet(p.alphabet.names + (MARKER,))
-    rules = [RewriteRule(r.lhs, r.rhs.rebind(alph_z), r.label)
-             for r in p.rules]
-    gx, gy = p.alphabet.gen(x_name), p.alphabet.gen(y_name)
-    if p.is_normal_word((gx, gy)) and p.is_normal_word((gy, gx)):
-        rules.append(_commutator_rule(alph_z, x_name, y_name,
-                                      Element.generator(alph_z, MARKER, order)))
     slots = expr.alphabet.slot_count
-    p_z = Presentation(alph_z, rules, order,
-                       name=f"{p.name}+marker").at_slots(slots)
+    p_z = marker_presentation(p, x_name, y_name).at_slots(slots)
     alph = p_z.alphabet
     base_terms, contexts = _split_marker(p_z.normal_form(expr.rebind(alph)))
 

@@ -6,24 +6,20 @@ of their right-hand side.  Rewriting therefore terminates; local confluence is
 checked, not assumed, by resolving every overlap and inclusion ambiguity
 between rule left-hand sides.
 
-Two paths compute normal forms:
-
-* The plain rewriter (``Presentation.rewrite``) reduces each word on a stack
-  by the leftmost, strongest redex.  Confluence checks, requests for the
-  fired rules and every presentation not certified confluent use it, and it
-  is the oracle of the table path.
-* On a presentation certified confluent, normal forms are unique (Bergman's
-  diamond lemma), so ``nf(u*g) = nf(nf(u)*g)`` and ``normal_form`` multiplies
-  in the basis of normal words, one letter at a time, through a memoised
-  table ``nf(v*g)`` (see :class:`NormalWordTable`).
-
-``check_local_confluence`` certifies a presentation when it reduced every
-ambiguity (none skipped) and all of them resolved.  Nothing certifies a
-presentation implicitly.
+``normal_form`` multiplies in the basis of normal words, one letter at a
+time, through a memoised table ``nf(v*g)`` (see :class:`NormalWordTable`).
+Filling the table only applies rules, so on every presentation it returns an
+irreducible reduct of its input, and on a confluent one the unique normal
+form (Bergman's diamond lemma).  The plain rewriter (``Presentation.rewrite``)
+reduces each word on a stack by the leftmost, strongest redex.  It is the
+reference: confluence checks reduce with it, so their verdict never depends
+on the table, it reports the rules it fires, and it takes over when table
+fills nest deeper than the interpreter's stack.  ``check_local_confluence``
+reports a verdict and changes nothing on its presentation.
 
 A tensor square or cube (``Presentation.at_slots``, a :class:`TensorPower`)
 has no rules of its own: it reduces each slot word of a tensor word through
-the base presentation's normal form, whichever of the two paths that is.
+the base presentation's normal form.
 
 The step budget: one limit, ``DEFAULT_STEP_LIMIT`` unless a ``with
 step_limit(n):`` block sets it (the command line sets it once, from
@@ -37,9 +33,9 @@ rule) plus the steps of the products it multiplies out, while a product
 ``v*g`` that stays normal only appends a letter and is free, so the two
 counts are close (``(a+b+c+d)^8`` in suq2: 950,334 and 912,084).  A tensor
 power's normal form charges each slot word the steps of its base reduction;
-moving letters between slots is free.  A memoised word, slot word or table
-entry replays the steps it cost, so a limit trips at the same value whether
-the caches are cold or warm.
+moving letters between slots is free.  A memoised table entry or slot word
+replays the steps it cost, so a limit trips at the same value whether the
+memos are cold or warm.  The rewriter keeps no memo.
 """
 
 from __future__ import annotations
@@ -148,19 +144,10 @@ class Presentation:
             lst.sort(key=lambda i: self.order.key(self.rules[i].lhs),
                      reverse=True)
         self._by_first = by_first
-        # word -> (normal form, fired rule indices, steps spent); cache hits
-        # replay the step count so limits behave identically either way
-        self._nf_cache: dict[Word, tuple[Element, frozenset[int], int]] = {}
+        self._table = NormalWordTable(self)
         # (slot, word) -> (nf(word) moved into that tensor slot, steps
-        # spent), shared by the tensor powers and replayed like the above
+        # spent), shared by the tensor powers; a hit replays the steps
         self._legs: dict[tuple[int, Word], tuple[dict, int]] = {}
-        # set by check_local_confluence once every ambiguity resolved
-        self._table: NormalWordTable | None = None
-
-    @property
-    def certified(self) -> bool:
-        """Whether a confluence check covering every ambiguity passed."""
-        return self._table is not None
 
     def _validate(self):
         seen = set()
@@ -202,44 +189,8 @@ class Presentation:
     def is_normal_word(self, word: Word) -> bool:
         return self.find_match(word) is None
 
-    def _nf_word(self, word: Word, budget: list[int],
-                 what: str) -> tuple[Element, frozenset[int]]:
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            elem, fired, steps = cached
-            _charge(budget, steps, what)
-            return elem, fired
-        result: dict = {}
-        fired: set[int] = set()
-        steps = 0
-        one = Scalar.one(self.trunc_order)
-        stack: list[tuple[Word, Scalar]] = [(word, one)]
-        while stack:
-            w, c = stack.pop()
-            m = self.find_match(w)
-            if m is None:
-                cur = result.get(w)
-                result[w] = c if cur is None else cur + c
-                continue
-            pos, idx = m
-            steps += 1
-            _charge(budget, 1, what)
-            fired.add(idx)
-            rule = self.rules[idx]
-            pre = w[:pos]
-            suf = w[pos + len(rule.lhs):]
-            for rw, rc in rule.rhs.terms.items():
-                nc = c * rc
-                if nc.is_zero:
-                    continue
-                stack.append((pre + rw + suf, nc))
-        elem = Element(self.alphabet, result, self.trunc_order)
-        self._nf_cache[word] = (elem, frozenset(fired), steps)
-        return elem, frozenset(fired)
-
     def normal_form(self, x: Element) -> Element:
-        """The normal form of ``x``: through the normal-word table on a
-        certified presentation, by the plain rewriter otherwise."""
+        """The normal form of ``x``, through the normal-word table."""
         self._check_alphabet(x)
         return Element._of(self.alphabet, self._reduce(x.terms, allowance()),
                            self.trunc_order)
@@ -254,23 +205,41 @@ class Presentation:
 
     def _reduce(self, terms: dict, budget: list[int]) -> dict:
         """The normal form of word -> coefficient ``terms``."""
-        if self._table is not None:
-            try:
-                return self._table.reduce(terms, budget)
-            except RecursionError:
-                # fills nested deeper than the interpreter's stack allows;
-                # the entries already filled stay valid
-                pass
-        return self._rewrite(terms, budget)
+        try:
+            return self._table.reduce(terms, budget)
+        except RecursionError:
+            # fills nested deeper than the interpreter's stack allows; the
+            # entries already filled stay valid
+            return self._rewrite(terms, budget)
 
     def _rewrite(self, terms: dict, budget: list[int],
                  fired: set[int] | None = None) -> dict:
+        """Reduce each word on a stack by the leftmost, strongest redex."""
+        what, one = self._exceeded, Scalar.one(self.trunc_order)
         acc: dict = {}
         for word, coeff in terms.items():
-            nf_w, fr = self._nf_word(word, budget, self._exceeded)
-            if fired is not None:
-                fired |= fr
-            accumulate_scaled(acc, nf_w.terms, coeff)
+            result: dict = {}
+            stack: list[tuple[Word, Scalar]] = [(word, one)]
+            while stack:
+                w, c = stack.pop()
+                m = self.find_match(w)
+                if m is None:
+                    cur = result.get(w)
+                    result[w] = c if cur is None else cur + c
+                    continue
+                pos, idx = m
+                _charge(budget, 1, what)
+                if fired is not None:
+                    fired.add(idx)
+                rule = self.rules[idx]
+                pre = w[:pos]
+                suf = w[pos + len(rule.lhs):]
+                for rw, rc in rule.rhs.terms.items():
+                    nc = c * rc
+                    if nc.is_zero:
+                        continue
+                    stack.append((pre + rw + suf, nc))
+            accumulate_scaled(acc, result, coeff)
         return acc
 
     def _check_alphabet(self, x: Element):
@@ -343,8 +312,7 @@ def _add_term(acc: dict, w, c: Scalar) -> None:
 
 
 class NormalWordTable:
-    """Normal forms on a certified-confluent presentation by multiplying
-    normal words by one letter at a time.
+    """Normal forms by multiplying normal words by one letter at a time.
 
     Letters are numbered slot by slot in precedence order, and words are
     tuples of those numbers.  ``products[v + (g,)]`` holds ``nf(v*g)`` and
@@ -353,9 +321,12 @@ class NormalWordTable:
     rule ``l*g -> r``, filling the entry multiplies the normal prefix ``p``
     by the letters of each word of ``r`` through the table again.  Each such
     product is smaller than ``v*g`` in the deglex order, so the recursion
-    ends.  ``words`` is the whole-word memo.  Words not in it are folded in
-    sorted order, so neighbours share their common prefix's partial
-    products on a stack.
+    ends.  A fill only applies rules, so every entry is an irreducible
+    reduct of its word, a pure function of that word whatever else the
+    table holds; on a confluent presentation it is the normal form, and
+    ``nf(u*g) = nf(nf(u)*g)``.  ``words`` is the whole-word memo.  Words not
+    in it are folded in sorted order, so neighbours share their common
+    prefix's partial products on a stack.
     """
 
     def __init__(self, p: Presentation):
@@ -573,9 +544,7 @@ def check_local_confluence(p: Presentation,
                            max_overlap: int = 6) -> ConfluenceReport:
     """Reduce both sides of every ambiguity whose word has at most
     ``max_overlap`` letters by the plain rewriter; each longer one is a
-    skipped failure.  When none is skipped and all resolve, the
-    presentation is certified confluent and ``normal_form`` uses the
-    normal-word table from then on."""
+    skipped failure.  The report is the verdict: ``p`` is left as it was."""
     report = ConfluenceReport(presentation=p.name or "presentation")
     for amb in critical_pairs(p, max_overlap):
         if len(amb.word) > max_overlap:
@@ -584,20 +553,4 @@ def check_local_confluence(p: Presentation,
         nl = p.rewrite(amb.left)
         nr = p.rewrite(amb.right)
         report.items.append(ConfluenceItem(amb, nl == nr, nl, nr))
-    if report.ok and p._table is None:
-        p._table = NormalWordTable(p)
-        p._legs.clear()  # slot words now reduce, and cost, as table words
     return report
-
-
-def certify(p: Presentation) -> bool:
-    """Check local confluence with an overlap bound that covers every
-    ambiguity; true when ``p`` is now certified.  A check that exceeds the
-    step limit leaves ``p`` uncertified."""
-    longest = max((len(r.lhs) for r in p.rules), default=0)
-    try:
-        # no ambiguity word is longer than two left-hand sides
-        check_local_confluence(p, 2 * longest)
-    except StepLimitExceeded:
-        pass
-    return p.certified

@@ -20,6 +20,21 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _corrupted_klmn(tmp_path) -> Path:
+    """A copy of the shipped files whose klmn rule for L*K carries twice
+    its lam*M^2 term; the file stays canonical."""
+    bad = tmp_path / "cat"
+    bad.mkdir()
+    for f in DATA.glob("*.preso"):
+        shutil.copy(f, bad / f.name)
+    target = bad / "ekappa2_klmn.preso"
+    text = target.read_text()
+    assert "L*K -> lam*M^2 + K*L" in text
+    target.write_text(text.replace("L*K -> lam*M^2 + K*L",
+                                   "L*K -> 2*lam*M^2 + K*L"))
+    return bad
+
+
 class TestNf:
     def test_q_commutation(self, capsys):
         code, out, _ = run(capsys, "nf", "-p", "builtin:suq2", "a*b")
@@ -208,8 +223,8 @@ class TestHopfCheck:
     def test_bare_presentation_is_usage_error(self, capsys, tmp_path):
         src = tmp_path / "toy.preso"
         src.write_text("[generators]\nx y\n\n[rules]\ny*x -> x*y\n")
-        code, _, err = run(capsys, "hopf-check", "-p", str(src))
-        assert code == 2
+        assert run(capsys, "hopf-check", "-p", str(src)) == (
+            2, "", "error: presentation has no Hopf data\n")
 
 
 class TestContractCommand:
@@ -217,6 +232,13 @@ class TestContractCommand:
         code, out, _ = run(capsys, "contract")
         assert code == 0
         assert "failed: 0" in out
+
+    def test_catalog_dir_is_read(self, capsys, tmp_path):
+        bad = _corrupted_klmn(tmp_path)
+        code, out, _ = run(capsys, "contract", "--catalog-dir", str(bad))
+        assert code == 1
+        for name in ("rtt[12,12]", "rtt[21,21]", "determinant"):
+            assert f"[FAIL] contract/relation/{name}/eps^1" in out
 
     def test_lam_zero(self, capsys):
         code, out, _ = run(capsys, "contract", "--lam-zero")
@@ -311,6 +333,14 @@ class TestReport:
         assert "[ok  ] catalog/load/suq2\n" in out
         assert "[FAIL] suq2/delta-respects/a*d -> 2*q*b*c + 1" in out
         assert "[FAIL] suq2/determinant-central" in out
+
+    def test_catalog_dir_reaches_the_contraction_checks(self, capsys,
+                                                        tmp_path):
+        bad = _corrupted_klmn(tmp_path)
+        code, out, _ = run(capsys, "report", "--catalog-dir", str(bad))
+        assert code == 1
+        assert "[FAIL] contract/relation/rtt[12,12]/eps^1" in out
+        assert "[FAIL] change-of-variables/" in out
 
     def test_non_canonical_catalog_file_fails(self, capsys, tmp_path):
         bad = tmp_path / "cat"

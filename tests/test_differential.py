@@ -5,6 +5,7 @@ slow paths."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
 from random import Random
@@ -14,14 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from slot_swap import slot_swap_power
 
-from qcontract import catalog
-from qcontract.cli import main
-from qcontract.freealg import Element, GeneratorId
+from qcontract import catalog, contract
+from qcontract.freealg import Element, GeneratorId, tensor_embed
 from qcontract.hopf import HopfPresentation
 from qcontract.parser import parse_expression
 from qcontract.rewrite import (
     StepLimitExceeded,
-    certify,
     check_local_confluence,
     normal_form_random,
     step_limit,
@@ -251,8 +250,8 @@ def test_normal_form_matches_random_strategy(name, seed):
         assert p.normal_form(x) == normal_form_random(p, x, Random(seed + 99))
 
 
-# Smallest step limits at which these inputs reduce at order 2; fixed by the
-# step accounting of the rewriter and unchanged by scalar representation.
+# Smallest step limits at which the plain rewriter reduces these inputs at
+# order 2: one step per rule application, unchanged by scalar representation.
 STEP_THRESHOLDS = [
     ("suq2", "d*d*d*a*a*a", 20),
     ("suq2", "(a+b+c+d)^4", 642),
@@ -263,24 +262,21 @@ STEP_THRESHOLDS = [
 
 @pytest.mark.parametrize("name,expr,limit", STEP_THRESHOLDS)
 def test_step_limit_threshold(name, expr, limit):
-    for warm in (False, True):
-        p = catalog.load_presentation(f"builtin:{name}", 2).base
-        x = parse_expression(expr, p.alphabet, ("lam", "q"), 2)
-        if warm:
-            p.normal_form(x)  # cached words replay their step counts
-        with pytest.raises(StepLimitExceeded), step_limit(limit - 1):
-            p.normal_form(x)
-        with step_limit(limit):
-            assert not p.normal_form(x).is_zero
+    p = catalog.load_presentation(f"builtin:{name}", 2).base
+    x = parse_expression(expr, p.alphabet, ("lam", "q"), 2)
+    with pytest.raises(StepLimitExceeded), step_limit(limit - 1):
+        p.rewrite(x)
+    with step_limit(limit):
+        assert not p.rewrite(x).is_zero
 
 
+# -- the normal-word table against the rewriter --------------------------------
 
-# -- the normal-word table on certified presentations -------------------------
 
-
-def _certified(p):
-    assert not p.certified
-    assert certify(p)
+def _confluent(p):
+    longest = max(len(r.lhs) for r in p.rules)
+    # no ambiguity word is longer than two left-hand sides
+    assert check_local_confluence(p, 2 * longest).ok
     return p
 
 
@@ -294,7 +290,7 @@ def _assert_paths_agree(p, x, rng):
 @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
 def test_table_matches_rewriter_and_random_strategy(name, order):
     h = catalog.load_presentation(f"builtin:{name}", order)
-    p = _certified(h.base)
+    p = _confluent(h.base)
     rng = Random(f"{name}-{order}")
     for _ in range(8):
         x = random_element(rng, p, degree=6, n_terms=4, params=("q", "lam"))
@@ -310,11 +306,11 @@ def test_table_matches_rewriter_and_random_strategy(name, order):
 @pytest.mark.parametrize("order", range(5))
 @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
 def test_table_matches_rewriter_on_tensor_words(name, order):
-    # the slot-swap rewriting system of the tensor square, certified: its
+    # the slot-swap rewriting system of the tensor square, confluent: its
     # table, its rewriter, the randomized strategy and the slot-by-slot
     # normal form of the tensor square agree
     h = catalog.load_presentation(f"builtin:{name}", order)
-    p2 = _certified(slot_swap_power(h.base, 2))
+    p2 = _confluent(slot_swap_power(h.base, 2))
     by_slot = h.base.at_slots(2)
     rng = Random(f"{name}-{order}-tensor")
     for _ in range(6):
@@ -330,26 +326,60 @@ def test_table_matches_rewriter_on_tensor_words(name, order):
 NON_CONFLUENT = "[generators]\nc b a\n\n[rules]\na*b -> 1\nb*c -> 1\n"
 
 
-def test_non_confluent_presentation_is_never_certified(tmp_path, capsys):
-    p = catalog.parse_presentation_text(NON_CONFLUENT, name="bad")
-    assert not check_local_confluence(p, 6).ok
-    assert not certify(p) and not p.certified
-    x = parse_expression("a*b*c + 2*c*b*a*b", p.alphabet, (), 1)
-    assert p.normal_form(x) == p.rewrite(x)
-    src = tmp_path / "bad.preso"
-    src.write_text(NON_CONFLUENT)
-    assert main(["nf", "-p", str(src), "a*b*c + 2*c*b*a*b"]) == 0
-    assert capsys.readouterr().out == f"{p.rewrite(x)}\n"
+@lru_cache(maxsize=None)
+def _non_confluent():
+    """The toy presentation above and the presentations with the marker
+    letter that both commutator solvers reduce in."""
+    final_open = catalog.ekappa2_final_presentation(
+        1, with_commutator_rule=False).base
+    klmn = catalog.ekappa2_klmn_presentation(1).base
+    ps = (catalog.parse_presentation_text(NON_CONFLUENT, name="bad"),
+          contract.marker_presentation(final_open, "eta", "etabar"),
+          contract.marker_presentation(klmn, "L", "N"))
+    for p in ps:
+        assert not check_local_confluence(
+            p, 2 * max(len(r.lhs) for r in p.rules)).ok
+    return ps
 
 
-def test_skipped_or_limited_check_does_not_certify():
+@st.composite
+def non_confluent_inputs(draw):
+    p = draw(st.sampled_from(_non_confluent()))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        word = tuple(p.alphabet.gen(g) for g in draw(
+            st.lists(st.sampled_from(p.alphabet.names), max_size=7)))
+        terms[word] = Scalar.from_rational(
+            Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))), 1)
+    return p, Element(p.alphabet, terms, 1)
+
+
+@given(non_confluent_inputs())
+@settings(max_examples=150, deadline=None)
+def test_normal_form_is_irreducible_and_idempotent_without_confluence(case):
+    p, x = case
+    nf = p.normal_form(x)
+    assert all(p.is_normal_word(w) for w in nf.terms)
+    assert p.normal_form(nf) == nf
+
+
+def _state(obj) -> dict:
+    """The attributes of ``obj``, each dict among them copied."""
+    return {k: dict(v) if isinstance(v, dict) else v
+            for k, v in vars(obj).items()}
+
+
+def test_confluence_check_leaves_its_presentation_as_it_was():
     p = catalog.load_presentation("builtin:suq2", 1).base
+    x = parse_expression("d*d*a*a + b*c*d", p.alphabet, ("q",), 1)
+    p.normal_form(x)
+    p.at_slots(2).normal_form(tensor_embed(x, 1) * tensor_embed(x, 2))
+    before, table = _state(p), _state(p._table)
     assert not check_local_confluence(p, 2).ok  # 3-letter ambiguities skipped
-    assert not p.certified
-    with step_limit(1):
-        assert not certify(p)
-    assert not p.certified
-    assert certify(p)
+    assert check_local_confluence(p, 6).ok
+    with pytest.raises(StepLimitExceeded), step_limit(1):
+        check_local_confluence(p, 6)
+    assert _state(p) == before and _state(p._table) == table
 
 
 def test_deep_fill_chain_falls_back_to_the_rewriter():
@@ -359,13 +389,14 @@ def test_deep_fill_chain_falls_back_to_the_rewriter():
             + "\n\n[rules]\n"
             + "".join(f"x{i + 1} -> x{i}\n" for i in range(n - 1)))
     p = catalog.parse_presentation_text(text)
-    assert certify(p)
     x = parse_expression(f"x{n - 1}^2 + x3", p.alphabet, (), 1)
     assert str(p.normal_form(x)) == "x0^2 + x0"
 
 
-# Smallest step limits at which these inputs reduce at order 2 on the
-# certified path: one step per table fill, memoised fills replayed.
+# Smallest step limits at which ``normal_form`` reduces these inputs at
+# order 2 through the normal-word table: one step per table fill, memoised
+# fills replayed.  The builtins are certified confluent, so the table and
+# the rewriter agree.
 CERTIFIED_STEP_THRESHOLDS = [
     ("suq2", "d*d*d*a*a*a", 18),
     ("suq2", "(a+b+c+d)^4", 642),
@@ -377,8 +408,7 @@ CERTIFIED_STEP_THRESHOLDS = [
 @pytest.mark.parametrize("name,expr,limit", CERTIFIED_STEP_THRESHOLDS)
 @pytest.mark.parametrize("warm", ["cold", "same input", "word by word"])
 def test_certified_step_limit_threshold(name, expr, limit, warm):
-    p = catalog.load_presentation(f"builtin:{name}", 2).base
-    assert certify(p)
+    p = _confluent(catalog.load_presentation(f"builtin:{name}", 2).base)
     x = parse_expression(expr, p.alphabet, ("lam", "q"), 2)
     if warm == "same input":
         p.normal_form(x)

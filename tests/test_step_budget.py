@@ -74,11 +74,26 @@ def test_limit_bounds_every_normal_form_of_a_command(capsys, argv):
     assert err.startswith("step limit exceeded: ")
 
 
-def test_hopf_check_reduces_through_the_certified_table(capsys):
+def test_hopf_check_reduces_through_the_table(capsys):
     # the slot-swap rewriter needed 1964 steps for this suite
     code, out, err = _run(capsys, "hopf-check", "-p", "builtin:ekappa2-klmn",
                           "--step-limit", "1417")
     assert (code, err) == (0, "")
+
+
+# Smallest limits at which these commands pass: every normal form, the
+# solvers' marker presentations included, reduces through the table.
+@pytest.mark.parametrize("argv,limit", [
+    (("contract",), 180),
+    (("solve-commutator", "--ln"), 316),
+], ids=["contract", "solve-commutator --ln"])
+def test_command_step_limit_threshold(capsys, argv, limit):
+    code, out, err = _run(capsys, *argv, "--step-limit", str(limit - 1))
+    assert code == 3
+    assert err.startswith("step limit exceeded: ")
+    code, out, err = _run(capsys, *argv, "--step-limit", str(limit))
+    assert (code, err) == (0, "")
+    assert out.endswith("failed: 0\n")
 
 
 def test_limit_bounds_typed_products(capsys):

@@ -10,26 +10,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from slot_swap import slot_swap_power
 
-from qcontract import catalog
+from qcontract import catalog, contract
 from qcontract.freealg import Alphabet, Element, GeneratorId, format_word
 from qcontract.parser import parse_expression
 from qcontract.rewrite import (
     Presentation,
-    RewriteRule,
     StepLimitExceeded,
-    certify,
     check_local_confluence,
     step_limit,
 )
 from qcontract.scalars import Scalar
 
 
+def _check_confluence(p: Presentation) -> bool:
+    """The confluence verdict on ``p`` over every ambiguity; running it
+    must change nothing the normal forms below see."""
+    return check_local_confluence(
+        p, 2 * max(len(r.lhs) for r in p.rules)).ok
+
+
 @lru_cache(maxsize=None)
-def _powers(name: str, order: int, certified: bool):
+def _powers(name: str, order: int):
     """A builtin's base presentation and its slot-swap squares and cubes."""
     p = catalog.load_presentation(f"builtin:{name}", order).base
-    if certified:
-        assert certify(p)
     return p, {k: slot_swap_power(p, k) for k in (2, 3)}
 
 
@@ -57,8 +60,7 @@ def tensor_elements(draw, alphabet: Alphabet, order: int):
 @settings(max_examples=40, deadline=None)
 def test_slot_by_slot_matches_slot_swap_rewriting(name, k, data):
     order = data.draw(st.integers(0, 4), label="order")
-    certified = data.draw(st.booleans(), label="certified")
-    p, oracles = _powers(name, order, certified)
+    p, oracles = _powers(name, order)
     x = data.draw(tensor_elements(oracles[k].alphabet, order))
     assert p.at_slots(k).normal_form(x) == oracles[k].rewrite(x)
 
@@ -66,21 +68,10 @@ def test_slot_by_slot_matches_slot_swap_rewriting(name, k, data):
 @lru_cache(maxsize=None)
 def _marker_powers():
     """The solver's marker presentation: the open final presentation plus a
-    letter Z standing for [eta, etabar]; it is not confluent."""
-    p = catalog.ekappa2_final_presentation(
-        1, with_commutator_rule=False).base
-    alph = Alphabet(p.alphabet.names + ("Z",))
-    eta, etabar = alph.gen("eta"), alph.gen("etabar")
-    rules = [RewriteRule(r.lhs, r.rhs.rebind(alph), r.label)
-             for r in p.rules]
-    rules.append(RewriteRule(
-        (etabar, eta),
-        Element.from_word(alph, (eta, etabar), 1)
-        - Element.generator(alph, "Z", 1),
-        "etabar*eta -> eta*etabar - Z"))
-    pz = Presentation(alph, rules, 1, name="marker")
-    assert not check_local_confluence(pz, 6).ok
-    assert not pz.certified
+    marker letter standing for [eta, etabar]; it is not confluent."""
+    pz = contract.marker_presentation(catalog.ekappa2_final_presentation(
+        1, with_commutator_rule=False).base, "eta", "etabar")
+    assert not _check_confluence(pz)
     return pz, {k: slot_swap_power(pz, k) for k in (2, 3)}
 
 
@@ -94,21 +85,21 @@ def test_uncertified_marker_presentation_matches(k, data):
 
 
 @lru_cache(maxsize=None)
-def _eps_rule_powers(certified: bool):
+def _eps_rule_powers(confluence_checked: bool):
     """A rule with an eps coefficient: at order 1 an eps-weighted word
     times its slot word's normal form vanishes."""
     p = catalog.parse_presentation_text(
         "[generators]\nb a\n\n[rules]\na*b -> eps*b*a\n", 1, name="eps")
-    if certified:
-        assert certify(p)
+    if confluence_checked:
+        assert _check_confluence(p)
     return p, {k: slot_swap_power(p, k) for k in (2, 3)}
 
 
-@pytest.mark.parametrize("certified", [False, True])
+@pytest.mark.parametrize("confluence_checked", [False, True])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_vanishing_products_are_dropped(certified, data):
-    p, oracles = _eps_rule_powers(certified)
+def test_vanishing_products_are_dropped(confluence_checked, data):
+    p, oracles = _eps_rule_powers(confluence_checked)
     k = data.draw(st.sampled_from([2, 3]), label="k")
     x = data.draw(tensor_elements(oracles[k].alphabet, 1))
     assert p.at_slots(k).normal_form(x) == oracles[k].rewrite(x)
@@ -133,17 +124,18 @@ def test_interleaved_words_print_slot_by_slot():
 
 # Smallest step limit at which this input reduces in suq2 (x) suq2 at order
 # 2: each slot word costs the steps of its base reduction, a memoised one
-# replayed, and moving letters between slots is free.
+# replayed, and moving letters between slots is free.  A confluence check
+# run first changes nothing.
 TENSOR_INPUT = "(a ox a + b ox c + c ox b + d ox d)^3"
 TENSOR_THRESHOLD = 160
 
 
-@pytest.mark.parametrize("certified", [False, True])
+@pytest.mark.parametrize("confluence_checked", [False, True])
 @pytest.mark.parametrize("warm", ["cold", "same input", "word by word"])
-def test_tensor_step_limit_threshold(certified, warm):
+def test_tensor_step_limit_threshold(confluence_checked, warm):
     p = catalog.load_presentation("builtin:suq2", 2).base
-    if certified:
-        assert certify(p)
+    if confluence_checked:
+        assert _check_confluence(p)
     x = parse_expression(TENSOR_INPUT, p.alphabet, ("q",), 2)
     p2 = p.at_slots(2)
     if warm == "same input":
