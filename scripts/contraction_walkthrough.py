@@ -14,7 +14,8 @@ from qcontract.parser import parse_expression
 
 def main():
     order = 1
-    ansatz = contract.ContractionAnsatz.standard(order)
+    ansatz = contract.ContractionAnsatz(catalog.suq2_presentation(order),
+                                        catalog.ekappa2_klmn_presentation(order))
     target = ansatz.target.base
 
     print("generator images:")

@@ -13,8 +13,8 @@ from qcontract import catalog, contract
 
 def main():
     order = 1
-    h_open = catalog.ekappa2_final_presentation(order,
-                                                with_commutator_rule=False)
+    h_open = catalog.without_commutator_rule(
+        catalog.ekappa2_final_presentation(order))
     basis = contract.standard_commutator_basis(order)
     print("solving [eta, etabar] = c1*eta + c2*etabar + c3*(E-1) + c4*(F-1)")
     outcome = contract.solve_commutator(h_open, "eta", "etabar", basis)

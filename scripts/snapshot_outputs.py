@@ -47,6 +47,10 @@ def _commands() -> list[list[str]]:
     # one limit trips while expanding the power, one while reducing
     cmds.append(["nf", "--step-limit", "100", "(a + b + c + d)^6"])
     cmds.append(["nf", "--step-limit", "20", "d*d*d*d*a*a*a*a"])
+    # report trips one below its smallest passing limit, and early under
+    # lam = 0; each message names the presentation being reduced
+    cmds.append(["report", "--step-limit", "898"])
+    cmds.append(["report", "--lam-zero", "--step-limit", "100"])
     return cmds
 
 

@@ -136,18 +136,20 @@ def ekappa2_klmn_presentation(order: int = 1) -> HopfPresentation:
     return load_presentation("builtin:ekappa2-klmn", order)
 
 
-def ekappa2_final_presentation(order: int = 1,
-                               with_commutator_rule: bool = True) -> HopfPresentation:
-    """The exponential-variable presentation; without the commutator rule
-    it is the ``-open`` variant the solver starts from."""
-    h = load_presentation("builtin:ekappa2-final", order)
-    if with_commutator_rule:
-        return h
+def ekappa2_final_presentation(order: int = 1) -> HopfPresentation:
+    return load_presentation("builtin:ekappa2-final", order)
+
+
+def without_commutator_rule(h: HopfPresentation) -> HopfPresentation:
+    """The ``-open`` variant of the final presentation ``h`` that the solver
+    starts from: the same algebra without its etabar*eta rule, named like
+    ``h`` with ``-open`` before any ``@lam=0`` suffix."""
     alph = h.base.alphabet
     pair = (alph.gen("etabar"), alph.gen("eta"))
-    name = "ekappa2-final-open"
+    stem, at, limit = h.name.partition("@")
+    name = f"{stem}-open{at}{limit}"
     base = Presentation(alph, [r for r in h.base.rules if r.lhs != pair],
-                        order, name=name, params=h.base.params)
+                        h.order, name=name, params=h.base.params)
     return replace(h, base=base, name=name)
 
 
@@ -164,16 +166,19 @@ _BUILDERS = {
 # --------------------------------------------------------------------------
 
 
+def at_lam_zero(s: Scalar) -> Scalar:
+    """The lam = 0 specialisation of a scalar; elements take it through
+    ``map_scalars``."""
+    return s.set_param_zero("lam")
+
+
 def classical_limit(h: HopfPresentation) -> HopfPresentation:
     """The lam -> 0 degeneration: every deformation term is dropped, leaving
     the commutative function algebra with the same coproducts.  Each rule
     is relabelled by its lam = 0 text and keeps its equation tag."""
 
-    def s0(s: Scalar) -> Scalar:
-        return s.set_param_zero("lam")
-
     def e0(x: Element) -> Element:
-        return x.map_scalars(s0)
+        return x.map_scalars(at_lam_zero)
 
     def map0(m: GeneratorMap) -> GeneratorMap:
         return GeneratorMap({g: e0(img) for g, img in m.images.items()},
@@ -196,7 +201,7 @@ def classical_limit(h: HopfPresentation) -> HopfPresentation:
     return HopfPresentation(
         base=base,
         coproduct=map0(h.coproduct),
-        counit={k: s0(v) for k, v in h.counit.items()},
+        counit={k: at_lam_zero(v) for k, v in h.counit.items()},
         antipode=map0(h.antipode),
         star=map0(h.star),
         excluded=h.excluded,
@@ -290,33 +295,29 @@ def scale_to_unit_lead(x: Element) -> Element:
     return x.scaled(lead.inverse_of_unit())
 
 
-def canonical_relation_form(x: Element, order: int) -> Element:
-    """Representative of a relation up to scalar multiples and reordering of
+def canonical_relation_forms(xs: list[Element], order: int) -> list[Element]:
+    """Representatives of relations up to scalar multiples and reordering of
     the commuting pair b, c (the commutation relation itself is part of the
     generated set, so it canonicalizes to its own scaled form)."""
     pc = _commutation_only_suq2(order)
-    z = pc.normal_form(x)
-    if z.is_zero:
-        if x.is_zero:
-            return x
-        return scale_to_unit_lead(x)
-    return scale_to_unit_lead(z)
+
+    def canon(x: Element) -> Element:
+        z = pc.normal_form(x)
+        if z.is_zero:
+            return x if x.is_zero else scale_to_unit_lead(x)
+        return scale_to_unit_lead(z)
+
+    return [canon(x) for x in xs]
 
 
 def distinct_rtt_relations(order: int = 1) -> list[Element]:
     """The distinct nonzero RTT relations up to scalar multiples (and up to
     the commuting pair reordering), in order of first appearance."""
-    seen = {}
-    out = []
-    for comp in rtt_relations(order):
-        if comp.is_trivial:
-            continue
-        canon = canonical_relation_form(comp.element, order)
-        key = str(canon)
-        if key not in seen:
-            seen[key] = True
-            out.append(canon)
-    return out
+    nontrivial = [c.element for c in rtt_relations(order) if not c.is_trivial]
+    distinct: dict[str, Element] = {}
+    for canon in canonical_relation_forms(nontrivial, order):
+        distinct.setdefault(str(canon), canon)
+    return list(distinct.values())
 
 
 def reference_rtt_relation_set(order: int = 1) -> list[Element]:
@@ -362,9 +363,7 @@ def klmn_named_elements(order: int = 1, lam_zero: bool = False) -> dict[str, Nam
 
     def pe(text: str) -> Element:
         x = parse_expression(text, alph, KLMN_PARAMS, order)
-        if lam_zero:
-            x = x.map_scalars(lambda s: s.set_param_zero("lam"))
-        return x
+        return x.map_scalars(at_lam_zero) if lam_zero else x
 
     vplus = pe("K + M")
     vminus = pe("K - M")

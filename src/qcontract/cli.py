@@ -102,6 +102,34 @@ def _load(cfg: RunConfig):
         cfg.presentation, cfg.truncation_order, lam_zero=cfg.lam_zero)
 
 
+def _as_checked(loaded: dict[str, HopfPresentation],
+                cfg: RunConfig) -> dict[str, HopfPresentation]:
+    """The loaded builtins as the suites check them: under --lam-zero the
+    contracted algebras in their classical limit, while suq2 keeps its
+    q-form (the contraction eliminates q itself)."""
+    if not cfg.lam_zero:
+        return loaded
+    return {name: h if name == "suq2" else catalog.classical_limit(h)
+            for name, h in loaded.items()}
+
+
+def _builtins(cfg: RunConfig,
+              names=catalog.BUILTIN_NAMES) -> dict[str, HopfPresentation]:
+    """Each builtin of ``names`` loaded once, as the suites check it."""
+    return _as_checked({name: catalog.load_presentation(
+        f"builtin:{name}", cfg.truncation_order) for name in names}, cfg)
+
+
+def _contraction_checks(b: dict[str, HopfPresentation],
+                        cfg: RunConfig) -> CheckReport:
+    """The contraction suite and the change of variables on the builtins."""
+    report = contract.contraction_suite(b["suq2"], b["ekappa2-klmn"],
+                                        cfg.lam_zero)
+    report.extend(contract.verify_change_of_variables(
+        b["ekappa2-klmn"], b["ekappa2-final"], cfg.lam_zero))
+    return report
+
+
 def _emit(report: CheckReport, cfg: RunConfig) -> int:
     if cfg.output == "json":
         doc = report_to_json_dict(report, __version__, cfg.public_dict())
@@ -188,16 +216,8 @@ def cmd_hopf_check(args) -> int:
 
 def cmd_contract(args) -> int:
     cfg = _config(args)
-
-    def run():
-        report = CheckReport()
-        report.extend(contract.contraction_suite(
-            cfg.truncation_order, cfg.lam_zero))
-        report.extend(contract.verify_change_of_variables(
-            cfg.truncation_order, cfg.lam_zero))
-        return report
-
-    return _emit(_timed(run, cfg), cfg)
+    return _emit(_timed(lambda: _contraction_checks(_builtins(cfg), cfg),
+                        cfg), cfg)
 
 
 def cmd_solve_commutator(args) -> int:
@@ -205,17 +225,8 @@ def cmd_solve_commutator(args) -> int:
     if args.ln and cfg.lam_zero:
         print("error: --ln is not supported with --lam-zero", file=sys.stderr)
         return EXIT_USAGE
-    h = catalog.ekappa2_final_presentation(cfg.truncation_order,
-                                           with_commutator_rule=False)
-    if cfg.lam_zero:
-        h = catalog.classical_limit(h)
-    outcome = contract.solve_commutator(
-        h, "eta", "etabar",
-        contract.standard_commutator_basis(cfg.truncation_order))
-    report = CheckReport()
-    report.add(CheckRecord(
-        name="solver/eta-etabar/status", ok=outcome.ok,
-        residual=outcome.status, paper_eq="Eq. (35)"))
+    final = _builtins(cfg, ("ekappa2-final",))["ekappa2-final"]
+    outcome, report = contract.solve_eta_etabar(final)
     if outcome.solution:
         for label, coeff in outcome.solution.items():
             report.add(CheckRecord(
@@ -269,21 +280,13 @@ def cmd_report(args) -> int:
             return report
 
         order = cfg.truncation_order
-        suq2 = loaded["suq2"]
-        klmn = loaded["ekappa2-klmn"]
-        final = loaded["ekappa2-final"]
-        if cfg.lam_zero:
-            suq2_h, klmn_h, final_h = (suq2, catalog.classical_limit(klmn),
-                                       catalog.classical_limit(final))
-        else:
-            suq2_h, klmn_h, final_h = suq2, klmn, final
+        b = _as_checked(loaded, cfg)
+        suq2, klmn, final = (b[name] for name in catalog.BUILTIN_NAMES)
 
         # RTT generation against the reference relation set
         distinct = catalog.distinct_rtt_relations(order)
-        reference = {
-            str(catalog.canonical_relation_form(r, order))
-            for r in catalog.reference_rtt_relation_set(order)
-        }
+        reference = {str(x) for x in catalog.canonical_relation_forms(
+            catalog.reference_rtt_relation_set(order), order)}
         got = {str(x) for x in distinct}
         report.add(CheckRecord(
             name="catalog/rtt/distinct-relations",
@@ -299,7 +302,7 @@ def cmd_report(args) -> int:
                 ok=nf.is_zero, residual=str(nf), paper_eq=catalog.TAG_RTT))
 
         # confluence of the three builtins
-        for h in (suq2_h, klmn_h, final_h):
+        for h in (suq2, klmn, final):
             rep = check_local_confluence(h.base, cfg.max_overlap)
             report.add(CheckRecord(
                 name=f"confluence/{h.base.name}",
@@ -309,18 +312,18 @@ def cmd_report(args) -> int:
 
         # Hopf suites
         rng = Random(cfg.seed)
-        for h in (suq2_h, klmn_h, final_h):
+        for h in (suq2, klmn, final):
             report.extend(run_hopf_suite(h, rng=rng, n_random=25))
 
         # determinant is grouplike and central
         det = catalog.determinant_element(order)
-        grouplike = grouplike_residual(suq2_h, det)
+        grouplike = grouplike_residual(suq2, det)
         report.add(CheckRecord(
             name="suq2/determinant-grouplike",
             ok=grouplike.is_zero,
             residual=str(grouplike),
             paper_eq=catalog.TAG_DETERMINANT))
-        cen = central_residuals(suq2_h.base, det)
+        cen = central_residuals(suq2.base, det)
         report.add(CheckRecord(
             name="suq2/determinant-central",
             ok=all(r.is_zero for r in cen),
@@ -328,10 +331,8 @@ def cmd_report(args) -> int:
             paper_eq=catalog.TAG_DETERMINANT))
 
         # contraction suites, change of variables, solver
-        report.extend(contract.contraction_suite(order, cfg.lam_zero))
-        report.extend(contract.verify_change_of_variables(order,
-                                                          cfg.lam_zero))
-        report.extend(contract.solver_suite(order, cfg.lam_zero))
+        report.extend(_contraction_checks(b, cfg))
+        report.extend(contract.solver_suite(final, cfg.lam_zero))
         return report
 
     return _emit(_timed(run, cfg), cfg)

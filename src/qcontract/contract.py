@@ -10,6 +10,10 @@ star identity order by order.  The image of d is not free data: it is
 derived from the determinant relation by series inversion of a.  The module
 also hosts the linear solver that back-determines commutators (such as
 [eta, etabar]) from coproduct consistency.
+
+The suites take the presentations they check, loaded once by the caller
+(under lam = 0 the contracted algebras already in their classical limit,
+SU_q(2) in its q-form); their truncation order is read off them.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .catalog import (
     FINAL_ALPHABET,
     KLMN_ALPHABET,
     KLMN_PARAMS,
+    at_lam_zero,
     klmn_named_elements,
 )
 from .freealg import (
@@ -79,25 +84,30 @@ class DSeries:
 
 
 class ContractionAnsatz:
-    """Generator images of the contraction, with q eliminated eagerly."""
+    """Generator images of the contraction of ``source`` (in its q-form)
+    onto ``target``, with q eliminated eagerly."""
+
+    #: the ansatz coefficients are written down through eps^1 only, so the
+    #: derived d series and the checked eps orders stop there too
+    DEPTH = 1
 
     def __init__(self, source: HopfPresentation, target: HopfPresentation,
-                 order: int, lam_zero: bool = False):
+                 lam_zero: bool = False):
         self.source = source
         self.target = target
-        self.order = order
+        self.order = order = target.order
+        self.depth = min(order, self.DEPTH)
         self.lam_zero = lam_zero
         self._q_cache: dict[int, Scalar] = {}
         alph = target.base.alphabet
-
-        def pe(text: str) -> Element:
-            return parse_expression(text, alph, KLMN_PARAMS, order)
-
+        pe = self._parse
         self.images: dict[str, Element] = {
             "a": pe("K + eps*L"),
             "b": pe("M + i*eps*N"),
             "c": pe("M - i*eps*N"),
         }
+        #: the image of d the ansatz implies through its depth (Eq. (8))
+        self.expected_d = pe("K - eps*L")
         self.d_series = self._derive_d()
         self.images["d"] = self.d_series.reduced
         src = source.base.alphabet
@@ -106,14 +116,10 @@ class ContractionAnsatz:
             MapKind.HOMOMORPHISM, src, alph, order)
         self._map2 = self._map.on_slots(2)
 
-    @classmethod
-    def standard(cls, order: int = 1, lam_zero: bool = False) -> "ContractionAnsatz":
-        # the source keeps its q-form either way; q is eliminated on apply
-        source = catalog.suq2_presentation(order)
-        target = catalog.ekappa2_klmn_presentation(order)
-        if lam_zero:
-            target = catalog.classical_limit(target)
-        return cls(source, target, order, lam_zero)
+    def _parse(self, text: str) -> Element:
+        """``text`` as an element of the target algebra."""
+        return parse_expression(text, self.target.base.alphabet, KLMN_PARAMS,
+                                self.order)
 
     # -- q elimination -------------------------------------------------------
 
@@ -122,7 +128,7 @@ class ContractionAnsatz:
         if cached is None:
             cached = q_power(m, self.order)
             if self.lam_zero:
-                cached = cached.set_param_zero("lam")
+                cached = at_lam_zero(cached)
             self._q_cache[m] = cached
         return cached
 
@@ -143,23 +149,16 @@ class ContractionAnsatz:
     # -- the d series ----------------------------------------------------------
 
     def _derive_d(self) -> DSeries:
-        # the images carry no corrections beyond first order (the higher
-        # coefficients of the ansatz are not written down), so the derived
-        # series stops there too
-        depth = min(self.order, 1)
         alph = self.target.base.alphabet
         p = self.target.base
-
-        def pe(text: str) -> Element:
-            return parse_expression(text, alph, KLMN_PARAMS, self.order)
-
+        pe = self._parse
         J = pe("J")
         JL = pe("J*L")
         # order-by-order inverse of a = K + eps L: sum of (-1)^k eps^k (JL)^k J
         a_inv = Element.zero(alph, self.order)
         eps = Scalar.eps(self.order)
         sign = 1
-        for k in range(depth + 1):
+        for k in range(self.depth + 1):
             power = Element.unit(alph, self.order)
             for _ in range(k):
                 power = power * JL
@@ -170,21 +169,19 @@ class ContractionAnsatz:
             sign = -sign
         one = Element.unit(alph, self.order)
         qbc = (self.images["b"] * self.images["c"]).scaled(self.q_series(1))
-        raw = _eps_truncate(a_inv * (one + qbc), depth)
+        raw = _eps_truncate(a_inv * (one + qbc), self.depth)
         reduced = p.normal_form(raw)
         if reduced.contains_letter("J"):
             raise AdjointResidue(
                 "d-series normal form still contains J (missing relations)")
         display = pe("J + J*M*M + eps*(lam*J*M*M - J*L*J - J*L*J*M*M)")
         if self.lam_zero:
-            display = display.map_scalars(lambda s: s.set_param_zero("lam"))
+            display = display.map_scalars(at_lam_zero)
         return DSeries(a_inverse=a_inv, raw=raw, reduced=reduced,
                        display_form=display)
 
     def checked_orders(self) -> range:
-        # the ansatz carries no corrections beyond first order, so higher
-        # eps orders are not claimed
-        return range(0, min(self.order, 1) + 1)
+        return range(self.depth + 1)
 
 
 # --------------------------------------------------------------------------
@@ -311,9 +308,7 @@ def verify_d_series(ansatz: ContractionAnsatz) -> CheckReport:
     report = CheckReport()
     p = ansatz.target.base
     d = ansatz.d_series
-    depth = min(ansatz.order, 1)
-    expected = parse_expression("K - eps*L", p.alphabet, KLMN_PARAMS,
-                                ansatz.order)
+    expected = ansatz.expected_d
     report.add(CheckRecord(
         name="contract/d-series/normal-form",
         ok=d.reduced == expected,
@@ -340,8 +335,8 @@ def verify_d_series(ansatz: ContractionAnsatz) -> CheckReport:
     # a^-1 sanity: a * a_inverse = 1 through the derived depth
     prod = ansatz.apply(Element.generator(ansatz.source.base.alphabet, "a",
                                           ansatz.order)) * d.a_inverse
-    residual = p.normal_form(
-        _eps_truncate(prod, depth) - Element.unit(p.alphabet, ansatz.order))
+    residual = p.normal_form(_eps_truncate(prod, ansatz.depth)
+                             - Element.unit(p.alphabet, ansatz.order))
     report.add(CheckRecord(
         name="contract/d-series/a-inverse",
         ok=residual.is_zero,
@@ -381,17 +376,14 @@ def verify_star_determines_l(ansatz: ContractionAnsatz) -> CheckReport:
 # --------------------------------------------------------------------------
 
 
-def verify_change_of_variables(order: int = 1,
+def verify_change_of_variables(target: HopfPresentation,
+                               final: HopfPresentation,
                                lam_zero: bool = False) -> CheckReport:
     """All identities of the exponential-variable change, verified in the
-    K, L, M, N algebra, plus the full realization of the final presentation
-    (rules and Hopf data) inside it."""
+    K, L, M, N algebra ``target``, plus the full realization of the final
+    presentation (rules and Hopf data) inside it."""
     report = CheckReport()
-    target = catalog.ekappa2_klmn_presentation(order)
-    final = catalog.ekappa2_final_presentation(order)
-    if lam_zero:
-        target = catalog.classical_limit(target)
-        final = catalog.classical_limit(final)
+    order = target.order
     named = klmn_named_elements(order, lam_zero)
     p = target.base
     p2 = p.at_slots(2)
@@ -745,33 +737,36 @@ def commutator_rule_from_solution(solution: dict[str, Element | Scalar],
     return _commutator_rule(alphabet, x_name, y_name, value)
 
 
-def solver_suite(order: int = 1, lam_zero: bool = False) -> CheckReport:
-    """Solve [eta, etabar] from coproduct consistency and confirm the
-    result matches the shipped commutator rule."""
+def solve_eta_etabar(final: HopfPresentation) -> tuple[SolveOutcome,
+                                                      CheckReport]:
+    """Solve [eta, etabar] from coproduct consistency on ``final`` without
+    its etabar*eta rule; the report holds the status record."""
+    basis = standard_commutator_basis(final.order)
+    outcome = solve_commutator(catalog.without_commutator_rule(final),
+                               "eta", "etabar", basis)
     report = CheckReport()
-    h_open = catalog.ekappa2_final_presentation(order,
-                                                with_commutator_rule=False)
-    h_full = catalog.ekappa2_final_presentation(order)
-    if lam_zero:
-        h_open = catalog.classical_limit(h_open)
-        h_full = catalog.classical_limit(h_full)
-    basis = standard_commutator_basis(order)
-    outcome = solve_commutator(h_open, "eta", "etabar", basis)
     report.add(CheckRecord(
         name="solver/eta-etabar/status",
         ok=outcome.ok,
         residual=outcome.status,
         paper_eq="Eq. (35)",
     ))
+    return outcome, report
+
+
+def solver_suite(final: HopfPresentation,
+                 lam_zero: bool = False) -> CheckReport:
+    """Solve [eta, etabar] from coproduct consistency and confirm the
+    result matches the commutator rule of ``final``."""
+    outcome, report = solve_eta_etabar(final)
     if outcome.ok:
-        rule = commutator_rule_from_solution(outcome.solution, basis,
-                                             "eta", "etabar", order)
+        rule = commutator_rule_from_solution(
+            outcome.solution, standard_commutator_basis(final.order),
+            "eta", "etabar", final.order)
         if lam_zero:
-            rule = RewriteRule(
-                rule.lhs,
-                rule.rhs.map_scalars(lambda s: s.set_param_zero("lam")),
-                rule.label)
-        shipped = next(r for r in h_full.base.rules
+            rule = RewriteRule(rule.lhs, rule.rhs.map_scalars(at_lam_zero),
+                               rule.label)
+        shipped = next(r for r in final.base.rules
                        if r.lhs == rule.lhs)
         report.add(CheckRecord(
             name="solver/eta-etabar/matches-shipped-rule",
@@ -846,16 +841,14 @@ def klmn_with_ln_rule(solution: dict[str, Scalar], basis: dict[str, Element],
 
 def structural_ansatz_record(ansatz: ContractionAnsatz) -> CheckRecord:
     """First-order checks may only involve the written zeroth/first order
-    ansatz coefficients; assert the images carry nothing beyond eps^1."""
+    ansatz coefficients; assert the images carry nothing beyond its depth."""
     ok = all(
-        max(ansatz.images[g].eps_components(), default=0) <= 1
+        max(ansatz.images[g].eps_components(), default=0) <= ansatz.depth
         for g in ("a", "b", "c")
     )
     d_low = {k: v for k, v in ansatz.images["d"].eps_components().items()
-             if k <= 1}
-    expected = parse_expression("K - eps*L", ansatz.target.base.alphabet,
-                                KLMN_PARAMS, ansatz.order).eps_components()
-    ok = ok and d_low == expected
+             if k <= ansatz.depth}
+    ok = ok and d_low == ansatz.expected_d.eps_components()
     return CheckRecord(
         name="contract/ansatz/eps-degree-structure",
         ok=ok,
@@ -864,9 +857,11 @@ def structural_ansatz_record(ansatz: ContractionAnsatz) -> CheckRecord:
     )
 
 
-def contraction_suite(order: int = 1, lam_zero: bool = False) -> CheckReport:
-    """Relations, d series, coproduct and star squares for the contraction."""
-    ansatz = ContractionAnsatz.standard(order, lam_zero)
+def contraction_suite(source: HopfPresentation, target: HopfPresentation,
+                      lam_zero: bool = False) -> CheckReport:
+    """Relations, d series, coproduct and star squares for the contraction
+    of ``source`` onto ``target``."""
+    ansatz = ContractionAnsatz(source, target, lam_zero)
     report = CheckReport()
     report.add(structural_ansatz_record(ansatz))
     report.extend(verify_d_series(ansatz))

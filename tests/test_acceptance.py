@@ -41,10 +41,21 @@ def pe_tgt(text):
     return parse_expression(text, catalog.KLMN_ALPHABET, ("lam",), 1)
 
 
+def _ansatz():
+    return contract.ContractionAnsatz(catalog.suq2_presentation(1),
+                                      catalog.ekappa2_klmn_presentation(1))
+
+
+def _change_of_variables():
+    return contract.verify_change_of_variables(
+        catalog.ekappa2_klmn_presentation(1),
+        catalog.ekappa2_final_presentation(1))
+
+
 def test_rtt_generation():
     distinct = catalog.distinct_rtt_relations(1)
-    reference = {str(catalog.canonical_relation_form(r, 1))
-                 for r in catalog.reference_rtt_relation_set(1)}
+    reference = {str(x) for x in catalog.canonical_relation_forms(
+        catalog.reference_rtt_relation_set(1), 1)}
     got = {str(x) for x in distinct}
     golden = (GOLDEN / "rtt_relations.txt").read_text()
     produced = "\n".join(c.describe() for c in catalog.rtt_relations(1)) + "\n"
@@ -77,7 +88,7 @@ def test_suq2_hopf_suite():
 
 
 def test_contraction_relations():
-    ansatz = contract.ContractionAnsatz.standard(1)
+    ansatz = _ansatz()
     report = contract.verify_all_relation_contractions(ansatz)
     ok = report.ok and len(report) == 34
     # raw first-order residuals, verbatim
@@ -98,7 +109,7 @@ def test_contraction_relations():
 
 
 def test_d_series():
-    ansatz = contract.ContractionAnsatz.standard(1)
+    ansatz = _ansatz()
     d = ansatz.d_series
     ok = d.reduced == pe_tgt("K - eps*L")
     ok = ok and not d.reduced.contains_letter("J")
@@ -112,12 +123,12 @@ def test_d_series():
 
 
 def test_contracted_coproducts_and_star():
-    ansatz = contract.ContractionAnsatz.standard(1)
+    ansatz = _ansatz()
     ok = True
     for g in ("a", "b", "c", "d"):
         ok = ok and contract.verify_coproduct_contraction(ansatz, g).ok
     ok = ok and contract.verify_star_contraction(ansatz).ok
-    cov = contract.verify_change_of_variables(1)
+    cov = _change_of_variables()
     both_signs = [r for r in cov.records
                   if r.paper_eq in ("Eq. (16)", "Eq. (17)")]
     ok = ok and len(both_signs) == 4 and all(r.ok for r in both_signs)
@@ -127,7 +138,7 @@ def test_contracted_coproducts_and_star():
 
 
 def test_change_of_variables():
-    report = contract.verify_change_of_variables(1)
+    report = _change_of_variables()
     klmn = catalog.ekappa2_klmn_presentation(1)
     named = catalog.klmn_named_elements(1)
     star_exact = klmn.apply_star(named["eta"].definition) == \
@@ -137,7 +148,8 @@ def test_change_of_variables():
 
 
 def test_solver():
-    h_open = catalog.ekappa2_final_presentation(1, with_commutator_rule=False)
+    h_open = catalog.without_commutator_rule(
+        catalog.ekappa2_final_presentation(1))
     basis = contract.standard_commutator_basis(1)
     outcome = contract.solve_commutator(h_open, "eta", "etabar", basis)
     lam = Scalar.param("lam", 1)
@@ -184,15 +196,17 @@ def test_property_suites():
 
 
 def test_classical_limit():
-    ok = contract.contraction_suite(1, lam_zero=True).ok
-    ok = ok and contract.verify_change_of_variables(1, lam_zero=True).ok
-    ok = ok and contract.solver_suite(1, lam_zero=True).ok
-    for h in (catalog.classical_limit(catalog.ekappa2_klmn_presentation(1)),
-              catalog.classical_limit(catalog.ekappa2_final_presentation(1))):
+    klmn0 = catalog.classical_limit(catalog.ekappa2_klmn_presentation(1))
+    final0 = catalog.classical_limit(catalog.ekappa2_final_presentation(1))
+    ok = contract.contraction_suite(catalog.suq2_presentation(1), klmn0,
+                                    lam_zero=True).ok
+    ok = ok and contract.verify_change_of_variables(klmn0, final0,
+                                                    lam_zero=True).ok
+    ok = ok and contract.solver_suite(final0, lam_zero=True).ok
+    for h in (klmn0, final0):
         ok = ok and check_local_confluence(h.base, 6).ok
         ok = ok and run_hopf_suite(h, rng=Random(42), n_random=25).ok
     # deformation rules degenerate to plain commutation
-    klmn0 = catalog.classical_limit(catalog.ekappa2_klmn_presentation(1))
     for lhs_label in ("L*K", "L*M"):
         rule = next(r for r in klmn0.base.rules
                     if r.label.startswith(lhs_label))

@@ -77,8 +77,8 @@ class TestRttGeneration:
         distinct = catalog.distinct_rtt_relations(1)
         assert len(distinct) == 6
         got = {str(x) for x in distinct}
-        want = {str(catalog.canonical_relation_form(r, 1))
-                for r in catalog.reference_rtt_relation_set(1)}
+        want = {str(x) for x in catalog.canonical_relation_forms(
+            catalog.reference_rtt_relation_set(1), 1)}
         assert got == want
 
     def test_every_component_reduces_to_zero(self, suq2):
@@ -200,12 +200,20 @@ class TestGoldenFiles:
         assert catalog.FINAL_ALPHABET == final.base.alphabet
 
     def test_open_final_drops_only_the_commutator_rule(self, final):
-        h = catalog.ekappa2_final_presentation(1, with_commutator_rule=False)
+        h = catalog.without_commutator_rule(final)
         assert h.name == h.base.name == "ekappa2-final-open"
         assert [r.label for r in h.base.rules] == [
             r.label for r in final.base.rules
             if not r.label.startswith("etabar*eta")]
         assert len(h.base.rules) == len(final.base.rules) - 1
+
+    def test_open_variant_of_the_classical_limit_keeps_its_name(self, final):
+        h = catalog.without_commutator_rule(catalog.classical_limit(final))
+        assert h.name == h.base.name == "ekappa2-final-open@lam=0"
+        limited_open = catalog.classical_limit(
+            catalog.without_commutator_rule(final))
+        assert [r.label for r in h.base.rules] == [
+            r.label for r in limited_open.base.rules]
 
     def test_untagged_file_parses_to_the_same_algebra(self):
         text = catalog.builtin_source("ekappa2-klmn")

@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from qcontract import catalog
+from qcontract import catalog, rewrite
 from qcontract.cli import main
 from qcontract.freealg import format_word
 from qcontract.reports import REPORT_SCHEMA
@@ -33,6 +33,34 @@ def _corrupted_klmn(tmp_path) -> Path:
     target.write_text(text.replace("L*K -> lam*M^2 + K*L",
                                    "L*K -> 2*lam*M^2 + K*L"))
     return bad
+
+
+# builtin files parsed and Presentations built by one run of the command
+@pytest.mark.parametrize("argv,parses,max_presentations", [
+    (("report",), 3, 8),
+    (("report", "--lam-zero"), 3, 10),
+    (("contract",), 3, 4),
+], ids=["report", "report --lam-zero", "contract"])
+def test_each_builtin_is_loaded_once(capsys, monkeypatch, argv, parses,
+                                     max_presentations):
+    counts = {"parse": 0, "presentation": 0}
+    parse = catalog.parse_presentation_text
+    init = rewrite.Presentation.__init__
+
+    def counting_parse(*args, **kwargs):
+        counts["parse"] += 1
+        return parse(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        counts["presentation"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "parse_presentation_text", counting_parse)
+    monkeypatch.setattr(rewrite.Presentation, "__init__", counting_init)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("failed: 0\n")
+    assert counts["parse"] == parses
+    assert counts["presentation"] <= max_presentations
 
 
 class TestNf:

@@ -8,8 +8,8 @@ from qcontract.scalars import Scalar
 
 
 @pytest.fixture(scope="module")
-def ansatz():
-    return ContractionAnsatz.standard(1)
+def ansatz(suq2, klmn):
+    return ContractionAnsatz(suq2, klmn)
 
 
 def pe_src(text, order=1):
@@ -243,8 +243,8 @@ class TestStarSquare:
 
 
 class TestChangeOfVariables:
-    def test_full_suite(self):
-        report = contract.verify_change_of_variables(1)
+    def test_full_suite(self, klmn, final):
+        report = contract.verify_change_of_variables(klmn, final)
         assert report.ok, [(r.name, r.residual) for r in report.failures()]
 
     def test_eta_commutator_with_E(self, klmn):
@@ -303,7 +303,7 @@ class TestAdjointResidue:
             name="klmn-no-inverse")
         source = catalog.suq2_presentation(1)
         with pytest.raises(contract.AdjointResidue):
-            ContractionAnsatz(source, crippled, 1)
+            ContractionAnsatz(source, crippled)
 
 
 class TestLnGuard:
@@ -311,19 +311,22 @@ class TestLnGuard:
         with pytest.raises(UnknownCommutatorNeeded):
             contract._guard_ln(pe_tgt("L*N"), "test")
 
-    def test_paper_checks_never_hit_it(self, ansatz):
+    def test_paper_checks_never_hit_it(self, suq2, klmn):
         # the whole first-order pipeline runs without tripping the guard
-        report = contract.contraction_suite(1)
+        report = contract.contraction_suite(suq2, klmn)
         assert report.ok
 
 
 class TestClassicalLimit:
-    def test_full_contraction_suite_at_lam_zero(self):
-        report = contract.contraction_suite(1, lam_zero=True)
+    def test_full_contraction_suite_at_lam_zero(self, suq2, klmn):
+        report = contract.contraction_suite(
+            suq2, catalog.classical_limit(klmn), lam_zero=True)
         assert report.ok, [r.name for r in report.failures()]
 
-    def test_change_of_variables_at_lam_zero(self):
-        report = contract.verify_change_of_variables(1, lam_zero=True)
+    def test_change_of_variables_at_lam_zero(self, klmn, final):
+        report = contract.verify_change_of_variables(
+            catalog.classical_limit(klmn), catalog.classical_limit(final),
+            lam_zero=True)
         assert report.ok, [r.name for r in report.failures()]
 
     def test_relations_become_commutators(self):

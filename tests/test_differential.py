@@ -330,8 +330,8 @@ NON_CONFLUENT = "[generators]\nc b a\n\n[rules]\na*b -> 1\nb*c -> 1\n"
 def _non_confluent():
     """The toy presentation above and the presentations with the marker
     letter that both commutator solvers reduce in."""
-    final_open = catalog.ekappa2_final_presentation(
-        1, with_commutator_rule=False).base
+    final_open = catalog.without_commutator_rule(
+        catalog.ekappa2_final_presentation(1)).base
     klmn = catalog.ekappa2_klmn_presentation(1).base
     ps = (catalog.parse_presentation_text(NON_CONFLUENT, name="bad"),
           contract.marker_presentation(final_open, "eta", "etabar"),

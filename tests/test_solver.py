@@ -7,8 +7,8 @@ from qcontract.scalars import Scalar
 
 
 @pytest.fixture(scope="module")
-def open_final():
-    return catalog.ekappa2_final_presentation(1, with_commutator_rule=False)
+def open_final(final):
+    return catalog.without_commutator_rule(final)
 
 
 @pytest.fixture(scope="module")
@@ -79,13 +79,21 @@ class TestEtaEtabarSolver:
         assert check_local_confluence(base, 6).ok
         assert check_delta_respects_relations(rebuilt).ok
 
-    def test_solver_suite_passes(self):
-        report = contract.solver_suite(1)
+    def test_solver_suite_passes(self, final):
+        report = contract.solver_suite(final)
         assert report.ok
 
+    def test_solve_eta_etabar_solves_the_open_variant(self, final,
+                                                      open_final, basis):
+        outcome, report = contract.solve_eta_etabar(final)
+        assert outcome == contract.solve_commutator(open_final, "eta",
+                                                    "etabar", basis)
+        assert [(r.name, r.ok, r.residual) for r in report.records] == [
+            ("solver/eta-etabar/status", True, "unique")]
+
     def test_classical_limit_solution_is_zero(self):
-        open0 = catalog.classical_limit(
-            catalog.ekappa2_final_presentation(1, with_commutator_rule=False))
+        open0 = catalog.classical_limit(catalog.without_commutator_rule(
+            catalog.ekappa2_final_presentation(1)))
         basis0 = contract.standard_commutator_basis(1)
         outcome = contract.solve_commutator(open0, "eta", "etabar", basis0)
         assert outcome.status == "unique"

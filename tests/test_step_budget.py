@@ -86,7 +86,8 @@ def test_hopf_check_reduces_through_the_table(capsys):
 @pytest.mark.parametrize("argv,limit", [
     (("contract",), 180),
     (("solve-commutator", "--ln"), 316),
-], ids=["contract", "solve-commutator --ln"])
+    (("report",), 899),
+], ids=["contract", "solve-commutator --ln", "report"])
 def test_command_step_limit_threshold(capsys, argv, limit):
     code, out, err = _run(capsys, *argv, "--step-limit", str(limit - 1))
     assert code == 3

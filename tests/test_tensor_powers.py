@@ -69,8 +69,8 @@ def test_slot_by_slot_matches_slot_swap_rewriting(name, k, data):
 def _marker_powers():
     """The solver's marker presentation: the open final presentation plus a
     marker letter standing for [eta, etabar]; it is not confluent."""
-    pz = contract.marker_presentation(catalog.ekappa2_final_presentation(
-        1, with_commutator_rule=False).base, "eta", "etabar")
+    pz = contract.marker_presentation(catalog.without_commutator_rule(
+        catalog.ekappa2_final_presentation(1)).base, "eta", "etabar")
     assert not _check_confluence(pz)
     return pz, {k: slot_swap_power(pz, k) for k in (2, 3)}
 
