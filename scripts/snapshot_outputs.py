@@ -47,6 +47,11 @@ def _commands() -> list[list[str]]:
     # one limit trips while expanding the power, one while reducing
     cmds.append(["nf", "--step-limit", "100", "(a + b + c + d)^6"])
     cmds.append(["nf", "--step-limit", "20", "d*d*d*d*a*a*a*a"])
+    # stress inputs reduced factor by factor, and a power of a word, whose
+    # charge counts its reduced left operand
+    cmds.append(["nf", "(a + b + c + d)^10"])
+    cmds.append(["nf", "-p", "builtin:ekappa2-klmn", "(K + L + M + N)^7"])
+    cmds.append(["nf", "--step-limit", "100", "(d*a)^4"])
     # report trips one below its smallest passing limit, and early under
     # lam = 0; each message names the presentation being reduced
     cmds.append(["report", "--step-limit", "898"])

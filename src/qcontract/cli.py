@@ -168,10 +168,8 @@ def cmd_nf(args) -> int:
     h = _load(cfg)
     base = h.base if isinstance(h, HopfPresentation) else h
     params = _presentation_params(base)
-    expr = parse_expression(args.expression, base.alphabet, params,
-                            cfg.truncation_order)
-    nf = base.normal_form(expr)
-    print(nf)
+    print(parse_expression(args.expression, base.alphabet, params,
+                           cfg.truncation_order, base))
     return EXIT_OK
 
 
@@ -332,7 +330,7 @@ def cmd_report(args) -> int:
 
         # contraction suites, change of variables, solver
         report.extend(_contraction_checks(b, cfg))
-        report.extend(contract.solver_suite(final, cfg.lam_zero))
+        report.extend(contract.solver_suite(final))
         return report
 
     return _emit(_timed(run, cfg), cfg)

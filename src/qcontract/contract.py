@@ -754,8 +754,7 @@ def solve_eta_etabar(final: HopfPresentation) -> tuple[SolveOutcome,
     return outcome, report
 
 
-def solver_suite(final: HopfPresentation,
-                 lam_zero: bool = False) -> CheckReport:
+def solver_suite(final: HopfPresentation) -> CheckReport:
     """Solve [eta, etabar] from coproduct consistency and confirm the
     result matches the commutator rule of ``final``."""
     outcome, report = solve_eta_etabar(final)
@@ -763,9 +762,6 @@ def solver_suite(final: HopfPresentation,
         rule = commutator_rule_from_solution(
             outcome.solution, standard_commutator_basis(final.order),
             "eta", "etabar", final.order)
-        if lam_zero:
-            rule = RewriteRule(rule.lhs, rule.rhs.map_scalars(at_lam_zero),
-                               rule.label)
         shipped = next(r for r in final.base.rules
                        if r.lhs == rule.lhs)
         report.add(CheckRecord(

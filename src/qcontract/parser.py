@@ -16,6 +16,18 @@ Expanding can blow up, so every product is charged to the step budget
 before it is done: a typed product (``*``, ``ox`` or a commutator) one step
 per pair of terms, each multiplication inside ``x^n`` one step plus one per
 letter it may write (terms of the two factors times their summed degrees).
+
+Given a presentation, the parser returns the normal form there and never
+holds the whole expansion: each generator and each product is reduced as
+soon as it is formed, and sums stay normal by linearity.  The normal-word
+table reduces a free word by folding its letters left to right, so
+``nf(x*y)`` is ``nf(x)`` folded by the letters of each free word of ``y``
+(``Presentation._multiply``), on every presentation, confluent or not.  A
+right operand (a later factor of a product, the base of a power, each side
+of a commutator) is therefore parsed into free words, not reduced; after a
+scalar it is reduced, as ``nf(c*y) = c*nf(y)``.  The charges above then
+count the terms of the reduced left operand, and the reductions draw an
+allowance of their own, charged by the table as ``normal_form`` charges.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .freealg import Alphabet, Element, tensor_embed
-from .rewrite import _charge, allowance
+from .rewrite import Presentation, _charge, allowance
 from .scalars import Scalar
 
 RESERVED = {"i", "eps", "ox"}
@@ -101,13 +113,16 @@ def tokenize(text: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, tokens: list[Token], alphabet: Alphabet,
-                 params: tuple[str, ...], order: int):
+                 params: tuple[str, ...], order: int,
+                 presentation: Presentation | None):
         self.tokens = tokens
         self.pos = 0
         self.alphabet = alphabet
         self.params = params
         self.order = order
         self.budget = allowance()
+        self.presentation = presentation
+        self.reducing = allowance()  # the reductions' own allowance
 
     # -- token helpers -----------------------------------------------------
 
@@ -152,7 +167,29 @@ class _Parser:
         a, b = self._promote(a, b)
         _charge(self.budget, len(a.terms) * len(b.terms),
                 "step limit exceeded while expanding a product")
-        return a * b
+        return self._times(a, b)
+
+    def _times(self, a: Element, b: Element) -> Element:
+        """``a*b``; when parsing against a presentation over their alphabet
+        (a tensor product never is), ``nf(a*b)`` from a reduced ``a`` and
+        the free words of ``b``."""
+        p = self.presentation
+        if p is None or a.alphabet != p.alphabet:
+            return a * b
+        return p._multiply(a, b, self.reducing)
+
+    def _reduced(self, x: Element) -> Element:
+        """``x``, reduced when parsing against a presentation."""
+        if self.presentation is None:
+            return x
+        return self._times(Element.unit(x.alphabet, self.order), x)
+
+    def _expanded(self, parse):
+        """What ``parse()`` parses, in free words: not reduced."""
+        p, self.presentation = self.presentation, None
+        out = parse()
+        self.presentation = p
+        return out
 
     # -- grammar -----------------------------------------------------------
 
@@ -191,11 +228,21 @@ class _Parser:
         acc = self.parse_factor()
         while self.peek().kind == "OP" and self.peek().value == "*":
             self.next()
-            acc = self.mul(acc, self.parse_factor())
+            # nf(x*y) folds nf(x) by the letters of the free words of y,
+            # so y stays expanded unless x is a scalar: nf(c*y) = c*nf(y)
+            if any(acc.terms):
+                y = self._expanded(self.parse_factor)
+            else:
+                y = self.parse_factor()
+            acc = self.mul(acc, y)
         return acc
 
     def parse_factor(self) -> Element:
-        atom = self.parse_atom()
+        if self.presentation is not None and self._raised():
+            # each factor of x^n is a right operand: x stays expanded
+            atom = self._expanded(self.parse_atom)
+        else:
+            atom = self.parse_atom()
         if self.peek().kind == "OP" and self.peek().value == "^":
             self.next()
             sign = 1
@@ -209,6 +256,20 @@ class _Parser:
             return self._power(atom, exp)
         return atom
 
+    def _raised(self) -> bool:
+        """Whether the atom at the cursor is followed by ``^``."""
+        depth = 0
+        for i in range(self.pos, len(self.tokens) - 1):
+            t = self.tokens[i]
+            if t.kind == "OP" and t.value in "([":
+                depth += 1
+            elif t.kind == "OP" and t.value in ")]":
+                depth -= 1
+            if depth <= 0:
+                t = self.tokens[i + 1]
+                return t.kind == "OP" and t.value == "^"
+        return False
+
     def _charge(self, a: Element, b: Element):
         _charge(self.budget,
                 1 + len(a.terms) * len(b.terms) * (a.degree() + b.degree()),
@@ -219,7 +280,7 @@ class _Parser:
             out = Element.unit(x.alphabet, self.order)
             for _ in range(exp):
                 self._charge(out, x)
-                out = out * x
+                out = self._times(out, x)
             return out
         if len(x.terms) == 1 and () in x.terms:
             coeff = x.terms[()]
@@ -248,7 +309,8 @@ class _Parser:
             if name == "ox":
                 raise ParseError("misplaced 'ox'", t.line, t.col)
             if name in self.alphabet.names:
-                return Element.generator(self.alphabet, name, self.order)
+                return self._reduced(
+                    Element.generator(self.alphabet, name, self.order))
             if name in self.params:
                 return unit.scaled(Scalar.param(name, self.order))
             raise ParseError(f"unknown symbol {name!r}", t.line, t.col)
@@ -257,25 +319,34 @@ class _Parser:
             self.expect_op(")")
             return inner
         if t.kind == "OP" and t.value == "[":
-            x = self.parse_expr()
+            # each side is the right operand of one product
+            x = self._expanded(self.parse_expr)
             self.expect_op(",")
-            y = self.parse_expr()
+            y = self._expanded(self.parse_expr)
             self.expect_op("]")
-            return self.mul(x, y) - self.mul(y, x)
+            return (self.mul(self._reduced(x), y)
+                    - self.mul(self._reduced(y), x))
         raise ParseError("expected an atom", t.line, t.col)
 
 
 def parse_expression(text: str, alphabet: Alphabet, params: tuple[str, ...],
-                     order: int) -> Element:
-    """Parse ``text`` into an element over ``alphabet``.
+                     order: int,
+                     presentation: Presentation | None = None) -> Element:
+    """Parse ``text`` into an element over ``alphabet``; given a
+    ``presentation`` over ``alphabet``, into its normal form there, reduced
+    factor by factor.
 
     Raises :class:`ParseError` with line/column on malformed input or
-    unknown symbols, and :class:`StepLimitExceeded` when expanding powers
-    would take more steps than the current limit (see :mod:`.rewrite`).
+    unknown symbols, :class:`StepLimitExceeded` when expanding or reducing
+    would take more steps than the current limit (see :mod:`.rewrite`), and
+    :class:`AlphabetMismatch` when the result is not over the
+    presentation's alphabet (a tensor product).
     """
-    parser = _Parser(tokenize(text), alphabet, params, order)
+    parser = _Parser(tokenize(text), alphabet, params, order, presentation)
     out = parser.parse_expr()
     tail = parser.peek()
     if tail.kind != "END":
         raise ParseError("trailing input", tail.line, tail.col)
+    if presentation is not None:
+        presentation._check_alphabet(out)
     return out

@@ -17,6 +17,13 @@ on the table, it reports the rules it fires, and it takes over when table
 fills nest deeper than the interpreter's stack.  ``check_local_confluence``
 reports a verdict and changes nothing on its presentation.
 
+The table also multiplies without expanding: ``Presentation._multiply``
+gives ``nf(x*y)`` for a normal ``x`` by folding ``x`` by the letters of each
+word of ``y``.  A word's normal form is the fold of its letters from the
+left, so this is exactly the normal form of the expanded product, confluent
+presentation or not; ``parser.parse_expression`` reduces an expression
+factor by factor through it.
+
 A tensor square or cube (``Presentation.at_slots``, a :class:`TensorPower`)
 has no rules of its own: it reduces each slot word of a tensor word through
 the base presentation's normal form.
@@ -27,15 +34,18 @@ step_limit(n):`` block sets it (the command line sets it once, from
 fresh allowance equal to the current limit and raises
 :class:`StepLimitExceeded` when it is spent: ``normal_form``, ``rewrite``,
 ``normal_form_random``, each ambiguity side a confluence check reduces and
-``parser.parse_expression``.  One step is one rule application for the
-rewriter and the randomized strategy; for the table, one fill (applying one
-rule) plus the steps of the products it multiplies out, while a product
-``v*g`` that stays normal only appends a letter and is free, so the two
-counts are close (``(a+b+c+d)^8`` in suq2: 950,334 and 912,084).  A tensor
-power's normal form charges each slot word the steps of its base reduction;
-moving letters between slots is free.  A memoised table entry or slot word
-replays the steps it cost, so a limit trips at the same value whether the
-memos are cold or warm.  The rewriter keeps no memo.
+``parser.parse_expression``, which draws a second one for its reductions
+when it reduces against a presentation.  One step is one rule application
+for the rewriter and the randomized strategy; for the table, one fill
+(applying one rule) plus the steps of the products it multiplies out, while
+a product ``v*g`` that stays normal only appends a letter and is free, so
+the two counts are close (``(a+b+c+d)^8`` in suq2: 950,334 and 912,084;
+reduced factor by factor while parsing, its reductions take 2,902 steps and
+its expansion 8,720).  A tensor power's normal form charges each slot word
+the steps of its base reduction; moving letters between slots is free.  A
+memoised table entry or slot word replays the steps it cost, so a limit
+trips at the same value whether the memos are cold or warm.  The rewriter
+keeps no memo.
 """
 
 from __future__ import annotations
@@ -212,6 +222,15 @@ class Presentation:
             # entries already filled stay valid
             return self._rewrite(terms, budget)
 
+    def _multiply(self, x: Element, y: Element, budget: list[int]) -> Element:
+        """The normal form of ``x*y`` for ``x`` over normal words."""
+        try:
+            terms = self._table.multiply(x.terms, y.terms, budget)
+        except RecursionError:
+            # as in ``_reduce``; the rewriter takes the expanded product
+            terms = self._rewrite((x * y).terms, budget)
+        return Element._of(self.alphabet, terms, self.trunc_order)
+
     def _rewrite(self, terms: dict, budget: list[int],
                  fired: set[int] | None = None) -> dict:
         """Reduce each word on a stack by the leftmost, strongest redex."""
@@ -365,27 +384,53 @@ class NormalWordTable:
                 continue
             _charge(budget, hit[1], what)
             accumulate_scaled(acc, hit[0], coeff)
-        if pending:
-            pending.sort(key=itemgetter(0))
-            # stack[i]: nf of the first i letters of ``prev`` and its cost
-            stack = [({(): Scalar.one(self.order)}, 0)]
-            prev: tuple[int, ...] = ()
-            for iw, coeff in pending:
-                k, top = 0, min(len(prev), len(iw))
-                while k < top and prev[k] == iw[k]:
-                    k += 1
-                del stack[k + 1:]
-                _charge(budget, stack[k][1], what)
-                for g in iw[k:]:
-                    terms, cost = stack[-1]
-                    before = budget[0]
-                    terms = self._times(terms, g, budget)
-                    stack.append((terms, cost + before - budget[0]))
-                words[iw] = stack[-1]
-                accumulate_scaled(acc, stack[-1][0], coeff)
-                prev = iw
+        self._fold({(): Scalar.one(self.order)}, pending, acc, budget, words)
+        return self._decode(acc)
+
+    def multiply(self, x: dict, y: dict, budget: list[int]) -> dict:
+        """``nf(x*y)`` for word -> coefficient dicts, ``x`` over normal
+        words: ``x`` multiplied by the letters of each word of ``y`` in
+        turn, then by that word's coefficient.  The fold is linear and runs
+        left to right, so this is the dict ``reduce`` gives for the
+        expanded product."""
+        code = self._code
+        acc: dict = {}
+        self._fold({code(u): c for u, c in x.items()},
+                   [(code(w), c) for w, c in y.items()], acc, budget)
+        return self._decode(acc)
+
+    def _fold(self, start: dict, pending: list, acc: dict, budget: list[int],
+              memo: dict | None = None):
+        """``acc += nf(start * w) * c`` for each coded word ``w`` and
+        coefficient ``c`` of ``pending``.  Words are folded in sorted order,
+        so neighbours share their common prefix's partial products on a
+        stack; a shared prefix replays its cost.  Each result is stored in
+        ``memo`` when given."""
+        what = self.exceeded
+        pending.sort(key=itemgetter(0))
+        # stack[i]: nf(start * the first i letters of ``prev``), its cost
+        stack = [(start, 0)]
+        prev: tuple[int, ...] = ()
+        for iw, coeff in pending:
+            k, top = 0, min(len(prev), len(iw))
+            while k < top and prev[k] == iw[k]:
+                k += 1
+            del stack[k + 1:]
+            _charge(budget, stack[k][1], what)
+            for g in iw[k:]:
+                terms, cost = stack[-1]
+                before = budget[0]
+                terms = self._times(terms, g, budget)
+                stack.append((terms, cost + before - budget[0]))
+            if memo is not None:
+                memo[iw] = stack[-1]
+            accumulate_scaled(acc, stack[-1][0], coeff)
+            prev = iw
+
+    def _decode(self, terms: dict) -> dict:
         letters = self.letters
-        return {tuple(map(letters.__getitem__, w)): c for w, c in acc.items()}
+        return {tuple(map(letters.__getitem__, w)): c
+                for w, c in terms.items()}
 
     def _times(self, terms: dict, g: int, budget: list[int]) -> dict:
         """``nf(terms * g)`` for ``terms`` over normal words."""

@@ -202,7 +202,7 @@ def test_classical_limit():
                                     lam_zero=True).ok
     ok = ok and contract.verify_change_of_variables(klmn0, final0,
                                                     lam_zero=True).ok
-    ok = ok and contract.solver_suite(final0, lam_zero=True).ok
+    ok = ok and contract.solver_suite(final0).ok
     for h in (klmn0, final0):
         ok = ok and check_local_confluence(h.base, 6).ok
         ok = ok and run_hopf_suite(h, rng=Random(42), n_random=25).ok

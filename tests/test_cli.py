@@ -206,6 +206,23 @@ class TestNf:
         assert code == 0
         assert out.strip() == "x*y^2"
 
+    def test_deep_fill_chain_falls_back_to_the_rewriter(self, capsys,
+                                                         tmp_path):
+        # x1 -> x0, x2 -> x1, ...: reducing the letter x699 nests 699 fills
+        n = 700
+        src = tmp_path / "chain.preso"
+        src.write_text("[generators]\n" + " ".join(f"x{i}" for i in range(n))
+                       + "\n\n[rules]\n"
+                       + "".join(f"x{i + 1} -> x{i}\n" for i in range(n - 1)))
+        assert run(capsys, "nf", "-p", str(src), f"x{n - 1}^2 + x3") == (
+            0, "x0^2 + x0\n", "")
+
+    def test_tensor_expression_is_not_reduced(self, capsys):
+        assert run(capsys, "nf", "a ox b") == (
+            2, "", "error: element over Alphabet(names=('b', 'c', 'a', 'd'), "
+                   "slot_count=2) fed to presentation over Alphabet(names="
+                   "('b', 'c', 'a', 'd'), slot_count=1)\n")
+
 
 class TestConfluence:
     def test_builtins_pass(self, capsys):

@@ -1,7 +1,7 @@
 """Differential tests: the integer-triple Gaussian rationals, the
 dict-accumulating normal form, the normal-word table, the tuple letters, the
-shared scalar one and the leg-memoising tensor fold against independent
-slow paths."""
+shared scalar one, the leg-memoising tensor fold and reducing while parsing
+against independent slow paths."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,7 +11,7 @@ from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from slot_swap import slot_swap_power
 
@@ -391,6 +391,84 @@ def test_deep_fill_chain_falls_back_to_the_rewriter():
     p = catalog.parse_presentation_text(text)
     x = parse_expression(f"x{n - 1}^2 + x3", p.alphabet, (), 1)
     assert str(p.normal_form(x)) == "x0^2 + x0"
+
+
+# -- reducing factor by factor against reducing the expansion -----------------
+
+
+@st.composite
+def expression_texts(draw, names, depth=3):
+    """The text of an expression over ``names``, an upper bound on the
+    number of free words it expands to and its degree."""
+    kind = draw(st.sampled_from(
+        ["atom", "sum", "product", "power", "commutator"] if depth else
+        ["atom"]))
+    if kind == "atom":
+        atom = draw(st.sampled_from([*names, *names, "q", "lam", "i", "eps",
+                                     "number"]))
+        if atom == "number":
+            atom = f"{draw(st.integers(1, 5))}/{draw(st.integers(1, 3))}"
+        return atom, 1, int(atom in names)
+    x, n, d = draw(expression_texts(names, depth - 1))
+    if kind == "power":
+        e = draw(st.integers(0, 4))
+        return f"({x})^{e}", n ** e, d * e
+    y, m, f = draw(expression_texts(names, depth - 1))
+    if kind == "sum":
+        return f"{x} {draw(st.sampled_from('+-'))} {y}", n + m, max(d, f)
+    if kind == "product":
+        return f"({x})*({y})", n * m, d + f
+    return f"[{x}, {y}]", 2 * n * m, d + f
+
+
+@lru_cache(maxsize=None)
+def _builtin(name, order):
+    return catalog.load_presentation(f"builtin:{name}", order).base
+
+
+def _assert_reduced_while_parsing(p, text, order):
+    params = ("lam", "q")
+    expanded = parse_expression(text, p.alphabet, params, order)
+    reduced = parse_expression(text, p.alphabet, params, order, p)
+    assert reduced.terms == p.normal_form(expanded).terms
+    assert str(reduced) == str(p.normal_form(expanded))
+    return expanded, reduced
+
+
+@given(st.sampled_from(catalog.BUILTIN_NAMES), st.sampled_from([1, 2]),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_reducing_while_parsing_matches_normal_form(name, order, data):
+    p = _builtin(name, order)
+    text, size, degree = data.draw(expression_texts(p.alphabet.names))
+    assume(size <= 256 and degree <= 8)
+    expanded, reduced = _assert_reduced_while_parsing(p, text, order)
+    assert reduced == normal_form_random(p, expanded, Random(text))
+
+
+@given(st.sampled_from(range(3)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_reducing_while_parsing_matches_normal_form_without_confluence(
+        index, data):
+    # the table's fold is linear and runs left to right, so reducing after
+    # every factor gives the dict the expansion reduces to, even where an
+    # irreducible reduct is not unique
+    p = _non_confluent()[index]
+    text, size, degree = data.draw(expression_texts(p.alphabet.names))
+    assume(size <= 256 and degree <= 8)
+    _assert_reduced_while_parsing(p, text, 1)
+
+
+def test_right_operand_is_folded_by_its_free_words():
+    # nf(etabar*nf(eta*F)) is another irreducible reduct of etabar*eta*F in
+    # this non-confluent presentation: a reduced right operand would change
+    # the result
+    p = _non_confluent()[1]
+    text = "etabar*(eta*F)"
+    expanded, reduced = _assert_reduced_while_parsing(p, text, 1)
+    inner = p.normal_form(parse_expression("eta*F", p.alphabet, (), 1))
+    etabar = Element.generator(p.alphabet, "etabar", 1)
+    assert p.normal_form(etabar * inner) != reduced
 
 
 # Smallest step limits at which ``normal_form`` reduces these inputs at

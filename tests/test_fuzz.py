@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qcontract import catalog
 from qcontract.catalog import PresentationFormatError, parse_presentation_text
-from qcontract.freealg import Element
+from qcontract.freealg import AlphabetMismatch, Element
 from qcontract.hopf import HopfPresentation
 from qcontract.parser import ParseError, parse_expression
 from qcontract.rewrite import Presentation, RuleOrientationError
@@ -33,6 +33,19 @@ def test_parse_expression_returns_an_element_or_a_parse_error(text):
     except ParseError:
         return
     assert isinstance(x, Element)
+
+
+SUQ2 = catalog.load_presentation("builtin:suq2", 2).base
+
+
+@given(st.one_of(token_text, raw_text))
+@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+def test_reducing_parse_returns_a_normal_element_or_a_clean_error(text):
+    try:
+        x = parse_expression(text, ALPHABET, ("q", "lam"), 2, SUQ2)
+    except (ParseError, AlphabetMismatch):  # a tensor is not reduced
+        return
+    assert all(SUQ2.is_normal_word(w) for w in x.terms)
 
 
 SECTION_HEADERS = ["[params]", "[generators]", "[rules]", "[coproduct]",

@@ -97,13 +97,43 @@ def test_command_step_limit_threshold(capsys, argv, limit):
     assert out.endswith("failed: 0\n")
 
 
-def test_limit_bounds_typed_products(capsys):
-    # 16 + 64 + 256 + 1024 pairs of terms by the fifth factor
-    code, out, err = _run(capsys, "nf", "--step-limit", "1000",
+def test_limit_bounds_typed_products(capsys, tmp_path):
+    # no rules, so nothing is reduced: 16 + 64 + 256 + 1024 pairs of terms
+    # by the fifth factor
+    src = tmp_path / "free.preso"
+    src.write_text("[generators]\na b c d\n")
+    code, out, err = _run(capsys, "nf", "-p", str(src), "--step-limit", "1000",
                           "*".join(["(a+b+c+d)"] * 8))
     assert (code, out) == (3, "")
     assert err == ("step limit exceeded: step limit exceeded while expanding "
                    "a product\n")
+
+
+def test_limit_bounds_reduced_typed_products(capsys):
+    code, out, err = _run(capsys, "nf", "--step-limit", "1000",
+                          "*".join(["(a+b+c+d)"] * 8))
+    assert (code, out) == (3, "")
+    assert err == ("step limit exceeded: step limit exceeded while reducing "
+                   "in suq2\n")
+
+
+# Smallest limits at which ``nf`` (in suq2) passes, and the message one below.
+# The expression is reduced factor by factor, so a power is charged on its
+# reduced left operand: (a+b+c+d)^8 needed 912,084 when its 65,536 free
+# words were reduced after expanding, (d*a)^5 only 36.
+@pytest.mark.parametrize("expr,limit,trips", [
+    ("(a+b+c+d)^8", 8720, "expanding a power"),
+    ("*".join(["(a+b+c+d)"] * 8), 2902, "reducing in suq2"),
+    ("(d*a)^4", 65, "expanding a power"),
+    ("(d*a)^5", 116, "expanding a power"),
+    ("(d*d*a*a)^3", 94, "expanding a power"),
+    ("d*d*d*d*a*a*a*a", 40, "reducing in suq2"),
+])
+def test_nf_step_limit_threshold(capsys, expr, limit, trips):
+    assert _run(capsys, "nf", "--step-limit", str(limit - 1), expr) == (
+        3, "", f"step limit exceeded: step limit exceeded while {trips}\n")
+    code, out, err = _run(capsys, "nf", "--step-limit", str(limit), expr)
+    assert (code, err) == (0, "")
 
 
 def test_limit_bounds_presentation_file_expansion(capsys, tmp_path):
