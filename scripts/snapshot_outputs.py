@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Snapshot the output of a fixed list of qcontract commands.
 
-Usage: snapshot_outputs.py OUTDIR
+Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: one
+command reads a presentation file under ``tests/golden``)
 
 Each command runs in-process through ``qcontract.cli.main``; its exit code,
 stdout and stderr go to one file in OUTDIR named after its arguments.
@@ -56,6 +57,8 @@ def _commands() -> list[list[str]]:
     # lam = 0; each message names the presentation being reduced
     cmds.append(["report", "--step-limit", "898"])
     cmds.append(["report", "--lam-zero", "--step-limit", "100"])
+    # a broken antipode: four generator checks and the random layer fail
+    cmds.append(["hopf-check", "-p", "tests/golden/suq2_bad_antipode.preso"])
     return cmds
 
 

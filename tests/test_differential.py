@@ -1,9 +1,9 @@
 """Differential tests: the integer-triple Gaussian rationals, the
 dict-accumulating normal form, the normal-word table, the tuple letters, the
-shared scalar one, the leg-memoising tensor fold and reducing while parsing
-against independent slow paths."""
+shared scalar one, the leg-memoising tensor fold, reducing while parsing and
+the memoised Hopf maps against independent slow paths."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -641,3 +641,99 @@ def test_fold_tensor_matches_per_word_loop(name, order):
             # each map ran once per distinct leg word
             assert len(seen_l) == len(set(seen_l))
             assert len(seen_r) == len(set(seen_r))
+
+
+# -- memoised Hopf maps against the generator images and a normal form ---------
+
+
+def reference_images(h: HopfPresentation, x: Element) -> dict:
+    """Oracle: each map of ``h`` by its generator images and a normal form,
+    with no memo; the convolution folds by the per-word oracle above."""
+    base = h.base
+    nf = base.normal_form(x)
+
+    def antipode(y):
+        return base.normal_form(h.antipode.apply(base.normal_form(y)))
+
+    def star(y):
+        return base.normal_form(h.star.apply(y))
+
+    delta = base.at_slots(2).normal_form(h.coproduct.apply(nf))
+    return {
+        "coproduct": delta,
+        "antipode": antipode(x),
+        "star": star(x),
+        "convolution": fold_tensor_per_word(h, delta, antipode, lambda y: y),
+        "star-twice": star(star(x)),
+    }
+
+
+def memoised_images(h: HopfPresentation, x: Element) -> dict:
+    return {
+        "coproduct": h.apply_coproduct(x),
+        "antipode": h.apply_antipode(x),
+        "star": h.apply_star(x),
+        "convolution": h.apply_convolution(x),
+        "star-twice": h.apply_star_twice(x),
+    }
+
+
+@lru_cache(maxsize=None)
+def _hopf(name, order):
+    """One presentation per builtin and order, its memo kept warm across
+    examples."""
+    return catalog.load_presentation(f"builtin:{name}", order)
+
+
+@st.composite
+def hopf_inputs(draw):
+    """A builtin at order 1 or 4 and an element of it: up to three words of
+    up to three letters, each with a coefficient of up to three terms whose
+    Gaussian rationals may carry ``i``."""
+    h = _hopf(draw(st.sampled_from(catalog.BUILTIN_NAMES)),
+              draw(st.sampled_from([1, 4])))
+    alph, order = h.base.alphabet, h.order
+    letters = [alph.gen(n) for n in alph.names if n not in h.excluded]
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        word = tuple(draw(st.lists(st.sampled_from(letters), max_size=3)))
+        coeff = Scalar.zero(order)
+        for _ in range(draw(st.integers(1, 3))):
+            mono = ParamMonomial([("q", draw(st.integers(-2, 2))),
+                                  ("lam", draw(st.integers(0, 2)))])
+            gr = GaussianRational(Fraction(draw(st.integers(-3, 3)),
+                                           draw(st.integers(1, 3))),
+                                  Fraction(draw(st.integers(-2, 2)),
+                                           draw(st.integers(1, 2))))
+            coeff = coeff + Scalar({(mono, draw(st.integers(0, order))): gr},
+                                   order)
+        terms[word] = terms.get(word, Scalar.zero(order)) + coeff
+    return h, Element(alph, terms, order)
+
+
+@given(hopf_inputs())
+@settings(max_examples=80, deadline=None)
+def test_memoised_hopf_maps_match_the_generator_images(case):
+    h, x = case
+    want = reference_images(h, x)
+    assert memoised_images(replace(h), x) == want  # a cold memo
+    assert memoised_images(h, x) == want  # warm across examples
+    assert memoised_images(h, x) == want  # every word of x now kept
+
+
+def test_copies_of_a_presentation_keep_their_own_memo():
+    final = catalog.load_presentation("builtin:ekappa2-final", 1)
+    texts = ["eta*etabar", "etabar*eta", "E*eta*etabar + 2*F", "eta*F"]
+    xs = [parse_expression(t, final.base.alphabet, ("lam",), 1)
+          for t in texts]
+    for x in xs:
+        assert memoised_images(final, x) == reference_images(final, x)
+    open_ = catalog.without_commutator_rule(final)
+    limit = catalog.classical_limit(final)
+    for h in (open_, limit):
+        for x in xs:
+            assert memoised_images(h, x) == reference_images(h, x)
+    # the variants are other algebras: a memo shared with final would
+    # have handed them final's images
+    assert open_.apply_antipode(xs[0]) != final.apply_antipode(xs[0])
+    assert limit.apply_antipode(xs[0]) != final.apply_antipode(xs[0])

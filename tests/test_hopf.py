@@ -1,8 +1,10 @@
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from qcontract import catalog
+from qcontract.cli import main
 from qcontract.freealg import Element
 from qcontract.hopf import (
     ExcludedGenerator,
@@ -15,8 +17,11 @@ from qcontract.hopf import (
     grouplike_residual,
     run_hopf_suite,
 )
+from qcontract.rewrite import StepLimitExceeded, step_limit
 from qcontract.sampling import random_element
 from qcontract.scalars import Scalar
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestCoproduct:
@@ -194,6 +199,48 @@ class TestFullSuite:
             rng = Random(42)
             report = run_hopf_suite(h, rng=rng, n_random=25)
             assert report.ok, [r.name for r in report.failures()]
+
+
+class TestImageMemo:
+    @staticmethod
+    def suite(h, limit):
+        with step_limit(limit):
+            return run_hopf_suite(h, rng=Random(42), n_random=25)
+
+    def test_warm_suite_passes_at_the_cold_threshold(self):
+        def load():
+            return catalog.load_presentation("builtin:ekappa2-klmn", 1)
+
+        # the smallest limit at which the suite passes on a fresh
+        # presentation: one word's convolution in the random layer
+        cold = 1094
+        with pytest.raises(StepLimitExceeded):
+            self.suite(load(), cold - 1)
+        h = load()
+        first = self.suite(h, cold)
+        assert first.ok
+        assert self.suite(h, cold).records == first.records
+        # a kept image charges nothing, so the warm suite needs far less
+        assert self.suite(h, 50).records == first.records
+
+    def test_broken_antipode_fails_the_suite(self, capsys):
+        code = main(["hopf-check", "-p",
+                     str(GOLDEN / "suq2_bad_antipode.preso")])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert [line for line in out.splitlines() if "FAIL" in line] == [
+            "[FAIL] suq2_bad_antipode/antipode-right/b  [Eq. (4)]  "
+            "residual: -b*a + q*b*a",
+            "[FAIL] suq2_bad_antipode/antipode-left/c  [Eq. (4)]  "
+            "residual: -q*c*a + q^2*c*a",
+            "[FAIL] suq2_bad_antipode/antipode-left/d  [Eq. (4)]  "
+            "residual: -q*b*c + q^2*b*c - 1 + q",
+            "[FAIL] suq2_bad_antipode/antipode-right/d  [Eq. (4)]  "
+            "residual: b*c - q^-1*b*c - 1 + q",
+            "[FAIL] suq2_bad_antipode/random-layer/25-elements  "
+            "residual: 21 failures",
+        ]
+        assert out.endswith("checks: 43  failed: 5\n")
 
 
 def test_tensor_grouplike_helper(final, pe_final):
