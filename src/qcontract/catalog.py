@@ -44,7 +44,7 @@ from .freealg import (
     format_word,
 )
 from .hopf import HopfPresentation
-from .parser import ParseError, parse_expression
+from .parser import RESERVED, ParseError, parse_expression, tokenize
 from .rewrite import Presentation, RewriteRule
 from .scalars import Scalar
 
@@ -456,15 +456,37 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
 
     if "generators" not in sections:
         raise PresentationFormatError("missing [generators] section")
+
+    def names(section: str):
+        """``(line number, name)`` for each name of ``section``, each one a
+        name that expressions read back."""
+        for lineno, line, _ in sections.get(section, ()):
+            for n in line.split():
+                try:
+                    kinds = [t.kind for t in tokenize(n)]
+                except ParseError:
+                    kinds = []
+                if n in RESERVED or kinds != ["NAME", "END"]:
+                    what = "a reserved word" if n in RESERVED else "not a name"
+                    raise PresentationFormatError(
+                        f"line {lineno}: {n!r} is {what}")
+                yield lineno, n
+
+    params = tuple(n for _, n in names("params"))
     gen_names: tuple[str, ...] = ()
-    for lineno, line, _ in sections["generators"]:
-        for n in line.split():
-            if n in gen_names:
-                raise PresentationFormatError(
-                    f"line {lineno}: duplicate generator {n!r}")
-            gen_names += (n,)
-    params = tuple(
-        n for _, line, _ in sections.get("params", ()) for n in line.split())
+    for lineno, n in names("generators"):
+        if n in gen_names:
+            raise PresentationFormatError(
+                f"line {lineno}: duplicate generator {n!r}")
+        if n in params:
+            raise PresentationFormatError(
+                f"line {lineno}: {n!r} is both a generator and a parameter")
+        gen_names += (n,)
+    for lineno, n in names("excluded"):
+        if n not in gen_names:
+            raise PresentationFormatError(
+                f"line {lineno}: excluded {n!r} is not a generator")
+    excluded = frozenset(n for _, n in names("excluded"))
     alphabet = Alphabet(gen_names)
 
     def split_arrow(line: str, lineno: int) -> tuple[str, str]:
@@ -507,8 +529,6 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
                 tags[lhs] = tag
         return images, tags
 
-    excluded = frozenset(
-        n for _, line, _ in sections.get("excluded", ()) for n in line.split())
     coproduct, coproduct_tags = collect("coproduct")
     maps = dict(
         coproduct=_gen_map(alphabet, params, order, MapKind.HOMOMORPHISM,
@@ -592,8 +612,17 @@ def builtin_source(name: str) -> str:
     :func:`builtin_dir`."""
     fname = _BUILTIN_FILES[name]
     if _builtin_dir is not None:
-        return (_builtin_dir / fname).read_text()
+        return _read_text(_builtin_dir / fname)
     return _shipped_source(fname)
+
+
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of ``path``; other bytes are a format error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PresentationFormatError(
+            f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 @lru_cache(maxsize=None)
@@ -615,7 +644,7 @@ def load_presentation(source: str | Path, order: int = 1,
         h = parse_presentation_text(builtin_source(name), order, name=name)
     else:
         path = Path(src)
-        h = parse_presentation_text(path.read_text(), order, name=path.stem)
+        h = parse_presentation_text(_read_text(path), order, name=path.stem)
     if lam_zero:
         if not isinstance(h, HopfPresentation):
             raise PresentationFormatError(

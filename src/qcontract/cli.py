@@ -167,16 +167,10 @@ def cmd_nf(args) -> int:
     cfg = _config(args)
     h = _load(cfg)
     base = h.base if isinstance(h, HopfPresentation) else h
-    params = _presentation_params(base)
+    params = tuple(sorted({*base.params, "q", "lam"}))
     print(parse_expression(args.expression, base.alphabet, params,
                            cfg.truncation_order, base))
     return EXIT_OK
-
-
-def _presentation_params(base) -> tuple[str, ...]:
-    params = set(base.params)
-    params.update(("q", "lam"))
-    return tuple(sorted(params))
 
 
 def cmd_confluence(args) -> int:
@@ -260,8 +254,7 @@ def _catalog_report(cfg: RunConfig):
             else:
                 residual = "0"
                 loaded[name] = h
-        except (ParseError, catalog.PresentationFormatError,
-                ValueError) as exc:
+        except ValueError as exc:  # parse and format errors are ValueErrors
             residual = str(exc)
         report.add(CheckRecord(name=f"catalog/load/{name}",
                                ok=residual == "0", residual=residual))
@@ -387,7 +380,7 @@ def main(argv=None) -> int:
         return EXIT_LIMIT
     except (ParseError, catalog.PresentationFormatError, AlphabetMismatch,
             MissingImage, RuleOrientationError, OverlapBoundError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (contract.AdjointResidue, contract.UnknownCommutatorNeeded,

@@ -35,17 +35,22 @@ fresh allowance equal to the current limit and raises
 :class:`StepLimitExceeded` when it is spent: ``normal_form``, ``rewrite``,
 ``normal_form_random``, each ambiguity side a confluence check reduces and
 ``parser.parse_expression``, which draws a second one for its reductions
-when it reduces against a presentation.  One step is one rule application
-for the rewriter and the randomized strategy; for the table, one fill
-(applying one rule) plus the steps of the products it multiplies out, while
-a product ``v*g`` that stays normal only appends a letter and is free, so
-the two counts are close (``(a+b+c+d)^8`` in suq2: 950,334 and 912,084;
-reduced factor by factor while parsing, its reductions take 2,902 steps and
-its expansion 8,720).  A tensor power's normal form charges each slot word
-the steps of its base reduction; moving letters between slots is free.  A
-memoised table entry or slot word replays the steps it cost, so a limit
-trips at the same value whether the memos are cold or warm.  The rewriter
-keeps no memo.
+when it reduces against a presentation.
+
+One step is one rule applied (a rewriter step or a table fill) or one
+coefficient product formed.  The table charges a fill one step, and adding
+``nf(v*g)`` times a coefficient into a sum as many steps as it has terms,
+whether the entry was just filled or memoised; a ``v*g`` that stays normal
+only appends a letter and is free.  A folded word, or one found in the
+whole-word memo, is charged the terms of its result the same way; a prefix
+two words share is folded once.  A tensor power's normal form charges each
+slot word's base reduction (nothing for a memoised one) and each
+coefficient product of its slot-by-slot multiplication; moving letters
+between slots is free.  The memos keep results only, so a warm memo
+charges less than a cold one: ``(a+b+c+d)^8`` in suq2 takes 950,334
+rewriter steps and 280,654 table steps, and reduced factor by factor while
+parsing, 3,663 steps for its reductions and 8,720 for its expansion.  The
+rewriter keeps no memo.
 """
 
 from __future__ import annotations
@@ -155,9 +160,9 @@ class Presentation:
                      reverse=True)
         self._by_first = by_first
         self._table = NormalWordTable(self)
-        # (slot, word) -> (nf(word) moved into that tensor slot, steps
-        # spent), shared by the tensor powers; a hit replays the steps
-        self._legs: dict[tuple[int, Word], tuple[dict, int]] = {}
+        # (slot, word) -> nf(word) moved into that tensor slot, shared by
+        # the tensor powers
+        self._legs: dict[tuple[int, Word], dict] = {}
 
     def _validate(self):
         seen = set()
@@ -185,16 +190,26 @@ class Presentation:
 
     # -- rewriting ---------------------------------------------------------
 
-    def find_match(self, word: Word) -> tuple[int, int] | None:
-        """Leftmost position at which a rule applies; among rules matching
-        there, the one with the largest left-hand side wins."""
-        n = len(word)
-        for pos in range(n):
+    def _matches(self, word: Word):
+        """Each ``(position, rule index)`` at which a rule applies, left to
+        right; at one position the largest left-hand side first."""
+        for pos in range(len(word)):
             for idx in self._by_first.get(word[pos], ()):
                 lhs = self.rules[idx].lhs
                 if word[pos:pos + len(lhs)] == lhs:
-                    return pos, idx
-        return None
+                    yield pos, idx
+
+    def find_match(self, word: Word) -> tuple[int, int] | None:
+        """Leftmost position at which a rule applies; among rules matching
+        there, the one with the largest left-hand side wins."""
+        return next(self._matches(word), None)
+
+    def _apply(self, w: Word, c: Scalar, pos: int, idx: int) -> list:
+        """The terms of ``c*w`` after rule ``idx`` is applied at ``pos``."""
+        rule = self.rules[idx]
+        pre, suf = w[:pos], w[pos + len(rule.lhs):]
+        return [(pre + rw + suf, nc) for rw, rc in rule.rhs.terms.items()
+                if not (nc := c * rc).is_zero]
 
     def is_normal_word(self, word: Word) -> bool:
         return self.find_match(word) is None
@@ -246,18 +261,10 @@ class Presentation:
                     cur = result.get(w)
                     result[w] = c if cur is None else cur + c
                     continue
-                pos, idx = m
                 _charge(budget, 1, what)
                 if fired is not None:
-                    fired.add(idx)
-                rule = self.rules[idx]
-                pre = w[:pos]
-                suf = w[pos + len(rule.lhs):]
-                for rw, rc in rule.rhs.terms.items():
-                    nc = c * rc
-                    if nc.is_zero:
-                        continue
-                    stack.append((pre + rw + suf, nc))
+                    fired.add(m[1])
+                stack.extend(self._apply(w, c, *m))
             accumulate_scaled(acc, result, coeff)
         return acc
 
@@ -286,34 +293,33 @@ class TensorPower:
 
     def normal_form(self, x: Element) -> Element:
         Presentation._check_alphabet(self, x)
-        budget, acc = allowance(), {}
+        budget, acc, what = allowance(), {}, self._exceeded
         try:
             for word, coeff in x.terms.items():
                 terms = {(): coeff}
                 for slot, part in enumerate(
                         slot_words(word, self.alphabet.slot_count), 1):
                     legs = self._leg(slot, part, budget)
+                    _charge(budget, len(terms) * len(legs), what)
                     terms = {u + v: p for u, c in terms.items()
                              for v, d in legs.items() if (p := c * d).terms}
                 for w, c in terms.items():
                     _add_term(acc, w, c)
         except StepLimitExceeded:
-            raise StepLimitExceeded(self._exceeded) from None
+            raise StepLimitExceeded(what) from None
         return Element._of(self.alphabet, acc, self.trunc_order)
 
     def _leg(self, slot: int, word: Word, budget: list[int]) -> dict:
         """The base normal form of the slot word ``word``, moved into
         ``slot``; the base keeps the memo, so it outlives this object."""
-        base = self.base
-        hit = base._legs.get((slot, word))
-        if hit is not None:
-            _charge(budget, hit[1], self._exceeded)
-            return hit[0]
-        before = budget[0]
-        terms = base._reduce({word: Scalar.one(self.trunc_order)}, budget)
-        moved = {tuple([GeneratorId(g.name, slot) for g in w]): c
-                 for w, c in terms.items()}
-        base._legs[slot, word] = (moved, before - budget[0])
+        legs, key = self.base._legs, (slot, word)
+        moved = legs.get(key)
+        if moved is None:
+            terms = self.base._reduce(
+                {word: Scalar.one(self.trunc_order)}, budget)
+            moved = legs[key] = {
+                tuple([GeneratorId(g.name, slot) for g in w]): c
+                for w, c in terms.items()}
         return moved
 
 
@@ -334,8 +340,8 @@ class NormalWordTable:
     """Normal forms by multiplying normal words by one letter at a time.
 
     Letters are numbered slot by slot in precedence order, and words are
-    tuples of those numbers.  ``products[v + (g,)]`` holds ``nf(v*g)`` and
-    its cost for a normal word ``v`` with ``v*g`` reducible.  Since ``v`` is
+    tuples of those numbers.  ``products[v + (g,)]`` holds ``nf(v*g)`` for
+    a normal word ``v`` with ``v*g`` reducible.  Since ``v`` is
     irreducible, a redex of ``v*g`` ends at ``g``: with ``v = p*l`` and a
     rule ``l*g -> r``, filling the entry multiplies the normal prefix ``p``
     by the letters of each word of ``r`` through the table again.  Each such
@@ -343,9 +349,7 @@ class NormalWordTable:
     ends.  A fill only applies rules, so every entry is an irreducible
     reduct of its word, a pure function of that word whatever else the
     table holds; on a confluent presentation it is the normal form, and
-    ``nf(u*g) = nf(nf(u)*g)``.  ``words`` is the whole-word memo.  Words not
-    in it are folded in sorted order, so neighbours share their common
-    prefix's partial products on a stack.
+    ``nf(u*g) = nf(nf(u)*g)``.  ``words`` is the whole-word memo.
     """
 
     def __init__(self, p: Presentation):
@@ -364,8 +368,8 @@ class NormalWordTable:
             lhs = self._code(r.lhs)
             rhs = tuple((self._code(w), c) for w, c in r.rhs.terms.items())
             self.ending[lhs[-1]].append((len(lhs) - 1, lhs[:-1], rhs))
-        self.products: dict[tuple[int, ...], tuple[dict, int]] = {}
-        self.words: dict[tuple[int, ...], tuple[dict, int]] = {}
+        self.products: dict[tuple[int, ...], dict] = {}
+        self.words: dict[tuple[int, ...], dict] = {}
 
     def _code(self, word: Word) -> tuple[int, ...]:
         index = self.index
@@ -373,19 +377,8 @@ class NormalWordTable:
 
     def reduce(self, terms: dict, budget: list[int]) -> dict:
         """The normal form of the word -> coefficient ``terms``."""
-        what, words = self.exceeded, self.words
-        acc: dict = {}
-        pending = []
-        for word, coeff in terms.items():
-            iw = self._code(word)
-            hit = words.get(iw)
-            if hit is None:
-                pending.append((iw, coeff))
-                continue
-            _charge(budget, hit[1], what)
-            accumulate_scaled(acc, hit[0], coeff)
-        self._fold({(): Scalar.one(self.order)}, pending, acc, budget, words)
-        return self._decode(acc)
+        return self._fold({(): Scalar.one(self.order)}, terms, budget,
+                          self.words)
 
     def multiply(self, x: dict, y: dict, budget: list[int]) -> dict:
         """``nf(x*y)`` for word -> coefficient dicts, ``x`` over normal
@@ -393,39 +386,35 @@ class NormalWordTable:
         turn, then by that word's coefficient.  The fold is linear and runs
         left to right, so this is the dict ``reduce`` gives for the
         expanded product."""
-        code = self._code
-        acc: dict = {}
-        self._fold({code(u): c for u, c in x.items()},
-                   [(code(w), c) for w, c in y.items()], acc, budget)
-        return self._decode(acc)
+        return self._fold({self._code(u): c for u, c in x.items()}, y,
+                          budget)
 
-    def _fold(self, start: dict, pending: list, acc: dict, budget: list[int],
-              memo: dict | None = None):
-        """``acc += nf(start * w) * c`` for each coded word ``w`` and
-        coefficient ``c`` of ``pending``.  Words are folded in sorted order,
-        so neighbours share their common prefix's partial products on a
-        stack; a shared prefix replays its cost.  Each result is stored in
-        ``memo`` when given."""
-        what = self.exceeded
-        pending.sort(key=itemgetter(0))
-        # stack[i]: nf(start * the first i letters of ``prev``), its cost
-        stack = [(start, 0)]
+    def _fold(self, start: dict, terms: dict, budget: list[int],
+              memo: dict | None = None) -> dict:
+        """``sum nf(start * w) * c`` over the words ``w`` and coefficients
+        ``c`` of ``terms``, for ``start`` over coded normal words.  Words
+        are folded in sorted order, so neighbours share their common
+        prefix's partial products on a stack.  ``memo``, when given, keeps
+        each word's result."""
+        what, acc = self.exceeded, {}
+        stack = [start]  # stack[i]: nf(start * the first i letters of prev)
         prev: tuple[int, ...] = ()
-        for iw, coeff in pending:
-            k, top = 0, min(len(prev), len(iw))
-            while k < top and prev[k] == iw[k]:
-                k += 1
-            del stack[k + 1:]
-            _charge(budget, stack[k][1], what)
-            for g in iw[k:]:
-                terms, cost = stack[-1]
-                before = budget[0]
-                terms = self._times(terms, g, budget)
-                stack.append((terms, cost + before - budget[0]))
-            if memo is not None:
-                memo[iw] = stack[-1]
-            accumulate_scaled(acc, stack[-1][0], coeff)
-            prev = iw
+        for iw, coeff in sorted([(self._code(w), c) for w, c in terms.items()],
+                                key=itemgetter(0)):
+            result = None if memo is None else memo.get(iw)
+            if result is None:
+                k, top = 0, min(len(prev), len(iw))
+                while k < top and prev[k] == iw[k]:
+                    k += 1
+                del stack[k + 1:]
+                for g in iw[k:]:
+                    stack.append(self._times(stack[-1], g, budget))
+                result, prev = stack[-1], iw
+                if memo is not None:
+                    memo[iw] = result
+            _charge(budget, len(result), what)
+            accumulate_scaled(acc, result, coeff)
+        return self._decode(acc)
 
     def _decode(self, terms: dict) -> dict:
         letters = self.letters
@@ -449,16 +438,14 @@ class NormalWordTable:
                     # u*g is normal: appending g applies no rule
                     _add_term(acc, w, c)
                     continue
-            else:
-                _charge(budget, hit[1], what)
-            accumulate_scaled(acc, hit[0], c)
+            _charge(budget, len(hit), what)
+            accumulate_scaled(acc, hit, c)
         return acc
 
     def _fill(self, w: tuple[int, ...], prefix: tuple[int, ...], rhs,
-              budget: list[int]) -> tuple[dict, int]:
+              budget: list[int]) -> dict:
         """Fill ``products[w]`` by the rule whose lhs ends ``w`` after the
         normal ``prefix``."""
-        before = budget[0]
         _charge(budget, 1, self.exceeded)  # the fill applies one rule
         acc: dict = {}
         for rw, rc in rhs:
@@ -467,9 +454,8 @@ class NormalWordTable:
                 terms = self._times(terms, h, budget)
             for u, c in terms.items():
                 _add_term(acc, u, c)
-        hit = (acc, before - budget[0])
-        self.products[w] = hit
-        return hit
+        self.products[w] = acc
+        return acc
 
 
 def normal_form_random(p: Presentation, x: Element, rng) -> Element:
@@ -483,24 +469,13 @@ def normal_form_random(p: Presentation, x: Element, rng) -> Element:
     budget = allowance()
     while stack:
         w, c = stack.pop(rng.randrange(len(stack)))
-        matches = []
-        for pos in range(len(w)):
-            for idx in p._by_first.get(w[pos], ()):
-                lhs = p.rules[idx].lhs
-                if w[pos:pos + len(lhs)] == lhs:
-                    matches.append((pos, idx))
+        matches = list(p._matches(w))
         if not matches:
             cur = acc.get(w)
             acc[w] = c if cur is None else cur + c
             continue
         _charge(budget, 1, "randomized strategy exceeded step limit")
-        pos, idx = matches[rng.randrange(len(matches))]
-        rule = p.rules[idx]
-        pre, suf = w[:pos], w[pos + len(rule.lhs):]
-        for rw, rc in rule.rhs.terms.items():
-            nc = c * rc
-            if not nc.is_zero:
-                stack.append((pre + rw + suf, nc))
+        stack.extend(p._apply(w, c, *matches[rng.randrange(len(matches))]))
     return Element(p.alphabet, acc, p.trunc_order)
 
 

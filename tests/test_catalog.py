@@ -234,6 +234,23 @@ class TestGoldenFiles:
             catalog.parse_presentation_text(line, 1)
         assert "line" in str(exc.value)
 
+    @pytest.mark.parametrize("text,message", [
+        ("[generators]\na a-b\n", "line 2: 'a-b' is not a name"),
+        ("[params]\n2q\n[generators]\na\n", "line 2: '2q' is not a name"),
+        ("[generators]\na i\n", "line 2: 'i' is a reserved word"),
+        ("[generators]\neps\n", "line 2: 'eps' is a reserved word"),
+        ("[params]\nox\n[generators]\na\n", "line 2: 'ox' is a reserved word"),
+        ("[params]\nq\n[generators]\na q\n",
+         "line 4: 'q' is both a generator and a parameter"),
+        ("[generators]\na\n[excluded]\nzz\n",
+         "line 4: excluded 'zz' is not a generator"),
+    ])
+    def test_names_expressions_cannot_read_back_are_refused(self, text,
+                                                            message):
+        with pytest.raises(catalog.PresentationFormatError) as exc:
+            catalog.parse_presentation_text(text, 1)
+        assert str(exc.value) == message
+
     def test_builtin_rule_counts(self):
         assert len(catalog.suq2_presentation(1).base.rules) == 7
         assert len(catalog.ekappa2_klmn_presentation(1).base.rules) == 11

@@ -159,6 +159,36 @@ class TestNf:
         assert code == 2
         assert err.strip() == "error: line 2: duplicate generator 'a'"
 
+    def test_reserved_generator_file_exits_2(self, capsys, tmp_path):
+        # a generator i would be read as the imaginary unit
+        src = tmp_path / "reserved.preso"
+        src.write_text("[generators]\na i\n")
+        assert run(capsys, "nf", "-p", str(src), "i*a") == (
+            2, "", "error: line 2: 'i' is a reserved word\n")
+
+    def test_binary_file_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "binary.preso"
+        src.write_bytes(b"[generators]\na \xff\n")
+        assert run(capsys, "nf", "-p", str(src), "a") == (
+            2, "", f"error: {src}: not UTF-8 text (byte 15)\n")
+
+    def test_directory_exits_2(self, capsys, tmp_path):
+        assert run(capsys, "nf", "-p", str(tmp_path), "a") == (
+            2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+    @pytest.mark.parametrize("make", ["binary", "directory"])
+    def test_unreadable_catalog_file_exits_2(self, capsys, tmp_path, make):
+        target = tmp_path / "suq2.preso"
+        if make == "binary":
+            target.write_bytes(b"\xff")
+        else:
+            target.mkdir()
+        code, out, err = run(capsys, "nf", "--catalog-dir", str(tmp_path),
+                             "a")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("section,lineno", [
         ("coproduct", 5), ("counit", 8), ("antipode", 11), ("star", 14)])
     def test_bad_map_line_names_its_file_line(self, capsys, tmp_path,
