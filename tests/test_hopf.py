@@ -212,7 +212,7 @@ class TestImageMemo:
             return catalog.load_presentation("builtin:ekappa2-klmn", 1)
 
         # the smallest limit at which the suite passes on a fresh
-        # presentation: one normal form of the klmn suite
+        # presentation: its costliest normal form in ekappa2-klmn
         cold = 965
         with pytest.raises(StepLimitExceeded):
             self.suite(load(), cold - 1)
