@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Snapshot the output of a fixed list of qcontract commands.
 
-Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: one
-command reads a presentation file under ``tests/golden``)
+Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: two
+commands read presentation files under ``tests/golden``)
 
 Each command runs in-process through ``qcontract.cli.main``; its exit code,
 stdout and stderr go to one file in OUTDIR named after its arguments.
@@ -59,6 +59,9 @@ def _commands() -> list[list[str]]:
     cmds.append(["report", "--lam-zero", "--step-limit", "100"])
     # a broken antipode: four generator checks and the random layer fail
     cmds.append(["hopf-check", "-p", "tests/golden/suq2_bad_antipode.preso"])
+    # grouplike eta and etabar: the [eta, etabar] solve is not linear
+    cmds.append(["solve-commutator", "--catalog-dir",
+                 "tests/golden/nonlinear_final"])
     return cmds
 
 

@@ -254,7 +254,7 @@ def _catalog_report(cfg: RunConfig):
             else:
                 residual = "0"
                 loaded[name] = h
-        except ValueError as exc:  # parse and format errors are ValueErrors
+        except (ValueError, OSError) as exc:  # unreadable or malformed
             residual = str(exc)
         report.add(CheckRecord(name=f"catalog/load/{name}",
                                ok=residual == "0", residual=residual))

@@ -42,7 +42,7 @@ from .hopf import HopfPresentation, grouplike_residual
 from .parser import parse_expression
 from .reports import CheckRecord, CheckReport
 from .rewrite import Presentation, RewriteRule
-from .scalars import GaussianRational, Scalar, q_power
+from .scalars import GR_ONE, GR_ZERO, ParamMonomial, Scalar, q_power
 
 
 class AdjointResidue(RuntimeError):
@@ -507,7 +507,7 @@ MARKER = "Zc"
 
 @dataclass
 class SolveOutcome:
-    status: str  # unique | inconsistent | underdetermined
+    status: str  # unique | inconsistent | underdetermined | nonlinear
     solution: dict[str, Scalar] | None
     rank: int
     unknowns: int
@@ -534,6 +534,9 @@ def _commutator_rule(alph: Alphabet, x_name: str, y_name: str,
 
 
 def _split_marker(x: Element):
+    """The marker-free terms of ``x`` and the context of each marked word,
+    or None when a word holds the marker twice (``x`` is not affine in
+    it)."""
     base = {}
     contexts = []
     for w, c in x.terms.items():
@@ -542,59 +545,57 @@ def _split_marker(x: Element):
             base[w] = c
             continue
         if len(idxs) > 1:
-            raise RuntimeError("system is nonlinear in the unknown commutator")
+            return None
         i = idxs[0]
         contexts.append((w[:i], w[i].slot, w[i + 1:], c))
     return base, contexts
 
 
-def _gauss_solve(columns: list, rows: dict):
-    """Exact Gaussian elimination over Gaussian rationals.
+def _gauss_solve(columns: list, rows) -> tuple:
+    """Exact Gaussian elimination over Gaussian rationals on sparse rows.
 
-    ``rows`` maps a row key to ``(dict col -> coeff, rhs)``; returns
-    (status, values, rank, free_cols)."""
-    col_index = {c: k for k, c in enumerate(columns)}
-    mat = []
-    for _, (entries, rhs) in sorted(rows.items(), key=lambda kv: repr(kv[0])):
-        vec = [GaussianRational(0)] * len(columns)
-        for c, v in entries.items():
-            vec[col_index[c]] = vec[col_index[c]] + v
-        mat.append((vec, rhs))
-    pivots = {}
-    rank = 0
+    ``rows`` holds ``[entries, rhs]`` pairs, ``entries`` mapping a column
+    index to its non-zero coefficient; they are eliminated in place.  Pivots
+    are taken in column order; a pivot eliminates its column only from the
+    rows that hold it, over its own non-zero entries, and the values follow
+    by back-substitution.  Rank, pivot columns and values depend only on
+    the system and the column order.  Returns (status, values by column,
+    rank, free columns)."""
+    pending = list(rows)
+    pivots = {}  # column index -> (other entries, rhs) of its scaled row
     for col in range(len(columns)):
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if not mat[r][0][col].is_zero:
-                pivot_row = r
-                break
-        if pivot_row is None:
+        holders = [row for row in pending if col in row[0]]
+        if not holders:
             continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        vec, rhs = mat[rank]
-        inv = GaussianRational(1) / vec[col]
-        vec = [v * inv for v in vec]
+        entries, rhs = pivot = holders[0]
+        pending = [row for row in pending if row is not pivot]
+        inv = GR_ONE / entries.pop(col)
+        entries = {c: v * inv for c, v in entries.items()}
         rhs = rhs * inv
-        mat[rank] = (vec, rhs)
-        for r in range(len(mat)):
-            if r == rank or mat[r][0][col].is_zero:
-                continue
-            factor = mat[r][0][col]
-            rvec, rrhs = mat[r]
-            rvec = [a - factor * b for a, b in zip(rvec, vec)]
-            mat[r] = (rvec, rrhs - factor * rhs)
-        pivots[col] = rank
-        rank += 1
-    for r in range(rank, len(mat)):
-        if not mat[r][1].is_zero:
-            return "inconsistent", None, rank, []
-    free_cols = [columns[c] for c in range(len(columns)) if c not in pivots]
-    if free_cols:
-        return "underdetermined", None, rank, free_cols
+        pivots[col] = entries, rhs
+        for row in holders[1:]:
+            target = row[0]
+            factor = target.pop(col)
+            for c, v in entries.items():
+                x = target.get(c, GR_ZERO) - factor * v
+                if x.is_zero:
+                    del target[c]
+                else:
+                    target[c] = x
+            row[1] = row[1] - factor * rhs
+    rank = len(pivots)
+    if any(not rhs.is_zero for _, rhs in pending):
+        return "inconsistent", None, rank, []
+    if rank < len(columns):
+        return "underdetermined", None, rank, [
+            columns[c] for c in range(len(columns)) if c not in pivots]
     values = {}
-    for col, r in pivots.items():
-        values[columns[col]] = mat[r][1]
-    return "unique", values, rank, []
+    for col in reversed(pivots):
+        entries, rhs = pivots[col]
+        for c, v in entries.items():
+            rhs = rhs - v * values[c]
+        values[col] = rhs
+    return "unique", {columns[c]: values[c] for c in range(rank)}, rank, []
 
 
 def _solve_affine_system(base: Element, directions: dict[str, Element],
@@ -607,42 +608,32 @@ def _solve_affine_system(base: Element, directions: dict[str, Element],
     for d in directions.values():
         for c in d.terms.values():
             max_deg = max(max_deg, c.max_param_degree("lam"))
-    deg_bound = max_deg + 1
-    columns = [(label, dd) for label in directions for dd in range(deg_bound + 1)]
+    width = max_deg + 2
+    columns = [(label, dd) for label in directions for dd in range(width)]
+    lam = [ParamMonomial.of("lam", dd) for dd in range(width)]
+    # one row per (word, monomial, eps degree); an entry is met once, as
+    # its monomial fixes its lambda degree, and scalars hold no zeros
     rows: dict = {}
-
-    def row(key):
-        if key not in rows:
-            rows[key] = ({}, GaussianRational(0))
-        return key
-
-    from .scalars import ParamMonomial
-
-    for label, direction in directions.items():
+    for n, direction in enumerate(directions.values()):
         for w, sc in direction.terms.items():
             for (mono, eps), gr in sc.terms.items():
-                for dd in range(deg_bound + 1):
-                    key = row((w, mono * ParamMonomial.of("lam", dd), eps))
-                    entries, rhs = rows[key]
-                    col = (label, dd)
-                    entries[col] = entries.get(col, GaussianRational(0)) + gr
-                    rows[key] = (entries, rhs)
+                for dd in range(width):
+                    rows.setdefault((w, mono * lam[dd], eps),
+                                    [{}, GR_ZERO])[0][n * width + dd] = gr
     for w, sc in base.terms.items():
         for (mono, eps), gr in sc.terms.items():
-            key = row((w, mono, eps))
-            entries, rhs = rows[key]
-            rows[key] = (entries, rhs - gr)
+            rows.setdefault((w, mono, eps), [{}, GR_ZERO])[1] -= gr
 
-    status, values, rank, free = _gauss_solve(columns, rows)
+    status, values, rank, free = _gauss_solve(columns, rows.values())
     if status != "unique":
         return SolveOutcome(status, None, rank, len(columns), free)
     solution = {}
     for label in directions:
         terms = {}
-        for dd in range(deg_bound + 1):
+        for dd in range(width):
             gr = values[(label, dd)]
             if not gr.is_zero:
-                terms[(ParamMonomial.of("lam", dd), 0)] = gr
+                terms[(lam[dd], 0)] = gr
         solution[label] = Scalar(terms, order)
     return SolveOutcome("unique", solution, rank, len(columns))
 
@@ -679,7 +670,10 @@ def _solve_marker(p: Presentation, x_name: str, y_name: str,
     slots = expr.alphabet.slot_count
     p_z = marker_presentation(p, x_name, y_name).at_slots(slots)
     alph = p_z.alphabet
-    base_terms, contexts = _split_marker(p_z.normal_form(expr.rebind(alph)))
+    split = _split_marker(p_z.normal_form(expr.rebind(alph)))
+    if split is None:
+        return SolveOutcome("nonlinear", None, 0, 0)
+    base_terms, contexts = split
 
     marked_slots = {slot for _, slot, _, _ in contexts}
     directions: dict[str, Element] = {}

@@ -144,11 +144,10 @@ class HopfPresentation:
     def apply_convolution(self, x: Element) -> Element:
         """m(S (x) id) Delta x.  A word's coproduct bypasses the coproduct
         memo: the word's convolution is kept, so its coproduct would not be
-        asked for again."""
-        p2 = self.base.at_slots(2)
+        asked for again.  ``fold_tensor`` reduces the free coproduct."""
         return self._linear(
             "convolution", self._guard(x, "coproduct"),
-            lambda w: self.fold_tensor(p2.normal_form(self.coproduct.apply(w)),
+            lambda w: self.fold_tensor(self.coproduct.apply(w),
                                        self.apply_antipode, self._id),
             self.base.alphabet)
 

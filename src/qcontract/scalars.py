@@ -196,24 +196,29 @@ def _as_gr(value) -> GaussianRational:
     raise TypeError(f"cannot coerce {value!r} to GaussianRational")
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """n/d in lowest terms, printed as ``str(Fraction(n, d))`` prints it."""
+    if d != 1:
+        g = gcd(n, d)
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def format_gaussian(gr: GaussianRational) -> str:
     """Render a Gaussian rational as an expression factor.
 
     Purely real values print as fractions, purely imaginary ones use ``i``,
     mixed values are parenthesized so they can re-enter the parser intact.
+    Each part is reduced from the integer triple on its own.
     """
-    if gr.im == 0:
-        return str(gr.re)
-    if gr.re == 0:
-        if gr.im == 1:
-            return "i"
-        if gr.im == -1:
-            return "-i"
-        return f"{gr.im}*i"
-    sign = "+" if gr.im > 0 else "-"
-    imabs = abs(gr.im)
-    istr = "i" if imabs == 1 else f"{imabs}*i"
-    return f"({gr.re}{sign}{istr})"
+    a, b, d = gr._a, gr._b, gr._d
+    if not b:
+        return _ratio_text(a, d)
+    istr = "i" if abs(b) == d else f"{_ratio_text(abs(b), d)}*i"
+    if not a:
+        return istr if b > 0 else "-" + istr
+    return f"({_ratio_text(a, d)}{'+' if b > 0 else '-'}{istr})"
 
 
 class ParamMonomial:

@@ -20,18 +20,41 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def _corrupted_klmn(tmp_path) -> Path:
-    """A copy of the shipped files whose klmn rule for L*K carries twice
-    its lam*M^2 term; the file stays canonical."""
+def _shipped_copy(tmp_path) -> Path:
+    """A catalog directory holding a copy of the shipped files."""
     bad = tmp_path / "cat"
     bad.mkdir()
     for f in DATA.glob("*.preso"):
         shutil.copy(f, bad / f.name)
+    return bad
+
+
+def _corrupted_klmn(tmp_path) -> Path:
+    """A copy of the shipped files whose klmn rule for L*K carries twice
+    its lam*M^2 term; the file stays canonical."""
+    bad = _shipped_copy(tmp_path)
     target = bad / "ekappa2_klmn.preso"
     text = target.read_text()
     assert "L*K -> lam*M^2 + K*L" in text
     target.write_text(text.replace("L*K -> lam*M^2 + K*L",
                                    "L*K -> 2*lam*M^2 + K*L"))
+    return bad
+
+
+def _nonlinear_final(tmp_path) -> Path:
+    """A copy of the shipped files whose eta and etabar are grouplike, so
+    the coproduct condition on [eta, etabar] holds the commutator twice in
+    a word; the file stays canonical."""
+    bad = _shipped_copy(tmp_path)
+    target = bad / "ekappa2_final.preso"
+    text = target.read_text()
+    for old, new in (("eta -> F ox eta + eta ox 1 @ Eq. (30)",
+                      "eta -> eta ox eta"),
+                     ("etabar -> E ox etabar + etabar ox 1 @ Eq. (31)",
+                      "etabar -> etabar ox etabar")):
+        assert old in text
+        text = text.replace(old, new)
+    target.write_text(text)
     return bad
 
 
@@ -358,6 +381,12 @@ class TestSolveCommutator:
         by_name = {c["name"]: c for c in doc["checks"]}
         assert by_name["solver/eta-etabar/coefficient[eta]"]["residual"] == "lam"
 
+    def test_nonlinear_system_is_a_failed_solve(self, capsys, tmp_path):
+        bad = _nonlinear_final(tmp_path)
+        assert run(capsys, "solve-commutator", "--catalog-dir", str(bad)) == (
+            1, "[FAIL] solver/eta-etabar/status  [Eq. (35)]  residual: "
+               "nonlinear\nchecks: 1  failed: 1\n", "")
+
 
 class TestReport:
     def test_default_run_passes(self, capsys):
@@ -416,6 +445,38 @@ class TestReport:
         assert code == 1
         assert "[FAIL] contract/relation/rtt[12,12]/eps^1" in out
         assert "[FAIL] change-of-variables/" in out
+
+    def test_nonlinear_solve_keeps_every_other_record(self, capsys,
+                                                      tmp_path):
+        bad = _nonlinear_final(tmp_path)
+        code, out, err = run(capsys, "report", "--output", "json",
+                             "--catalog-dir", str(bad))
+        assert (code, err) == (1, "")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["solver/eta-etabar/status"]["residual"] == "nonlinear"
+        assert checks["catalog/load/ekappa2-final"]["status"] == "pass"
+        _, shipped, _ = run(capsys, "report", "--output", "json")
+        names = [c["name"] for c in json.loads(shipped)["checks"]]
+        names.remove("solver/eta-etabar/matches-shipped-rule")
+        assert list(checks) == names
+
+    @pytest.mark.parametrize("make", ["binary", "directory"])
+    def test_unreadable_catalog_file_is_a_failed_load(self, capsys, tmp_path,
+                                                      make):
+        bad = _shipped_copy(tmp_path)
+        target = bad / "suq2.preso"
+        target.unlink()
+        if make == "binary":
+            target.write_bytes(b"\xff")
+            residual = f"{target}: not UTF-8 text (byte 0)"
+        else:
+            target.mkdir()
+            residual = f"[Errno 21] Is a directory: '{target}'"
+        assert run(capsys, "report", "--catalog-dir", str(bad)) == (
+            1, f"[FAIL] catalog/load/suq2  residual: {residual}\n"
+               "[ok  ] catalog/load/ekappa2-klmn\n"
+               "[ok  ] catalog/load/ekappa2-final\n"
+               "checks: 3  failed: 1\n", "")
 
     def test_non_canonical_catalog_file_fails(self, capsys, tmp_path):
         bad = tmp_path / "cat"

@@ -1,7 +1,8 @@
-"""Differential tests: the integer-triple Gaussian rationals, the
-dict-accumulating normal form, the normal-word table, the tuple letters, the
-shared scalar one, the leg-memoising tensor fold, reducing while parsing and
-the memoised Hopf maps against independent slow paths."""
+"""Differential tests: the integer-triple Gaussian rationals and their
+printer, the dict-accumulating normal form, the normal-word table, the tuple
+letters, the shared scalar one, the leg-memoising tensor fold, reducing while
+parsing, the memoised Hopf maps and the solver's sparse elimination against
+independent slow paths."""
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -13,6 +14,7 @@ from random import Random
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from dense_elimination import dense_gauss_solve
 from slot_swap import slot_swap_power
 
 from qcontract import catalog, contract
@@ -31,6 +33,7 @@ from qcontract.scalars import (
     ParamMonomial,
     Scalar,
     TruncationMismatch,
+    format_gaussian,
 )
 
 
@@ -158,6 +161,24 @@ class TestGaussianRationalAgainstFractionPairs:
         z = half + half
         assert (z._a, z._b, z._d) == (1, 1, 1)
         assert str(z) == "(1+i)"
+
+    @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 36))
+    @example(2, 3, 4)
+    @example(-6, 0, 4)
+    @example(0, -9, 6)
+    @example(3, -3, 3)
+    @settings(max_examples=300)
+    def test_formatting_from_the_triple(self, a, b, d):
+        # the oracle formats the Fraction parts, as the printer used to
+        x = FracPair(Fraction(a, d), Fraction(b, d))
+        assert format_gaussian(gr_of(x)) == str(x)
+
+    def test_parts_reduce_separately(self):
+        z = GaussianRational(Fraction(1, 2), Fraction(3, 4))
+        assert (z._a, z._b, z._d) == (2, 3, 4)
+        assert format_gaussian(z) == "(1/2+3/4*i)"
+        assert format_gaussian(-z) == "(-1/2-3/4*i)"
+        assert format_gaussian(z - Fraction(1, 2)) == "3/4*i"
 
 
 # -- scalars, term by term ----------------------------------------------------
@@ -741,3 +762,93 @@ def test_copies_of_a_presentation_keep_their_own_memo():
     # have handed them final's images
     assert open_.apply_antipode(xs[0]) != final.apply_antipode(xs[0])
     assert limit.apply_antipode(xs[0]) != final.apply_antipode(xs[0])
+
+
+# -- the solver's sparse elimination against dense Gauss-Jordan ----------------
+
+ENTRIES = [GaussianRational(v) for v in (1, -1, 2, -3, Fraction(1, 2),
+                                         Fraction(-2, 3))] + [
+    GaussianRational(0, 1), GaussianRational(Fraction(1, 2), -1)]
+
+
+@st.composite
+def linear_systems(draw):
+    """Columns and sparse rows ``(entries by column index, rhs)``: up to
+    one random row more than columns, then rows combined from them (duplicates, rank-deficient
+    and, with a shifted rhs, inconsistent ones; their entries may cancel),
+    in shuffled order.  A column may hold no entry at all."""
+    n_cols = draw(st.integers(0, 6))
+    values = st.sampled_from(ENTRIES)
+    rows = []
+    for k in range(draw(st.integers(0, n_cols + 1))):
+        # row k holds column k, so the first rows are independent
+        cols = draw(st.sets(st.integers(0, n_cols - 1), max_size=n_cols)
+                    if n_cols else st.just(set())) | {k} - {n_cols}
+        rows.append(({c: draw(values) for c in cols},
+                     draw(st.sampled_from(ENTRIES + [GaussianRational(0)]))))
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        entries, rhs = {}, GaussianRational(0)
+        for k in draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                               max_size=3)):
+            f = draw(values)
+            for c, v in rows[k][0].items():
+                entries[c] = entries.get(c, GaussianRational(0)) + f * v
+            rhs = rhs + f * rows[k][1]
+        if draw(st.integers(0, 3)) == 0:
+            rhs = rhs + draw(values)
+        rows.append(({c: v for c, v in entries.items() if not v.is_zero},
+                     rhs))
+    rows = draw(st.permutations(rows))
+    return [("c", k) for k in range(n_cols)], rows
+
+
+def assert_eliminations_agree(columns, rows):
+    want = dense_gauss_solve(columns, {
+        k: ({columns[c]: v for c, v in entries.items()}, rhs)
+        for k, (entries, rhs) in enumerate(rows)})
+    got = contract._gauss_solve(columns,
+                                [[dict(entries), rhs] for entries, rhs in rows])
+    assert got == want
+    return got
+
+
+@given(linear_systems())
+@settings(max_examples=400, deadline=None)
+def test_sparse_elimination_matches_dense(system):
+    assert_eliminations_agree(*system)
+
+
+def test_sparse_elimination_sees_every_status():
+    one, two = GaussianRational(1), GaussianRational(2)
+    cols = ["x", "y"]
+    assert assert_eliminations_agree(cols, [({0: one}, two), ({1: one}, one)]
+                                     )[0] == "unique"
+    assert assert_eliminations_agree(cols, [({0: one, 1: one}, one),
+                                            ({0: two, 1: two}, two)]
+                                     ) == ("underdetermined", None, 1, ["y"])
+    assert assert_eliminations_agree(cols, [({0: one, 1: one}, one),
+                                            ({0: two, 1: two}, one)]
+                                     ) == ("inconsistent", None, 1, [])
+
+
+@pytest.mark.parametrize("order", [1, 4])
+def test_degree_5_ln_system_matches_dense(order, monkeypatch):
+    solve = contract._gauss_solve
+    systems = []
+
+    def recording(columns, rows):
+        rows = list(rows)
+        systems.append((list(columns), [(dict(e), rhs) for e, rhs in rows]))
+        return solve(columns, rows)
+
+    monkeypatch.setattr(contract, "_gauss_solve", recording)
+    outcome = contract.solve_ln_commutator(
+        order, contract.ln_basis_kmn(order, 5))
+    [(columns, rows)] = systems
+    assert (len(columns), len(rows)) == (108, 108)
+    assert sum(len(entries) for entries, _ in rows) == 108
+    status, values, rank, free = assert_eliminations_agree(columns, rows)
+    assert (status, rank, free) == ("unique", 108, [])
+    lam = Scalar.param("lam", order)
+    assert {label: coeff for label, coeff in outcome.solution.items()
+            if not coeff.is_zero} == {"K*N": lam}
