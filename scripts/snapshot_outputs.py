@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Snapshot the output of a fixed list of qcontract commands.
 
-Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: two
+Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: four
 commands read presentation files under ``tests/golden``)
 
 Each command runs in-process through ``qcontract.cli.main``; its exit code,
@@ -62,6 +62,11 @@ def _commands() -> list[list[str]]:
     # grouplike eta and etabar: the [eta, etabar] solve is not linear
     cmds.append(["solve-commutator", "--catalog-dir",
                  "tests/golden/nonlinear_final"])
+    # malformed files exit 2 with one line: a rule side nested too deep,
+    # and a [counit] with no entry for b
+    cmds.append(["nf", "-p", "tests/golden/deep_nesting.preso", "a"])
+    cmds.append(["hopf-check", "-p",
+                 "tests/golden/suq2_incomplete_counit.preso"])
     return cmds
 
 

@@ -518,15 +518,25 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
 
     def collect(section: str) -> tuple[dict[str, tuple[int, str]],
                                        dict[str, str]]:
+        """One entry per generator: every generator for ``[star]``, every
+        one not excluded for the other maps."""
         images, tags = {}, {}
         for lineno, line, tag in sections[section]:
             lhs, rhs = split_arrow(line, lineno)
             if lhs not in gen_names:
                 raise PresentationFormatError(
                     f"line {lineno}: unknown generator {lhs!r}")
+            if lhs in images:
+                raise PresentationFormatError(
+                    f"line {lineno}: duplicate entry for {lhs!r}")
             images[lhs] = (lineno, rhs)
             if tag:
                 tags[lhs] = tag
+        for n in gen_names:
+            if n not in images and (section == "star" or n not in excluded):
+                raise PresentationFormatError(
+                    f"incomplete Hopf data: [{section}] has no entry for "
+                    f"{n!r}")
         return images, tags
 
     coproduct, coproduct_tags = collect("coproduct")

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 from random import Random
 
 from . import __version__, catalog, contract, rewrite
@@ -37,24 +36,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
-
-
-@dataclass
-class RunConfig:
-    presentation: str | None = None
-    truncation_order: int = 1
-    step_limit: int = DEFAULT_STEP_LIMIT
-    seed: int = 42
-    max_overlap: int = 6
-    output: str = "text"
-    timings: bool = False
-    lam_zero: bool = False
-
-    def public_dict(self) -> dict:
-        d = asdict(self)
-        d.pop("timings")
-        d.pop("lam_zero")
-        return d
 
 
 def _positive_int(text: str) -> int:
@@ -84,55 +65,46 @@ def _add_common(p: argparse.ArgumentParser, default_presentation=None):
                    help="override the builtin presentation directory")
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        presentation=args.presentation,
-        truncation_order=args.truncation_order,
-        step_limit=args.step_limit,
-        seed=args.seed,
-        max_overlap=args.max_overlap,
-        output=args.output,
-        timings=args.timings,
-        lam_zero=args.lam_zero,
-    )
+#: the parsed arguments a JSON report's ``config`` block carries, in order
+_CONFIG_KEYS = ("presentation", "truncation_order", "step_limit", "seed",
+                "max_overlap", "output")
 
 
-def _load(cfg: RunConfig):
+def _load(args):
     return catalog.load_presentation(
-        cfg.presentation, cfg.truncation_order, lam_zero=cfg.lam_zero)
+        args.presentation, args.truncation_order, lam_zero=args.lam_zero)
 
 
 def _as_checked(loaded: dict[str, HopfPresentation],
-                cfg: RunConfig) -> dict[str, HopfPresentation]:
+                args) -> dict[str, HopfPresentation]:
     """The loaded builtins as the suites check them: under --lam-zero the
     contracted algebras in their classical limit, while suq2 keeps its
     q-form (the contraction eliminates q itself)."""
-    if not cfg.lam_zero:
+    if not args.lam_zero:
         return loaded
     return {name: h if name == "suq2" else catalog.classical_limit(h)
             for name, h in loaded.items()}
 
 
-def _builtins(cfg: RunConfig,
-              names=catalog.BUILTIN_NAMES) -> dict[str, HopfPresentation]:
+def _builtins(args, names=catalog.BUILTIN_NAMES) -> dict[str, HopfPresentation]:
     """Each builtin of ``names`` loaded once, as the suites check it."""
     return _as_checked({name: catalog.load_presentation(
-        f"builtin:{name}", cfg.truncation_order) for name in names}, cfg)
+        f"builtin:{name}", args.truncation_order) for name in names}, args)
 
 
-def _contraction_checks(b: dict[str, HopfPresentation],
-                        cfg: RunConfig) -> CheckReport:
+def _contraction_checks(b: dict[str, HopfPresentation], args) -> CheckReport:
     """The contraction suite and the change of variables on the builtins."""
     report = contract.contraction_suite(b["suq2"], b["ekappa2-klmn"],
-                                        cfg.lam_zero)
+                                        args.lam_zero)
     report.extend(contract.verify_change_of_variables(
-        b["ekappa2-klmn"], b["ekappa2-final"], cfg.lam_zero))
+        b["ekappa2-klmn"], b["ekappa2-final"], args.lam_zero))
     return report
 
 
-def _emit(report: CheckReport, cfg: RunConfig) -> int:
-    if cfg.output == "json":
-        doc = report_to_json_dict(report, __version__, cfg.public_dict())
+def _emit(report: CheckReport, args) -> int:
+    if args.output == "json":
+        doc = report_to_json_dict(
+            report, __version__, {k: getattr(args, k) for k in _CONFIG_KEYS})
         print(json.dumps(doc, indent=2))
     else:
         for r in report.records:
@@ -149,8 +121,8 @@ def _emit(report: CheckReport, cfg: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _timed(fn, cfg: RunConfig) -> CheckReport:
-    if not cfg.timings:
+def _timed(fn, args) -> CheckReport:
+    if not args.timings:
         return fn()
     t0 = time.monotonic()
     report = fn()
@@ -164,27 +136,25 @@ def _timed(fn, cfg: RunConfig) -> CheckReport:
 
 
 def cmd_nf(args) -> int:
-    cfg = _config(args)
-    h = _load(cfg)
+    h = _load(args)
     base = h.base if isinstance(h, HopfPresentation) else h
     params = tuple(sorted({*base.params, "q", "lam"}))
     print(parse_expression(args.expression, base.alphabet, params,
-                           cfg.truncation_order, base))
+                           args.truncation_order, base))
     return EXIT_OK
 
 
 def cmd_confluence(args) -> int:
-    cfg = _config(args)
-    h = _load(cfg)
+    h = _load(args)
     base = h.base if isinstance(h, HopfPresentation) else h
-    rep = check_local_confluence(base, cfg.max_overlap)
+    rep = check_local_confluence(base, args.max_overlap)
     report = CheckReport()
     for item in rep.items:
         amb = item.ambiguity
         word = "*".join(g.name for g in amb.word)
         if item.skipped:
             residual = (f"skipped: {len(amb.word)} letters exceed "
-                        f"--max-overlap {cfg.max_overlap}")
+                        f"--max-overlap {args.max_overlap}")
         elif item.resolved:
             residual = "0"
         else:
@@ -193,31 +163,27 @@ def cmd_confluence(args) -> int:
             name=f"{base.name}/confluence/{word}"
                  f"[{amb.rule_i},{amb.rule_j},{amb.kind}]",
             ok=item.resolved, residual=residual))
-    return _emit(report, cfg)
+    return _emit(report, args)
 
 
 def cmd_hopf_check(args) -> int:
-    cfg = _config(args)
-    h = _load(cfg)
+    h = _load(args)
     if not isinstance(h, HopfPresentation):
         raise catalog.PresentationFormatError("presentation has no Hopf data")
-    rng = Random(cfg.seed)
-    report = _timed(lambda: run_hopf_suite(h, rng=rng, n_random=25), cfg)
-    return _emit(report, cfg)
+    report = _timed(lambda: run_hopf_suite(h, Random(args.seed)), args)
+    return _emit(report, args)
 
 
 def cmd_contract(args) -> int:
-    cfg = _config(args)
-    return _emit(_timed(lambda: _contraction_checks(_builtins(cfg), cfg),
-                        cfg), cfg)
+    return _emit(_timed(lambda: _contraction_checks(_builtins(args), args),
+                        args), args)
 
 
 def cmd_solve_commutator(args) -> int:
-    cfg = _config(args)
-    if args.ln and cfg.lam_zero:
+    if args.ln and args.lam_zero:
         print("error: --ln is not supported with --lam-zero", file=sys.stderr)
         return EXIT_USAGE
-    final = _builtins(cfg, ("ekappa2-final",))["ekappa2-final"]
+    final = _builtins(args, ("ekappa2-final",))["ekappa2-final"]
     outcome, report = contract.solve_eta_etabar(final)
     if outcome.solution:
         for label, coeff in outcome.solution.items():
@@ -225,7 +191,7 @@ def cmd_solve_commutator(args) -> int:
                 name=f"solver/eta-etabar/coefficient[{label}]",
                 ok=True, residual=str(coeff), paper_eq="Eq. (35)"))
     if args.ln:
-        ln = contract.solve_ln_commutator(cfg.truncation_order)
+        ln = contract.solve_ln_commutator(args.truncation_order)
         report.add(CheckRecord(
             name="solver/L-N/status", ok=ln.ok, residual=ln.status))
         if ln.solution:
@@ -234,10 +200,10 @@ def cmd_solve_commutator(args) -> int:
                     report.add(CheckRecord(
                         name=f"solver/L-N/coefficient[{label}]",
                         ok=True, residual=str(coeff)))
-    return _emit(report, cfg)
+    return _emit(report, args)
 
 
-def _catalog_report(cfg: RunConfig):
+def _catalog_report(args):
     """Load each builtin and check that its file is in canonical form;
     returns the report and the loaded presentations by name."""
     report = CheckReport()
@@ -245,7 +211,7 @@ def _catalog_report(cfg: RunConfig):
     for name in catalog.BUILTIN_NAMES:
         try:
             h = catalog.load_presentation(f"builtin:{name}",
-                                          cfg.truncation_order)
+                                          args.truncation_order)
             if not isinstance(h, HopfPresentation):
                 residual = "no Hopf data"
             elif (catalog.serialize_presentation(h)
@@ -263,15 +229,13 @@ def _catalog_report(cfg: RunConfig):
 
 def cmd_report(args) -> int:
     """The full verification pipeline over all builtins."""
-    cfg = _config(args)
-
     def run() -> CheckReport:
-        report, loaded = _catalog_report(cfg)
+        report, loaded = _catalog_report(args)
         if not report.ok:
             return report
 
-        order = cfg.truncation_order
-        b = _as_checked(loaded, cfg)
+        order = args.truncation_order
+        b = _as_checked(loaded, args)
         suq2, klmn, final = (b[name] for name in catalog.BUILTIN_NAMES)
 
         # RTT generation against the reference relation set
@@ -286,15 +250,14 @@ def cmd_report(args) -> int:
             f"got {sorted(got)} expected {sorted(reference)}",
             paper_eq=catalog.TAG_RTT))
         for comp in catalog.rtt_relations(order):
-            nf = suq2.base.normal_form(comp.element)
-            report.add(CheckRecord(
-                name=f"catalog/rtt/reduces[{comp.row[0]}{comp.row[1]},"
-                     f"{comp.col[0]}{comp.col[1]}]",
-                ok=nf.is_zero, residual=str(nf), paper_eq=catalog.TAG_RTT))
+            report.add_residual(
+                f"catalog/rtt/reduces[{comp.row[0]}{comp.row[1]},"
+                f"{comp.col[0]}{comp.col[1]}]",
+                suq2.base.normal_form(comp.element), catalog.TAG_RTT)
 
         # confluence of the three builtins
         for h in (suq2, klmn, final):
-            rep = check_local_confluence(h.base, cfg.max_overlap)
+            rep = check_local_confluence(h.base, args.max_overlap)
             report.add(CheckRecord(
                 name=f"confluence/{h.base.name}",
                 ok=rep.ok,
@@ -302,18 +265,15 @@ def cmd_report(args) -> int:
                 f"{len(rep.unresolved())} unresolved ambiguities"))
 
         # Hopf suites
-        rng = Random(cfg.seed)
+        rng = Random(args.seed)
         for h in (suq2, klmn, final):
-            report.extend(run_hopf_suite(h, rng=rng, n_random=25))
+            report.extend(run_hopf_suite(h, rng))
 
         # determinant is grouplike and central
         det = catalog.determinant_element(order)
-        grouplike = grouplike_residual(suq2, det)
-        report.add(CheckRecord(
-            name="suq2/determinant-grouplike",
-            ok=grouplike.is_zero,
-            residual=str(grouplike),
-            paper_eq=catalog.TAG_DETERMINANT))
+        report.add_residual("suq2/determinant-grouplike",
+                            grouplike_residual(suq2, det),
+                            catalog.TAG_DETERMINANT)
         cen = central_residuals(suq2.base, det)
         report.add(CheckRecord(
             name="suq2/determinant-central",
@@ -322,11 +282,11 @@ def cmd_report(args) -> int:
             paper_eq=catalog.TAG_DETERMINANT))
 
         # contraction suites, change of variables, solver
-        report.extend(_contraction_checks(b, cfg))
+        report.extend(_contraction_checks(b, args))
         report.extend(contract.solver_suite(final))
         return report
 
-    return _emit(_timed(run, cfg), cfg)
+    return _emit(_timed(run, args), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

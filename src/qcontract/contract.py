@@ -211,13 +211,8 @@ def verify_relation_contraction(ansatz: ContractionAnsatz, rel: Element,
         raw = comps.get(k, zero)
         reduced = ansatz.target.base.normal_form(raw)
         _guard_ln(reduced, f"relation {label} at eps^{k}")
-        report.add(CheckRecord(
-            name=f"contract/relation/{label}/eps^{k}",
-            ok=reduced.is_zero,
-            residual=str(reduced),
-            paper_eq=tag,
-            extra={"raw": str(raw)},
-        ))
+        report.add_residual(f"contract/relation/{label}/eps^{k}", reduced,
+                            tag, raw=str(raw))
     return report
 
 
@@ -258,12 +253,8 @@ def verify_coproduct_contraction(ansatz: ContractionAnsatz,
     for k in ansatz.checked_orders():
         residual = p2.normal_form(comps.get(k, zero))
         _guard_ln(residual, f"coproduct square for {gname} at eps^{k}")
-        report.add(CheckRecord(
-            name=f"contract/coproduct-square/{gname}/eps^{k}",
-            ok=residual.is_zero,
-            residual=str(residual),
-            paper_eq=tags[k] if k < len(tags) else None,
-        ))
+        report.add_residual(f"contract/coproduct-square/{gname}/eps^{k}",
+                            residual, tags[k] if k < len(tags) else None)
     return report
 
 
@@ -280,24 +271,14 @@ def verify_star_contraction(ansatz: ContractionAnsatz) -> CheckReport:
         comps = (lhs - rhs).eps_components()
         zero = Element.zero(p.alphabet, ansatz.order)
         for k in ansatz.checked_orders():
-            residual = p.normal_form(comps.get(k, zero))
-            report.add(CheckRecord(
-                name=f"contract/star-square/{gname}/eps^{k}",
-                ok=residual.is_zero,
-                residual=str(residual),
-                paper_eq="Eq. (15)",
-            ))
+            report.add_residual(f"contract/star-square/{gname}/eps^{k}",
+                                p.normal_form(comps.get(k, zero)), "Eq. (15)")
     # involutivity of the contracted star on the target generators
     for name in ("K", "L", "M", "N"):
         t = Element.generator(p.alphabet, name, ansatz.order)
-        residual = p.normal_form(
-            ansatz.target.star.apply(ansatz.target.star.apply(t)) - t)
-        report.add(CheckRecord(
-            name=f"contract/star-involution/{name}",
-            ok=residual.is_zero,
-            residual=str(residual),
-            paper_eq="Eq. (15)",
-        ))
+        report.add_residual(
+            f"contract/star-involution/{name}",
+            p.normal_form(ansatz.target.apply_star_twice(t) - t), "Eq. (15)")
     return report
 
 
@@ -317,13 +298,9 @@ def verify_d_series(ansatz: ContractionAnsatz) -> CheckReport:
         extra={"raw": str(d.raw)},
     ))
     comm_only = _commutation_only_klmn(ansatz.order)
-    resid_display = comm_only.normal_form(d.raw - d.display_form)
-    report.add(CheckRecord(
-        name="contract/d-series/raw-matches-display",
-        ok=resid_display.is_zero,
-        residual=str(resid_display),
-        paper_eq=catalog.TAG_D_SERIES,
-    ))
+    report.add_residual("contract/d-series/raw-matches-display",
+                        comm_only.normal_form(d.raw - d.display_form),
+                        catalog.TAG_D_SERIES)
     for label, rel_text in (
         ("a*d", "a*d - 1 - q*b*c"),
         ("d*a", "d*a - 1 - q^-1*b*c"),
@@ -337,12 +314,8 @@ def verify_d_series(ansatz: ContractionAnsatz) -> CheckReport:
                                           ansatz.order)) * d.a_inverse
     residual = p.normal_form(_eps_truncate(prod, ansatz.depth)
                              - Element.unit(p.alphabet, ansatz.order))
-    report.add(CheckRecord(
-        name="contract/d-series/a-inverse",
-        ok=residual.is_zero,
-        residual=str(residual),
-        paper_eq=catalog.TAG_D_SERIES,
-    ))
+    report.add_residual("contract/d-series/a-inverse", residual,
+                        catalog.TAG_D_SERIES)
     return report
 
 
@@ -402,9 +375,7 @@ def verify_change_of_variables(target: HopfPresentation,
         return out
 
     def rec(name, residual, tag):
-        report.add(CheckRecord(name=f"change-of-variables/{name}",
-                               ok=residual.is_zero, residual=str(residual),
-                               paper_eq=tag))
+        report.add_residual(f"change-of-variables/{name}", residual, tag)
 
     vp = named["vplus"].definition
     vm = named["vminus"].definition
@@ -758,12 +729,8 @@ def solver_suite(final: HopfPresentation) -> CheckReport:
             "eta", "etabar", final.order)
         shipped = next(r for r in final.base.rules
                        if r.lhs == rule.lhs)
-        report.add(CheckRecord(
-            name="solver/eta-etabar/matches-shipped-rule",
-            ok=rule.rhs == shipped.rhs,
-            residual=str(rule.rhs - shipped.rhs),
-            paper_eq="Eq. (35)",
-        ))
+        report.add_residual("solver/eta-etabar/matches-shipped-rule",
+                            rule.rhs - shipped.rhs, "Eq. (35)")
     return report
 
 

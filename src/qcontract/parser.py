@@ -40,6 +40,9 @@ from .rewrite import Presentation, _charge, allowance
 from .scalars import Scalar
 
 RESERVED = {"i", "eps", "ox"}
+#: deepest nesting of parentheses and commutator brackets; parsing recurses
+#: once per level, so a deeper input would exhaust the interpreter's stack
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -123,6 +126,7 @@ class _Parser:
         self.budget = allowance()
         self.presentation = presentation
         self.reducing = allowance()  # the reductions' own allowance
+        self.nesting = 0
 
     # -- token helpers -----------------------------------------------------
 
@@ -314,19 +318,25 @@ class _Parser:
             if name in self.params:
                 return unit.scaled(Scalar.param(name, self.order))
             raise ParseError(f"unknown symbol {name!r}", t.line, t.col)
-        if t.kind == "OP" and t.value == "(":
-            inner = self.parse_expr()
+        if t.kind != "OP" or t.value not in "([":
+            raise ParseError("expected an atom", t.line, t.col)
+        if self.nesting == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             t.line, t.col)
+        self.nesting += 1
+        if t.value == "(":
+            out = self.parse_expr()
             self.expect_op(")")
-            return inner
-        if t.kind == "OP" and t.value == "[":
+        else:
             # each side is the right operand of one product
             x = self._expanded(self.parse_expr)
             self.expect_op(",")
             y = self._expanded(self.parse_expr)
             self.expect_op("]")
-            return (self.mul(self._reduced(x), y)
-                    - self.mul(self._reduced(y), x))
-        raise ParseError("expected an atom", t.line, t.col)
+            out = (self.mul(self._reduced(x), y)
+                   - self.mul(self._reduced(y), x))
+        self.nesting -= 1
+        return out
 
 
 def parse_expression(text: str, alphabet: Alphabet, params: tuple[str, ...],

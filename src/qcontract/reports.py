@@ -30,6 +30,15 @@ class CheckReport:
     def add(self, record: CheckRecord):
         self.records.append(record)
 
+    def add_residual(self, name: str, residual, paper_eq: str | None = None,
+                     **extra):
+        """Record the check ``name`` on its reduced ``residual``: it passes
+        exactly when the residual is zero, and prints the residual.
+        ``extra`` keys (say ``raw``) go into the JSON record."""
+        self.add(CheckRecord(name=name, ok=residual.is_zero,
+                             residual=str(residual), paper_eq=paper_eq,
+                             extra=extra or None))
+
     def extend(self, other: "CheckReport"):
         self.records.extend(other.records)
 

@@ -158,7 +158,7 @@ def test_solver():
         "eta": lam, "etabar": lam, "E-1": zero, "F-1": zero}
     final = catalog.ekappa2_final_presentation(1)
     ok = ok and check_local_confluence(final.base, 6).ok
-    ok = ok and run_hopf_suite(final, rng=Random(42), n_random=25).ok
+    ok = ok and run_hopf_suite(final, Random(42)).ok
     _record("solver", ok,
             "coefficients (lam, lam, 0, 0); installed rule passes "
             "confluence and the full Hopf suite")
@@ -205,7 +205,7 @@ def test_classical_limit():
     ok = ok and contract.solver_suite(final0).ok
     for h in (klmn0, final0):
         ok = ok and check_local_confluence(h.base, 6).ok
-        ok = ok and run_hopf_suite(h, rng=Random(42), n_random=25).ok
+        ok = ok and run_hopf_suite(h, Random(42)).ok
     # deformation rules degenerate to plain commutation
     for lhs_label in ("L*K", "L*M"):
         rule = next(r for r in klmn0.base.rules

@@ -252,6 +252,50 @@ class TestNf:
         assert out == ""
         assert err == f"error: line {lineno}: {message}\n"
 
+    @pytest.mark.parametrize("expr", [
+        "(" * 3000 + "a" + ")" * 3000,
+        "[" * 500 + "a" + ", b]" * 500,
+    ], ids=["parentheses", "commutators"])
+    def test_deep_nesting_exits_2(self, capsys, expr):
+        assert run(capsys, "nf", expr) == (
+            2, "", "error: line 1, col 101: nesting deeper than 100 levels\n")
+
+    def test_deep_rule_side_names_its_file_line(self, capsys, tmp_path):
+        src = tmp_path / "deep.preso"
+        src.write_text("[generators]\na b\n\n[rules]\nb*a -> "
+                       + "(" * 500 + "a*b" + ")" * 500 + "\n")
+        assert run(capsys, "nf", "-p", str(src), "a") == (
+            2, "", "error: line 5: line 1, col 101: nesting deeper than 100 "
+                   "levels\n")
+
+    # b is excluded: it needs a star entry only
+    @pytest.mark.parametrize("section,missing", [
+        ("coproduct", "a"), ("counit", "a"), ("antipode", "a"),
+        ("star", "b")])
+    def test_incomplete_hopf_map_exits_2(self, capsys, tmp_path, section,
+                                         missing):
+        entries = {"coproduct": {"a": "a ox a"}, "counit": {"a": "1"},
+                   "antipode": {"a": "a"}, "star": {"a": "a", "b": "b"}}
+        del entries[section][missing]
+        src = tmp_path / "incomplete.preso"
+        src.write_text("[generators]\na b\n[excluded]\nb\n" + "".join(
+            f"[{name}]\n" + "".join(f"{g} -> {img}\n"
+                                    for g, img in images.items())
+            for name, images in entries.items()))
+        for argv in (("hopf-check", "-p", str(src)),
+                     ("nf", "-p", str(src), "a")):
+            assert run(capsys, *argv) == (
+                2, "", f"error: incomplete Hopf data: [{section}] has no "
+                       f"entry for {missing!r}\n")
+
+    def test_duplicate_hopf_map_entry_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "dup.preso"
+        src.write_text("[generators]\na\n[coproduct]\na -> a ox a\n"
+                       "[counit]\na -> 2\na -> 1\n[antipode]\na -> a\n"
+                       "[star]\na -> a\n")
+        assert run(capsys, "hopf-check", "-p", str(src)) == (
+            2, "", "error: line 7: duplicate entry for 'a'\n")
+
     def test_file_presentation(self, capsys, tmp_path):
         src = tmp_path / "toy.preso"
         src.write_text("[generators]\nx y\n\n[rules]\ny*x -> x*y\n")
@@ -474,6 +518,20 @@ class TestReport:
             residual = f"[Errno 21] Is a directory: '{target}'"
         assert run(capsys, "report", "--catalog-dir", str(bad)) == (
             1, f"[FAIL] catalog/load/suq2  residual: {residual}\n"
+               "[ok  ] catalog/load/ekappa2-klmn\n"
+               "[ok  ] catalog/load/ekappa2-final\n"
+               "checks: 3  failed: 1\n", "")
+
+    def test_incomplete_catalog_file_is_a_failed_load(self, capsys,
+                                                      tmp_path):
+        bad = _shipped_copy(tmp_path)
+        target = bad / "suq2.preso"
+        text = target.read_text()
+        assert "\nb -> -q*c\n" in text
+        target.write_text(text.replace("\nb -> -q*c\n", "\n"))
+        assert run(capsys, "report", "--catalog-dir", str(bad)) == (
+            1, "[FAIL] catalog/load/suq2  residual: incomplete Hopf data: "
+               "[star] has no entry for 'b'\n"
                "[ok  ] catalog/load/ekappa2-klmn\n"
                "[ok  ] catalog/load/ekappa2-final\n"
                "checks: 3  failed: 1\n", "")

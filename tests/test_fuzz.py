@@ -26,6 +26,7 @@ raw_text = st.text(max_size=24).filter(
 
 @given(st.one_of(token_text, raw_text))
 @example("a^\u00b2")  # a digit that int() does not read
+@example("(" * 3000 + "a" + ")" * 3000)  # nested beyond the parser's limit
 @settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
 def test_parse_expression_returns_an_element_or_a_parse_error(text):
     try:

@@ -197,7 +197,7 @@ class TestFullSuite:
     def test_run_hopf_suite_with_random_layer(self, suq2, klmn, final):
         for h in (suq2, klmn, final):
             rng = Random(42)
-            report = run_hopf_suite(h, rng=rng, n_random=25)
+            report = run_hopf_suite(h, rng)
             assert report.ok, [r.name for r in report.failures()]
 
 
@@ -205,7 +205,7 @@ class TestImageMemo:
     @staticmethod
     def suite(h, limit):
         with step_limit(limit):
-            return run_hopf_suite(h, rng=Random(42), n_random=25)
+            return run_hopf_suite(h, Random(42))
 
     def test_warm_suite_passes_at_the_cold_threshold(self):
         def load():

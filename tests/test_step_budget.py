@@ -17,9 +17,7 @@ def _functions(module):
             continue
         if inspect.isfunction(obj):
             yield name, obj
-        elif inspect.isclass(obj) and obj is not cli.RunConfig:
-            # RunConfig keeps its step_limit field: the JSON report's
-            # config block carries it
+        elif inspect.isclass(obj):
             for attr, member in vars(obj).items():
                 if isinstance(member, (staticmethod, classmethod)):
                     member = member.__func__
