@@ -113,7 +113,7 @@ def _emit(report: CheckReport, args) -> int:
             line = f"[{mark.strip():4}] {r.name}{tag}"
             if not r.ok:
                 line += f"  residual: {r.residual}"
-            elif r.residual not in ("0", ""):
+            elif r.solved or r.residual not in ("0", ""):
                 line += f"  = {r.residual}"
             print(line)
         n_fail = len(report.failures())
@@ -189,7 +189,8 @@ def cmd_solve_commutator(args) -> int:
         for label, coeff in outcome.solution.items():
             report.add(CheckRecord(
                 name=f"solver/eta-etabar/coefficient[{label}]",
-                ok=True, residual=str(coeff), paper_eq="Eq. (35)"))
+                ok=True, residual=str(coeff), paper_eq="Eq. (35)",
+                solved=True))
     if args.ln:
         ln = contract.solve_ln_commutator(args.truncation_order)
         report.add(CheckRecord(
@@ -199,7 +200,7 @@ def cmd_solve_commutator(args) -> int:
                 if not coeff.is_zero:
                     report.add(CheckRecord(
                         name=f"solver/L-N/coefficient[{label}]",
-                        ok=True, residual=str(coeff)))
+                        ok=True, residual=str(coeff), solved=True))
     return _emit(report, args)
 
 

@@ -111,10 +111,10 @@ class Element:
     def _of(cls, alphabet: Alphabet, terms: dict, order: int) -> "Element":
         """An element over ``terms`` as given: for callers whose dicts
         already hold no zero coefficient."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "alphabet", alphabet)
-        object.__setattr__(x, "terms", terms)
-        object.__setattr__(x, "order", order)
+        x = _new(cls)
+        _set_alphabet(x, alphabet)
+        _set_terms(x, terms)
+        _set_order(x, order)
         return x
 
     def __setattr__(self, name, value):
@@ -128,7 +128,7 @@ class Element:
 
     @classmethod
     def unit(cls, alphabet: Alphabet, order: int) -> "Element":
-        return cls(alphabet, {(): Scalar.one(order)}, order)
+        return cls._of(alphabet, {(): Scalar.one(order)}, order)
 
     @classmethod
     def from_word(cls, alphabet: Alphabet, word: Word, order: int,
@@ -176,25 +176,22 @@ class Element:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Element"):
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatch(
-                f"alphabet mismatch: {self.alphabet} vs {other.alphabet}"
-            )
+        a, b = self.alphabet, other.alphabet
+        if a is not b and a != b:
+            raise AlphabetMismatch(f"alphabet mismatch: {a} vs {b}")
 
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
         acc = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = acc.get(w)
-            acc[w] = c if cur is None else cur + c
-        return Element(self.alphabet, acc, self.order)
+        accumulate_scaled(acc, other.terms, Scalar.one(self.order))
+        return Element._of(self.alphabet, acc, self.order)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        return Element(self.alphabet, {w: -c for w, c in self.terms.items()},
-                       self.order)
+        return Element._of(self.alphabet,
+                           {w: -c for w, c in self.terms.items()}, self.order)
 
     def __mul__(self, other) -> "Element":
         if isinstance(other, (int, Fraction, GaussianRational, Scalar)):
@@ -269,6 +266,12 @@ class Element:
         return f"Element({self})"
 
 
+_new = object.__new__
+_set_alphabet = Element.alphabet.__set__
+_set_terms = Element.terms.__set__
+_set_order = Element.order.__set__
+
+
 class MapKind(enum.Enum):
     HOMOMORPHISM = "homomorphism"
     ANTIHOMOMORPHISM = "antihomomorphism"
@@ -323,9 +326,13 @@ def accumulate_scaled(acc: dict, terms: dict, s: Scalar) -> None:
 
     Zero products are skipped and vanishing sums removed, so a sum built
     this way has the terms, in the same order, of one built by adding
-    ``Element.scaled`` results one at a time."""
+    ``Element.scaled`` results one at a time.  Scaling by the shared
+    ``Scalar.one`` multiplies nothing; zero coefficients of ``terms`` are
+    still skipped."""
+    unit = s is Scalar.one(s.truncation_order)
     for w, c in terms.items():
-        c = c * s
+        if not unit:
+            c = c * s
         if not c.terms:
             continue
         cur = acc.get(w)

@@ -15,7 +15,11 @@ unit coefficient, by the generator images and a normal form; an element's
 image sums its coefficients times its words' images.  The coproduct,
 antipode and convolution read the words of the element's normal form, the
 star and double star its words as given, since whether the star respects
-the rules is itself checked.
+the rules is itself checked.  ``fold_tensor``, which multiplies the two
+legs of a tensor back together, maps each leg word straight to the terms
+of its image: the convolution and the antipode check read the kept
+antipode image of each leg, so a leg's antipode is computed once per
+presentation, not once per fold.
 
 The step budget: computing an image draws the allowances of the normal
 forms it takes; an image already kept charges nothing.
@@ -23,6 +27,7 @@ forms it takes; an image already kept charges nothing.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .freealg import (
@@ -72,7 +77,7 @@ class HopfPresentation:
         # map name -> word -> image terms.  Set here rather than declared
         # as a field, so a copy made by ``dataclasses.replace`` (another
         # algebra, say with a rule dropped) starts with an empty memo
-        self._images: dict[str, dict[Word, dict]] = {}
+        self._images: dict[str, dict[Word, dict]] = defaultdict(dict)
 
     @property
     def order(self) -> int:
@@ -99,7 +104,7 @@ class HopfPresentation:
         word with unit coefficient, and the memo ``name`` keeps its result
         for every later call."""
         self.base._check_alphabet(x)
-        memo = self._images.setdefault(name, {})
+        memo = self._images[name]
         alph, order = self.base.alphabet, self.order
         acc: dict = {}
         for word, coeff in x.terms.items():
@@ -149,8 +154,22 @@ class HopfPresentation:
         return self._linear(
             "convolution", self._guard(x, "coproduct"),
             lambda w: self.fold_tensor(self.coproduct.apply(w),
-                                       self.apply_antipode, self._id),
+                                       self.antipode_image, self.word_image),
             self.base.alphabet)
+
+    def antipode_image(self, word: Word) -> dict:
+        """The terms of the kept antipode image of a normal base word.  A
+        word not met yet goes through ``apply_antipode``, which guards it
+        and keeps its image."""
+        img = self._images["antipode"].get(word)
+        if img is None:
+            img = self.apply_antipode(
+                Element.from_word(self.base.alphabet, word, self.order)).terms
+        return img
+
+    def word_image(self, word: Word) -> dict:
+        """The identity as a leg map of ``fold_tensor``."""
+        return {word: Scalar.one(self.order)}
 
     def apply_star_twice(self, x: Element) -> Element:
         """x**: the star is antilinear, so applied twice it is linear."""
@@ -167,36 +186,25 @@ class HopfPresentation:
 
     def fold_tensor(self, x2: Element, left, right) -> Element:
         """Multiply the two tensor legs back together after applying ``left``
-        to the slot-1 part and ``right`` to the slot-2 part (each a map from
-        base elements to base elements).
+        to the slot-1 word and ``right`` to the slot-2 word of each word of
+        ``x2``: each maps a normal base word to the terms (word ->
+        coefficient) of its normal image.
 
-        Many tensor words share a leg, so each map runs once per distinct
-        leg word; the images are kept only for this call."""
-        p2 = self.base.at_slots(2)
-        x2 = p2.normal_form(x2)
-        alph, order = self.base.alphabet, self.order
-
-        def leg(images: dict, fn, part) -> Element:
-            img = images.get(part)
-            if img is None:
-                img = images[part] = fn(Element.from_word(alph, part, order))
-            return img
-
-        lefts: dict = {}
-        rights: dict = {}
+        ``x2`` is reduced once; each of its terms ``c u (x) v`` adds
+        ``c*lc*rc`` at each word ``lu + rv`` of ``left(u)`` and
+        ``right(v)``, and the sum is reduced once.  The maps run once per
+        tensor word, so a map that reads kept images (``antipode_image``)
+        computes each leg once per presentation."""
+        x2 = self.base.at_slots(2).normal_form(x2)
         acc: dict = {}
-        for word, coeff in x2.terms.items():
+        for word, c in x2.terms.items():
             u, v = slot_words(word, 2)
-            img = leg(lefts, left, u) * leg(rights, right, v)
-            accumulate_scaled(acc, img.terms, coeff)
-        return self.base.normal_form(Element._of(alph, acc, order))
-
-    def _id(self, x: Element) -> Element:
-        return x
-
-    def _counit_elem(self, x: Element) -> Element:
-        return Element.unit(self.base.alphabet, self.order).scaled(
-            self.apply_counit(x))
+            rights = right(v).items()
+            for lu, lc in left(u).items():
+                accumulate_scaled(acc, {lu + rv: rc for rv, rc in rights},
+                                  c * lc)
+        return self.base.normal_form(
+            Element._of(self.base.alphabet, acc, self.order))
 
 
 def grouplike_residual(h: HopfPresentation, x: Element) -> Element:
@@ -274,16 +282,20 @@ def check_counit_antipode(h: HopfPresentation) -> CheckReport:
     (eps (x) id) Delta g = g = (id (x) eps) Delta g and
     m(S (x) id) Delta g = eps(g) 1 = m(id (x) S) Delta g."""
     report = CheckReport()
+    alph = h.base.alphabet
+
+    def counit(w: Word) -> dict:
+        return {(): h.apply_counit(Element.from_word(alph, w, h.order))}
+
     for name in h.hopf_generators():
-        g = Element.generator(h.base.alphabet, name, h.order)
+        g = Element.generator(alph, name, h.order)
         g_nf = h.base.normal_form(g)
         dg = h.apply_coproduct(g)
-        eps_id = h.fold_tensor(dg, h._counit_elem, h._id)
-        id_eps = h.fold_tensor(dg, h._id, h._counit_elem)
-        unit_eps = Element.unit(h.base.alphabet, h.order).scaled(
-            h.apply_counit(g))
+        eps_id = h.fold_tensor(dg, counit, h.word_image)
+        id_eps = h.fold_tensor(dg, h.word_image, counit)
+        unit_eps = Element.unit(alph, h.order).scaled(h.apply_counit(g))
         s_id = h.apply_convolution(g)
-        id_s = h.fold_tensor(dg, h._id, h.apply_antipode)
+        id_s = h.fold_tensor(dg, h.word_image, h.antipode_image)
         checks = [
             (f"counit-left/{name}", eps_id - g_nf),
             (f"counit-right/{name}", id_eps - g_nf),

@@ -13,6 +13,9 @@ class CheckRecord:
     paper_eq: str | None = None
     millis: int = 0
     extra: dict | None = None
+    #: the residual is a solved value, not a check's remainder: text
+    #: output prints it even when it is 0 (the JSON record is the same)
+    solved: bool = False
 
     @property
     def status(self) -> str:

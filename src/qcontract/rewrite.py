@@ -269,7 +269,7 @@ class Presentation:
         return acc
 
     def _check_alphabet(self, x: Element):
-        if x.alphabet != self.alphabet:
+        if x.alphabet is not self.alphabet and x.alphabet != self.alphabet:
             raise AlphabetMismatch(
                 f"element over {x.alphabet} fed to presentation over {self.alphabet}")
 

@@ -15,13 +15,14 @@ form, ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have equal
 triples.  Sums and products work on the ints and reduce once per result
 (no gcd at all when the denominator is 1); ``Scalar`` products accumulate
 unreduced triples per term and build their result without re-cleaning it.
-Products of parameter monomials are memoised by their exponent tuples,
-since few distinct monomials occur.
+Parameter monomials are interned, one instance per exponent tuple, so
+a scalar term's key is found by identity; their products are memoised.
 
 ``Scalar.one(order)`` is one shared instance per truncation order, and a
 product with that instance as a factor returns the other factor as it is.
 Most products in the engine have it as a factor (unit elements, the seeds
-of the rewriter's stack, unscaled accumulations).  Sharing is sound only
+of the rewriter's stack); ``accumulate_scaled`` skips such products
+altogether.  Sharing is sound only
 because a ``Scalar`` is never changed after it is built: no code may write
 to its ``terms`` dict in place.
 """
@@ -221,20 +222,32 @@ def format_gaussian(gr: GaussianRational) -> str:
     return f"({_ratio_text(a, d)}{'+' if b > 0 else '-'}{istr})"
 
 
-class ParamMonomial:
-    """Laurent monomial in named commuting parameters.
+class ParamMonomial(tuple):
+    """Laurent monomial in named commuting parameters: the sorted tuple of
+    its ``(name, exponent)`` pairs.
 
     Zero exponents are never stored; the product of monomials adds exponents.
+    Monomials are interned: one instance per exponent tuple, so a lookup of
+    a scalar term's key matches by identity, and hashing and comparing run
+    in C on the exponents (never on the address, so no order depends on
+    memory layout).  Copies and pickles return the interned instance.
     """
 
-    __slots__ = ("exps",)
+    __slots__ = ()
 
-    def __init__(self, exps: Iterable[tuple[str, int]] = ()):
+    def __new__(cls, exps: Iterable[tuple[str, int]] = ()):
         items = tuple(sorted((n, e) for n, e in exps if e != 0))
-        object.__setattr__(self, "exps", items)
+        mono = _MONOS.get(items)
+        if mono is None:
+            mono = _MONOS[items] = tuple.__new__(cls, items)
+        return mono
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamMonomial is immutable")
+    def __reduce__(self):
+        return ParamMonomial, (tuple(self),)
+
+    @property
+    def exps(self) -> tuple[tuple[str, int], ...]:
+        return tuple(self)
 
     @classmethod
     def unit(cls) -> "ParamMonomial":
@@ -245,32 +258,26 @@ class ParamMonomial:
         return cls(((name, exp),))
 
     def degree(self, name: str) -> int:
-        for n, e in self.exps:
+        for n, e in self:
             if n == name:
                 return e
         return 0
 
     def without(self, name: str) -> "ParamMonomial":
-        return ParamMonomial((n, e) for n, e in self.exps if n != name)
+        return ParamMonomial((n, e) for n, e in self if n != name)
 
     def inverse(self) -> "ParamMonomial":
-        return ParamMonomial((n, -e) for n, e in self.exps)
+        return ParamMonomial((n, -e) for n, e in self)
 
     def __mul__(self, other: "ParamMonomial") -> "ParamMonomial":
-        if not self.exps:
+        if not self:
             return other
-        if not other.exps:
+        if not other:
             return self
-        return _mono_product(self.exps, other.exps)
-
-    def __eq__(self, other):
-        return isinstance(other, ParamMonomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return hash(self.exps)
+        return _mono_product(self, other)
 
     def sort_key(self):
-        return tuple((_PARAM_PRINT_RANK.get(n, 99), n, e) for n, e in self.exps)
+        return tuple((_PARAM_PRINT_RANK.get(n, 99), n, e) for n, e in self)
 
     def factors(self) -> list[str]:
         out = []
@@ -279,17 +286,19 @@ class ParamMonomial:
         return out
 
     def __repr__(self):
-        return f"ParamMonomial({self.exps!r})"
+        return f"ParamMonomial({tuple(self)!r})"
 
 
+#: exponent tuple -> its one ParamMonomial; few distinct monomials occur
+_MONOS: dict[tuple, ParamMonomial] = {}
 _MONO_UNIT = ParamMonomial()
 
 
-# few distinct monomials occur; the bound only guards against unbounded growth
+# the bound only guards against unbounded growth
 @lru_cache(maxsize=1 << 16)
-def _mono_product(e1: tuple, e2: tuple) -> ParamMonomial:
-    acc = dict(e1)
-    for n, e in e2:
+def _mono_product(m1: ParamMonomial, m2: ParamMonomial) -> ParamMonomial:
+    acc = dict(m1)
+    for n, e in m2:
         acc[n] = acc.get(n, 0) + e
     return ParamMonomial(acc.items())
 
@@ -425,13 +434,13 @@ class Scalar:
         )
 
     def __mul__(self, other):
-        other = self._coerce(other)
         order = self.truncation_order
         one = _ONES.get(order)
-        if self is one:
-            return other
         if other is one:
             return self
+        other = self._coerce(other)
+        if self is one:
+            return other
         if len(self.terms) == 1 or len(other.terms) == 1:
             # a single-term factor sends distinct terms to distinct keys
             out = {}

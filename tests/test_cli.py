@@ -411,6 +411,18 @@ class TestSolveCommutator:
                 f"solver/eta-etabar/coefficient[{label}]": "0"
                 for label in ("eta", "etabar", "E-1", "F-1")}
 
+    def test_zero_coefficients_print_their_value(self, capsys):
+        code, out, _ = run(capsys, "solve-commutator", "--lam-zero")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            f"[ok  ] solver/eta-etabar/coefficient[{label}]  [Eq. (35)]  = 0"
+            for label in ("eta", "etabar", "E-1", "F-1")] + [
+            "checks: 5  failed: 0"]
+        # a check that passes with a zero residual still prints nothing more
+        code, out, _ = run(capsys, "hopf-check", "-p", "builtin:suq2")
+        assert code == 0
+        assert "[ok  ] suq2/coassociativity/a  [Eq. (3)]\n" in out
+
     def test_ln_with_lam_zero_is_usage_error(self, capsys):
         code, out, err = run(capsys, "solve-commutator", "--ln", "--lam-zero")
         assert code == 2

@@ -1,8 +1,8 @@
 """Differential tests: the integer-triple Gaussian rationals and their
 printer, the dict-accumulating normal form, the normal-word table, the tuple
-letters, the shared scalar one, the leg-memoising tensor fold, reducing while
-parsing, the memoised Hopf maps and the solver's sparse elimination against
-independent slow paths."""
+letters, the shared scalar one, the tensor fold over kept leg images,
+reducing while parsing, the memoised Hopf maps and the solver's sparse
+elimination against independent slow paths."""
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -19,7 +19,7 @@ from slot_swap import slot_swap_power
 
 from qcontract import catalog, contract
 from qcontract.freealg import Element, GeneratorId, tensor_embed
-from qcontract.hopf import HopfPresentation
+from qcontract.hopf import ExcludedGenerator, HopfPresentation
 from qcontract.parser import parse_expression
 from qcontract.rewrite import (
     StepLimitExceeded,
@@ -620,7 +620,7 @@ def test_shared_one_still_checks_truncation_order(k, m):
         Scalar.one(k) * Scalar.one(m)
 
 
-# -- tensor folds: one leg map per distinct leg against the per-word loop ------
+# -- tensor folds over word images against the per-word loop -----------------
 
 
 def fold_tensor_per_word(h: HopfPresentation, x2: Element, left, right):
@@ -638,9 +638,41 @@ def fold_tensor_per_word(h: HopfPresentation, x2: Element, left, right):
 
 def counted(fn, seen: list):
     def wrapped(x):
-        seen.append(tuple(x.terms))
+        seen.append(tuple(x.terms) if isinstance(x, Element) else x)
         return fn(x)
     return wrapped
+
+
+def reference_antipode(h: HopfPresentation):
+    """Oracle: the antipode by its generator images and a normal form, with
+    no memo."""
+    base = h.base
+    return lambda y: base.normal_form(h.antipode.apply(base.normal_form(y)))
+
+
+def leg_maps(h: HopfPresentation) -> dict:
+    """Each leg of the Hopf folds as a word map for ``fold_tensor`` and an
+    element map for the per-word oracle."""
+    alph, order = h.base.alphabet, h.order
+    return {
+        "id": (h.word_image, lambda y: y),
+        "counit": (lambda w: {(): h.apply_counit(
+            Element.from_word(alph, w, order))},
+            lambda y: Element.unit(alph, order).scaled(h.apply_counit(y))),
+        "antipode": (h.antipode_image, reference_antipode(h)),
+    }
+
+
+def fold_inputs(h: HopfPresentation, rng) -> list:
+    """Random 2-slot elements and coproducts of random base elements."""
+    p2 = h.base.at_slots(2)
+    inputs = [random_element(rng, p2, degree=4, n_terms=4,
+                             params=("q", "lam"), exclude=h.excluded)
+              for _ in range(3)]
+    inputs += [h.apply_coproduct(random_element(
+        rng, h.base, degree=2, params=("q", "lam"), exclude=h.excluded))
+        for _ in range(2)]
+    return inputs
 
 
 @pytest.mark.parametrize("order", range(5))
@@ -648,24 +680,61 @@ def counted(fn, seen: list):
 def test_fold_tensor_matches_per_word_loop(name, order):
     h = catalog.load_presentation(f"builtin:{name}", order)
     p2 = h.base.at_slots(2)
-    rng = Random(f"fold-{name}-{order}")
-    inputs = [random_element(rng, p2, degree=4, n_terms=4,
-                             params=("q", "lam"), exclude=h.excluded)
-              for _ in range(3)]
-    inputs += [h.apply_coproduct(random_element(
-        rng, h.base, degree=2, params=("q", "lam"), exclude=h.excluded))
-        for _ in range(2)]
-    legs = [(h.apply_antipode, h._id), (h._id, h.apply_antipode),
-            (h._counit_elem, h._id), (h._id, h._counit_elem)]
+    inputs = fold_inputs(h, Random(f"fold-{name}-{order}"))
+    maps = leg_maps(h)
+    legs = [(maps["antipode"], maps["id"]), (maps["id"], maps["antipode"]),
+            (maps["counit"], maps["id"]), (maps["id"], maps["counit"])]
+    computed: list = []  # each leg whose antipode image was computed
+    h.apply_antipode = counted(h.apply_antipode, computed)
     for x2 in inputs:
-        for left, right in legs:
+        n_words = len(p2.normal_form(x2).terms)
+        for (left, left_oracle), (right, right_oracle) in legs:
             seen_l, seen_r = [], []
             got = h.fold_tensor(x2, counted(left, seen_l),
                                 counted(right, seen_r))
-            assert got == fold_tensor_per_word(h, x2, left, right)
-            # each map ran once per distinct leg word
-            assert len(seen_l) == len(set(seen_l))
-            assert len(seen_r) == len(set(seen_r))
+            assert got == fold_tensor_per_word(h, x2, left_oracle,
+                                               right_oracle)
+            # each map ran once per tensor word, and each antipode leg was
+            # computed once over all the folds: later ones read it kept
+            assert len(seen_l) == len(seen_r) == n_words
+            assert len(computed) == len(set(computed))
+
+
+@pytest.mark.parametrize("order", [1, 4])
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_word_fold_on_a_cold_and_a_warm_antipode_memo(name, order):
+    h = catalog.load_presentation(f"builtin:{name}", order)
+    inputs = fold_inputs(h, Random(f"kept-{name}-{order}"))
+    maps = leg_maps(h)
+    ident, antipode, oracle = maps["id"][0], *maps["antipode"]
+    want = [fold_tensor_per_word(h, x2, oracle, lambda y: y)
+            for x2 in inputs]
+    memo = h._images["antipode"]
+    assert not memo  # cold: every leg is met first inside the fold
+    assert [h.fold_tensor(x2, antipode, ident) for x2 in inputs] == want
+    kept = dict(memo)
+    assert kept
+    computed: list = []
+    h.apply_antipode = counted(h.apply_antipode, computed)
+    assert [h.fold_tensor(x2, antipode, ident) for x2 in inputs] == want
+    # warm: every leg read from the memo, none computed again
+    assert computed == [] and memo == kept
+    for word, img in kept.items():
+        x = Element.from_word(h.base.alphabet, word, order)
+        assert img == oracle(x).terms
+
+
+def test_leg_first_met_in_the_fold_is_guarded_like_the_antipode():
+    h = catalog.load_presentation("builtin:ekappa2-klmn", 1)
+    assert "J" in h.excluded
+    alph2 = h.base.at_slots(2).alphabet
+    x2 = Element.from_word(alph2, (alph2.gen("J", 1), alph2.gen("K", 2)), 1)
+    with pytest.raises(ExcludedGenerator) as in_fold:
+        h.fold_tensor(x2, h.antipode_image, h.word_image)
+    with pytest.raises(ExcludedGenerator) as direct:
+        h.apply_antipode(Element.generator(h.base.alphabet, "J", 1))
+    assert str(in_fold.value) == str(direct.value)
+    assert (h.base.alphabet.gen("J"),) not in h._images["antipode"]
 
 
 # -- memoised Hopf maps against the generator images and a normal form ---------

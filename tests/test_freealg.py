@@ -1,19 +1,23 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcontract.freealg import (
     Alphabet,
     AlphabetMismatch,
     Element,
+    GeneratorId,
     GeneratorMap,
     MapKind,
     MissingImage,
+    accumulate_scaled,
     tensor_embed,
 )
 from qcontract.parser import parse_expression
 from qcontract.sampling import random_element
-from qcontract.scalars import Scalar
+from qcontract.scalars import GaussianRational, ParamMonomial, Scalar
 
 
 def pe(text, alphabet, params=("lam",), order=1):
@@ -140,3 +144,73 @@ class TestEpsComponents:
                 eps_k = Scalar.eps(1, power=k) if k else Scalar.one(1)
                 total = total + comp.scaled(eps_k)
             assert total == x
+
+
+ALPH_AB, ORDER_1 = Alphabet(("a", "b")), 1
+#: scalars at order 1 whose products may truncate to zero
+SCALARS = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    st.sampled_from([-1, 1, 2]), max_size=2).map(
+    lambda d: Scalar({(ParamMonomial.of("lam", e) if e else ParamMonomial(),
+                       k): GaussianRational(v) for (e, k), v in d.items()},
+                     ORDER_1))
+WORDS = st.lists(st.sampled_from([GeneratorId("a"), GeneratorId("b")]),
+                 max_size=2).map(tuple)
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements; the second cancels some terms of the first."""
+    x = Element(ALPH_AB, draw(st.dictionaries(WORDS, SCALARS, max_size=4)),
+                ORDER_1)
+    cancel = draw(st.sets(st.sampled_from(sorted(x.terms) or [()])))
+    y_terms = draw(st.dictionaries(WORDS, SCALARS, max_size=3))
+    y_terms.update({w: -x.terms[w] for w in cancel if w in x.terms})
+    return x, Element(ALPH_AB, y_terms, ORDER_1)
+
+
+def clean(terms: dict) -> bool:
+    return all(not c.is_zero for c in terms.values())
+
+
+def reference_sum(x: Element, y: Element, s=None) -> dict:
+    """``x + y*s`` summed word by word and cleaned at the end."""
+    acc = dict(x.terms)
+    for w, c in y.terms.items():
+        c = c if s is None else c * s
+        acc[w] = acc[w] + c if w in acc else c
+    return {w: c for w, c in acc.items() if not c.is_zero}
+
+
+class TestNoZeroCoefficientStored:
+    """The element builders that skip the constructor's cleaning pass still
+    never store a zero coefficient, and keep the order of their terms."""
+
+    @given(pair=element_pairs(), s=SCALARS)
+    @settings(max_examples=150)
+    def test_sums_negations_units_and_scalings(self, pair, s):
+        x, y = pair
+        assert clean(x.terms) and clean(y.terms)
+        total = x + y
+        assert clean(total.terms)
+        assert list(total.terms.items()) == list(reference_sum(x, y).items())
+        assert clean((x - y).terms) and (x - y) + y == x
+        assert clean((-x).terms) and ((-x) + x).is_zero
+        unit = Element.unit(ALPH_AB, ORDER_1)
+        assert unit.terms == {(): Scalar.one(ORDER_1)}
+        assert clean(x.scaled(s).terms)
+        assert x.scaled(s) == Element(
+            ALPH_AB, {w: c * s for w, c in x.terms.items()}, ORDER_1)
+
+    @given(pair=element_pairs(), s=SCALARS, w=WORDS, data=st.data())
+    @settings(max_examples=150)
+    def test_accumulate_scaled(self, pair, s, w, data):
+        x, y = pair
+        terms = dict(y.terms)
+        terms[w] = Scalar.zero(ORDER_1)  # as a rewriter's per-word sum
+        factor = data.draw(st.sampled_from([Scalar.one(ORDER_1), s]))
+        acc = dict(x.terms)
+        accumulate_scaled(acc, terms, factor)
+        assert clean(acc)
+        want = reference_sum(x, Element(ALPH_AB, terms, ORDER_1), factor)
+        assert list(acc.items()) == list(want.items())

@@ -120,13 +120,13 @@ class TestCounitAntipode:
         # S(a) a + S(b) c = d a - q^-1 b c -> 1
         g = pe_suq2("a")
         dg = suq2.apply_coproduct(g)
-        s_id = suq2.fold_tensor(dg, suq2.apply_antipode, lambda x: x)
+        s_id = suq2.fold_tensor(dg, suq2.antipode_image, suq2.word_image)
         assert s_id == suq2.base.normal_form(pe_suq2("1"))
 
     def test_final_antipode_on_eta(self, final, pe_final):
         g = pe_final("eta")
         dg = final.apply_coproduct(g)
-        s_id = final.fold_tensor(dg, final.apply_antipode, lambda x: x)
+        s_id = final.fold_tensor(dg, final.antipode_image, final.word_image)
         assert s_id.is_zero  # eps(eta) = 0
 
     def test_grouplike_antipode_is_inverse(self, final, pe_final):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import factorial
 from random import Random
@@ -199,3 +201,47 @@ class TestUnits:
         assert s.set_param_zero("lam") == Scalar.one(1)
         with pytest.raises(ZeroDivisionError):
             Scalar.param("lam", 1, exp=-1).set_param_zero("lam")
+
+
+class TestInternedMonomials:
+    exps = st.dictionaries(st.sampled_from(["q", "lam", "mu"]),
+                           st.integers(-3, 3), max_size=3)
+
+    @staticmethod
+    def canonical(pairs) -> tuple:
+        return tuple(sorted((n, e) for n, e in pairs if e))
+
+    @given(exps=exps, data=st.data())
+    @settings(max_examples=100)
+    def test_one_instance_per_exponent_tuple(self, exps, data):
+        items = list(exps.items())
+        shuffled = data.draw(st.permutations(items))
+        a, b = ParamMonomial(items), ParamMonomial(shuffled + [("nu", 0)])
+        assert a is b
+        assert a.exps == self.canonical(items)
+        # hashed by value, in C, never by address
+        assert type(a).__hash__ is tuple.__hash__
+        assert hash(a) == hash(self.canonical(items))
+
+    @given(x=exps, y=exps)
+    @settings(max_examples=100)
+    def test_products_inverses_and_restrictions_are_interned(self, x, y):
+        a, b = ParamMonomial(x.items()), ParamMonomial(y.items())
+        summed = {n: x.get(n, 0) + y.get(n, 0) for n in {*x, *y}}
+        assert a * b is ParamMonomial(summed.items())
+        assert a.inverse() is ParamMonomial((n, -e) for n, e in x.items())
+        for name in ("q", "lam"):
+            assert a.without(name) is ParamMonomial(
+                (n, e) for n, e in x.items() if n != name)
+
+    @given(exps=exps)
+    @settings(max_examples=50)
+    def test_copies_and_pickles_are_the_interned_instance(self, exps):
+        m = ParamMonomial(exps.items())
+        assert copy.copy(m) is m
+        assert copy.deepcopy(m) is m
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(m, protocol)) is m
+        key = (m, 1)  # as a scalar term's key holds it
+        for twin in (copy.deepcopy(key), pickle.loads(pickle.dumps(key))):
+            assert twin == key and twin[0] is m
