@@ -9,7 +9,6 @@ exponential variables.
 """
 
 from qcontract import catalog, contract
-from qcontract.parser import parse_expression
 
 
 def main():
@@ -34,7 +33,7 @@ def main():
         ("a*d - q*b*c - 1", "determinant"),
     ]
     for text, title in relations:
-        rel = parse_expression(text, catalog.SUQ2_ALPHABET, ("q",), order)
+        rel = catalog.parse_in(ansatz.source.base, text)
         comps = ansatz.apply(rel).eps_components()
         print(f"{title}: {text}")
         for k in ansatz.checked_orders():
@@ -47,7 +46,7 @@ def main():
             print(f"  eps^{k} reduced: {reduced}")
         print()
 
-    named = catalog.klmn_named_elements(order)
+    named = catalog.klmn_named_elements(target)
     print("exponential variables (normal forms):")
     for key in ("eta", "etabar", "E", "F"):
         nf = target.normal_form(named[key].definition)

@@ -15,7 +15,7 @@ def main():
     order = 1
     h_open = catalog.without_commutator_rule(
         catalog.ekappa2_final_presentation(order))
-    basis = contract.standard_commutator_basis(order)
+    basis = contract.standard_commutator_basis(h_open.base)
     print("solving [eta, etabar] = c1*eta + c2*etabar + c3*(E-1) + c4*(F-1)")
     outcome = contract.solve_commutator(h_open, "eta", "etabar", basis)
     print(f"  status: {outcome.status} (rank {outcome.rank}/{outcome.unknowns})")

@@ -61,12 +61,6 @@ TAG_ANSATZ = "Eq. (5)-(6)"
 TAG_DETERMINANT = "Eq. (7)"
 TAG_D_SERIES = "Eq. (8)"
 
-SUQ2_PARAMS = ("q",)
-SUQ2_ALPHABET = Alphabet(("b", "c", "a", "d"))
-KLMN_PARAMS = ("lam",)
-KLMN_ALPHABET = Alphabet(("J", "K", "M", "N", "L"))
-FINAL_ALPHABET = Alphabet(("F", "E", "eta", "etabar"))
-
 
 class PresentationFormatError(ValueError):
     """Malformed presentation source text."""
@@ -251,12 +245,12 @@ def r_matrix(order: int = 1) -> dict[tuple, Scalar]:
 INDEX_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
-def rtt_relations(order: int = 1) -> list[RttComponent]:
-    """The 16 entries of R T1 T2 - T2 T1 R over the free algebra on a, b,
-    c, d.  T1 = T tensor 1 and T2 = 1 tensor T with the row-major pairing
-    (i,j) for rows and (k,l) for columns; zero entries are kept and flagged
-    trivial."""
-    alph = SUQ2_ALPHABET
+def rtt_relations(suq2: Presentation) -> list[RttComponent]:
+    """The 16 entries of R T1 T2 - T2 T1 R over the free algebra on the
+    alphabet of ``suq2`` (T holds a, b, c, d).  T1 = T tensor 1 and T2 = 1
+    tensor T with the row-major pairing (i,j) for rows and (k,l) for
+    columns; zero entries are kept and flagged trivial."""
+    alph, order = suq2.alphabet, suq2.trunc_order
     T = {
         (1, 1): Element.generator(alph, "a", order),
         (1, 2): Element.generator(alph, "b", order),
@@ -283,9 +277,19 @@ def rtt_relations(order: int = 1) -> list[RttComponent]:
     return out
 
 
-def _commutation_only_suq2(order: int) -> Presentation:
-    rule = _mk_rule(SUQ2_ALPHABET, SUQ2_PARAMS, order, "c*b", "b*c")
-    return Presentation(SUQ2_ALPHABET, [rule], order, name="suq2-cb-only")
+def commutation_moves(p: Presentation) -> Presentation:
+    """Only the commutation moves of ``p``: its rules whose right-hand side
+    is one word, with coefficient 1, over the letters of the left-hand
+    side.  Raw expressions are compared up to these moves alone."""
+    def is_move(r: RewriteRule) -> bool:
+        if len(r.rhs.terms) != 1:
+            return False
+        ((word, coeff),) = r.rhs.terms.items()
+        return coeff.is_one and sorted(word) == sorted(r.lhs)
+
+    return Presentation(p.alphabet, [r for r in p.rules if is_move(r)],
+                        p.trunc_order, name=f"{p.name}-commutation",
+                        params=p.params)
 
 
 def scale_to_unit_lead(x: Element) -> Element:
@@ -295,11 +299,12 @@ def scale_to_unit_lead(x: Element) -> Element:
     return x.scaled(lead.inverse_of_unit())
 
 
-def canonical_relation_forms(xs: list[Element], order: int) -> list[Element]:
+def canonical_relation_forms(xs: list[Element],
+                             suq2: Presentation) -> list[Element]:
     """Representatives of relations up to scalar multiples and reordering of
     the commuting pair b, c (the commutation relation itself is part of the
     generated set, so it canonicalizes to its own scaled form)."""
-    pc = _commutation_only_suq2(order)
+    pc = commutation_moves(suq2)
 
     def canon(x: Element) -> Element:
         z = pc.normal_form(x)
@@ -310,17 +315,22 @@ def canonical_relation_forms(xs: list[Element], order: int) -> list[Element]:
     return [canon(x) for x in xs]
 
 
-def distinct_rtt_relations(order: int = 1) -> list[Element]:
+def distinct_rtt_relations(suq2: Presentation) -> list[Element]:
     """The distinct nonzero RTT relations up to scalar multiples (and up to
     the commuting pair reordering), in order of first appearance."""
-    nontrivial = [c.element for c in rtt_relations(order) if not c.is_trivial]
+    nontrivial = [c.element for c in rtt_relations(suq2) if not c.is_trivial]
     distinct: dict[str, Element] = {}
-    for canon in canonical_relation_forms(nontrivial, order):
+    for canon in canonical_relation_forms(nontrivial, suq2):
         distinct.setdefault(str(canon), canon)
     return list(distinct.values())
 
 
-def reference_rtt_relation_set(order: int = 1) -> list[Element]:
+def parse_in(p: Presentation, text: str) -> Element:
+    """``text`` as an element of the free algebra on ``p``'s alphabet."""
+    return parse_expression(text, p.alphabet, p.params, p.trunc_order)
+
+
+def reference_rtt_relation_set(suq2: Presentation) -> list[Element]:
     """The six textbook relations {ab - q ba, ac - q ca, bc - cb,
     bd - q db, cd - q dc, ad - da - (q - q^-1) bc}, as written."""
     texts = [
@@ -331,17 +341,15 @@ def reference_rtt_relation_set(order: int = 1) -> list[Element]:
         "c*d - q*d*c",
         "a*d - d*a - (q - q^-1)*b*c",
     ]
-    return [parse_expression(t, SUQ2_ALPHABET, SUQ2_PARAMS, order)
-            for t in texts]
+    return [parse_in(suq2, t) for t in texts]
 
 
-def determinant_element(order: int = 1) -> Element:
-    return parse_expression("a*d - q*b*c", SUQ2_ALPHABET, SUQ2_PARAMS, order)
+def determinant_element(suq2: Presentation) -> Element:
+    return parse_in(suq2, "a*d - q*b*c")
 
 
-def determinant_relation(order: int = 1) -> Element:
-    return parse_expression("a*d - q*b*c - 1", SUQ2_ALPHABET, SUQ2_PARAMS,
-                            order)
+def determinant_relation(suq2: Presentation) -> Element:
+    return parse_in(suq2, "a*d - q*b*c - 1")
 
 
 # --------------------------------------------------------------------------
@@ -356,13 +364,12 @@ class NamedElement:
     paper_eq: str | None = None
 
 
-def klmn_named_elements(order: int = 1, lam_zero: bool = False) -> dict[str, NamedElement]:
+def klmn_named_elements(klmn: Presentation,
+                        lam_zero: bool = False) -> dict[str, NamedElement]:
     """eta, etabar, E, F and the intermediate linear combinations, as
-    elements of the K, L, M, N algebra."""
-    alph = KLMN_ALPHABET
-
+    elements of the K, L, M, N algebra ``klmn``."""
     def pe(text: str) -> Element:
-        x = parse_expression(text, alph, KLMN_PARAMS, order)
+        x = parse_in(klmn, text)
         return x.map_scalars(at_lam_zero) if lam_zero else x
 
     vplus = pe("K + M")
@@ -381,16 +388,17 @@ def klmn_named_elements(order: int = 1, lam_zero: bool = False) -> dict[str, Nam
     }
 
 
-def final_to_klmn_map(order: int = 1, lam_zero: bool = False) -> GeneratorMap:
-    """Realization of the exponential-variable generators inside the
-    K, L, M, N algebra."""
-    named = klmn_named_elements(order, lam_zero)
+def final_to_klmn_map(final: Presentation, klmn: Presentation,
+                      lam_zero: bool = False) -> GeneratorMap:
+    """Realization of the exponential-variable generators of ``final``
+    inside the K, L, M, N algebra ``klmn``."""
+    named = klmn_named_elements(klmn, lam_zero)
     images = {
-        FINAL_ALPHABET.gen(n): named[n].definition
+        final.alphabet.gen(n): named[n].definition
         for n in ("eta", "etabar", "E", "F")
     }
-    return GeneratorMap(images, MapKind.HOMOMORPHISM, FINAL_ALPHABET,
-                        KLMN_ALPHABET, order)
+    return GeneratorMap(images, MapKind.HOMOMORPHISM, final.alphabet,
+                        klmn.alphabet, klmn.trunc_order)
 
 
 # --------------------------------------------------------------------------

@@ -235,14 +235,13 @@ def cmd_report(args) -> int:
         if not report.ok:
             return report
 
-        order = args.truncation_order
         b = _as_checked(loaded, args)
         suq2, klmn, final = (b[name] for name in catalog.BUILTIN_NAMES)
 
         # RTT generation against the reference relation set
-        distinct = catalog.distinct_rtt_relations(order)
+        distinct = catalog.distinct_rtt_relations(suq2.base)
         reference = {str(x) for x in catalog.canonical_relation_forms(
-            catalog.reference_rtt_relation_set(order), order)}
+            catalog.reference_rtt_relation_set(suq2.base), suq2.base)}
         got = {str(x) for x in distinct}
         report.add(CheckRecord(
             name="catalog/rtt/distinct-relations",
@@ -250,7 +249,7 @@ def cmd_report(args) -> int:
             residual="0" if got == reference else
             f"got {sorted(got)} expected {sorted(reference)}",
             paper_eq=catalog.TAG_RTT))
-        for comp in catalog.rtt_relations(order):
+        for comp in catalog.rtt_relations(suq2.base):
             report.add_residual(
                 f"catalog/rtt/reduces[{comp.row[0]}{comp.row[1]},"
                 f"{comp.col[0]}{comp.col[1]}]",
@@ -271,7 +270,7 @@ def cmd_report(args) -> int:
             report.extend(run_hopf_suite(h, rng))
 
         # determinant is grouplike and central
-        det = catalog.determinant_element(order)
+        det = catalog.determinant_element(suq2.base)
         report.add_residual("suq2/determinant-grouplike",
                             grouplike_residual(suq2, det),
                             catalog.TAG_DETERMINANT)

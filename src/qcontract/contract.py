@@ -20,15 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import catalog
-from .catalog import (
-    FINAL_ALPHABET,
-    KLMN_ALPHABET,
-    KLMN_PARAMS,
-    at_lam_zero,
-    klmn_named_elements,
-)
+from .catalog import at_lam_zero, klmn_named_elements
 from .freealg import (
     Alphabet,
     Element,
@@ -39,7 +34,6 @@ from .freealg import (
     tensor_embed,
 )
 from .hopf import HopfPresentation, grouplike_residual
-from .parser import parse_expression
 from .reports import CheckRecord, CheckReport
 from .rewrite import Presentation, RewriteRule
 from .scalars import GR_ONE, GR_ZERO, ParamMonomial, Scalar, q_power
@@ -100,7 +94,7 @@ class ContractionAnsatz:
         self.lam_zero = lam_zero
         self._q_cache: dict[int, Scalar] = {}
         alph = target.base.alphabet
-        pe = self._parse
+        pe = partial(catalog.parse_in, target.base)
         self.images: dict[str, Element] = {
             "a": pe("K + eps*L"),
             "b": pe("M + i*eps*N"),
@@ -115,11 +109,6 @@ class ContractionAnsatz:
             {src.gen(n): img for n, img in self.images.items()},
             MapKind.HOMOMORPHISM, src, alph, order)
         self._map2 = self._map.on_slots(2)
-
-    def _parse(self, text: str) -> Element:
-        """``text`` as an element of the target algebra."""
-        return parse_expression(text, self.target.base.alphabet, KLMN_PARAMS,
-                                self.order)
 
     # -- q elimination -------------------------------------------------------
 
@@ -151,7 +140,7 @@ class ContractionAnsatz:
     def _derive_d(self) -> DSeries:
         alph = self.target.base.alphabet
         p = self.target.base
-        pe = self._parse
+        pe = partial(catalog.parse_in, p)
         J = pe("J")
         JL = pe("J*L")
         # order-by-order inverse of a = K + eps L: sum of (-1)^k eps^k (JL)^k J
@@ -189,16 +178,6 @@ class ContractionAnsatz:
 # --------------------------------------------------------------------------
 
 
-def _commutation_only_klmn(order: int) -> Presentation:
-    """Only the commutation moves of the target algebra (no structural
-    relations); used to compare raw series against displayed arrangements."""
-    texts = [("N*K", "K*N"), ("N*M", "M*N"), ("M*K", "K*M"),
-             ("M*J", "J*M"), ("N*J", "J*N")]
-    rules = [catalog._mk_rule(KLMN_ALPHABET, KLMN_PARAMS, order, l, r)
-             for l, r in texts]
-    return Presentation(KLMN_ALPHABET, rules, order, name="klmn-commutation")
-
-
 def verify_relation_contraction(ansatz: ContractionAnsatz, rel: Element,
                                 label: str, tag: str | None = None) -> CheckReport:
     """Contract one source relation and reduce each eps order; raw
@@ -218,11 +197,11 @@ def verify_relation_contraction(ansatz: ContractionAnsatz, rel: Element,
 
 def verify_all_relation_contractions(ansatz: ContractionAnsatz) -> CheckReport:
     report = CheckReport()
-    for comp in catalog.rtt_relations(ansatz.order):
+    for comp in catalog.rtt_relations(ansatz.source.base):
         label = f"rtt[{comp.row[0]}{comp.row[1]},{comp.col[0]}{comp.col[1]}]"
         report.extend(verify_relation_contraction(
             ansatz, comp.element, label, catalog.TAG_RTT))
-    det = catalog.determinant_relation(ansatz.order)
+    det = catalog.determinant_relation(ansatz.source.base)
     report.extend(verify_relation_contraction(
         ansatz, det, "determinant", catalog.TAG_DETERMINANT))
     return report
@@ -297,16 +276,15 @@ def verify_d_series(ansatz: ContractionAnsatz) -> CheckReport:
         paper_eq=catalog.TAG_D_SERIES,
         extra={"raw": str(d.raw)},
     ))
-    comm_only = _commutation_only_klmn(ansatz.order)
+    moves = catalog.commutation_moves(p)
     report.add_residual("contract/d-series/raw-matches-display",
-                        comm_only.normal_form(d.raw - d.display_form),
+                        moves.normal_form(d.raw - d.display_form),
                         catalog.TAG_D_SERIES)
     for label, rel_text in (
         ("a*d", "a*d - 1 - q*b*c"),
         ("d*a", "d*a - 1 - q^-1*b*c"),
     ):
-        rel = parse_expression(rel_text, ansatz.source.base.alphabet,
-                               ("q",), ansatz.order)
+        rel = catalog.parse_in(ansatz.source.base, rel_text)
         report.extend(verify_relation_contraction(
             ansatz, rel, f"d-series/{label}", catalog.TAG_D_SERIES))
     # a^-1 sanity: a * a_inverse = 1 through the derived depth
@@ -357,8 +335,8 @@ def verify_change_of_variables(target: HopfPresentation,
     presentation (rules and Hopf data) inside it."""
     report = CheckReport()
     order = target.order
-    named = klmn_named_elements(order, lam_zero)
     p = target.base
+    named = klmn_named_elements(p, lam_zero)
     p2 = p.at_slots(2)
     alph = p.alphabet
     lam = (Scalar.zero(order) if lam_zero else Scalar.param("lam", order))
@@ -442,7 +420,7 @@ def verify_change_of_variables(target: HopfPresentation,
     # etabar*eta rule is excluded on purpose: its linear-variable form needs
     # the undetermined [L, N], so it is fixed by coproduct consistency (the
     # solver) rather than by reduction here
-    realize = catalog.final_to_klmn_map(order, lam_zero)
+    realize = catalog.final_to_klmn_map(final.base, p, lam_zero)
     for rule in final.base.rules:
         if rule.lhs == (final.base.alphabet.gen("etabar"),
                         final.base.alphabet.gen("eta")):
@@ -678,8 +656,8 @@ def solve_commutator(h: HopfPresentation, x_name: str, y_name: str,
                          offsets)
 
 
-def standard_commutator_basis(order: int = 1) -> dict[str, Element]:
-    alph = FINAL_ALPHABET
+def standard_commutator_basis(final: Presentation) -> dict[str, Element]:
+    alph, order = final.alphabet, final.trunc_order
     one = Element.unit(alph, order)
     return {
         "eta": Element.generator(alph, "eta", order),
@@ -692,10 +670,10 @@ def standard_commutator_basis(order: int = 1) -> dict[str, Element]:
 def commutator_rule_from_solution(solution: dict[str, Element | Scalar],
                                   basis: dict[str, Element],
                                   x_name: str, y_name: str,
-                                  order: int,
-                                  alphabet: Alphabet = FINAL_ALPHABET) -> RewriteRule:
+                                  order: int) -> RewriteRule:
     """Install [x, y] = sum c_w w as the rule rewriting the deglex-larger
-    of x y and y x."""
+    of x y and y x, over the alphabet of the basis."""
+    alphabet = next(iter(basis.values())).alphabet
     value = Element.zero(alphabet, order)
     for label, coeff in solution.items():
         value = value + basis[label].scaled(coeff)
@@ -706,7 +684,7 @@ def solve_eta_etabar(final: HopfPresentation) -> tuple[SolveOutcome,
                                                       CheckReport]:
     """Solve [eta, etabar] from coproduct consistency on ``final`` without
     its etabar*eta rule; the report holds the status record."""
-    basis = standard_commutator_basis(final.order)
+    basis = standard_commutator_basis(final.base)
     outcome = solve_commutator(catalog.without_commutator_rule(final),
                                "eta", "etabar", basis)
     report = CheckReport()
@@ -725,7 +703,7 @@ def solver_suite(final: HopfPresentation) -> CheckReport:
     outcome, report = solve_eta_etabar(final)
     if outcome.ok:
         rule = commutator_rule_from_solution(
-            outcome.solution, standard_commutator_basis(final.order),
+            outcome.solution, standard_commutator_basis(final.base),
             "eta", "etabar", final.order)
         shipped = next(r for r in final.base.rules
                        if r.lhs == rule.lhs)
@@ -750,7 +728,7 @@ def ln_basis_kmn(order: int, max_degree: int = 3) -> dict[str, Element]:
 
 
 def _ln_basis(order: int, max_degree: int, with_n: bool) -> dict[str, Element]:
-    alph = KLMN_ALPHABET
+    alph = catalog.ekappa2_klmn_presentation(order).base.alphabet
     out: dict[str, Element] = {}
     max_n = max_degree if with_n else 0
     for i in range(max_degree + 1):
@@ -773,7 +751,7 @@ def solve_ln_commutator(order: int = 1,
     if basis is None:
         basis = ln_basis_kmn(order)
     p = catalog.ekappa2_klmn_presentation(order).base
-    named = klmn_named_elements(order)
+    named = klmn_named_elements(p)
     eta = named["eta"].definition
     etabar = named["etabar"].definition
     lam = Scalar.param("lam", order)
@@ -785,10 +763,9 @@ def klmn_with_ln_rule(solution: dict[str, Scalar], basis: dict[str, Element],
                       order: int = 1) -> Presentation:
     """The K, L, M, N presentation extended with the solved L N rule."""
     p = catalog.ekappa2_klmn_presentation(order).base
-    rule = commutator_rule_from_solution(solution, basis, "L", "N", order,
-                                         alphabet=p.alphabet)
+    rule = commutator_rule_from_solution(solution, basis, "L", "N", order)
     return Presentation(p.alphabet, list(p.rules) + [rule], order,
-                        name="ekappa2-klmn+LN")
+                        name="ekappa2-klmn+LN", params=p.params)
 
 
 # --------------------------------------------------------------------------

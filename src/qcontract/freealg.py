@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .scalars import (
@@ -83,7 +84,12 @@ class Alphabet:
     def letter_key(self, g: GeneratorId) -> tuple[int, int]:
         return (g.slot, self.names.index(g.name))
 
+    @lru_cache(maxsize=None)
     def at_slots(self, slot_count: int) -> "Alphabet":
+        """The same names over ``slot_count`` slots: one object per names
+        and slot count (equal alphabets share a cache entry), so elements
+        of one tensor power share it and alphabet checks match by
+        identity."""
         return Alphabet(self.names, slot_count)
 
 

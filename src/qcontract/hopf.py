@@ -349,7 +349,7 @@ RANDOM_DEGREE = 3
 def run_hopf_suite(h: HopfPresentation, rng) -> CheckReport:
     """All four axiom checkers, plus a randomized layer exercising the
     convolution identity and star involutivity on random elements drawn
-    from ``rng``."""
+    from ``rng``, with scalars over the presentation's parameters."""
     from .sampling import random_element
 
     report = CheckReport()
@@ -360,8 +360,7 @@ def run_hopf_suite(h: HopfPresentation, rng) -> CheckReport:
     failures = 0
     for _ in range(RANDOM_ELEMENTS):
         x = random_element(rng, h.base, degree=RANDOM_DEGREE,
-                           params=("q", "lam"), exclude=h.excluded,
-                           forbid_adjacent=(("L", "N"),))
+                           params=h.base.params, exclude=h.excluded)
         if not check_convolution_on_element(h, x):
             failures += 1
         x_ss = h.apply_star_twice(x)

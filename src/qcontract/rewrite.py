@@ -55,6 +55,7 @@ rewriter keeps no memo.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -163,6 +164,10 @@ class Presentation:
         # (slot, word) -> nf(word) moved into that tensor slot, shared by
         # the tensor powers
         self._legs: dict[tuple[int, Word], dict] = {}
+        # slot count -> its tensor power while one is in use: a power holds
+        # its base, so a strong entry would make a reference cycle that
+        # keeps the memos alive until a full garbage collection
+        self._powers = weakref.WeakValueDictionary()
 
     def _validate(self):
         seen = set()
@@ -185,8 +190,13 @@ class Presentation:
 
     def at_slots(self, slot_count: int) -> "Presentation | TensorPower":
         """The tensor power with ``slot_count`` factors (this presentation
-        itself for one)."""
-        return self if slot_count == 1 else TensorPower(self, slot_count)
+        itself for one): the same object while one is in use."""
+        if slot_count == 1:
+            return self
+        power = self._powers.get(slot_count)
+        if power is None:
+            power = self._powers[slot_count] = TensorPower(self, slot_count)
+        return power
 
     # -- rewriting ---------------------------------------------------------
 

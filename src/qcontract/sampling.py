@@ -33,31 +33,19 @@ def random_scalar(rng: Random, order: int, params: tuple[str, ...] = ("lam",),
     return Scalar(terms, order)
 
 
-def random_word(rng: Random, p: Presentation, degree: int,
-                exclude=(), forbid_adjacent=()) -> tuple:
-    letters = [n for n in p.alphabet.names if n not in exclude]
-    slot = p.alphabet.slots[0] if p.alphabet.slot_count == 1 else None
-    word: list = []
-    for _ in range(rng.randint(0, degree)):
-        for _attempt in range(20):
-            name = rng.choice(letters)
-            s = slot if slot is not None else rng.choice(p.alphabet.slots)
-            if word and any(
-                word[-1].name == a and name == b and word[-1].slot == s
-                for a, b in forbid_adjacent
-            ):
-                continue
-            word.append(p.alphabet.gen(name, s))
-            break
-    return tuple(word)
-
-
 def random_element(rng: Random, p: Presentation, degree: int = 3,
                    n_terms: int = 3, params: tuple[str, ...] = ("lam",),
-                   exclude=(), forbid_adjacent=()) -> Element:
+                   exclude=()) -> Element:
+    alph = p.alphabet
+    letters = [n for n in alph.names if n not in exclude]
     terms: dict = {}
     for _ in range(rng.randint(1, n_terms)):
-        w = random_word(rng, p, degree, exclude, forbid_adjacent)
+        word = []
+        for _ in range(rng.randint(0, degree)):
+            name = rng.choice(letters)
+            slot = alph.slots[0] if alph.slot_count == 1 else rng.choice(alph.slots)
+            word.append(alph.gen(name, slot))
+        w = tuple(word)
         c = random_scalar(rng, p.trunc_order, params)
         cur = terms.get(w)
         terms[w] = c if cur is None else cur + c

@@ -73,6 +73,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        return _gr, (self._a, self._b, self._d)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
@@ -348,6 +351,13 @@ class Scalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    def __reduce__(self):
+        # a copy of the shared unit is the shared unit: products and
+        # ``accumulate_scaled`` test for it by identity
+        if self is _ONES.get(self.truncation_order):
+            return Scalar.one, (self.truncation_order,)
+        return _scalar, (self.terms, self.truncation_order)
 
     # -- constructors ------------------------------------------------------
 

@@ -18,7 +18,6 @@ from qcontract.hopf import (
     grouplike_residual,
     run_hopf_suite,
 )
-from qcontract.parser import parse_expression
 from qcontract.rewrite import check_local_confluence, normal_form_random
 from qcontract.sampling import random_element
 from qcontract.scalars import Scalar
@@ -34,11 +33,11 @@ def _record(name: str, ok: bool, detail: str = ""):
 
 
 def pe_src(text):
-    return parse_expression(text, catalog.SUQ2_ALPHABET, ("q",), 1)
+    return catalog.parse_in(catalog.suq2_presentation(1).base, text)
 
 
 def pe_tgt(text):
-    return parse_expression(text, catalog.KLMN_ALPHABET, ("lam",), 1)
+    return catalog.parse_in(catalog.ekappa2_klmn_presentation(1).base, text)
 
 
 def _ansatz():
@@ -53,12 +52,14 @@ def _change_of_variables():
 
 
 def test_rtt_generation():
-    distinct = catalog.distinct_rtt_relations(1)
+    suq2 = catalog.suq2_presentation(1).base
+    distinct = catalog.distinct_rtt_relations(suq2)
     reference = {str(x) for x in catalog.canonical_relation_forms(
-        catalog.reference_rtt_relation_set(1), 1)}
+        catalog.reference_rtt_relation_set(suq2), suq2)}
     got = {str(x) for x in distinct}
     golden = (GOLDEN / "rtt_relations.txt").read_text()
-    produced = "\n".join(c.describe() for c in catalog.rtt_relations(1)) + "\n"
+    produced = "\n".join(
+        c.describe() for c in catalog.rtt_relations(suq2)) + "\n"
     _record("rtt-generation",
             len(distinct) == 6 and got == reference and produced == golden,
             f"{len(distinct)} distinct classes, golden file exact")
@@ -81,7 +82,7 @@ def test_suq2_hopf_suite():
           and check_coassociativity(h).ok
           and check_counit_antipode(h).ok
           and check_star(h).ok)
-    det = catalog.determinant_element(1)
+    det = catalog.determinant_element(h.base)
     ok = ok and grouplike_residual(h, det).is_zero
     ok = ok and all(r.is_zero for r in central_residuals(h.base, det))
     _record("suq2-hopf-suite", ok, "all residuals exactly 0")
@@ -113,7 +114,7 @@ def test_d_series():
     d = ansatz.d_series
     ok = d.reduced == pe_tgt("K - eps*L")
     ok = ok and not d.reduced.contains_letter("J")
-    comm = contract._commutation_only_klmn(1)
+    comm = catalog.commutation_moves(ansatz.target.base)
     ok = ok and comm.normal_form(d.raw - d.display_form).is_zero
     for text in ("a*d - 1 - q*b*c", "d*a - 1 - q^-1*b*c"):
         rep = contract.verify_relation_contraction(ansatz, pe_src(text), text)
@@ -140,7 +141,7 @@ def test_contracted_coproducts_and_star():
 def test_change_of_variables():
     report = _change_of_variables()
     klmn = catalog.ekappa2_klmn_presentation(1)
-    named = catalog.klmn_named_elements(1)
+    named = catalog.klmn_named_elements(klmn.base)
     star_exact = klmn.apply_star(named["eta"].definition) == \
         klmn.base.normal_form(named["etabar"].definition)
     _record("change-of-variables", report.ok and star_exact,
@@ -150,7 +151,7 @@ def test_change_of_variables():
 def test_solver():
     h_open = catalog.without_commutator_rule(
         catalog.ekappa2_final_presentation(1))
-    basis = contract.standard_commutator_basis(1)
+    basis = contract.standard_commutator_basis(h_open.base)
     outcome = contract.solve_commutator(h_open, "eta", "etabar", basis)
     lam = Scalar.param("lam", 1)
     zero = Scalar.zero(1)
@@ -183,8 +184,7 @@ def test_property_suites():
                 failures += 1
         for _ in range(200):
             x = random_element(rng, h.base, degree=3, params=params,
-                               exclude=h.excluded,
-                               forbid_adjacent=(("L", "N"),))
+                               exclude=h.excluded)
             if not h.base.normal_form(
                     h.apply_star(h.apply_star(x)) - x).is_zero:
                 failures += 1

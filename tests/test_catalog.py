@@ -1,13 +1,17 @@
+from functools import lru_cache
 from pathlib import Path
+from random import Random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcontract import catalog
 from qcontract.freealg import format_word
-from qcontract.hopf import HopfPresentation
+from qcontract.hopf import HopfPresentation, run_hopf_suite
 from qcontract.parser import parse_expression
-from qcontract.rewrite import RuleOrientationError
+from qcontract.rewrite import RuleOrientationError, check_local_confluence
 from qcontract.scalars import Scalar
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -31,8 +35,8 @@ def elem_to_sympy(e, syms, q):
 
 
 class TestRttGeneration:
-    def test_sixteen_components_with_trivial_zeros(self):
-        comps = catalog.rtt_relations(1)
+    def test_sixteen_components_with_trivial_zeros(self, suq2):
+        comps = catalog.rtt_relations(suq2.base)
         assert len(comps) == 16
         trivial = {(c.row, c.col) for c in comps if c.is_trivial}
         assert trivial == {
@@ -40,12 +44,12 @@ class TestRttGeneration:
             ((2, 2), (1, 1)), ((2, 2), (2, 2)),
         }
 
-    def test_golden_file_exact(self):
-        lines = [c.describe() for c in catalog.rtt_relations(1)]
+    def test_golden_file_exact(self, suq2):
+        lines = [c.describe() for c in catalog.rtt_relations(suq2.base)]
         expected = (GOLDEN / "rtt_relations.txt").read_text()
         assert "\n".join(lines) + "\n" == expected
 
-    def test_against_independent_sympy_expansion(self):
+    def test_against_independent_sympy_expansion(self, suq2):
         # matrix oracle: noncommutative sympy symbols, fully independent of
         # the Element arithmetic used by the generator
         q = sympy.Symbol("q", commutative=True)
@@ -67,28 +71,28 @@ class TestRttGeneration:
                 T1[idx[(i, j)], idx[(k, l)]] = T[(i, k)] if j == l else 0
                 T2[idx[(i, j)], idx[(k, l)]] = T[(j, l)] if i == k else 0
         M = sympy.expand(R * T1 * T2 - T2 * T1 * R)
-        for comp in catalog.rtt_relations(1):
+        for comp in catalog.rtt_relations(suq2.base):
             mine = elem_to_sympy(comp.element, syms, q)
             theirs = M[idx[comp.row], idx[comp.col]]
             assert sympy.simplify(sympy.expand(mine - theirs)) == 0, (
                 comp.row, comp.col)
 
-    def test_distinct_relations_match_reference_set(self):
-        distinct = catalog.distinct_rtt_relations(1)
+    def test_distinct_relations_match_reference_set(self, suq2):
+        distinct = catalog.distinct_rtt_relations(suq2.base)
         assert len(distinct) == 6
         got = {str(x) for x in distinct}
         want = {str(x) for x in catalog.canonical_relation_forms(
-            catalog.reference_rtt_relation_set(1), 1)}
+            catalog.reference_rtt_relation_set(suq2.base), suq2.base)}
         assert got == want
 
     def test_every_component_reduces_to_zero(self, suq2):
-        for comp in catalog.rtt_relations(1):
+        for comp in catalog.rtt_relations(suq2.base):
             assert suq2.base.normal_form(comp.element).is_zero
 
-    def test_classical_limit_gives_commutators(self):
+    def test_classical_limit_gives_commutators(self, suq2):
         # with q = 1 each distinct relation degenerates to a commutator
         one = Scalar.one(1)
-        for rel in catalog.distinct_rtt_relations(1):
+        for rel in catalog.distinct_rtt_relations(suq2.base):
             classical = rel.map_scalars(
                 lambda s: s.eliminate_param("q", lambda m: one))
             words = sorted(classical.terms,
@@ -100,8 +104,9 @@ class TestRttGeneration:
 
 
 @pytest.fixture(scope="module")
-def entries():
-    return {(c.row, c.col): c.element for c in catalog.rtt_relations(1)}
+def entries(suq2):
+    return {(c.row, c.col): c.element
+            for c in catalog.rtt_relations(suq2.base)}
 
 
 class TestRuleDerivations:
@@ -122,7 +127,7 @@ class TestRuleDerivations:
         assert self._rel(suq2, "d*c") == -entries[((2, 2), (1, 2))]
 
     def test_determinant_rules(self, suq2, entries):
-        det = catalog.determinant_relation(1)
+        det = catalog.determinant_relation(suq2.base)
         assert self._rel(suq2, "a*d") == det
         # d a - 1 - q^-1 b c = (a d - q b c - 1) + (d a - a d - (q - 1/q) b c)
         assert self._rel(suq2, "d*a") == det + entries[((2, 1), (2, 1))]
@@ -194,11 +199,6 @@ class TestGoldenFiles:
             assert catalog.serialize_presentation(loaded) == \
                 catalog.builtin_source(name)
 
-    def test_alphabet_constants_match_the_files(self, suq2, klmn, final):
-        assert catalog.SUQ2_ALPHABET == suq2.base.alphabet
-        assert catalog.KLMN_ALPHABET == klmn.base.alphabet
-        assert catalog.FINAL_ALPHABET == final.base.alphabet
-
     def test_open_final_drops_only_the_commutator_rule(self, final):
         h = catalog.without_commutator_rule(final)
         assert h.name == h.base.name == "ekappa2-final-open"
@@ -255,6 +255,53 @@ class TestGoldenFiles:
         assert len(catalog.suq2_presentation(1).base.rules) == 7
         assert len(catalog.ekappa2_klmn_presentation(1).base.rules) == 11
         assert len(catalog.ekappa2_final_presentation(1).base.rules) == 7
+
+
+def _verdicts(h: HopfPresentation):
+    """The Hopf suite's status per record name and the confluence verdict."""
+    suite = run_hopf_suite(h, Random(42))
+    return ({r.name: r.ok for r in suite.records},
+            check_local_confluence(h.base, 6).ok)
+
+
+@lru_cache(maxsize=None)
+def _shipped_verdicts(name: str):
+    return _verdicts(catalog.load_presentation(f"builtin:{name}", 1))
+
+
+#: sections whose lines may come in any order
+_UNORDERED = ("[rules]", "[coproduct]", "[counit]", "[antipode]", "[star]")
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_line_order_within_a_section_keeps_the_verdicts(data):
+    for name in catalog.BUILTIN_NAMES:
+        blocks = catalog.builtin_source(name).split("\n\n")
+        for i, block in enumerate(blocks):
+            header, *lines = block.splitlines()
+            if header.partition(" @")[0] in _UNORDERED:
+                lines = data.draw(st.permutations(lines), label=header)
+                blocks[i] = "\n".join([header, *lines])
+        h = catalog.parse_presentation_text("\n\n".join(blocks), 1, name)
+        assert _verdicts(h) == _shipped_verdicts(name)
+
+
+class TestCommutationMoves:
+    @staticmethod
+    def lhs(p) -> list[str]:
+        return [format_word(r.lhs, 1)
+                for r in catalog.commutation_moves(p).rules]
+
+    def test_the_rules_that_only_reorder_their_letters(self, suq2, klmn,
+                                                       final):
+        assert self.lhs(suq2.base) == ["c*b"]
+        assert self.lhs(klmn.base) == ["N*K", "N*M", "M*K", "M*J", "N*J"]
+        assert self.lhs(final.base) == []
+
+    def test_classical_limit_adds_the_deformed_ones(self, klmn):
+        assert self.lhs(catalog.classical_limit(klmn).base) == [
+            "N*K", "N*M", "M*K", "L*K", "L*M", "M*J", "N*J", "L*J"]
 
 
 class TestTextFormat:
@@ -330,7 +377,7 @@ y*x -> x*y
 
 class TestNamedElements:
     def test_unit_relations(self, klmn):
-        named = catalog.klmn_named_elements(1)
+        named = catalog.klmn_named_elements(klmn.base)
         one = parse_expression("1", klmn.base.alphabet, ("lam",), 1)
         vp = named["vplus"].definition
         vm = named["vminus"].definition
@@ -338,15 +385,15 @@ class TestNamedElements:
         assert klmn.base.normal_form(vm * vp - one).is_zero
 
     def test_definitions_stable_across_loads(self, klmn):
-        a = catalog.klmn_named_elements(1)
-        b = catalog.klmn_named_elements(1)
+        a, b = (catalog.klmn_named_elements(
+            catalog.ekappa2_klmn_presentation(1).base) for _ in range(2))
         for name in a:
             assert klmn.base.normal_form(a[name].definition) == \
                 klmn.base.normal_form(b[name].definition)
 
     def test_etabar_sign_convention(self, klmn, pe_klmn):
         # etabar = -(K + M)(L + lam/2 M - i N), so that eta* = etabar
-        named = catalog.klmn_named_elements(1)
+        named = catalog.klmn_named_elements(klmn.base)
         built = -(pe_klmn("K + M") * pe_klmn("L + 1/2*lam*M - i*N"))
         assert named["etabar"].definition == built
 

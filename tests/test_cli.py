@@ -12,6 +12,7 @@ from qcontract.freealg import format_word
 from qcontract.reports import REPORT_SCHEMA
 
 DATA = Path(__file__).parent.parent / "src" / "qcontract" / "data"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -385,6 +386,30 @@ class TestContractCommand:
     def test_lam_zero(self, capsys):
         code, out, _ = run(capsys, "contract", "--lam-zero")
         assert code == 0
+
+
+# Each directory holds the shipped files, one builtin listing its generators
+# in another order that its rules still decrease in
+@pytest.mark.parametrize("fixture", ["reordered_suq2", "reordered_klmn",
+                                     "reordered_final"])
+@pytest.mark.parametrize("argv,checks", [
+    (("contract",), 104),
+    (("contract", "--lam-zero"), 104),
+    (("solve-commutator", "--ln"), 7),
+], ids=["contract", "contract --lam-zero", "solve-commutator --ln"])
+def test_generator_order_is_read_from_the_files(capsys, fixture, argv,
+                                                checks):
+    catalog_dir = GOLDEN / fixture
+    changed = [f.name for f in DATA.glob("*.preso")
+               if (catalog_dir / f.name).read_text() != f.read_text()]
+    assert len(changed) == 1
+    _, shipped, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--catalog-dir", str(catalog_dir))
+    assert (code, err) == (0, "")
+    assert out.endswith(f"checks: {checks}  failed: 0\n")
+    # the same records; a reordered final lists its realization checks in
+    # its own generator order
+    assert sorted(out.splitlines()) == sorted(shipped.splitlines())
 
 
 class TestSolveCommutator:

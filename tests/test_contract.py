@@ -3,7 +3,6 @@ import pytest
 from qcontract import catalog, contract
 from qcontract.contract import ContractionAnsatz, UnknownCommutatorNeeded
 from qcontract.freealg import Element
-from qcontract.parser import parse_expression
 from qcontract.scalars import Scalar
 
 
@@ -13,11 +12,12 @@ def ansatz(suq2, klmn):
 
 
 def pe_src(text, order=1):
-    return parse_expression(text, catalog.SUQ2_ALPHABET, ("q",), order)
+    return catalog.parse_in(catalog.suq2_presentation(order).base, text)
 
 
 def pe_tgt(text, order=1):
-    return parse_expression(text, catalog.KLMN_ALPHABET, ("lam",), order)
+    return catalog.parse_in(catalog.ekappa2_klmn_presentation(order).base,
+                            text)
 
 
 class TestAnsatz:
@@ -51,7 +51,7 @@ class TestDSeries:
         assert not ansatz.d_series.reduced.contains_letter("J")
 
     def test_raw_matches_display_up_to_commutation(self, ansatz):
-        comm = contract._commutation_only_klmn(1)
+        comm = catalog.commutation_moves(ansatz.target.base)
         diff = ansatz.d_series.raw - ansatz.d_series.display_form
         assert comm.normal_form(diff).is_zero
         # the difference is exactly the i eps J [N, M] term, which the
@@ -165,7 +165,7 @@ class TestRelationContraction:
         for k in (0, 1):
             oracle_k = sympy.expand(oracle.coeff(r, k))
             mine_k = engine_to_sympy(
-                comps.get(k, Element.zero(catalog.KLMN_ALPHABET, 1)))
+                comps.get(k, Element.zero(ansatz.target.base.alphabet, 1)))
             assert sympy.expand(oracle_k - mine_k) == 0, (text, k)
 
 
@@ -176,25 +176,23 @@ class TestCoproductSquare:
             assert report.ok, g
 
     def test_b_order_zero_both_sides(self, ansatz, klmn):
-        g = Element.generator(catalog.SUQ2_ALPHABET, "b", 1)
+        g = Element.generator(ansatz.source.base.alphabet, "b", 1)
         p2 = klmn.base.at_slots(2)
         lhs = ansatz.target.apply_coproduct(ansatz.apply(g))
         rhs = p2.normal_form(
             ansatz.apply_tensor(ansatz.source.apply_coproduct(g)))
-        expected0 = p2.normal_form(parse_expression(
-            "K ox M + M ox K", catalog.KLMN_ALPHABET, ("lam",), 1))
+        expected0 = p2.normal_form(pe_tgt("K ox M + M ox K"))
         assert lhs.eps_components()[0] == expected0
         assert rhs.eps_components()[0] == expected0
 
     def test_a_order_one_both_sides(self, ansatz, klmn):
-        g = Element.generator(catalog.SUQ2_ALPHABET, "a", 1)
+        g = Element.generator(ansatz.source.base.alphabet, "a", 1)
         p2 = klmn.base.at_slots(2)
         lhs = ansatz.target.apply_coproduct(ansatz.apply(g))
         rhs = p2.normal_form(
             ansatz.apply_tensor(ansatz.source.apply_coproduct(g)))
-        expected1 = p2.normal_form(parse_expression(
-            "K ox L + L ox K + i*N ox M - i*M ox N",
-            catalog.KLMN_ALPHABET, ("lam",), 1))
+        expected1 = p2.normal_form(pe_tgt(
+            "K ox L + L ox K + i*N ox M - i*M ox N"))
         assert lhs.eps_components()[1] == expected1
         assert rhs.eps_components()[1] == expected1
 
@@ -228,7 +226,7 @@ class TestStarSquare:
 
     def test_b_star_pins_M_and_N_star(self, ansatz, klmn):
         # b* = -q c contracts to M* = -M, N* = -N - i lam M
-        g = Element.generator(catalog.SUQ2_ALPHABET, "b", 1)
+        g = Element.generator(ansatz.source.base.alphabet, "b", 1)
         lhs = ansatz.apply(ansatz.source.star.apply(g))
         rhs = ansatz.target.star.apply(ansatz.apply(g))
         assert klmn.base.normal_form(lhs - rhs).is_zero
@@ -248,7 +246,7 @@ class TestChangeOfVariables:
         assert report.ok, [(r.name, r.residual) for r in report.failures()]
 
     def test_eta_commutator_with_E(self, klmn):
-        named = catalog.klmn_named_elements(1)
+        named = catalog.klmn_named_elements(klmn.base)
         eta = named["eta"].definition
         bigE = named["E"].definition
         one = Element.unit(klmn.base.alphabet, 1)
@@ -258,7 +256,7 @@ class TestChangeOfVariables:
         assert residual.is_zero
 
     def test_eta_coproduct_form(self, klmn):
-        named = catalog.klmn_named_elements(1)
+        named = catalog.klmn_named_elements(klmn.base)
         eta = named["eta"].definition
         bigF = named["F"].definition
         p2 = klmn.base.at_slots(2)
@@ -271,15 +269,15 @@ class TestChangeOfVariables:
         assert lhs == rhs
 
     def test_eta_star_is_etabar(self, klmn):
-        named = catalog.klmn_named_elements(1)
+        named = catalog.klmn_named_elements(klmn.base)
         got = klmn.apply_star(named["eta"].definition)
         assert got == klmn.base.normal_form(named["etabar"].definition)
 
     def test_commutator_rule_not_derivable_in_linear_variables(self, klmn):
         # realizing etabar*eta -> ... inside K,L,M,N leaves words L N that
         # only the undetermined [L, N] could reduce
-        realize = catalog.final_to_klmn_map(1)
         final = catalog.ekappa2_final_presentation(1)
+        realize = catalog.final_to_klmn_map(final.base, klmn.base)
         rule = next(r for r in final.base.rules
                     if r.label.startswith("etabar*eta"))
         residual = klmn.base.normal_form(
@@ -331,5 +329,5 @@ class TestClassicalLimit:
 
     def test_relations_become_commutators(self):
         klmn0 = catalog.classical_limit(catalog.ekappa2_klmn_presentation(1))
-        x = parse_expression("[L,K]", catalog.KLMN_ALPHABET, ("lam",), 1)
+        x = pe_tgt("[L,K]")
         assert klmn0.base.normal_form(x).is_zero

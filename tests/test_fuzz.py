@@ -11,7 +11,8 @@ from qcontract.hopf import HopfPresentation
 from qcontract.parser import ParseError, parse_expression
 from qcontract.rewrite import Presentation, RuleOrientationError
 
-ALPHABET = catalog.SUQ2_ALPHABET
+SUQ2 = catalog.load_presentation("builtin:suq2", 2).base
+ALPHABET = SUQ2.alphabet
 
 #: exponents stay below 4 and nesting is short, so no power can blow up
 TOKENS = ["a", "b", "c", "d", "q", "lam", "i", "eps", "ox", "zz", "0", "1",
@@ -34,9 +35,6 @@ def test_parse_expression_returns_an_element_or_a_parse_error(text):
     except ParseError:
         return
     assert isinstance(x, Element)
-
-
-SUQ2 = catalog.load_presentation("builtin:suq2", 2).base
 
 
 @given(st.one_of(token_text, raw_text))

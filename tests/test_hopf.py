@@ -174,22 +174,21 @@ class TestConvolutionIdentity:
         rng = Random(42)
         for _ in range(200):
             x = random_element(rng, h.base, degree=3, params=params,
-                               exclude=h.excluded,
-                               forbid_adjacent=(("L", "N"),))
+                               exclude=h.excluded)
             assert check_convolution_on_element(h, x)
 
 
 class TestDeterminant:
     def test_grouplike(self, suq2):
-        det = catalog.determinant_element(1)
+        det = catalog.determinant_element(suq2.base)
         assert grouplike_residual(suq2, det).is_zero
 
     def test_central(self, suq2):
-        det = catalog.determinant_element(1)
+        det = catalog.determinant_element(suq2.base)
         assert all(r.is_zero for r in central_residuals(suq2.base, det))
 
     def test_counit_one(self, suq2):
-        det = catalog.determinant_element(1)
+        det = catalog.determinant_element(suq2.base)
         assert suq2.apply_counit(det) == Scalar.one(1)
 
 
@@ -213,7 +212,7 @@ class TestImageMemo:
 
         # the smallest limit at which the suite passes on a fresh
         # presentation: its costliest normal form in ekappa2-klmn
-        cold = 965
+        cold = 1313
         with pytest.raises(StepLimitExceeded):
             self.suite(load(), cold - 1)
         h = load()
@@ -239,7 +238,7 @@ class TestImageMemo:
             "[FAIL] suq2_bad_antipode/antipode-right/d  [Eq. (4)]  "
             "residual: b*c - q^-1*b*c - 1 + q",
             "[FAIL] suq2_bad_antipode/random-layer/25-elements  "
-            "residual: 21 failures",
+            "residual: 16 failures",
         ]
         assert out.endswith("checks: 43  failed: 5\n")
 

@@ -81,7 +81,7 @@ class TestErrors:
 
 class TestRoundTrip:
     def test_named_element_normal_forms_round_trip(self, klmn):
-        named = catalog.klmn_named_elements(1)
+        named = catalog.klmn_named_elements(klmn.base)
         for ne in named.values():
             nf = klmn.base.normal_form(ne.definition)
             printed = format_element(nf)

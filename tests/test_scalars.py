@@ -234,9 +234,11 @@ class TestInternedMonomials:
             assert a.without(name) is ParamMonomial(
                 (n, e) for n, e in x.items() if n != name)
 
-    @given(exps=exps)
+    @given(exps=exps, re=st.fractions(max_denominator=4),
+           im=st.fractions(max_denominator=4), order=st.integers(0, 4))
     @settings(max_examples=50)
-    def test_copies_and_pickles_are_the_interned_instance(self, exps):
+    def test_copies_and_pickles_are_the_interned_instance(self, exps, re, im,
+                                                          order):
         m = ParamMonomial(exps.items())
         assert copy.copy(m) is m
         assert copy.deepcopy(m) is m
@@ -245,3 +247,17 @@ class TestInternedMonomials:
         key = (m, 1)  # as a scalar term's key holds it
         for twin in (copy.deepcopy(key), pickle.loads(pickle.dumps(key))):
             assert twin == key and twin[0] is m
+        # Gaussian rationals and scalars copy by value, their keys stay
+        # interned, and the shared unit comes back as itself
+        z = GaussianRational(re, im)
+        s = Scalar({(m, order): z}, order)
+        one = Scalar.one(order)
+        copiers = [copy.copy, copy.deepcopy] + [
+            lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+            for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for copier in copiers:
+            assert copier(z) == z
+            twin = copier(s)
+            assert twin == s and twin.truncation_order == order
+            assert all(k is m for k, _eps in twin.terms)
+            assert copier(one) is one

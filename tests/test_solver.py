@@ -12,8 +12,8 @@ def open_final(final):
 
 
 @pytest.fixture(scope="module")
-def basis():
-    return contract.standard_commutator_basis(1)
+def basis(final):
+    return contract.standard_commutator_basis(final.base)
 
 
 class TestEtaEtabarSolver:
@@ -94,7 +94,7 @@ class TestEtaEtabarSolver:
     def test_classical_limit_solution_is_zero(self):
         open0 = catalog.classical_limit(catalog.without_commutator_rule(
             catalog.ekappa2_final_presentation(1)))
-        basis0 = contract.standard_commutator_basis(1)
+        basis0 = contract.standard_commutator_basis(open0.base)
         outcome = contract.solve_commutator(open0, "eta", "etabar", basis0)
         assert outcome.status == "unique"
         assert all(v.is_zero for v in outcome.solution.values())
@@ -119,7 +119,7 @@ class TestLnSolver:
         outcome = contract.solve_ln_commutator(1, basis=basis)
         p_ext = contract.klmn_with_ln_rule(outcome.solution, basis, 1)
         assert check_local_confluence(p_ext, 6).ok
-        named = catalog.klmn_named_elements(1)
+        named = catalog.klmn_named_elements(p_ext)
         eta = named["eta"].definition
         etabar = named["etabar"].definition
         lam = Scalar.param("lam", 1)
@@ -145,8 +145,8 @@ class TestLnSolver:
         basis = contract.ln_basis_kmn(1)
         outcome = contract.solve_ln_commutator(1, basis=basis)
         p_ext = contract.klmn_with_ln_rule(outcome.solution, basis, 1)
-        realize = catalog.final_to_klmn_map(1)
         final = catalog.ekappa2_final_presentation(1)
+        realize = catalog.final_to_klmn_map(final.base, p_ext)
         rule = next(r for r in final.base.rules
                     if r.label.startswith("etabar*eta"))
         residual = p_ext.normal_form(

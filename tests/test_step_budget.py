@@ -85,7 +85,7 @@ def test_hopf_check_reduces_through_the_table(capsys):
 @pytest.mark.parametrize("argv,limit", [
     (("contract",), 290),
     (("solve-commutator", "--ln"), 535),
-    (("report",), 965),
+    (("report",), 952),
 ], ids=["contract", "solve-commutator --ln", "report"])
 def test_command_step_limit_threshold(capsys, argv, limit):
     code, out, err = _run(capsys, *argv, "--step-limit", str(limit - 1))

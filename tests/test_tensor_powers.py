@@ -115,6 +115,13 @@ def test_tensor_power_has_no_rules():
         p.alphabet.at_slots(2), 1, "suq2@2")
 
 
+def test_one_tensor_power_per_slot_count():
+    p = catalog.suq2_presentation(1).base
+    for k in (2, 3):
+        assert p.at_slots(k) is p.at_slots(k)
+        assert p.at_slots(k).alphabet is p.at_slots(k).alphabet
+
+
 def test_interleaved_words_print_slot_by_slot():
     a1, b1, a2, c3 = (GeneratorId("a", 1), GeneratorId("b", 1),
                       GeneratorId("a", 2), GeneratorId("c", 3))
