@@ -67,6 +67,11 @@ def _commands() -> list[list[str]]:
     cmds.append(["nf", "-p", "tests/golden/deep_nesting.preso", "a"])
     cmds.append(["hopf-check", "-p",
                  "tests/golden/suq2_incomplete_counit.preso"])
+    # malformed expressions exit 2 with one line: a stray character, an
+    # open group, a name as exponent, an open commutator, a zero
+    # denominator, a superscript digit and a tensor where nf reduces
+    cmds += [["nf", expr] for expr in ("a*$", "(a", "a^b", "[a, b",
+                                       "a + 1/0", "a^\u00b2", "a ox b")]
     return cmds
 
 
@@ -74,10 +79,13 @@ COMMANDS = _commands()
 
 
 def file_name(argv: list[str]) -> str:
-    """A file name that names the command: its arguments joined by ``_``,
-    with every other character than letters, digits, ``.`` and ``-``
-    replaced by ``_``."""
-    return re.sub(r"[^A-Za-z0-9.-]+", "_", "_".join(argv)).strip("_") + ".txt"
+    """A file name that names the command: its arguments joined by ``_``;
+    letters, digits, ``.`` and ``-`` are kept, each run of blanks and of
+    the characters ``_:/*^()+`` becomes one ``_``, and any other character
+    is written as ``u`` and its code point in hex (``$`` as ``u24``)."""
+    text = re.sub(r"[^A-Za-z0-9.\s_:/*^()+-]",
+                  lambda m: f"_u{ord(m.group()):x}_", "_".join(argv))
+    return re.sub(r"[\s_:/*^()+]+", "_", text).strip("_") + ".txt"
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:

@@ -14,8 +14,10 @@ Three presentations ship with the package:
 
 Each builtin exists only as a text file under ``data/``, equation tags
 included; ``builtin:`` URIs and the loader functions below parse it, so the
-parser is exercised on every load.  The files are in canonical form:
-serializing a loaded builtin reproduces its file byte for byte.
+parser is exercised on every load.  ``builtin_alphabet`` reads only the
+``[params]`` and ``[generators]`` sections, for callers that need no more
+than the alphabet.  The files are in canonical form: serializing a loaded
+builtin reproduces its file byte for byte.
 
 Some file entries are derived rather than free data.  In ``ekappa2-klmn``
 the rule for L*J is the reduction of [L, J] = -J [L, K] J by M^2 -> K^2 - 1
@@ -427,14 +429,10 @@ def _parse_counit(alphabet, params, order,
     return out
 
 
-def parse_presentation_text(text: str, order: int = 1, name: str = ""):
-    """Parse the line-oriented presentation format.
-
-    Returns a :class:`HopfPresentation` when all four structure-map sections
-    are present, otherwise a bare :class:`Presentation` (which keeps no
-    tags).  A rule or coproduct line may end in ``@ tag`` and the
-    ``[antipode]`` header in ``@ tag``; the tags label the checks in reports.
-    """
+def _read_sections(text: str) -> tuple[dict, str | None]:
+    """The ``(line number, line, tag)`` entries of each section of the
+    presentation text, comments cut off, and the ``[antipode]`` header's
+    tag."""
     sections: dict[str, list[tuple[int, str, str]]] = {}
     antipode_tag = None
     current = None
@@ -461,28 +459,32 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
             raise PresentationFormatError(
                 f"line {lineno}: lines of [{current}] take no tag")
         sections[current].append((lineno, line, tag))
-
     if "generators" not in sections:
         raise PresentationFormatError("missing [generators] section")
+    return sections, antipode_tag
 
-    def names(section: str):
-        """``(line number, name)`` for each name of ``section``, each one a
-        name that expressions read back."""
-        for lineno, line, _ in sections.get(section, ()):
-            for n in line.split():
-                try:
-                    kinds = [t.kind for t in tokenize(n)]
-                except ParseError:
-                    kinds = []
-                if n in RESERVED or kinds != ["NAME", "END"]:
-                    what = "a reserved word" if n in RESERVED else "not a name"
-                    raise PresentationFormatError(
-                        f"line {lineno}: {n!r} is {what}")
-                yield lineno, n
 
-    params = tuple(n for _, n in names("params"))
+def _names(sections: dict, section: str):
+    """``(line number, name)`` for each name of ``section``, each one a
+    name that expressions read back."""
+    for lineno, line, _ in sections.get(section, ()):
+        for n in line.split():
+            try:
+                kinds = [t.kind for t in tokenize(n)]
+            except ParseError:
+                kinds = []
+            if n in RESERVED or kinds != ["NAME", "END"]:
+                what = "a reserved word" if n in RESERVED else "not a name"
+                raise PresentationFormatError(
+                    f"line {lineno}: {n!r} is {what}")
+            yield lineno, n
+
+
+def _declared(sections: dict) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The parameter and generator names the sections declare."""
+    params = tuple(n for _, n in _names(sections, "params"))
     gen_names: tuple[str, ...] = ()
-    for lineno, n in names("generators"):
+    for lineno, n in _names(sections, "generators"):
         if n in gen_names:
             raise PresentationFormatError(
                 f"line {lineno}: duplicate generator {n!r}")
@@ -490,11 +492,32 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
             raise PresentationFormatError(
                 f"line {lineno}: {n!r} is both a generator and a parameter")
         gen_names += (n,)
-    for lineno, n in names("excluded"):
+    return params, gen_names
+
+
+def builtin_alphabet(name: str) -> Alphabet:
+    """The alphabet of the builtin ``name``, read from the ``[params]`` and
+    ``[generators]`` sections of its file alone: no expression is
+    parsed."""
+    sections, _ = _read_sections(builtin_source(name))
+    return Alphabet(_declared(sections)[1])
+
+
+def parse_presentation_text(text: str, order: int = 1, name: str = ""):
+    """Parse the line-oriented presentation format.
+
+    Returns a :class:`HopfPresentation` when all four structure-map sections
+    are present, otherwise a bare :class:`Presentation` (which keeps no
+    tags).  A rule or coproduct line may end in ``@ tag`` and the
+    ``[antipode]`` header in ``@ tag``; the tags label the checks in reports.
+    """
+    sections, antipode_tag = _read_sections(text)
+    params, gen_names = _declared(sections)
+    for lineno, n in _names(sections, "excluded"):
         if n not in gen_names:
             raise PresentationFormatError(
                 f"line {lineno}: excluded {n!r} is not a generator")
-    excluded = frozenset(n for _, n in names("excluded"))
+    excluded = frozenset(n for _, n in _names(sections, "excluded"))
     alphabet = Alphabet(gen_names)
 
     def split_arrow(line: str, lineno: int) -> tuple[str, str]:

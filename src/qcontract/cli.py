@@ -138,8 +138,7 @@ def _timed(fn, args) -> CheckReport:
 def cmd_nf(args) -> int:
     h = _load(args)
     base = h.base if isinstance(h, HopfPresentation) else h
-    params = tuple(sorted({*base.params, "q", "lam"}))
-    print(parse_expression(args.expression, base.alphabet, params,
+    print(parse_expression(args.expression, base.alphabet, base.params,
                            args.truncation_order, base))
     return EXIT_OK
 

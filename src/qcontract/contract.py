@@ -719,16 +719,21 @@ def solver_suite(final: HopfPresentation) -> CheckReport:
 
 def ln_basis_km(order: int, max_degree: int = 3) -> dict[str, Element]:
     """Normal monomials in K and M only, degree <= max_degree."""
-    return _ln_basis(order, max_degree, with_n=False)
+    return _ln_basis(catalog.builtin_alphabet("ekappa2-klmn"), order,
+                     max_degree, with_n=False)
 
 
 def ln_basis_kmn(order: int, max_degree: int = 3) -> dict[str, Element]:
     """Normal monomials in K, M and N, degree <= max_degree."""
-    return _ln_basis(order, max_degree, with_n=True)
+    return _ln_basis(catalog.builtin_alphabet("ekappa2-klmn"), order,
+                     max_degree, with_n=True)
 
 
-def _ln_basis(order: int, max_degree: int, with_n: bool) -> dict[str, Element]:
-    alph = catalog.ekappa2_klmn_presentation(order).base.alphabet
+def _ln_basis(alph: Alphabet, order: int, max_degree: int,
+              with_n: bool) -> dict[str, Element]:
+    """The monomials K^i M^j N^k over ``alph`` (j at most 1, k 0 unless
+    ``with_n``) of degree at most ``max_degree``, labelled by their
+    words."""
     out: dict[str, Element] = {}
     max_n = max_degree if with_n else 0
     for i in range(max_degree + 1):
@@ -747,10 +752,11 @@ def solve_ln_commutator(order: int = 1,
                         basis: dict[str, Element] | None = None) -> SolveOutcome:
     """Back-solve the undetermined [L, N] from the final-variable
     commutator identity [eta, etabar] = lam (etabar + eta), treating
-    L N -> N L + Z as an unknown rewrite."""
-    if basis is None:
-        basis = ln_basis_kmn(order)
+    L N -> N L + Z as an unknown rewrite; the basis defaults to
+    ``ln_basis_kmn(order)``."""
     p = catalog.ekappa2_klmn_presentation(order).base
+    if basis is None:
+        basis = _ln_basis(p.alphabet, order, 3, with_n=True)
     named = klmn_named_elements(p)
     eta = named["eta"].definition
     etabar = named["etabar"].definition

@@ -203,25 +203,9 @@ class Element:
         if isinstance(other, (int, Fraction, GaussianRational, Scalar)):
             return self.scaled(other)
         self._check(other)
-        acc: dict = {}
-        cancelled = False
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c = c1 * c2
-                if not c.terms:
-                    continue
-                w = w1 + w2
-                cur = acc.get(w)
-                if cur is None:
-                    acc[w] = c
-                else:
-                    c = acc[w] = cur + c
-                    cancelled = cancelled or not c.terms
-        if cancelled:
-            # drop vanishing sums only now, so the surviving terms keep the
-            # order in which they first appeared
-            acc = {w: c for w, c in acc.items() if c.terms}
-        return Element._of(self.alphabet, acc, self.order)
+        return Element._of(self.alphabet, product_terms(self.terms,
+                                                        other.terms),
+                           self.order)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, Scalar)):
@@ -350,6 +334,30 @@ def accumulate_scaled(acc: dict, terms: dict, s: Scalar) -> None:
             acc[w] = c
         else:
             del acc[w]
+
+
+def product_terms(x: dict, y: dict) -> dict:
+    """The word -> coefficient dict of the product of ``x`` and ``y``: each
+    word of ``x`` concatenated with each word of ``y``."""
+    acc: dict = {}
+    cancelled = False
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            c = c1 * c2
+            if not c.terms:
+                continue
+            w = w1 + w2
+            cur = acc.get(w)
+            if cur is None:
+                acc[w] = c
+            else:
+                c = acc[w] = cur + c
+                cancelled = cancelled or not c.terms
+    if cancelled:
+        # drop vanishing sums only now, so the surviving terms keep the
+        # order in which they first appeared
+        acc = {w: c for w, c in acc.items() if c.terms}
+    return acc
 
 
 def tensor_embed(x: Element, slot: int, slot_count: int = 2) -> Element:

@@ -10,7 +10,15 @@ Grammar (whitespace-insensitive)::
     NUMBER   := INT ['/' INT]
 
 ``[x,y]`` is the commutator, names resolve to generators or parameters,
-``i`` is the imaginary unit and ``eps`` the truncation variable.
+``i`` is the imaginary unit and ``eps`` the truncation variable.  A name
+starts with a letter or ``_`` and goes on with letters, digits and ``_``;
+an INT is a run of decimal digits, in any script.  ``tokenize`` is one
+regular-expression scan; a token's column counts code points from 1 and
+only ``\n`` starts a new line.
+
+The parser works on word -> coefficient dicts and a slot count (the
+alphabet of the value), and forms one ``Element`` at the end: a product
+concatenates words, a sum adds coefficients.
 
 Expanding can blow up, so every product is charged to the step budget
 before it is done: a typed product (``*``, ``ox`` or a commutator) one step
@@ -32,10 +40,18 @@ allowance of their own, charged by the table as ``normal_form`` charges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
-from .freealg import Alphabet, Element, tensor_embed
+from .freealg import (
+    Alphabet,
+    Element,
+    GeneratorId,
+    accumulate_scaled,
+    product_terms,
+    tensor_embed,
+)
 from .rewrite import Presentation, _charge, allowance
 from .scalars import Scalar
 
@@ -52,77 +68,85 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME NUMBER OP END
     value: object
     line: int
     col: int
 
 
-_OPS = set("+-*^()[],")
+# One match per token, with the blanks before it: blanks other than a
+# newline, then a newline, a number, a name, an operator, any other
+# character, or the end of the text.  ``[^\W\d]`` also admits the
+# non-decimal digits and numerals (``²``, ``½``) that ``\w`` holds, so a
+# name's first character is checked again with ``str.isalpha``.
+_TOKEN = re.compile(r"([^\S\n]*+)(?:(\n)|(\d++)(?:/(\d++))?|([^\W\d]\w*+)"
+                    r"|([-+*^()\[\],])|(.)|\Z)", re.DOTALL)
+_token = tuple.__new__  # Token's own constructor, without its Python frame
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
     line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
+    for blank, newline, num, den, name, op, other in _TOKEN.findall(text):
+        col += len(blank)
+        if op:
+            append(_token(Token, ("OP", op, line, col)))
             col += 1
-            continue
-        if ch in _OPS:
-            tokens.append(Token("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdecimal():
-            start = i
-            while i < n and text[i].isdecimal():
-                i += 1
-            num = int(text[start:i])
-            den = 1
-            if i < n and text[i] == "/":
-                j = i + 1
-                if j < n and text[j].isdecimal():
-                    i = j
-                    ds = i
-                    while i < n and text[i].isdecimal():
-                        i += 1
-                    den = int(text[ds:i])
-            if den == 0:
+        elif name:
+            if not (name[0].isalpha() or name[0] == "_"):
+                raise ParseError(f"unexpected character {name[0]!r}",
+                                 line, col)
+            append(_token(Token, ("NAME", name, line, col)))
+            col += len(name)
+        elif num:
+            n, d = int(num), int(den) if den else 1
+            if not d:
                 raise ParseError("division by zero", line, col)
-            tokens.append(Token("NUMBER", Fraction(num, den), line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("NAME", text[start:i], line, col))
-            col += i - start
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("END", None, line, col))
+            append(_token(Token, ("NUMBER", Fraction(n, d) if den
+                                  else Fraction(n), line, col)))
+            col += len(num) + (len(den) + 1 if den else 0)
+        elif newline:
+            line, col = line + 1, 1
+        elif other:
+            raise ParseError(f"unexpected character {other!r}", line, col)
+    append(_token(Token, ("END", None, line, col)))
     return tokens
 
 
+_PRODUCT = "step limit exceeded while expanding a product"
+_POWER = "step limit exceeded while expanding a power"
+
+
+def _negated(terms: dict) -> dict:
+    return {w: -c for w, c in terms.items()}
+
+
+def _degree(terms: dict) -> int:
+    return max(map(len, terms), default=0)
+
+
 class _Parser:
+    """Each grammar method returns a value ``(alphabet, terms)``: the
+    alphabet carries the slot count, ``terms`` maps words to nonzero
+    coefficients.  No method writes to a dict it did not make, so values
+    share dicts freely.
+
+    A token's value alone tells an operator: no name, number or end
+    token has one as its value, so ``tokens[pos].value == "*"`` needs no
+    look at the kind."""
+
     def __init__(self, tokens: list[Token], alphabet: Alphabet,
                  params: tuple[str, ...], order: int,
                  presentation: Presentation | None):
         self.tokens = tokens
         self.pos = 0
         self.alphabet = alphabet
+        self.slot = alphabet.slots[0]  # the slot of a generator's letter
         self.params = params
         self.order = order
+        self.one = Scalar.one(order)
         self.budget = allowance()
         self.presentation = presentation
         self.reducing = allowance()  # the reductions' own allowance
@@ -130,63 +154,64 @@ class _Parser:
 
     # -- token helpers -----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
+    def expect_op(self, op: str):
         t = self.tokens[self.pos]
         self.pos += 1
-        return t
-
-    def expect_op(self, op: str):
-        t = self.next()
-        if t.kind != "OP" or t.value != op:
+        if t.value != op:
             raise ParseError(f"expected {op!r}", t.line, t.col)
 
     def fail(self, message: str):
-        t = self.peek()
+        t = self.tokens[self.pos]
         raise ParseError(message, t.line, t.col)
 
-    # -- element combination with scalar promotion --------------------------
+    # -- value combination with scalar promotion ----------------------------
 
-    def _promote(self, a: Element, b: Element) -> tuple[Element, Element]:
-        if a.alphabet == b.alphabet:
+    def _promote(self, a, b):
+        alph_a, alph_b = a[0], b[0]
+        if alph_a is alph_b or alph_a == alph_b:
             return a, b
-        if a.alphabet.names == b.alphabet.names:
-            if a.alphabet.slot_count == 1 and all(not w for w in a.terms):
-                return a.rebind(b.alphabet), b
-            if b.alphabet.slot_count == 1 and all(not w for w in b.terms):
-                return a, b.rebind(a.alphabet)
+        if alph_a.names == alph_b.names:
+            # a scalar (its words all empty) takes the other's slot count
+            if alph_a.slot_count == 1 and not any(a[1]):
+                return (alph_b, a[1]), b
+            if alph_b.slot_count == 1 and not any(b[1]):
+                return a, (alph_a, b[1])
         self.fail("mixed tensor ranks in expression")
 
     def add(self, a, b):
-        a, b = self._promote(a, b)
-        return a + b
+        (alph, x), (_, y) = self._promote(a, b)
+        acc = dict(x)
+        accumulate_scaled(acc, y, self.one)
+        return alph, acc
 
     def sub(self, a, b):
         a, b = self._promote(a, b)
-        return a - b
+        return self._minus(a, b)
+
+    def _minus(self, a, b):
+        acc = dict(a[1])
+        accumulate_scaled(acc, _negated(b[1]), self.one)
+        return a[0], acc
 
     def mul(self, a, b):
         a, b = self._promote(a, b)
-        _charge(self.budget, len(a.terms) * len(b.terms),
-                "step limit exceeded while expanding a product")
+        _charge(self.budget, len(a[1]) * len(b[1]), _PRODUCT)
         return self._times(a, b)
 
-    def _times(self, a: Element, b: Element) -> Element:
+    def _times(self, a, b):
         """``a*b``; when parsing against a presentation over their alphabet
         (a tensor product never is), ``nf(a*b)`` from a reduced ``a`` and
         the free words of ``b``."""
-        p = self.presentation
-        if p is None or a.alphabet != p.alphabet:
-            return a * b
-        return p._multiply(a, b, self.reducing)
+        alph, p = a[0], self.presentation
+        if p is None or (alph is not p.alphabet and alph != p.alphabet):
+            return alph, product_terms(a[1], b[1])
+        return alph, p._multiply(a[1], b[1], self.reducing)
 
-    def _reduced(self, x: Element) -> Element:
+    def _reduced(self, x):
         """``x``, reduced when parsing against a presentation."""
         if self.presentation is None:
             return x
-        return self._times(Element.unit(x.alphabet, self.order), x)
+        return self._times((x[0], {(): self.one}), x)
 
     def _expanded(self, parse):
         """What ``parse()`` parses, in free words: not reduced."""
@@ -195,136 +220,148 @@ class _Parser:
         self.presentation = p
         return out
 
+    def _scalar(self, s: Scalar):
+        """The value ``s`` times the empty word."""
+        return self.alphabet, ({(): s} if s.terms else {})
+
     # -- grammar -----------------------------------------------------------
 
-    def parse_expr(self) -> Element:
-        negate = False
-        if self.peek().kind == "OP" and self.peek().value == "-":
-            self.next()
-            negate = True
+    def parse_expr(self):
+        tokens = self.tokens
+        negate = tokens[self.pos].value == "-"
+        if negate:
+            self.pos += 1
         acc = self.parse_term()
         if negate:
-            acc = -acc
-        while self.peek().kind == "OP" and self.peek().value in "+-":
-            op = self.next().value
-            rhs = self.parse_term()
-            acc = self.add(acc, rhs) if op == "+" else self.sub(acc, rhs)
-        return acc
+            acc = acc[0], _negated(acc[1])
+        while True:
+            op = tokens[self.pos].value
+            if op == "+":
+                self.pos += 1
+                acc = self.add(acc, self.parse_term())
+            elif op == "-":
+                self.pos += 1
+                acc = self.sub(acc, self.parse_term())
+            else:
+                return acc
 
-    def parse_term(self) -> Element:
-        parts = [self.parse_slotprod()]
-        while self.peek().kind == "NAME" and self.peek().value == "ox":
-            self.next()
+    def parse_term(self):
+        part = self.parse_slotprod()
+        if self.tokens[self.pos].value != "ox":
+            return part
+        parts = [part]
+        while self.tokens[self.pos].value == "ox":
+            self.pos += 1
             parts.append(self.parse_slotprod())
-        if len(parts) == 1:
-            return parts[0]
         if len(parts) > 3:
             self.fail("at most three tensor factors supported")
         out = None
-        for slot, part in enumerate(parts, start=1):
-            if part.alphabet.slot_count != 1:
+        for slot, (alph, terms) in enumerate(parts, start=1):
+            if alph.slot_count != 1:
                 self.fail("nested tensor factors are not supported")
-            emb = tensor_embed(part, slot, slot_count=len(parts))
+            emb = tensor_embed(Element._of(alph, terms, self.order), slot,
+                               slot_count=len(parts))
+            emb = emb.alphabet, emb.terms
             out = emb if out is None else self.mul(out, emb)
         return out
 
-    def parse_slotprod(self) -> Element:
+    def parse_slotprod(self):
         acc = self.parse_factor()
-        while self.peek().kind == "OP" and self.peek().value == "*":
-            self.next()
+        while self.tokens[self.pos].value == "*":
+            self.pos += 1
             # nf(x*y) folds nf(x) by the letters of the free words of y,
             # so y stays expanded unless x is a scalar: nf(c*y) = c*nf(y)
-            if any(acc.terms):
+            if self.presentation is not None and any(acc[1]):
                 y = self._expanded(self.parse_factor)
             else:
                 y = self.parse_factor()
             acc = self.mul(acc, y)
         return acc
 
-    def parse_factor(self) -> Element:
+    def parse_factor(self):
         if self.presentation is not None and self._raised():
             # each factor of x^n is a right operand: x stays expanded
             atom = self._expanded(self.parse_atom)
         else:
             atom = self.parse_atom()
-        if self.peek().kind == "OP" and self.peek().value == "^":
-            self.next()
-            sign = 1
-            if self.peek().kind == "OP" and self.peek().value == "-":
-                self.next()
-                sign = -1
-            t = self.next()
-            if t.kind != "NUMBER" or t.value.denominator != 1:
-                raise ParseError("integer exponent expected", t.line, t.col)
-            exp = sign * t.value.numerator
-            return self._power(atom, exp)
-        return atom
+        tokens = self.tokens
+        if tokens[self.pos].value != "^":
+            return atom
+        self.pos += 1
+        sign = 1
+        if tokens[self.pos].value == "-":
+            self.pos += 1
+            sign = -1
+        t = tokens[self.pos]
+        self.pos += 1
+        if t.kind != "NUMBER" or t.value.denominator != 1:
+            raise ParseError("integer exponent expected", t.line, t.col)
+        return self._power(atom, sign * t.value.numerator)
 
     def _raised(self) -> bool:
         """Whether the atom at the cursor is followed by ``^``."""
         depth = 0
-        for i in range(self.pos, len(self.tokens) - 1):
-            t = self.tokens[i]
-            if t.kind == "OP" and t.value in "([":
+        tokens = self.tokens
+        for i in range(self.pos, len(tokens) - 1):
+            op = tokens[i].value
+            if op == "(" or op == "[":
                 depth += 1
-            elif t.kind == "OP" and t.value in ")]":
+            elif op == ")" or op == "]":
                 depth -= 1
             if depth <= 0:
-                t = self.tokens[i + 1]
-                return t.kind == "OP" and t.value == "^"
+                return tokens[i + 1].value == "^"
         return False
 
-    def _charge(self, a: Element, b: Element):
+    def _charge(self, a: dict, b: dict):
         _charge(self.budget,
-                1 + len(a.terms) * len(b.terms) * (a.degree() + b.degree()),
-                "step limit exceeded while expanding a power")
+                1 + len(a) * len(b) * (_degree(a) + _degree(b)), _POWER)
 
-    def _power(self, x: Element, exp: int) -> Element:
+    def _power(self, x, exp: int):
+        alph, terms = x
+        out = {(): self.one}
         if exp >= 0:
-            out = Element.unit(x.alphabet, self.order)
             for _ in range(exp):
-                self._charge(out, x)
-                out = self._times(out, x)
-            return out
-        if len(x.terms) == 1 and () in x.terms:
-            coeff = x.terms[()]
+                self._charge(out, terms)
+                out = self._times((alph, out), x)[1]
+            return alph, out
+        if len(terms) == 1 and () in terms:
             try:
-                inv = coeff.inverse_of_unit()
+                inv = terms[()].inverse_of_unit()
             except ValueError:
                 self.fail("negative power of a non-invertible scalar")
-            out = Element.unit(x.alphabet, self.order)
             for _ in range(-exp):
-                self._charge(out, x)
-                out = out.scaled(inv)
-            return out
+                self._charge(out, terms)
+                out = {w: p for w, c in out.items() if (p := c * inv).terms}
+            return alph, out
         self.fail("negative powers are only defined for scalar monomials")
 
-    def parse_atom(self) -> Element:
-        t = self.next()
-        unit = Element.unit(self.alphabet, self.order)
-        if t.kind == "NUMBER":
-            return unit.scaled(Scalar.from_rational(t.value, self.order))
-        if t.kind == "NAME":
-            name = t.value
+    def parse_atom(self):
+        t = self.tokens[self.pos]
+        self.pos += 1
+        kind, name = t.kind, t.value
+        if kind == "NAME":
+            if name in self.alphabet.names and name not in RESERVED:
+                return self._reduced(
+                    (self.alphabet,
+                     {(GeneratorId(name, self.slot),): self.one}))
             if name == "i":
-                return unit.scaled(Scalar.imag_unit(self.order))
+                return self._scalar(Scalar.imag_unit(self.order))
             if name == "eps":
-                return unit.scaled(Scalar.eps(self.order))
+                return self._scalar(Scalar.eps(self.order))
             if name == "ox":
                 raise ParseError("misplaced 'ox'", t.line, t.col)
-            if name in self.alphabet.names:
-                return self._reduced(
-                    Element.generator(self.alphabet, name, self.order))
             if name in self.params:
-                return unit.scaled(Scalar.param(name, self.order))
+                return self._scalar(Scalar.param(name, self.order))
             raise ParseError(f"unknown symbol {name!r}", t.line, t.col)
-        if t.kind != "OP" or t.value not in "([":
+        if kind == "NUMBER":
+            return self._scalar(Scalar.from_rational(name, self.order))
+        if name != "(" and name != "[":
             raise ParseError("expected an atom", t.line, t.col)
         if self.nesting == MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
                              t.line, t.col)
         self.nesting += 1
-        if t.value == "(":
+        if name == "(":
             out = self.parse_expr()
             self.expect_op(")")
         else:
@@ -333,8 +370,8 @@ class _Parser:
             self.expect_op(",")
             y = self._expanded(self.parse_expr)
             self.expect_op("]")
-            out = (self.mul(self._reduced(x), y)
-                   - self.mul(self._reduced(y), x))
+            out = self._minus(self.mul(self._reduced(x), y),
+                              self.mul(self._reduced(y), x))
         self.nesting -= 1
         return out
 
@@ -353,10 +390,11 @@ def parse_expression(text: str, alphabet: Alphabet, params: tuple[str, ...],
     presentation's alphabet (a tensor product).
     """
     parser = _Parser(tokenize(text), alphabet, params, order, presentation)
-    out = parser.parse_expr()
-    tail = parser.peek()
+    alph, terms = parser.parse_expr()
+    tail = parser.tokens[parser.pos]
     if tail.kind != "END":
         raise ParseError("trailing input", tail.line, tail.col)
+    out = Element._of(alph, terms, order)
     if presentation is not None:
         presentation._check_alphabet(out)
     return out

@@ -58,6 +58,7 @@ from __future__ import annotations
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from .freealg import (
@@ -67,6 +68,7 @@ from .freealg import (
     GeneratorId,
     Word,
     accumulate_scaled,
+    product_terms,
     slot_words,
     word_key,
 )
@@ -188,6 +190,14 @@ class Presentation:
                     raise RuleOrientationError(
                         r.label, "does not strictly decrease the monomial order")
 
+    @cached_property
+    def laurent_params(self) -> frozenset[str]:
+        """The parameters that the rules raise to a negative power."""
+        return frozenset(name for r in self.rules
+                         for c in r.rhs.terms.values()
+                         for mono, _ in c.terms
+                         for name, exp in mono.exps if exp < 0)
+
     def at_slots(self, slot_count: int) -> "Presentation | TensorPower":
         """The tensor power with ``slot_count`` factors (this presentation
         itself for one): the same object while one is in use."""
@@ -247,14 +257,14 @@ class Presentation:
             # entries already filled stay valid
             return self._rewrite(terms, budget)
 
-    def _multiply(self, x: Element, y: Element, budget: list[int]) -> Element:
-        """The normal form of ``x*y`` for ``x`` over normal words."""
+    def _multiply(self, x: dict, y: dict, budget: list[int]) -> dict:
+        """The normal form of ``x*y`` for word -> coefficient dicts, ``x``
+        over normal words."""
         try:
-            terms = self._table.multiply(x.terms, y.terms, budget)
+            return self._table.multiply(x, y, budget)
         except RecursionError:
             # as in ``_reduce``; the rewriter takes the expanded product
-            terms = self._rewrite((x * y).terms, budget)
-        return Element._of(self.alphabet, terms, self.trunc_order)
+            return self._rewrite(product_terms(x, y), budget)
 
     def _rewrite(self, terms: dict, budget: list[int],
                  fired: set[int] | None = None) -> dict:
@@ -300,6 +310,10 @@ class TensorPower:
         self.trunc_order = base.trunc_order
         self.name = f"{base.name}@{slot_count}"
         self._exceeded = f"step limit exceeded while reducing in {self.name}"
+
+    @property
+    def laurent_params(self) -> frozenset[str]:
+        return self.base.laurent_params
 
     def normal_form(self, x: Element) -> Element:
         Presentation._check_alphabet(self, x)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from random import Random
 
 from .freealg import Element
-from .rewrite import Presentation
+from .rewrite import Presentation, TensorPower
 from .scalars import GaussianRational, ParamMonomial, Scalar
 
 
@@ -17,12 +17,15 @@ def random_gaussian(rng: Random) -> GaussianRational:
 
 
 def random_scalar(rng: Random, order: int, params: tuple[str, ...] = ("lam",),
-                  n_terms: int = 2, max_power: int = 2) -> Scalar:
+                  n_terms: int = 2, max_power: int = 2,
+                  laurent: frozenset[str] = frozenset()) -> Scalar:
+    """A random scalar over ``params``; the parameters in ``laurent`` take
+    negative exponents too."""
     terms: dict = {}
     for _ in range(rng.randint(1, n_terms)):
         exps = []
         for p in params:
-            e = rng.randint(-max_power if p == "q" else 0, max_power)
+            e = rng.randint(-max_power if p in laurent else 0, max_power)
             if e:
                 exps.append((p, e))
         eps = rng.randint(0, order)
@@ -33,10 +36,14 @@ def random_scalar(rng: Random, order: int, params: tuple[str, ...] = ("lam",),
     return Scalar(terms, order)
 
 
-def random_element(rng: Random, p: Presentation, degree: int = 3,
-                   n_terms: int = 3, params: tuple[str, ...] = ("lam",),
+def random_element(rng: Random, p: Presentation | TensorPower,
+                   degree: int = 3, n_terms: int = 3,
+                   params: tuple[str, ...] = ("lam",),
                    exclude=()) -> Element:
-    alph = p.alphabet
+    """A random element of ``p``'s free algebra over the letters not in
+    ``exclude``; its scalars raise a parameter to a negative power where
+    the rules of ``p`` do."""
+    alph, laurent = p.alphabet, p.laurent_params
     letters = [n for n in alph.names if n not in exclude]
     terms: dict = {}
     for _ in range(rng.randint(1, n_terms)):
@@ -46,7 +53,7 @@ def random_element(rng: Random, p: Presentation, degree: int = 3,
             slot = alph.slots[0] if alph.slot_count == 1 else rng.choice(alph.slots)
             word.append(alph.gen(name, slot))
         w = tuple(word)
-        c = random_scalar(rng, p.trunc_order, params)
+        c = random_scalar(rng, p.trunc_order, params, laurent=laurent)
         cur = terms.get(w)
         terms[w] = c if cur is None else cur + c
     return Element(p.alphabet, terms, p.trunc_order)

@@ -195,6 +195,8 @@ GR_I = GaussianRational(0, 1)
 def _as_gr(value) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
+    if type(value) is Fraction:  # in lowest terms, so the triple is too
+        return _gr(value.numerator, 0, value.denominator)
     if isinstance(value, (int, Fraction)):
         return GaussianRational(value)
     raise TypeError(f"cannot coerce {value!r} to GaussianRational")

@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from qcontract import catalog, rewrite
+from qcontract import catalog, contract, parser, rewrite
 from qcontract.cli import main
 from qcontract.freealg import format_word
 from qcontract.reports import REPORT_SCHEMA
@@ -64,7 +64,8 @@ def _nonlinear_final(tmp_path) -> Path:
     (("report",), 3, 8),
     (("report", "--lam-zero"), 3, 10),
     (("contract",), 3, 4),
-], ids=["report", "report --lam-zero", "contract"])
+    (("solve-commutator", "--ln"), 2, 5),
+], ids=["report", "report --lam-zero", "contract", "solve-commutator --ln"])
 def test_each_builtin_is_loaded_once(capsys, monkeypatch, argv, parses,
                                      max_presentations):
     counts = {"parse": 0, "presentation": 0}
@@ -85,6 +86,22 @@ def test_each_builtin_is_loaded_once(capsys, monkeypatch, argv, parses,
     assert code == 0 and out.endswith("failed: 0\n")
     assert counts["parse"] == parses
     assert counts["presentation"] <= max_presentations
+
+
+def test_ln_basis_reads_the_alphabet_without_parsing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parsed")
+
+    klmn = catalog.ekappa2_klmn_presentation(2).base
+    expected = {label: klmn.normal_form(x)
+                for label, x in contract.ln_basis_kmn(2).items()}
+    monkeypatch.setattr(catalog, "parse_presentation_text", refuse)
+    monkeypatch.setattr(catalog, "parse_expression", refuse)
+    monkeypatch.setattr(parser, "parse_expression", refuse)
+    assert catalog.builtin_alphabet("ekappa2-klmn") == klmn.alphabet
+    # normal monomials over the loaded alphabet
+    assert contract.ln_basis_kmn(2) == expected
+    assert len(expected) == 16
 
 
 class TestNf:
@@ -303,6 +320,19 @@ class TestNf:
         code, out, _ = run(capsys, "nf", "-p", str(src), "y*x*y")
         assert code == 0
         assert out.strip() == "x*y^2"
+
+    def test_undeclared_parameters_are_unknown_symbols(self, capsys,
+                                                        tmp_path):
+        src = tmp_path / "toy.preso"
+        src.write_text("[generators]\nx y\n\n[rules]\ny*x -> x*y\n")
+        assert run(capsys, "nf", "-p", str(src), "q*lam*y*x") == (
+            2, "", "error: line 1, col 1: unknown symbol 'q'\n")
+        assert run(capsys, "nf", "-p", "builtin:suq2", "lam*a") == (
+            2, "", "error: line 1, col 1: unknown symbol 'lam'\n")
+        assert run(capsys, "nf", "-p", "builtin:ekappa2-klmn", "q*K") == (
+            2, "", "error: line 1, col 1: unknown symbol 'q'\n")
+        assert run(capsys, "nf", "-p", "builtin:suq2", "q*a*b") == (
+            0, "q^2*b*a\n", "")
 
     def test_deep_fill_chain_falls_back_to_the_rewriter(self, capsys,
                                                          tmp_path):

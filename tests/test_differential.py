@@ -1,27 +1,33 @@
 """Differential tests: the integer-triple Gaussian rationals and their
 printer, the dict-accumulating normal form, the normal-word table, the tuple
 letters, the shared scalar one, the tensor fold over kept leg images,
-reducing while parsing, the memoised Hopf maps and the solver's sparse
-elimination against independent slow paths."""
+reducing while parsing, the term-level parser, the memoised Hopf maps and
+the solver's sparse elimination against independent slow paths."""
 
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from dense_elimination import dense_gauss_solve
+from element_parser import parse_expression as element_parse
+from element_parser import tokenize as element_tokenize
 from slot_swap import slot_swap_power
 
 from qcontract import catalog, contract
 from qcontract.freealg import Element, GeneratorId, tensor_embed
 from qcontract.hopf import ExcludedGenerator, HopfPresentation
-from qcontract.parser import parse_expression
+from qcontract.parser import parse_expression, tokenize
 from qcontract.rewrite import (
+    DEFAULT_STEP_LIMIT,
+    Presentation,
     StepLimitExceeded,
     check_local_confluence,
     normal_form_random,
@@ -490,6 +496,96 @@ def test_right_operand_is_folded_by_its_free_words():
     inner = p.normal_form(parse_expression("eta*F", p.alphabet, (), 1))
     etabar = Element.generator(p.alphabet, "etabar", 1)
     assert p.normal_form(etabar * inner) != reduced
+
+
+# -- the term-level parser against the Element-based one ----------------------
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives: an element's alphabet, order and terms in
+    their order, a token list, or the type and message of its exception."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the oracle's exceptions are the reference
+        return type(exc), str(exc)
+    if isinstance(out, list):
+        return [(t.kind, t.value, t.line, t.col) for t in out]
+    return out.alphabet, out.order, list(out.terms.items())
+
+
+def _cold(p):
+    """``p`` with empty memos, so that reductions charge as on a fresh
+    load: a memoised table entry charges no fill."""
+    if p is None:
+        return None
+    return Presentation(p.alphabet, p.rules, p.trunc_order, name=p.name,
+                        params=p.params)
+
+
+def _parse_alike(text, p, order, presentation=None, limit=None):
+    """Both parsers on ``text`` over ``p``'s alphabet, against a cold copy
+    of ``presentation`` when given, under step limit ``limit`` when
+    given."""
+    assert _outcome(tokenize, text) == _outcome(element_tokenize, text)
+    with step_limit(DEFAULT_STEP_LIMIT if limit is None else limit):
+        outcomes = [_outcome(parse, text, p.alphabet, ("lam", "q"), order,
+                             _cold(presentation))
+                    for parse in (parse_expression, element_parse)]
+    assert outcomes[0] == outcomes[1]
+
+
+def _file_texts() -> list[str]:
+    """Each line of the builtin and golden files, and each side of its
+    ``->`` or ``:``, comments and tags cut off."""
+    data = Path(catalog.__file__).parent / "data"
+    golden = Path(__file__).parent / "golden"
+    texts = []
+    for path in sorted([*data.glob("*.preso"), *golden.rglob("*.*")]):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            line = line.split("#", 1)[0].split("@", 1)[0].strip()
+            if line:
+                texts += [line, *(side.strip()
+                                  for side in re.split(r"->|: ", line))]
+    return list(dict.fromkeys(texts))
+
+
+_SOUP = ["a", "b", "c", "d", "K", "L", "q", "lam", "i", "eps", "ox", "x_1",
+         "0", "1", "2", "7/3", "1/0", "1/", "٣", "²", "½", "$", "+", "-",
+         "*", "^", "^-", "(", ")", "[", "]", ",", " ", "\t", "\n", "\r\n"]
+
+
+@pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+def test_term_parser_matches_the_oracle_on_file_lines(name):
+    p = _builtin(name, 1)
+    for text in _file_texts():
+        for presentation, limit in ((None, None), (p, None), (None, 3),
+                                    (p, 3)):
+            _parse_alike(text, p, 1, presentation, limit)
+
+
+@given(st.sampled_from(catalog.BUILTIN_NAMES), st.sampled_from([0, 1, 2]),
+       st.booleans(), st.sampled_from([None, 1, 4, 16, 64]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_term_parser_matches_the_oracle(name, order, reducing, limit, data):
+    p = _builtin(name, order)
+    text = data.draw(st.one_of(
+        expression_texts(p.alphabet.names).map(lambda t: t[0]),
+        st.lists(st.sampled_from(_SOUP), max_size=12).map("".join),
+        st.text(max_size=12)))
+    if limit is None and reducing:
+        # unbounded, the inputs that expand far take too long here
+        assume(len(text) < 40 or "^" not in text)
+    _parse_alike(text, p, order, p if reducing else None, limit)
+
+
+@given(st.sampled_from(range(3)), st.sampled_from([None, 2, 8]), st.data())
+@settings(max_examples=50, deadline=None)
+def test_term_parser_matches_the_oracle_without_confluence(index, limit,
+                                                           data):
+    p = _non_confluent()[index]
+    text, size, degree = data.draw(expression_texts(p.alphabet.names))
+    assume(size <= 256 and degree <= 8)
+    _parse_alike(text, p, 1, p, limit)
 
 
 # Smallest step limits at which ``normal_form`` reduces these inputs at

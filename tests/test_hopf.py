@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 from random import Random
 
@@ -176,6 +177,33 @@ class TestConvolutionIdentity:
             x = random_element(rng, h.base, degree=3, params=params,
                                exclude=h.excluded)
             assert check_convolution_on_element(h, x)
+
+
+def test_laurent_parameter_is_read_from_the_rules():
+    # suq2 writes q^-1 in its rules; renamed, its parameter t is drawn with
+    # negative exponents as q is, and the suite keeps every verdict
+    text = catalog.builtin_source("suq2")
+    renamed = catalog.parse_presentation_text(
+        re.sub(r"\bq\b", "t", text), name="suq2")
+    suq2 = catalog.suq2_presentation(1)
+    assert renamed.base.params == ("t",)
+    assert renamed.base.laurent_params == {"t"}
+    rng = Random(3)
+    exps = {e for _ in range(100)
+            for c in random_element(rng, renamed.base,
+                                    params=("t",)).terms.values()
+            for mono, _ in c.terms for _, e in mono.exps}
+    assert min(exps) == -2 and max(exps) == 2
+    verdicts = [[(re.sub(r"\bq\b", "t", r.name), r.ok)
+                 for r in run_hopf_suite(h, Random(42)).records]
+                for h in (suq2, renamed)]
+    assert verdicts[0] == verdicts[1]
+    assert all(ok for _, ok in verdicts[1])
+    # the random layer draws the same elements, with t in place of q
+    draws = [[str(random_element(Random(5), h.base, params=h.base.params))
+              for _ in range(20)] for h in (suq2, renamed)]
+    assert [re.sub(r"\bq\b", "t", x) for x in draws[0]] == draws[1]
+    assert catalog.ekappa2_klmn_presentation(1).base.laurent_params == set()
 
 
 class TestDeterminant:

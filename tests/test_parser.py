@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcontract import catalog
-from qcontract.freealg import format_element, tensor_embed
+from qcontract.freealg import Alphabet, format_element, tensor_embed
 from qcontract.parser import ParseError, parse_expression, tokenize
 from qcontract.sampling import random_element
 
@@ -77,6 +78,70 @@ class TestErrors:
         assert [(t.kind, t.value) for t in toks[:3]] == [
             ("NAME", "a"), ("OP", "+"), ("NAME", "b")]
         assert toks[2].line == 2
+
+
+def _tokens(text):
+    return [(t.kind, t.value, t.line, t.col) for t in tokenize(text)]
+
+
+def _parse_error(text, alphabet=("a", "b")):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(text, Alphabet(alphabet), ("q",), 1)
+    return str(exc.value)
+
+
+class TestTokenizerEdges:
+    """Positions count code points from 1; only ``\\n`` starts a line."""
+
+    def test_tabs_and_crlf(self):
+        assert _tokens("a\t+\tb") == [
+            ("NAME", "a", 1, 1), ("OP", "+", 1, 3), ("NAME", "b", 1, 5),
+            ("END", None, 1, 6)]
+        assert _tokens("\tb\r\n\t*a") == [
+            ("NAME", "b", 1, 2), ("OP", "*", 2, 2), ("NAME", "a", 2, 3),
+            ("END", None, 2, 4)]
+
+    def test_number_followed_by_a_name(self):
+        assert _tokens("2a") == [("NUMBER", 2, 1, 1), ("NAME", "a", 1, 2),
+                                 ("END", None, 1, 3)]
+        assert _tokens("2ox3") == [("NUMBER", 2, 1, 1),
+                                   ("NAME", "ox3", 1, 2), ("END", None, 1, 5)]
+        assert _parse_error("2a") == "line 1, col 2: trailing input"
+
+    def test_names_with_digits_and_underscores(self):
+        assert _tokens("x_1*y2 _") == [
+            ("NAME", "x_1", 1, 1), ("OP", "*", 1, 4), ("NAME", "y2", 1, 5),
+            ("NAME", "_", 1, 8), ("END", None, 1, 9)]
+        x = parse_expression("x_1*y2", Alphabet(("x_1", "y2")), (), 1)
+        assert str(x) == "x_1*y2"
+
+    def test_slash_without_a_digit_is_not_a_fraction(self):
+        assert _parse_error("1/") == "line 1, col 2: unexpected character '/'"
+        assert _parse_error("1/ 2") == (
+            "line 1, col 2: unexpected character '/'")
+
+    def test_division_by_zero_points_at_the_number(self):
+        assert _parse_error("1/0") == "line 1, col 1: division by zero"
+        assert _parse_error("a +\n 1/0") == "line 2, col 2: division by zero"
+        # the whole text is tokenized before any of it is parsed
+        assert _parse_error("zz + 1/0") == "line 1, col 6: division by zero"
+
+    def test_superscripts_and_vulgar_fractions_are_not_names(self):
+        # '²' and '½' are alphanumeric but neither letters nor decimal
+        assert _parse_error("a^²") == "line 1, col 3: unexpected character '²'"
+        assert _parse_error("½*a") == "line 1, col 1: unexpected character '½'"
+        # inside a name they are name characters
+        assert _tokens("a²") == [("NAME", "a²", 1, 1), ("END", None, 1, 3)]
+        assert _parse_error("a²") == "line 1, col 1: unknown symbol 'a²'"
+
+    def test_arabic_indic_digits_are_numbers(self):
+        assert _tokens("٣/٤*a") == [
+            ("NUMBER", Fraction(3, 4), 1, 1), ("OP", "*", 1, 4),
+            ("NAME", "a", 1, 5), ("END", None, 1, 6)]
+        assert str(parse_expression("a^٢ + ٣/٤*b", Alphabet(("a", "b")),
+                                    (), 1)) == "a^2 + 3/4*b"
+        assert _parse_error("1/٠") == "line 1, col 1: division by zero"
+        assert _parse_error("a٣") == "line 1, col 1: unknown symbol 'a٣'"
 
 
 class TestRoundTrip:
