@@ -717,13 +717,19 @@ def solver_suite(final: HopfPresentation) -> CheckReport:
 # --------------------------------------------------------------------------
 
 
-def ln_basis_km(order: int, max_degree: int = 3) -> dict[str, Element]:
+#: degree of the default [L, N] basis
+LN_BASIS_DEGREE = 3
+
+
+def ln_basis_km(order: int,
+                max_degree: int = LN_BASIS_DEGREE) -> dict[str, Element]:
     """Normal monomials in K and M only, degree <= max_degree."""
     return _ln_basis(catalog.builtin_alphabet("ekappa2-klmn"), order,
                      max_degree, with_n=False)
 
 
-def ln_basis_kmn(order: int, max_degree: int = 3) -> dict[str, Element]:
+def ln_basis_kmn(order: int,
+                 max_degree: int = LN_BASIS_DEGREE) -> dict[str, Element]:
     """Normal monomials in K, M and N, degree <= max_degree."""
     return _ln_basis(catalog.builtin_alphabet("ekappa2-klmn"), order,
                      max_degree, with_n=True)
@@ -756,7 +762,7 @@ def solve_ln_commutator(order: int = 1,
     ``ln_basis_kmn(order)``."""
     p = catalog.ekappa2_klmn_presentation(order).base
     if basis is None:
-        basis = _ln_basis(p.alphabet, order, 3, with_n=True)
+        basis = _ln_basis(p.alphabet, order, LN_BASIS_DEGREE, with_n=True)
     named = klmn_named_elements(p)
     eta = named["eta"].definition
     etabar = named["etabar"].definition

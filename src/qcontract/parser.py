@@ -79,10 +79,10 @@ class Token(NamedTuple):
 # newline, then a newline, a number, a name, an operator, any other
 # character, or the end of the text.  ``[^\W\d]`` also admits the
 # non-decimal digits and numerals (``²``, ``½``) that ``\w`` holds, so a
-# name's first character is checked again with ``str.isalpha``.
-_TOKEN = re.compile(r"([^\S\n]*+)(?:(\n)|(\d++)(?:/(\d++))?|([^\W\d]\w*+)"
+# name's first character is checked again with ``str.isalpha``.  Since
+# ``(.)`` and ``\Z`` end every match, no quantifier gives back what it took.
+_TOKEN = re.compile(r"([^\S\n]*)(?:(\n)|(\d+)(?:/(\d+))?|([^\W\d]\w*)"
                     r"|([-+*^()\[\],])|(.)|\Z)", re.DOTALL)
-_token = tuple.__new__  # Token's own constructor, without its Python frame
 
 
 def tokenize(text: str) -> list[Token]:
@@ -92,26 +92,26 @@ def tokenize(text: str) -> list[Token]:
     for blank, newline, num, den, name, op, other in _TOKEN.findall(text):
         col += len(blank)
         if op:
-            append(_token(Token, ("OP", op, line, col)))
+            append(Token("OP", op, line, col))
             col += 1
         elif name:
             if not (name[0].isalpha() or name[0] == "_"):
                 raise ParseError(f"unexpected character {name[0]!r}",
                                  line, col)
-            append(_token(Token, ("NAME", name, line, col)))
+            append(Token("NAME", name, line, col))
             col += len(name)
         elif num:
             n, d = int(num), int(den) if den else 1
             if not d:
                 raise ParseError("division by zero", line, col)
-            append(_token(Token, ("NUMBER", Fraction(n, d) if den
-                                  else Fraction(n), line, col)))
+            append(Token("NUMBER", Fraction(n, d) if den else Fraction(n),
+                         line, col))
             col += len(num) + (len(den) + 1 if den else 0)
         elif newline:
             line, col = line + 1, 1
         elif other:
             raise ParseError(f"unexpected character {other!r}", line, col)
-    append(_token(Token, ("END", None, line, col)))
+    append(Token("END", None, line, col))
     return tokens
 
 

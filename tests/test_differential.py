@@ -266,6 +266,14 @@ def test_monomial_products_are_memoised_and_correct():
 # -- normal forms -------------------------------------------------------------
 
 
+def random_q_lam_element(rng, p, **kw):
+    """``random_element`` over q and lam, scaled by q^-k for a random k in
+    0..2, so that q takes negative exponents on every presentation, not only
+    where the rules of ``p`` raise it to one."""
+    x = random_element(rng, p, params=("q", "lam"), **kw)
+    return x.scaled(Scalar.param("q", p.trunc_order, -rng.randint(0, 2)))
+
+
 @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_normal_form_matches_random_strategy(name, seed):
@@ -273,7 +281,7 @@ def test_normal_form_matches_random_strategy(name, seed):
     p = h.base
     rng = Random(seed)
     for _ in range(6):
-        x = random_element(rng, p, degree=4, n_terms=4, params=("q", "lam"))
+        x = random_q_lam_element(rng, p, degree=4, n_terms=4)
         assert p.normal_form(x) == normal_form_random(p, x, Random(seed + 99))
 
 
@@ -320,7 +328,7 @@ def test_table_matches_rewriter_and_random_strategy(name, order):
     p = _confluent(h.base)
     rng = Random(f"{name}-{order}")
     for _ in range(8):
-        x = random_element(rng, p, degree=6, n_terms=4, params=("q", "lam"))
+        x = random_q_lam_element(rng, p, degree=6, n_terms=4)
         _assert_paths_agree(p, x, rng)
     # every base word of up to three letters, each on its own
     for n in range(4):
@@ -341,7 +349,7 @@ def test_table_matches_rewriter_on_tensor_words(name, order):
     by_slot = h.base.at_slots(2)
     rng = Random(f"{name}-{order}-tensor")
     for _ in range(6):
-        x = random_element(rng, p2, degree=5, n_terms=4, params=("q", "lam"))
+        x = random_q_lam_element(rng, p2, degree=5, n_terms=4)
         _assert_paths_agree(p2, x, rng)
         assert by_slot.normal_form(x) == p2.rewrite(x)
     for g in h.hopf_generators():
@@ -762,11 +770,11 @@ def leg_maps(h: HopfPresentation) -> dict:
 def fold_inputs(h: HopfPresentation, rng) -> list:
     """Random 2-slot elements and coproducts of random base elements."""
     p2 = h.base.at_slots(2)
-    inputs = [random_element(rng, p2, degree=4, n_terms=4,
-                             params=("q", "lam"), exclude=h.excluded)
+    inputs = [random_q_lam_element(rng, p2, degree=4, n_terms=4,
+                                   exclude=h.excluded)
               for _ in range(3)]
-    inputs += [h.apply_coproduct(random_element(
-        rng, h.base, degree=2, params=("q", "lam"), exclude=h.excluded))
+    inputs += [h.apply_coproduct(random_q_lam_element(
+        rng, h.base, degree=2, exclude=h.excluded))
         for _ in range(2)]
     return inputs
 
