@@ -14,6 +14,7 @@ on purpose, since it stamps wall-clock time into the output.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import re
 import sys
@@ -72,6 +73,12 @@ def _commands() -> list[list[str]]:
     # denominator, a superscript digit and a tensor where nf reduces
     cmds += [["nf", expr] for expr in ("a*$", "(a", "a^b", "[a, b",
                                        "a + 1/0", "a^\u00b2", "a ox b")]
+    # numbers longer than int() reads or str() writes exit 2 with one line:
+    # a 5,000-digit literal, a power, a rule coefficient naming its line;
+    # a power of a scalar is charged by the size of its numbers and exits 3
+    cmds += [["nf", "7" * 5000 + "*a"], ["nf", "2^20000*a"],
+             ["nf", "-p", "tests/golden/huge_coefficient.preso", "x"],
+             ["nf", "2^99999999*a"]]
     return cmds
 
 
@@ -82,10 +89,15 @@ def file_name(argv: list[str]) -> str:
     """A file name that names the command: its arguments joined by ``_``;
     letters, digits, ``.`` and ``-`` are kept, each run of blanks and of
     the characters ``_:/*^()+`` becomes one ``_``, and any other character
-    is written as ``u`` and its code point in hex (``$`` as ``u24``)."""
+    is written as ``u`` and its code point in hex (``$`` as ``u24``).  A
+    name longer than 100 characters keeps its first 60 and a digest of the
+    whole."""
     text = re.sub(r"[^A-Za-z0-9.\s_:/*^()+-]",
                   lambda m: f"_u{ord(m.group()):x}_", "_".join(argv))
-    return re.sub(r"[\s_:/*^()+]+", "_", text).strip("_") + ".txt"
+    name = re.sub(r"[\s_:/*^()+]+", "_", text).strip("_")
+    if len(name) > 100:
+        name = f"{name[:60]}_{hashlib.sha256(name.encode()).hexdigest()[:12]}"
+    return name + ".txt"
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:

@@ -48,7 +48,7 @@ from .freealg import (
 from .hopf import HopfPresentation
 from .parser import RESERVED, ParseError, parse_expression, tokenize
 from .rewrite import Presentation, RewriteRule
-from .scalars import Scalar
+from .scalars import NumberTooLong, Scalar
 
 BUILTIN_NAMES = ("suq2", "ekappa2-klmn", "ekappa2-final")
 _BUILTIN_FILES = {
@@ -533,7 +533,7 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
         lhs, rhs = split_arrow(line, lineno)
         try:
             rules.append(_mk_rule(alphabet, params, order, lhs, rhs))
-        except (ParseError, PresentationFormatError) as exc:
+        except (ParseError, PresentationFormatError, NumberTooLong) as exc:
             raise PresentationFormatError(
                 f"line {lineno}: {exc}") from exc
         if tag:

@@ -13,7 +13,7 @@ import sys
 import time
 from random import Random
 
-from . import __version__, catalog, contract, rewrite
+from . import __version__, catalog, contract, rewrite, scalars
 from .freealg import AlphabetMismatch, MissingImage
 from .hopf import (
     ExcludedGenerator,
@@ -330,8 +330,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         # every normal form and expansion of the command draws this limit,
-        # and every builtin it loads is read from this directory
-        with rewrite.step_limit(args.step_limit), \
+        # its scalar tables start and end empty, and every builtin it loads
+        # is read from this directory
+        with rewrite.step_limit(args.step_limit), scalars.fresh_tables(), \
                 catalog.builtin_dir(args.catalog_dir):
             code = args.fn(args)
     except StepLimitExceeded as exc:
@@ -339,7 +340,7 @@ def main(argv=None) -> int:
         return EXIT_LIMIT
     except (ParseError, catalog.PresentationFormatError, AlphabetMismatch,
             MissingImage, RuleOrientationError, OverlapBoundError,
-            OSError) as exc:
+            scalars.NumberTooLong, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (contract.AdjointResidue, contract.UnknownCommutatorNeeded,

@@ -23,7 +23,10 @@ concatenates words, a sum adds coefficients.
 Expanding can blow up, so every product is charged to the step budget
 before it is done: a typed product (``*``, ``ox`` or a commutator) one step
 per pair of terms, each multiplication inside ``x^n`` one step plus one per
-letter it may write (terms of the two factors times their summed degrees).
+letter it may write (terms of the two factors times their summed degrees);
+when both factors are scalars, one step plus one per further pair of their
+terms and one per 8 products of the 64-bit words of their numbers (see
+``_Parser._charge``).
 
 Given a presentation, the parser returns the normal form there and never
 holds the whole expansion: each generator and each product is reduced as
@@ -41,6 +44,7 @@ allowance of their own, charged by the table as ``normal_form`` charges.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -101,7 +105,12 @@ def tokenize(text: str) -> list[Token]:
             append(Token("NAME", name, line, col))
             col += len(name)
         elif num:
-            n, d = int(num), int(den) if den else 1
+            try:
+                n, d = int(num), int(den) if den else 1
+            except ValueError:  # more digits than int() reads
+                raise ParseError(
+                    f"number longer than {sys.get_int_max_str_digits()} "
+                    f"digits", line, col) from None
             if not d:
                 raise ParseError("division by zero", line, col)
             append(Token("NUMBER", Fraction(n, d) if den else Fraction(n),
@@ -313,8 +322,17 @@ class _Parser:
         return False
 
     def _charge(self, a: dict, b: dict):
-        _charge(self.budget,
-                1 + len(a) * len(b) * (_degree(a) + _degree(b)), _POWER)
+        cost = len(a) * len(b) * (_degree(a) + _degree(b))
+        if not cost and () in a and () in b:
+            # a power of a scalar writes no letter, but its terms and its
+            # numbers grow: one step per further pair of terms, and one per
+            # 8 products of 64-bit words, multiplying the numerators and
+            # reducing the product's numerators by its denominators
+            s, t = a[()], b[()]
+            (n1, d1), (n2, d2) = s.int_words(), t.int_words()
+            cost = (len(s.terms) * len(t.terms) - 1
+                    + ((n1 * n2 + (n1 + n2) * (d1 + d2)) >> 3))
+        _charge(self.budget, 1 + cost, _POWER)
 
     def _power(self, x, exp: int):
         alph, terms = x

@@ -18,17 +18,34 @@ unreduced triples per term and build their result without re-cleaning it.
 Parameter monomials are interned, one instance per exponent tuple, so
 a scalar term's key is found by identity; their products are memoised.
 
-``Scalar.one(order)`` is one shared instance per truncation order, and a
-product with that instance as a factor returns the other factor as it is.
-Most products in the engine have it as a factor (unit elements, the seeds
-of the rewriter's stack); ``accumulate_scaled`` skips such products
-altogether.  Sharing is sound only
-because a ``Scalar`` is never changed after it is built: no code may write
-to its ``terms`` dict in place.
+A single-term ``Scalar`` is hash-consed: every constructor and every
+arithmetic result of one term (but an operand returned as it is) returns
+the one instance kept for its truncation order, monomial, eps degree and
+canonical triple.  Nearly every coefficient product in the engine
+multiplies two single-term scalars, and few distinct pairs occur, so
+products and sums of two single-term scalars are memoised by operand
+identity; a memo entry holds its operands, so their ids are not reused
+while it exists.  Multi-term scalars are built afresh, as they seldom
+repeat.  The tables live for one command: the CLI
+empties them when a command starts and when it returns (``fresh_tables``),
+and they are emptied whenever one of them reaches ``TABLE_CAP`` entries,
+so a command's cost never depends on what ran before it and memory stays
+bounded.  After a clear two equal scalars may be distinct objects, so
+equality compares values; only the memos and the unit test use identity.
+
+``Scalar.one(order)`` is one instance per truncation order for the life of
+the process, kept across every clear, and a product with it as a factor
+returns the other factor as it is.  Most products in the engine have it as
+a factor (unit elements, the seeds of the rewriter's stack);
+``accumulate_scaled`` skips such products altogether.  Sharing is sound
+only because a ``Scalar`` is never changed after it is built: no code may
+write to its ``terms`` dict in place.
 """
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
@@ -43,6 +60,11 @@ _PARAM_PRINT_RANK = {"q": 0, "lam": 1}
 
 class TruncationMismatch(ValueError):
     """Raised when two scalars with different truncation orders are combined."""
+
+
+class NumberTooLong(ValueError):
+    """Raised when a number has more digits than ``str`` may write (see
+    ``sys.get_int_max_str_digits``)."""
 
 
 class GaussianRational:
@@ -208,7 +230,12 @@ def _ratio_text(n: int, d: int) -> str:
         g = gcd(n, d)
         n //= g
         d //= g
-    return str(n) if d == 1 else f"{n}/{d}"
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # more digits than str() writes
+        raise NumberTooLong(
+            f"number too long to print: more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def format_gaussian(gr: GaussianRational) -> str:
@@ -333,32 +360,27 @@ class Scalar:
 
     ``terms`` maps ``(ParamMonomial, eps_degree)`` to a nonzero
     GaussianRational; no term exceeds ``truncation_order`` in eps.
-    Instances are immutable and all operations are pure.  Results may share
-    objects with the operands (a product with ``Scalar.one(k)`` is the other
-    factor itself), so ``terms`` must never be written to in place.
+    Instances are immutable and all operations are pure.  A single-term
+    scalar is the one instance kept for its value (see the module
+    docstring), and results may share objects with the operands (a product
+    with ``Scalar.one(k)`` is the other factor itself), so ``terms`` must
+    never be written to in place.
     """
 
     __slots__ = ("terms", "truncation_order")
 
-    def __init__(self, terms, truncation_order: int):
+    def __new__(cls, terms, truncation_order: int):
         if truncation_order < 0:
             raise ValueError("truncation order must be nonnegative")
-        clean = {}
-        for (mono, eps), coeff in terms.items():
-            if eps > truncation_order or coeff.is_zero:
-                continue
-            clean[(mono, eps)] = coeff
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "truncation_order", truncation_order)
+        return _scalar({key: coeff for key, coeff in terms.items()
+                        if key[1] <= truncation_order and not coeff.is_zero},
+                       truncation_order)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
     def __reduce__(self):
-        # a copy of the shared unit is the shared unit: products and
-        # ``accumulate_scaled`` test for it by identity
-        if self is _ONES.get(self.truncation_order):
-            return Scalar.one, (self.truncation_order,)
+        # a copy of a single-term scalar, the unit too, is its kept instance
         return _scalar, (self.terms, self.truncation_order)
 
     # -- constructors ------------------------------------------------------
@@ -369,10 +391,11 @@ class Scalar:
 
     @classmethod
     def one(cls, order: int) -> "Scalar":
-        """The unit at ``order``: one shared instance per order."""
+        """The unit at ``order``: one instance per order, for the life of
+        the process."""
         one = _ONES.get(order)
-        if one is None:
-            one = _ONES[order] = cls({(_MONO_UNIT, 0): GR_ONE}, order)
+        if one is None:  # the first one is kept in _ONES as it is interned
+            one = cls({(_MONO_UNIT, 0): GR_ONE}, order)
         return one
 
     @classmethod
@@ -399,7 +422,17 @@ class Scalar:
 
     @property
     def is_one(self) -> bool:
-        return self.terms == {(_MONO_UNIT, 0): GR_ONE}
+        return self is _ONES.get(self.truncation_order)
+
+    def int_words(self) -> tuple[int, int]:
+        """The 64-bit words of its numerators (one at least per term) and
+        of its denominators (beyond the first), summed over its terms: what
+        a product costs, in multiplying and in reducing, grows with them."""
+        num = den = 0
+        for c in self.terms.values():
+            num += 1 + (max(c._a.bit_length(), c._b.bit_length()) >> 6)
+            den += c._d.bit_length() >> 6
+        return num, den
 
     def max_param_degree(self, name: str) -> int:
         return max((abs(m.degree(name)) for (m, _) in self.terms), default=0)
@@ -417,7 +450,15 @@ class Scalar:
         return Scalar.from_rational(other, self.truncation_order)
 
     def __add__(self, other):
-        other = self._coerce(other)
+        order = self.truncation_order
+        if type(other) is not Scalar or other.truncation_order != order:
+            other = self._coerce(other)  # a number, or a mismatch raised
+        memo = None
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            memo = (id(self), id(other))
+            hit = _SUMS.get(memo)
+            if hit is not None:
+                return hit[2]
         acc = dict(self.terms)
         for key, c in other.terms.items():
             cur = acc.get(key)
@@ -429,7 +470,10 @@ class Scalar:
                 acc[key] = _canon(a, b, d)
             else:
                 del acc[key]
-        return _scalar(acc, self.truncation_order)
+        total = _scalar(acc, order)
+        if memo is not None:
+            _remember(_SUMS, memo, (self, other, total))
+        return total
 
     __radd__ = __add__
 
@@ -450,10 +494,28 @@ class Scalar:
         one = _ONES.get(order)
         if other is one:
             return self
-        other = self._coerce(other)
+        if type(other) is not Scalar or other.truncation_order != order:
+            other = self._coerce(other)  # a number, or a mismatch raised
         if self is one:
             return other
-        if len(self.terms) == 1 or len(other.terms) == 1:
+        n1, n2 = len(self.terms), len(other.terms)
+        if n1 == 1 and n2 == 1:
+            memo = (id(self), id(other))
+            hit = _PRODUCTS.get(memo)
+            if hit is not None:
+                return hit[2]
+            (((m1, e1), c1),) = self.terms.items()
+            (((m2, e2), c2),) = other.terms.items()
+            e = e1 + e2
+            out = {}
+            if e <= order:
+                a1, b1, a2, b2 = c1._a, c1._b, c2._a, c2._b
+                out[(m1 * m2, e)] = _canon(a1 * a2 - b1 * b2,
+                                           a1 * b2 + b1 * a2, c1._d * c2._d)
+            prod = _scalar(out, order)
+            _remember(_PRODUCTS, memo, (self, other, prod))
+            return prod
+        if n1 == 1 or n2 == 1:
             # a single-term factor sends distinct terms to distinct keys
             out = {}
             for (m1, e1), c1 in self.terms.items():
@@ -485,6 +547,8 @@ class Scalar:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = Scalar.from_rational(other, self.truncation_order)
         if not isinstance(other, Scalar):
@@ -570,18 +634,73 @@ class Scalar:
         return f"Scalar({self}; order={self.truncation_order})"
 
 
-#: the shared ``Scalar.one`` of each truncation order
+#: the ``Scalar.one`` of each truncation order, kept across every clear
 _ONES: dict[int, Scalar] = {}
+#: a unit's key in ``_SINGLES``, after its truncation order
+_UNIT_KEY = (_MONO_UNIT, 0, 1, 0, 1)
+#: the most entries a table below holds; reaching it empties all three.
+#: One ``report`` fills at most about 570 values, 880 products and 1,190
+#: sums; full tables hold about 1.6 MB
+TABLE_CAP = 2048
+#: (order, monomial, eps, a, b, d) -> the one single-term Scalar of that value
+_SINGLES: dict[tuple, Scalar] = {}
+#: (id(x), id(y)) -> (x, y, x*y), and (x, y, x+y), for single-term x and y
+_PRODUCTS: dict[tuple, tuple] = {}
+_SUMS: dict[tuple, tuple] = {}
 _set_terms = Scalar.terms.__set__
 _set_order = Scalar.truncation_order.__set__
 
 
 def _scalar(terms: dict, order: int) -> Scalar:
-    """A Scalar from terms already clean: nonzero, eps at most ``order``."""
+    """A Scalar from terms already clean: nonzero, eps at most ``order``;
+    one term gives its kept instance."""
+    if len(terms) == 1:
+        (((mono, eps), c),) = terms.items()
+        key = (order, mono, eps, c._a, c._b, c._d)
+        s = _SINGLES.get(key)
+        return _intern(key, terms, order) if s is None else s
     s = _new(Scalar)
     _set_terms(s, terms)
     _set_order(s, order)
     return s
+
+
+def _intern(key: tuple, terms: dict, order: int) -> Scalar:
+    if len(_SINGLES) >= TABLE_CAP:
+        clear_tables()
+    s = _SINGLES[key] = _new(Scalar)
+    _set_terms(s, terms)
+    _set_order(s, order)
+    if key[1:] == _UNIT_KEY:  # the first unit of its order
+        _ONES[order] = s
+    return s
+
+
+def _remember(table: dict, key: tuple, entry: tuple) -> None:
+    if len(table) >= TABLE_CAP:
+        clear_tables()
+    table[key] = entry
+
+
+def clear_tables() -> None:
+    """Forget every kept single-term scalar but the units, and every
+    memoised product and sum."""
+    _SINGLES.clear()
+    _PRODUCTS.clear()
+    _SUMS.clear()
+    for order, one in _ONES.items():
+        _SINGLES[(order, *_UNIT_KEY)] = one
+
+
+@contextmanager
+def fresh_tables():
+    """Empty the tables on entry and on exit, by an exception too, so what
+    runs inside neither reads nor leaves any entry but the units."""
+    clear_tables()
+    try:
+        yield
+    finally:
+        clear_tables()
 
 
 def _join_signed(parts: list[str]) -> str:

@@ -11,6 +11,7 @@ Grammar, charges and the reduced/expanded operand rules are those of
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +30,15 @@ class Token:
 
 
 _OPS = set("+-*^()[],")
+
+
+def _int(digits: str, line: int, col: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"number longer than {sys.get_int_max_str_digits()} digits",
+            line, col) from None
 
 
 def tokenize(text: str) -> list[Token]:
@@ -55,7 +65,7 @@ def tokenize(text: str) -> list[Token]:
             start = i
             while i < n and text[i].isdecimal():
                 i += 1
-            num = int(text[start:i])
+            num = _int(text[start:i], line, col)
             den = 1
             if i < n and text[i] == "/":
                 j = i + 1
@@ -64,7 +74,7 @@ def tokenize(text: str) -> list[Token]:
                     ds = i
                     while i < n and text[i].isdecimal():
                         i += 1
-                    den = int(text[ds:i])
+                    den = _int(text[ds:i], line, col)
             if den == 0:
                 raise ParseError("division by zero", line, col)
             tokens.append(Token("NUMBER", Fraction(num, den), line, col))
@@ -245,8 +255,13 @@ class _Parser:
         return False
 
     def _charge(self, a: Element, b: Element):
-        _charge(self.budget,
-                1 + len(a.terms) * len(b.terms) * (a.degree() + b.degree()),
+        cost = len(a.terms) * len(b.terms) * (a.degree() + b.degree())
+        if not cost and () in a.terms and () in b.terms:
+            s, t = a.terms[()], b.terms[()]
+            (n1, d1), (n2, d2) = s.int_words(), t.int_words()
+            cost = (len(s.terms) * len(t.terms) - 1
+                    + ((n1 * n2 + (n1 + n2) * (d1 + d2)) >> 3))
+        _charge(self.budget, 1 + cost,
                 "step limit exceeded while expanding a power")
 
     def _power(self, x: Element, exp: int) -> Element:

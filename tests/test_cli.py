@@ -1,12 +1,14 @@
 import json
+import re
 import shutil
+import sys
 import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from qcontract import catalog, contract, parser, rewrite
+from qcontract import catalog, cli, contract, parser, rewrite, scalars
 from qcontract.cli import main
 from qcontract.freealg import format_word
 from qcontract.reports import REPORT_SCHEMA
@@ -88,6 +90,35 @@ def test_each_builtin_is_loaded_once(capsys, monkeypatch, argv, parses,
     assert counts["presentation"] <= max_presentations
 
 
+def _table_entries_besides_the_units():
+    return (len(scalars._PRODUCTS), len(scalars._SUMS),
+            [s for s in scalars._SINGLES.values() if not s.is_one])
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (("nf", "(a + b + c + d)^3"), 0),
+    (("nf", "q*a + 2^20000*a"), 2),
+    (("nf", "--step-limit", "20", "d*d*d*d*a*a*a*a"), 3),
+])
+def test_a_command_starts_and_ends_with_empty_scalar_tables(
+        capsys, monkeypatch, argv, exit_code):
+    at_start = []
+
+    def cmd_nf(args):
+        at_start.append(_table_entries_besides_the_units())
+        return original(args)
+
+    original = cli.cmd_nf
+    monkeypatch.setattr(cli, "cmd_nf", cmd_nf)
+    lam = scalars.Scalar.param("lam", 1)
+    lam * lam + lam  # left over from before the command
+    assert _table_entries_besides_the_units() != (0, 0, [])
+    assert run(capsys, *argv)[0] == exit_code
+    assert at_start == [(0, 0, [])]
+    assert _table_entries_besides_the_units() == (0, 0, [])
+    assert scalars.Scalar.one(1).is_one
+
+
 def test_ln_basis_reads_the_alphabet_without_parsing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("parsed")
@@ -152,6 +183,37 @@ class TestNf:
         assert time.monotonic() - t0 < 5
         assert code == 3
         assert out == ""
+        assert err == ("step limit exceeded: step limit exceeded while "
+                       "expanding a power\n")
+
+    def test_literal_longer_than_int_reads_exits_2(self, capsys):
+        code, out, err = run(capsys, "nf", "a + " + "7" * 5000 + "*a")
+        assert (code, out) == (2, "")
+        assert err == ("error: line 1, col 5: number longer than "
+                       f"{sys.get_int_max_str_digits()} digits\n")
+
+    def test_number_longer_than_str_writes_exits_2(self, capsys):
+        code, out, err = run(capsys, "nf", "2^20000*a")
+        assert (code, out) == (2, "")
+        assert err == ("error: number too long to print: more than "
+                       f"{sys.get_int_max_str_digits()} digits\n")
+
+    def test_unprintable_rule_names_its_file_line(self, capsys, tmp_path):
+        src = tmp_path / "huge.preso"
+        src.write_text("[generators]\nx y\n\n[rules]\ny*x -> 2^20000*x*y\n")
+        code, out, err = run(capsys, "nf", "-p", str(src), "x")
+        assert (code, out) == (2, "")
+        assert err == ("error: line 5: number too long to print: more than "
+                       f"{sys.get_int_max_str_digits()} digits\n")
+
+    @pytest.mark.parametrize("expr", ["2^99999999*a", "2^-99999999*a"])
+    def test_huge_scalar_power_exits_3_within_the_step_limit(self, capsys,
+                                                             expr):
+        # each product of the power is charged by the size of its numbers
+        t0 = time.monotonic()
+        code, out, err = run(capsys, "nf", expr)
+        assert time.monotonic() - t0 < 5
+        assert (code, out) == (3, "")
         assert err == ("step limit exceeded: step limit exceeded while "
                        "expanding a power\n")
 
@@ -440,6 +502,75 @@ def test_generator_order_is_read_from_the_files(capsys, fixture, argv,
     # the same records; a reordered final lists its realization checks in
     # its own generator order
     assert sorted(out.splitlines()) == sorted(shipped.splitlines())
+
+
+def _section_names(text: str, section: str) -> list[str]:
+    """The names listed in a ``.preso`` section, in their order."""
+    names, current = [], None
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].split("@", 1)[0].strip()
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+        elif current == section:
+            names += line.split()
+    return names
+
+
+def _substituted(text: str, mapping: dict[str, str]) -> str:
+    """``text`` with each whole name in ``mapping`` replaced."""
+    alternatives = "|".join(map(re.escape, sorted(mapping, key=len,
+                                                  reverse=True)))
+    return re.sub(rf"(?<!\w)(?:{alternatives})(?!\w)",
+                  lambda m: mapping[m.group()], text)
+
+
+def _verdicts(capsys, *argv) -> tuple[int, dict[str, str] | str]:
+    """The exit code and each record's status by name, or the error."""
+    code, out, err = run(capsys, *argv, "--output", "json")
+    if code == 2:
+        return code, err
+    return code, {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+
+
+def _renamed_back(verdict, back: dict[str, str]):
+    if isinstance(verdict, str):
+        return _substituted(verdict, back)
+    return {_substituted(name, back): status
+            for name, status in verdict.items()}
+
+
+def _distinct_preso_files() -> list[Path]:
+    """Each presentation file shipped or under tests/golden, less the
+    copies of one met before."""
+    seen: dict[str, Path] = {}
+    for f in [*sorted(DATA.glob("*.preso")), *sorted(GOLDEN.rglob("*.preso"))]:
+        seen.setdefault(f.read_text(), f)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("path", _distinct_preso_files(),
+                         ids=lambda f: f"{f.parent.name}/{f.name}")
+def test_verdicts_do_not_depend_on_names(capsys, tmp_path, path):
+    """Generators and parameters renamed, in their order, to names that
+    sort the other way round: every hopf-check and confluence record keeps
+    its status, and every error its text, once the names are mapped back."""
+    text = path.read_text()
+    gens = _section_names(text, "generators")
+    params = _section_names(text, "params")
+    assert gens
+    rename = {g: f"g{len(gens) - k}x" for k, g in enumerate(gens)}
+    rename.update({p: f"p{len(params) - k}x" for k, p in enumerate(params)})
+    back = {new: old for old, new in rename.items()}
+    (tmp_path / "new").mkdir()
+    renamed = tmp_path / "new" / path.name
+    renamed.write_text(_substituted(text, rename))
+    for command in ("hopf-check", "confluence"):
+        code, original = _verdicts(capsys, command, "-p", str(path))
+        new_code, new = _verdicts(capsys, command, "-p", str(renamed))
+        assert new_code == code and original
+        assert _renamed_back(new, back) == (
+            original if code != 2 else original.replace(str(path),
+                                                        str(renamed)))
 
 
 class TestSolveCommutator:

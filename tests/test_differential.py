@@ -1,9 +1,13 @@
 """Differential tests: the integer-triple Gaussian rationals and their
 printer, the dict-accumulating normal form, the normal-word table, the tuple
-letters, the shared scalar one, the tensor fold over kept leg images,
+letters, the shared scalar one, the kept single-term scalars with their
+memoised products and sums, the tensor fold over kept leg images,
 reducing while parsing, the term-level parser, the memoised Hopf maps and
 the solver's sparse elimination against independent slow paths."""
 
+import copy
+import operator
+import pickle
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -21,7 +25,7 @@ from element_parser import parse_expression as element_parse
 from element_parser import tokenize as element_tokenize
 from slot_swap import slot_swap_power
 
-from qcontract import catalog, contract
+from qcontract import catalog, contract, scalars
 from qcontract.freealg import Element, GeneratorId, tensor_embed
 from qcontract.hopf import ExcludedGenerator, HopfPresentation
 from qcontract.parser import parse_expression, tokenize
@@ -692,8 +696,12 @@ def test_word_dict_lookups_agree_with_dataclass_letters(entries, queries):
 
 def general_one(order: int) -> Scalar:
     """A unit that is not the shared instance, so products with it take
-    the general path."""
-    return Scalar({(ParamMonomial(), 0): GaussianRational(1)}, order)
+    the general path: every constructor returns the shared one, so this
+    one is built around them."""
+    one = object.__new__(Scalar)
+    Scalar.terms.__set__(one, {(ParamMonomial(), 0): GaussianRational(1)})
+    Scalar.truncation_order.__set__(one, order)
+    return one
 
 
 @given(st.integers(0, 4).flatmap(
@@ -722,6 +730,126 @@ def test_shared_one_still_checks_truncation_order(k, m):
         x * Scalar.one(k)
     with pytest.raises(TruncationMismatch):
         Scalar.one(k) * Scalar.one(m)
+
+
+# -- kept single-term scalars, memoised products and sums --------------------
+
+
+@st.composite
+def single_term(draw, order):
+    return {(draw(st.sampled_from(MONOS)), draw(st.integers(0, order))):
+            draw(pairs)}
+
+
+def _negated_terms(t: dict) -> dict:
+    return {k: -v for k, v in t.items()}
+
+
+#: each operation: the scalar arithmetic, and its oracle on term dicts
+SCALAR_OPS = {
+    "mul": (operator.mul, oracle_mul),
+    "add": (operator.add, lambda t1, t2, k: oracle_add(t1, t2)),
+    "sub": (operator.sub,
+            lambda t1, t2, k: oracle_add(t1, _negated_terms(t2))),
+    "neg": (lambda x, y: -x, lambda t1, t2, k: _negated_terms(t1)),
+}
+
+
+def _cleaned(terms: dict, order: int) -> dict:
+    return {k: v for k, v in terms.items() if not v.is_zero() and k[1] <= order}
+
+
+@given(st.integers(0, 3).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.one_of(single_term(k), oracle_terms(k)), min_size=1,
+             max_size=4),
+    st.lists(st.tuples(st.sampled_from(sorted(SCALAR_OPS)),
+                       st.integers(0, 63), st.integers(0, 63),
+                       st.booleans()), max_size=12))))
+@settings(max_examples=200)
+def test_interned_arithmetic_against_the_oracle(case):
+    """Results through the kept instances and the memos, with the tables
+    emptied between operations or not, equal the oracle and the same
+    operation on fresh operands with empty tables; results feed later
+    operations, so the memos see their own results as operands."""
+    order, pool, steps = case
+    values = [(t, scalar_of(t, order)) for t in pool]
+    for name, i, j, clear in steps:
+        if clear:
+            scalars.clear_tables()
+        (t1, x), (t2, y) = values[i % len(values)], values[j % len(values)]
+        op, oracle = SCALAR_OPS[name]
+        got = op(x, y)
+        expected = _cleaned(oracle(t1, t2, order), order)
+        assert_scalar_matches(got, expected, order)
+        again = op(x, y)
+        assert again == got
+        if len(got.terms) == 1:  # equal single-term results are one object
+            assert again is got
+            if got is not x and got is not y:  # x * 1 is x as it is
+                assert Scalar(got.terms, order) is got
+        scalars.clear_tables()
+        fresh = op(scalar_of(t1, order), scalar_of(t2, order))
+        assert list(fresh.terms.items()) == list(got.terms.items())
+        assert fresh.truncation_order == got.truncation_order == order
+        values.append((expected, got))
+
+
+COPIERS = [copy.copy, copy.deepcopy] + [
+    lambda x, p=p: pickle.loads(pickle.dumps(x, p))
+    for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_kept_instances_across_a_clear(order):
+    one = Scalar.one(order)
+    half_lam = Scalar.param("lam", order) * Scalar.from_rational(
+        Fraction(1, 2), order)
+    assert half_lam is Scalar(
+        {(ParamMonomial.of("lam"), 0): GaussianRational(Fraction(1, 2))},
+        order)
+    assert half_lam * one is half_lam and one * half_lam is half_lam
+    for copier in COPIERS:
+        assert copier(half_lam) is half_lam
+        assert copier(one) is one
+    scalars.clear_tables()
+    # the unit survives the clear
+    assert Scalar.one(order) is one and one.is_one
+    assert Scalar.from_rational(1, order) is one
+    assert half_lam * (2 * one) is Scalar.param("lam", order)
+    assert Scalar.param("lam", order) * Scalar.param("lam", order, -1) is one
+    # equal values may now be distinct objects, and still compare equal
+    twin = Scalar.param("lam", order) * Scalar.from_rational(
+        Fraction(1, 2), order)
+    assert twin == half_lam and twin is not half_lam
+    assert not twin.is_one and not Scalar.from_rational(2, order).is_one
+    for copier in COPIERS:  # a copy is the instance kept now
+        assert copier(half_lam) is twin
+
+
+def test_tables_stay_under_their_cap():
+    scalars.clear_tables()
+    units = dict(scalars._SINGLES)
+    lam = Scalar.param("lam", 1)
+    for n in range(3 * scalars.TABLE_CAP):
+        c = Scalar.from_rational(n + 2, 1)
+        lam * c + c
+        for table in (scalars._SINGLES, scalars._PRODUCTS, scalars._SUMS):
+            assert len(table) <= scalars.TABLE_CAP
+    for key, one in units.items():
+        assert scalars._SINGLES[key] is one
+    assert Scalar.one(1).is_one
+
+
+@pytest.mark.parametrize("k,m", [(0, 1), (1, 0), (1, 4), (3, 2)])
+def test_memos_still_check_truncation_order(k, m):
+    x, y = Scalar.param("lam", k), Scalar.param("lam", m)
+    x * x, x + x, y * y, y + y  # memoised at their own orders
+    for op in (operator.mul, operator.add, operator.sub):
+        with pytest.raises(TruncationMismatch):
+            op(x, y)
+        with pytest.raises(TruncationMismatch):
+            op(y, x)
 
 
 # -- tensor folds over word images against the per-word loop -----------------

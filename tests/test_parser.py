@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qcontract import catalog
 from qcontract.freealg import Alphabet, format_element, tensor_embed
 from qcontract.parser import ParseError, parse_expression, tokenize
+from qcontract.rewrite import StepLimitExceeded, step_limit
 from qcontract.sampling import random_element
 
 
@@ -142,6 +143,34 @@ class TestTokenizerEdges:
                                     (), 1)) == "a^2 + 3/4*b"
         assert _parse_error("1/٠") == "line 1, col 1: division by zero"
         assert _parse_error("a٣") == "line 1, col 1: unknown symbol 'a٣'"
+
+
+class TestScalarPowers:
+    """A power of a scalar writes no letter; its multiplications are
+    charged by the terms and the sizes of the numbers they multiply."""
+
+    A = Alphabet(("a",))
+
+    @pytest.mark.parametrize("text,value", [("2^20", 2**20),
+                                            ("(1/3)^-20", 3**20)])
+    def test_small_numbers_cost_one_step_per_multiplication(self, text,
+                                                            value):
+        with step_limit(20):
+            x = parse_expression(text, self.A, ("q",), 1)
+        assert str(x) == str(value)
+        with step_limit(19), pytest.raises(StepLimitExceeded):
+            parse_expression(text, self.A, ("q",), 1)
+
+    @pytest.mark.parametrize("base,exp", [("2", 2000), ("2", -2000),
+                                          ("(3/5+4/5*i)", 300),
+                                          ("(1+q)", 300)])
+    def test_growing_numbers_cost_more(self, base, exp):
+        # one step per multiplication, and one per typed product inside
+        # the base, would fit the limit
+        text = f"{base}^{exp}"
+        with step_limit(abs(exp) + 5), pytest.raises(StepLimitExceeded):
+            parse_expression(text, self.A, ("q",), 1)
+        assert len(parse_expression(text, self.A, ("q",), 1).terms) == 1
 
 
 class TestRoundTrip:
