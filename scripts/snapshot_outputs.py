@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Snapshot the output of a fixed list of qcontract commands.
 
-Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: four
+Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: seven
 commands read presentation files under ``tests/golden``)
 
 Each command runs in-process through ``qcontract.cli.main``; its exit code,
@@ -54,12 +54,21 @@ def _commands() -> list[list[str]]:
     cmds.append(["nf", "(a + b + c + d)^10"])
     cmds.append(["nf", "-p", "builtin:ekappa2-klmn", "(K + L + M + N)^7"])
     cmds.append(["nf", "--step-limit", "100", "(d*a)^4"])
+    # the classical limit reads lam as 0 in an expression too
+    cmds.append(["nf", "-p", "builtin:ekappa2-klmn", "--lam-zero",
+                 "lam*K + L*K"])
     # report trips one below its smallest passing limit, and early under
     # lam = 0; each message names the presentation being reduced
-    cmds.append(["report", "--step-limit", "898"])
+    cmds.append(["report", "--step-limit", "951"])
     cmds.append(["report", "--lam-zero", "--step-limit", "100"])
     # a broken antipode: four generator checks and the random layer fail
     cmds.append(["hopf-check", "-p", "tests/golden/suq2_bad_antipode.preso"])
+    # a klmn with a doubled L*K deformation and a flipped star of N: the
+    # relation, star-square, identity and realization records fail, so
+    # their residual strings are compared too
+    cmds += [["contract", "--order", "1", "--catalog-dir",
+              "tests/golden/corrupted_klmn", *out]
+             for out in ([], ["--output", "json"])]
     # grouplike eta and etabar: the [eta, etabar] solve is not linear
     cmds.append(["solve-commutator", "--catalog-dir",
                  "tests/golden/nonlinear_final"])

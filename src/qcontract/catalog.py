@@ -145,7 +145,8 @@ def without_commutator_rule(h: HopfPresentation) -> HopfPresentation:
     stem, at, limit = h.name.partition("@")
     name = f"{stem}-open{at}{limit}"
     base = Presentation(alph, [r for r in h.base.rules if r.lhs != pair],
-                        h.order, name=name, params=h.base.params)
+                        h.order, name=name, params=h.base.params,
+                        zero_params=h.base.zero_params)
     return replace(h, base=base, name=name)
 
 
@@ -162,27 +163,36 @@ _BUILDERS = {
 # --------------------------------------------------------------------------
 
 
-def at_lam_zero(s: Scalar) -> Scalar:
-    """The lam = 0 specialisation of a scalar; elements take it through
-    ``map_scalars``."""
-    return s.set_param_zero("lam")
+def at_zero(params: frozenset[str], x):
+    """``x``, a scalar or an element, with each parameter of ``params`` set
+    to 0.  A presentation's ``zero_params`` go through here wherever an
+    expression is read in it.  A negative power of one has no value there:
+    a format error."""
+    try:
+        for name in params:
+            x = (x.set_param_zero(name) if isinstance(x, Scalar)
+                 else x.map_scalars(lambda s: s.set_param_zero(name)))
+    except ZeroDivisionError as exc:
+        raise PresentationFormatError(str(exc)) from None
+    return x
 
 
 def classical_limit(h: HopfPresentation) -> HopfPresentation:
     """The lam -> 0 degeneration: every deformation term is dropped, leaving
     the commutative function algebra with the same coproducts.  Each rule
-    is relabelled by its lam = 0 text and keeps its equation tag."""
-
-    def e0(x: Element) -> Element:
-        return x.map_scalars(at_lam_zero)
+    is relabelled by its lam = 0 text and keeps its equation tag.  The
+    result holds lam at zero (``zero_params``), so every expression read in
+    it takes lam as 0 too."""
+    zero = frozenset({"lam"})
 
     def map0(m: GeneratorMap) -> GeneratorMap:
-        return GeneratorMap({g: e0(img) for g, img in m.images.items()},
+        return GeneratorMap({g: at_zero(zero, img)
+                             for g, img in m.images.items()},
                             m.kind, m.source, m.target, m.order)
 
     rules, rule_tags = [], {}
     for r in h.base.rules:
-        rhs = e0(r.rhs)
+        rhs = at_zero(zero, r.rhs)
         label = _rule_text(r.lhs, rhs)
         rules.append(RewriteRule(r.lhs, rhs, label))
         if r.label in h.rule_tags:
@@ -193,11 +203,12 @@ def classical_limit(h: HopfPresentation) -> HopfPresentation:
         h.base.trunc_order,
         name=f"{h.base.name}@lam=0",
         params=h.base.params,
+        zero_params=zero,
     )
     return HopfPresentation(
         base=base,
         coproduct=map0(h.coproduct),
-        counit={k: at_lam_zero(v) for k, v in h.counit.items()},
+        counit={k: at_zero(zero, v) for k, v in h.counit.items()},
         antipode=map0(h.antipode),
         star=map0(h.star),
         excluded=h.excluded,
@@ -327,9 +338,13 @@ def distinct_rtt_relations(suq2: Presentation) -> list[Element]:
     return list(distinct.values())
 
 
-def parse_in(p: Presentation, text: str) -> Element:
-    """``text`` as an element of the free algebra on ``p``'s alphabet."""
-    return parse_expression(text, p.alphabet, p.params, p.trunc_order)
+def parse_in(p: Presentation, text: str,
+             alphabet: Alphabet | None = None) -> Element:
+    """``text`` as an element of the free algebra on ``alphabet`` (``p``'s
+    own by default), over ``p``'s parameters and with its zero parameters
+    at 0."""
+    return at_zero(p.zero_params, parse_expression(
+        text, alphabet or p.alphabet, p.params, p.trunc_order))
 
 
 def reference_rtt_relation_set(suq2: Presentation) -> list[Element]:
@@ -366,18 +381,13 @@ class NamedElement:
     paper_eq: str | None = None
 
 
-def klmn_named_elements(klmn: Presentation,
-                        lam_zero: bool = False) -> dict[str, NamedElement]:
+def klmn_named_elements(klmn: Presentation) -> dict[str, NamedElement]:
     """eta, etabar, E, F and the intermediate linear combinations, as
     elements of the K, L, M, N algebra ``klmn``."""
-    def pe(text: str) -> Element:
-        x = parse_in(klmn, text)
-        return x.map_scalars(at_lam_zero) if lam_zero else x
-
-    vplus = pe("K + M")
-    vminus = pe("K - M")
-    wplus = pe("L - 1/2*lam*M + i*N")
-    wminus = pe("L + 1/2*lam*M - i*N")
+    vplus = parse_in(klmn, "K + M")
+    vminus = parse_in(klmn, "K - M")
+    wplus = parse_in(klmn, "L - 1/2*lam*M + i*N")
+    wminus = parse_in(klmn, "L + 1/2*lam*M - i*N")
     return {
         "vplus": NamedElement("vplus", vplus, "Eq. (16)"),
         "vminus": NamedElement("vminus", vminus, "Eq. (16)"),
@@ -390,11 +400,11 @@ def klmn_named_elements(klmn: Presentation,
     }
 
 
-def final_to_klmn_map(final: Presentation, klmn: Presentation,
-                      lam_zero: bool = False) -> GeneratorMap:
+def final_to_klmn_map(final: Presentation,
+                      klmn: Presentation) -> GeneratorMap:
     """Realization of the exponential-variable generators of ``final``
     inside the K, L, M, N algebra ``klmn``."""
-    named = klmn_named_elements(klmn, lam_zero)
+    named = klmn_named_elements(klmn)
     images = {
         final.alphabet.gen(n): named[n].definition
         for n in ("eta", "etabar", "E", "F")

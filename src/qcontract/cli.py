@@ -92,12 +92,11 @@ def _builtins(args, names=catalog.BUILTIN_NAMES) -> dict[str, HopfPresentation]:
         f"builtin:{name}", args.truncation_order) for name in names}, args)
 
 
-def _contraction_checks(b: dict[str, HopfPresentation], args) -> CheckReport:
+def _contraction_checks(b: dict[str, HopfPresentation]) -> CheckReport:
     """The contraction suite and the change of variables on the builtins."""
-    report = contract.contraction_suite(b["suq2"], b["ekappa2-klmn"],
-                                        args.lam_zero)
+    report = contract.contraction_suite(b["suq2"], b["ekappa2-klmn"])
     report.extend(contract.verify_change_of_variables(
-        b["ekappa2-klmn"], b["ekappa2-final"], args.lam_zero))
+        b["ekappa2-klmn"], b["ekappa2-final"]))
     return report
 
 
@@ -138,8 +137,11 @@ def _timed(fn, args) -> CheckReport:
 def cmd_nf(args) -> int:
     h = _load(args)
     base = h.base if isinstance(h, HopfPresentation) else h
-    print(parse_expression(args.expression, base.alphabet, base.params,
-                           args.truncation_order, base))
+    # the rules of a limit hold none of its zero parameters, so setting them
+    # to 0 after the reduction is setting them to 0 before it
+    print(catalog.at_zero(base.zero_params, parse_expression(
+        args.expression, base.alphabet, base.params, args.truncation_order,
+        base)))
     return EXIT_OK
 
 
@@ -174,8 +176,8 @@ def cmd_hopf_check(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    return _emit(_timed(lambda: _contraction_checks(_builtins(args), args),
-                        args), args)
+    return _emit(_timed(lambda: _contraction_checks(_builtins(args)), args),
+                 args)
 
 
 def cmd_solve_commutator(args) -> int:
@@ -281,7 +283,7 @@ def cmd_report(args) -> int:
             paper_eq=catalog.TAG_DETERMINANT))
 
         # contraction suites, change of variables, solver
-        report.extend(_contraction_checks(b, args))
+        report.extend(_contraction_checks(b))
         report.extend(contract.solver_suite(final))
         return report
 

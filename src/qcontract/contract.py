@@ -11,19 +11,20 @@ derived from the determinant relation by series inversion of a.  The module
 also hosts the linear solver that back-determines commutators (such as
 [eta, etabar]) from coproduct consistency.
 
-The suites take the presentations they check, loaded once by the caller
-(under lam = 0 the contracted algebras already in their classical limit,
-SU_q(2) in its q-form); their truncation order is read off them.
+The suites take the presentations they check, loaded once by the caller;
+their truncation order is read off them.  A classical limit holds lam at
+zero (``zero_params``), so the q series and every text read in it take
+lam as 0.  ``_map_residual`` alone asks whether a map respects a relation
+or a structure map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
 from . import catalog
-from .catalog import at_lam_zero, klmn_named_elements
+from .catalog import klmn_named_elements
 from .freealg import (
     Alphabet,
     Element,
@@ -33,7 +34,7 @@ from .freealg import (
     format_word,
     tensor_embed,
 )
-from .hopf import HopfPresentation, grouplike_residual
+from .hopf import HopfPresentation
 from .reports import CheckRecord, CheckReport
 from .rewrite import Presentation, RewriteRule
 from .scalars import GR_ONE, GR_ZERO, ParamMonomial, Scalar, q_power
@@ -64,6 +65,24 @@ def _eps_truncate(x: Element, max_degree: int) -> Element:
     return out
 
 
+def _map_residual(target: HopfPresentation, phi, phi2, kind: str,
+                  x: Element, image) -> Element:
+    """The difference, before normal forms, that vanishes when ``phi``
+    respects the map ``kind`` of ``target`` at the source element ``x``
+    whose image under the source's map is ``image``: phi(x) for a relation
+    x, Delta(phi(x)) - phi2(image) (``phi2`` on tensors), M(phi(x)) -
+    phi(image) for the star or antipode M, (eps(phi(x)) - image) 1."""
+    if kind == "relation":
+        return phi(x)
+    if kind == "coproduct":
+        return target.apply_coproduct(phi(x)) - phi2(image)
+    if kind == "counit":
+        return Element.unit(target.base.alphabet, target.order).scaled(
+            target.apply_counit(phi(x)) - image)
+    mapped = target.apply_star if kind == "star" else target.apply_antipode
+    return mapped(phi(x)) - phi(image)
+
+
 # --------------------------------------------------------------------------
 # the ansatz
 # --------------------------------------------------------------------------
@@ -85,13 +104,11 @@ class ContractionAnsatz:
     #: derived d series and the checked eps orders stop there too
     DEPTH = 1
 
-    def __init__(self, source: HopfPresentation, target: HopfPresentation,
-                 lam_zero: bool = False):
+    def __init__(self, source: HopfPresentation, target: HopfPresentation):
         self.source = source
         self.target = target
         self.order = order = target.order
         self.depth = min(order, self.DEPTH)
-        self.lam_zero = lam_zero
         self._q_cache: dict[int, Scalar] = {}
         alph = target.base.alphabet
         pe = partial(catalog.parse_in, target.base)
@@ -113,12 +130,11 @@ class ContractionAnsatz:
     # -- q elimination -------------------------------------------------------
 
     def q_series(self, m: int) -> Scalar:
+        """q^m = exp(m lam eps), in the target's limit."""
         cached = self._q_cache.get(m)
         if cached is None:
-            cached = q_power(m, self.order)
-            if self.lam_zero:
-                cached = at_lam_zero(cached)
-            self._q_cache[m] = cached
+            cached = self._q_cache[m] = catalog.at_zero(
+                self.target.base.zero_params, q_power(m, self.order))
         return cached
 
     def _subst_scalar(self, s: Scalar) -> Scalar:
@@ -164,8 +180,6 @@ class ContractionAnsatz:
             raise AdjointResidue(
                 "d-series normal form still contains J (missing relations)")
         display = pe("J + J*M*M + eps*(lam*J*M*M - J*L*J - J*L*J*M*M)")
-        if self.lam_zero:
-            display = display.map_scalars(at_lam_zero)
         return DSeries(a_inverse=a_inv, raw=raw, reduced=reduced,
                        display_form=display)
 
@@ -222,18 +236,16 @@ def verify_coproduct_contraction(ansatz: ContractionAnsatz,
     report = CheckReport()
     p2 = ansatz.target.base.at_slots(2)
     g = Element.generator(ansatz.source.base.alphabet, gname, ansatz.order)
-    lhs = ansatz.target.apply_coproduct(ansatz.apply(g))
-    dq = ansatz.source.apply_coproduct(g)
-    rhs = p2.normal_form(ansatz.apply_tensor(dq))
-    diff = lhs - rhs
-    comps = diff.eps_components()
+    comps = _map_residual(
+        ansatz.target, ansatz.apply,
+        lambda x2: p2.normal_form(ansatz.apply_tensor(x2)), "coproduct", g,
+        ansatz.source.apply_coproduct(g)).eps_components()
     zero = Element.zero(p2.alphabet, ansatz.order)
-    tags = _COPRODUCT_ORDER_TAGS.get(gname, (None, None))
     for k in ansatz.checked_orders():
         residual = p2.normal_form(comps.get(k, zero))
         _guard_ln(residual, f"coproduct square for {gname} at eps^{k}")
         report.add_residual(f"contract/coproduct-square/{gname}/eps^{k}",
-                            residual, tags[k] if k < len(tags) else None)
+                            residual, _COPRODUCT_ORDER_TAGS[gname][k])
     return report
 
 
@@ -245,9 +257,9 @@ def verify_star_contraction(ansatz: ContractionAnsatz) -> CheckReport:
     p = ansatz.target.base
     for gname in ("a", "b", "c", "d"):
         g = Element.generator(ansatz.source.base.alphabet, gname, ansatz.order)
-        lhs = ansatz.apply(ansatz.source.star.apply(g))
-        rhs = ansatz.target.star.apply(ansatz.apply(g))
-        comps = (lhs - rhs).eps_components()
+        # phi(g*) - phi(g)*, the opposite sign of the map residual
+        comps = (-_map_residual(ansatz.target, ansatz.apply, None, "star", g,
+                                ansatz.source.star.apply(g))).eps_components()
         zero = Element.zero(p.alphabet, ansatz.order)
         for k in ansatz.checked_orders():
             report.add_residual(f"contract/star-square/{gname}/eps^{k}",
@@ -327,123 +339,92 @@ def verify_star_determines_l(ansatz: ContractionAnsatz) -> CheckReport:
 # --------------------------------------------------------------------------
 
 
+#: one row per identity: record name, map, a text over the named elements
+#: (a relation row's is the relation), its image under the map, tag
+_IDENTITIES = (
+    ("vplus*vminus", "relation", "vplus*vminus - 1", None, "Eq. (24)"),
+    ("vminus*vplus", "relation", "vminus*vplus - 1", None, "Eq. (24)"),
+    ("grouplike/vplus", "coproduct", "vplus", "vplus ox vplus", "Eq. (16)"),
+    ("grouplike/vminus", "coproduct", "vminus", "vminus ox vminus",
+     "Eq. (16)"),
+    ("coproduct/wplus", "coproduct", "wplus",
+     "wplus ox vplus + vminus ox wplus", "Eq. (17)"),
+    ("coproduct/wminus", "coproduct", "wminus",
+     "wminus ox vminus + vplus ox wminus", "Eq. (17)"),
+    ("commutator/[wplus,vplus]", "relation",
+     "[wplus, vplus] - 1/2*lam*(E - 1)", None, "Eq. (25)"),
+    ("commutator/[wplus,vminus]", "relation",
+     "[wplus, vminus] - 1/2*lam*(F - 1)", None, "Eq. (26)"),
+    ("commutator/[wminus,vplus]", "relation",
+     "[wminus, vplus] - 1/2*lam*(E - 1)", None, "Eq. (25)"),
+    ("commutator/[wminus,vminus]", "relation",
+     "[wminus, vminus] - 1/2*lam*(F - 1)", None, "Eq. (26)"),
+    ("coproduct/eta", "coproduct", "eta", "eta ox 1 + F ox eta", "Eq. (30)"),
+    ("coproduct/etabar", "coproduct", "etabar", "etabar ox 1 + E ox etabar",
+     "Eq. (31)"),
+    ("coproduct/E", "coproduct", "E", "E ox E", "Eq. (32)"),
+    ("coproduct/F", "coproduct", "F", "F ox F", "Eq. (32)"),
+    ("commutator/[eta,E]", "relation", "[eta, E] - lam*(E - 1)", None,
+     "Eq. (33)"),
+    ("commutator/[etabar,E]", "relation", "[etabar, E] - lam*(E - E*E)",
+     None, "Eq. (34)"),
+    ("star/eta", "star", "eta", "etabar", "Eq. (29)"),
+    ("star/vplus", "star", "vplus", "vminus", "Eq. (24)"),
+    ("star/E", "star", "E", "F", "Eq. (24)"),
+)
+
+
 def verify_change_of_variables(target: HopfPresentation,
-                               final: HopfPresentation,
-                               lam_zero: bool = False) -> CheckReport:
+                               final: HopfPresentation) -> CheckReport:
     """All identities of the exponential-variable change, verified in the
     K, L, M, N algebra ``target``, plus the full realization of the final
-    presentation (rules and Hopf data) inside it."""
+    presentation (rules and Hopf data) inside it.  One map sends each named
+    element to its definition; the realization restricts it to final's."""
     report = CheckReport()
-    order = target.order
-    p = target.base
-    named = klmn_named_elements(p, lam_zero)
-    p2 = p.at_slots(2)
-    alph = p.alphabet
-    lam = (Scalar.zero(order) if lam_zero else Scalar.param("lam", order))
-    half_lam = lam * Scalar.from_rational(Fraction(1, 2), order)
+    p, order, src = target.base, target.order, final.base.alphabet
+    named = klmn_named_elements(p)
+    alph = Alphabet(tuple(named))
+    phi = GeneratorMap({alph.gen(n): e.definition for n, e in named.items()},
+                       MapKind.HOMOMORPHISM, alph, p.alphabet, order)
+    realize = GeneratorMap({g: phi.images[g] for g in map(src.gen, src.names)},
+                           phi.kind, src, p.alphabet, order)
+    realize2 = realize.on_slots(2)
 
-    def nf(x):
-        out = p.normal_form(x)
-        _guard_ln(out, "change of variables")
-        return out
+    def reduced2(x2):
+        return p.at_slots(2).normal_form(realize2.apply(x2))
+    # the identities' tensor images multiply the normal forms of their legs
+    legs2 = GeneratorMap({g: p.normal_form(d) for g, d in phi.images.items()},
+                         phi.kind, alph, p.alphabet, order).on_slots(2)
 
-    def nf2(x):
-        out = p2.normal_form(x)
-        _guard_ln(out, "change of variables (tensor)")
-        return out
-
-    def rec(name, residual, tag):
+    def check(name, kind, f, f2, x, image, tag):
+        residual = _map_residual(target, f, f2, kind, x, image)
+        if kind != "counit":
+            slots = 2 if kind == "coproduct" else 1
+            residual = p.at_slots(slots).normal_form(residual)
+            _guard_ln(residual, "change of variables")
         report.add_residual(f"change-of-variables/{name}", residual, tag)
 
-    vp = named["vplus"].definition
-    vm = named["vminus"].definition
-    wp = named["wplus"].definition
-    wm = named["wminus"].definition
-    eta = named["eta"].definition
-    etabar = named["etabar"].definition
-    bigE = named["E"].definition
-    bigF = named["F"].definition
-    one = Element.unit(alph, order)
-    unit2 = Element.unit(p2.alphabet, order)
-
-    # unit relations
-    rec("vplus*vminus", nf(vp * vm - one), "Eq. (24)")
-    rec("vminus*vplus", nf(vm * vp - one), "Eq. (24)")
-
-    # grouplike combinations
-    for nm, x in (("vplus", vp), ("vminus", vm)):
-        rec(f"grouplike/{nm}", grouplike_residual(target, x), "Eq. (16)")
-
-    # coproducts of the w combinations
-    def t(x, y):
-        return tensor_embed(nf(x), 1) * tensor_embed(nf(y), 2)
-
-    rec("coproduct/wplus",
-        nf2(target.apply_coproduct(wp) - t(wp, vp) - t(vm, wp)), "Eq. (17)")
-    rec("coproduct/wminus",
-        nf2(target.apply_coproduct(wm) - t(wm, vm) - t(vp, wm)), "Eq. (17)")
-
-    # commutators with the grouplike pair
-    for nm, w in (("wplus", wp), ("wminus", wm)):
-        rec(f"commutator/[{nm},vplus]",
-            nf((w * vp - vp * w) - (bigE - one).scaled(half_lam)),
-            "Eq. (25)")
-        rec(f"commutator/[{nm},vminus]",
-            nf((w * vm - vm * w) - (bigF - one).scaled(half_lam)),
-            "Eq. (26)")
-
-    # eta, etabar, E coproducts
-    rec("coproduct/eta",
-        nf2(target.apply_coproduct(eta)
-            - tensor_embed(nf(eta), 1) * unit2 - t(bigF, eta)),
-        "Eq. (30)")
-    rec("coproduct/etabar",
-        nf2(target.apply_coproduct(etabar)
-            - tensor_embed(nf(etabar), 1) * unit2 - t(bigE, etabar)),
-        "Eq. (31)")
-    rec("coproduct/E", grouplike_residual(target, bigE), "Eq. (32)")
-    rec("coproduct/F", grouplike_residual(target, bigF), "Eq. (32)")
-
-    # commutators with E
-    rec("commutator/[eta,E]",
-        nf((eta * bigE - bigE * eta) - (bigE - one).scaled(lam)), "Eq. (33)")
-    rec("commutator/[etabar,E]",
-        nf((etabar * bigE - bigE * etabar)
-           - (bigE - bigE * bigE).scaled(lam)), "Eq. (34)")
-
-    # star structure
-    rec("star/eta", nf(target.apply_star(eta) - etabar), "Eq. (29)")
-    rec("star/vplus", nf(target.apply_star(vp) - vm), "Eq. (24)")
-    rec("star/E", nf(target.apply_star(bigE) - bigF), "Eq. (24)")
-
-    # realization of the final presentation inside K, L, M, N; the
-    # etabar*eta rule is excluded on purpose: its linear-variable form needs
-    # the undetermined [L, N], so it is fixed by coproduct consistency (the
-    # solver) rather than by reduction here
-    realize = catalog.final_to_klmn_map(final.base, p, lam_zero)
+    for name, kind, text, image, tag in _IDENTITIES:
+        check(name, kind, phi.apply, legs2.apply,
+              catalog.parse_in(p, text, alph),
+              image and catalog.parse_in(p, image, alph), tag)
+    # the realization leaves out the etabar*eta rule: its linear-variable
+    # form needs the undetermined [L, N], so the solver fixes it instead
     for rule in final.base.rules:
-        if rule.lhs == (final.base.alphabet.gen("etabar"),
-                        final.base.alphabet.gen("eta")):
-            continue
-        rel = rule.as_element(final.base.alphabet)
-        rec(f"realize/rule/{rule.label}", nf(realize.apply(rel)),
-            final.rule_tags.get(rule.label))
-    realize2 = realize.on_slots(2)
-    for name in final.base.alphabet.names:
-        g = Element.generator(final.base.alphabet, name, order)
-        lhs = target.apply_coproduct(realize.apply(g))
-        rhs = nf2(realize2.apply(final.apply_coproduct(g)))
-        rec(f"realize/coproduct/{name}", nf2(lhs - rhs),
-            final.coproduct_tags.get(name))
-        star_sq = nf(target.apply_star(realize.apply(g))
-                     - realize.apply(final.star.apply(g)))
-        rec(f"realize/star/{name}", star_sq, None)
-        anti_sq = nf(target.apply_antipode(realize.apply(g))
-                     - realize.apply(final.antipode.apply(g)))
-        rec(f"realize/antipode/{name}", anti_sq, None)
-        eps_diff = target.apply_counit(realize.apply(g)) - final.counit[name]
-        rec(f"realize/counit/{name}",
-            Element.unit(alph, order).scaled(eps_diff), None)
+        if rule.lhs != (src.gen("etabar"), src.gen("eta")):
+            check(f"realize/rule/{rule.label}", "relation", realize.apply,
+                  None, rule.as_element(src), None,
+                  final.rule_tags.get(rule.label))
+    for name in src.names:
+        g = Element.generator(src, name, order)
+        for kind, image, tag in (
+                ("coproduct", final.apply_coproduct(g),
+                 final.coproduct_tags.get(name)),
+                ("star", final.star.apply(g), None),
+                ("antipode", final.antipode.apply(g), None),
+                ("counit", final.counit[name], None)):
+            check(f"realize/{kind}/{name}", kind, realize.apply, reduced2,
+                  g, image, tag)
     return report
 
 
@@ -803,11 +784,11 @@ def structural_ansatz_record(ansatz: ContractionAnsatz) -> CheckRecord:
     )
 
 
-def contraction_suite(source: HopfPresentation, target: HopfPresentation,
-                      lam_zero: bool = False) -> CheckReport:
+def contraction_suite(source: HopfPresentation,
+                      target: HopfPresentation) -> CheckReport:
     """Relations, d series, coproduct and star squares for the contraction
     of ``source`` onto ``target``."""
-    ansatz = ContractionAnsatz(source, target, lam_zero)
+    ansatz = ContractionAnsatz(source, target)
     report = CheckReport()
     report.add(structural_ansatz_record(ansatz))
     report.extend(verify_d_series(ansatz))

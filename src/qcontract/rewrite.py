@@ -144,7 +144,8 @@ class Presentation:
     """Alphabet + oriented rules + the deglex order they decrease."""
 
     def __init__(self, alphabet: Alphabet, rules, trunc_order: int,
-                 name: str = "", params: tuple[str, ...] = ()):
+                 name: str = "", params: tuple[str, ...] = (),
+                 zero_params: frozenset[str] = frozenset()):
         self.alphabet = alphabet
         self.order = MonomialOrder(alphabet)
         self.trunc_order = trunc_order
@@ -152,6 +153,9 @@ class Presentation:
         self._exceeded = ("step limit exceeded while reducing in "
                           f"{name or 'presentation'}")
         self.params = tuple(params)
+        #: the parameters this algebra holds at zero (its classical limit
+        #: holds lam there): an expression read in it takes them as 0
+        self.zero_params = frozenset(zero_params)
         self.rules: tuple[RewriteRule, ...] = tuple(rules)
         self._validate()
         # rules grouped by first letter, strongest lhs first

@@ -198,10 +198,8 @@ def test_property_suites():
 def test_classical_limit():
     klmn0 = catalog.classical_limit(catalog.ekappa2_klmn_presentation(1))
     final0 = catalog.classical_limit(catalog.ekappa2_final_presentation(1))
-    ok = contract.contraction_suite(catalog.suq2_presentation(1), klmn0,
-                                    lam_zero=True).ok
-    ok = ok and contract.verify_change_of_variables(klmn0, final0,
-                                                    lam_zero=True).ok
+    ok = contract.contraction_suite(catalog.suq2_presentation(1), klmn0).ok
+    ok = ok and contract.verify_change_of_variables(klmn0, final0).ok
     ok = ok and contract.solver_suite(final0).ok
     for h in (klmn0, final0):
         ok = ok and check_local_confluence(h.base, 6).ok

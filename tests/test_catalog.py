@@ -413,6 +413,27 @@ class TestClassicalLimit:
             rule = by_label[lhs_label]
             assert list(rule.rhs.terms) == [tuple(reversed(rule.lhs))]
 
+    @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
+    def test_the_limit_holds_lam_at_zero(self, name):
+        h = catalog.load_presentation(f"builtin:{name}", 1)
+        assert h.base.zero_params == frozenset()
+        assert catalog.classical_limit(h).base.zero_params == {"lam"}
+
+    def test_without_commutator_rule_keeps_the_zero_params(self):
+        final0 = catalog.classical_limit(catalog.ekappa2_final_presentation(1))
+        opened = catalog.without_commutator_rule(final0)
+        assert opened.base.zero_params == {"lam"}
+        assert catalog.without_commutator_rule(
+            catalog.ekappa2_final_presentation(1)).base.zero_params == set()
+
+    def test_texts_read_in_the_limit_take_lam_as_zero(self):
+        klmn0 = catalog.classical_limit(catalog.ekappa2_klmn_presentation(1))
+        assert catalog.parse_in(klmn0.base, "lam*K").is_zero
+        assert str(catalog.parse_in(klmn0.base, "lam*K + L")) == "L"
+        for named in catalog.klmn_named_elements(klmn0.base).values():
+            assert all(c.max_param_degree("lam") == 0
+                       for c in named.definition.terms.values()), named.name
+
     def test_structural_relations_survive(self):
         klmn0 = catalog.classical_limit(catalog.ekappa2_klmn_presentation(1))
         mm = next(r for r in klmn0.base.rules if r.label.startswith("M^2"))

@@ -146,6 +146,14 @@ class TestNf:
         assert code == 0
         assert out.strip() == "K^2 - 1"
 
+    def test_lam_zero_reads_lam_as_zero(self, capsys):
+        code, out, err = run(capsys, "nf", "-p", "builtin:ekappa2-klmn",
+                             "--lam-zero", "lam*K + L*K")
+        assert (code, out, err) == (0, "K*L\n", "")
+        assert run(capsys, "nf", "-p", "builtin:ekappa2-klmn", "--lam-zero",
+                   "lam^-1*K") == (
+            2, "", "error: negative power of lam at zero\n")
+
     def test_already_normal(self, capsys):
         code, out, _ = run(capsys, "nf", "-p", "builtin:suq2", "a")
         assert code == 0
@@ -478,6 +486,18 @@ class TestContractCommand:
     def test_lam_zero(self, capsys):
         code, out, _ = run(capsys, "contract", "--lam-zero")
         assert code == 0
+
+    def test_lam_zero_of_a_negative_power_of_lam_exits_2(self, capsys,
+                                                         tmp_path):
+        cat = _shipped_copy(tmp_path)
+        target = cat / "ekappa2_klmn.preso"
+        rule = "L*J -> J*L + lam*J^2 - lam"
+        assert rule in target.read_text()
+        target.write_text(target.read_text().replace(
+            rule, rule + " + lam^-1*J"))
+        assert run(capsys, "contract", "--lam-zero", "--catalog-dir",
+                   str(cat)) == (
+            2, "", "error: negative power of lam at zero\n")
 
 
 # Each directory holds the shipped files, one builtin listing its generators

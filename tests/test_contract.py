@@ -318,14 +318,18 @@ class TestLnGuard:
 class TestClassicalLimit:
     def test_full_contraction_suite_at_lam_zero(self, suq2, klmn):
         report = contract.contraction_suite(
-            suq2, catalog.classical_limit(klmn), lam_zero=True)
+            suq2, catalog.classical_limit(klmn))
         assert report.ok, [r.name for r in report.failures()]
 
     def test_change_of_variables_at_lam_zero(self, klmn, final):
         report = contract.verify_change_of_variables(
-            catalog.classical_limit(klmn), catalog.classical_limit(final),
-            lam_zero=True)
+            catalog.classical_limit(klmn), catalog.classical_limit(final))
         assert report.ok, [r.name for r in report.failures()]
+
+    def test_q_is_one_in_the_limit(self, suq2, klmn):
+        ansatz = ContractionAnsatz(suq2, catalog.classical_limit(klmn))
+        for m in range(-2, 3):
+            assert ansatz.q_series(m) == Scalar.one(1)
 
     def test_relations_become_commutators(self):
         klmn0 = catalog.classical_limit(catalog.ekappa2_klmn_presentation(1))

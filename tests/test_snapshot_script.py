@@ -24,6 +24,8 @@ def test_command_list_covers_the_pipeline():
                     in lines)
     assert "report --lam-zero --output json" in lines
     assert "solve-commutator --order 4 --ln --lam-zero" in lines
+    # one below the smallest limit at which report passes (test_step_budget)
+    assert "report --step-limit 951" in lines
     assert not any("--timings" in line for line in lines)
 
 
