@@ -338,13 +338,11 @@ def distinct_rtt_relations(suq2: Presentation) -> list[Element]:
     return list(distinct.values())
 
 
-def parse_in(p: Presentation, text: str,
-             alphabet: Alphabet | None = None) -> Element:
-    """``text`` as an element of the free algebra on ``alphabet`` (``p``'s
-    own by default), over ``p``'s parameters and with its zero parameters
-    at 0."""
+def parse_in(p: Presentation, text: str) -> Element:
+    """``text`` as an element of the free algebra on ``p``'s alphabet, with
+    ``p``'s zero parameters at 0."""
     return at_zero(p.zero_params, parse_expression(
-        text, alphabet or p.alphabet, p.params, p.trunc_order))
+        text, p.alphabet, p.params, p.trunc_order))
 
 
 def reference_rtt_relation_set(suq2: Presentation) -> list[Element]:

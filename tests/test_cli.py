@@ -499,6 +499,27 @@ class TestContractCommand:
                    str(cat)) == (
             2, "", "error: negative power of lam at zero\n")
 
+    @pytest.mark.parametrize("command", ["contract", "report"])
+    def test_renamed_final_generator_exits_2(self, capsys, tmp_path,
+                                             command):
+        cat = _shipped_copy(tmp_path)
+        target = cat / "ekappa2_final.preso"
+        target.write_text(re.sub(r"\beta\b", "h", target.read_text()))
+        assert run(capsys, command, "--catalog-dir", str(cat)) == (
+            2, "", "error: unknown generator 'eta'\n")
+
+    def test_extra_final_generator_exits_2(self, capsys, tmp_path):
+        cat = _shipped_copy(tmp_path)
+        target = cat / "ekappa2_final.preso"
+        text = target.read_text().replace("eta etabar\n", "eta etabar G\n")
+        for section, entry in (("coproduct", "G -> G ox G"),
+                               ("counit", "G -> 1"), ("antipode", "G -> G"),
+                               ("star", "G -> G")):
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{entry}\n")
+        target.write_text(text)
+        assert run(capsys, "contract", "--catalog-dir", str(cat)) == (
+            2, "", "error: no image for generator G\n")
+
 
 # Each directory holds the shipped files, one builtin listing its generators
 # in another order that its rules still decrease in
