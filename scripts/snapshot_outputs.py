@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Snapshot the output of a fixed list of qcontract commands.
 
-Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: seven
+Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: ten
 commands read presentation files under ``tests/golden``)
 
 Each command runs in-process through ``qcontract.cli.main``; its exit code,
@@ -63,6 +63,11 @@ def _commands() -> list[list[str]]:
     cmds.append(["report", "--lam-zero", "--step-limit", "100"])
     # a broken antipode: four generator checks and the random layer fail
     cmds.append(["hopf-check", "-p", "tests/golden/suq2_bad_antipode.preso"])
+    # a broken coproduct: failing 2- and 3-slot residuals are printed
+    cmds += [["hopf-check", "-p", "tests/golden/suq2_bad_coproduct.preso",
+              *out] for out in ([], ["--output", "json"])]
+    # contract, solve-commutator and report take no presentation
+    cmds.append(["contract", "-p", "tests/golden/suq2_bad_coproduct.preso"])
     # a klmn with a doubled L*K deformation and a flipped star of N: the
     # relation, star-square, identity and realization records fail, so
     # their residual strings are compared too

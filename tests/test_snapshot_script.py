@@ -26,6 +26,10 @@ def test_command_list_covers_the_pipeline():
     assert "solve-commutator --order 4 --ln --lam-zero" in lines
     # one below the smallest limit at which report passes (test_step_budget)
     assert "report --step-limit 951" in lines
+    bad = "tests/golden/suq2_bad_coproduct.preso"
+    assert f"hopf-check -p {bad}" in lines
+    assert f"hopf-check -p {bad} --output json" in lines
+    assert f"contract -p {bad}" in lines
     assert not any("--timings" in line for line in lines)
 
 
