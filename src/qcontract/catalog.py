@@ -115,7 +115,7 @@ def _gen_map(alphabet: Alphabet, params, order, kind: MapKind,
                 raise PresentationFormatError(
                     f"line {lineno}: image of {name} has the wrong tensor "
                     f"rank: {text!r}") from exc
-        images[alphabet.gen(name, 0)] = img
+        images[alphabet.gen(name)] = img
     return GeneratorMap(images, kind, alphabet, target, order)
 
 

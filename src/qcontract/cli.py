@@ -44,9 +44,10 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _add_common(p: argparse.ArgumentParser, default_presentation=None):
-    p.add_argument("-p", "--presentation", default=default_presentation,
-                   help="builtin:NAME or a presentation file path")
+def _add_common(p: argparse.ArgumentParser, presentation=True):
+    if presentation:  # the commands that check the builtins take none
+        p.add_argument("-p", "--presentation", default="builtin:suq2",
+                       help="builtin:NAME or a presentation file path")
     p.add_argument("--order", type=int, default=1, dest="truncation_order",
                    choices=range(0, 5), metavar="{0..4}",
                    help="eps truncation order (default 1)")
@@ -103,7 +104,7 @@ def _contraction_checks(b: dict[str, HopfPresentation]) -> CheckReport:
 def _emit(report: CheckReport, args) -> int:
     if args.output == "json":
         doc = report_to_json_dict(
-            report, __version__, {k: getattr(args, k) for k in _CONFIG_KEYS})
+            report, __version__, {k: getattr(args, k, None) for k in _CONFIG_KEYS})
         print(json.dumps(doc, indent=2))
     else:
         for r in report.records:
@@ -298,31 +299,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_nf = sub.add_parser("nf", help="normal form of an expression")
-    _add_common(p_nf, default_presentation="builtin:suq2")
+    _add_common(p_nf)
     p_nf.add_argument("expression")
     p_nf.set_defaults(fn=cmd_nf)
 
     p_conf = sub.add_parser("confluence", help="critical-pair resolution")
-    _add_common(p_conf, default_presentation="builtin:suq2")
+    _add_common(p_conf)
     p_conf.set_defaults(fn=cmd_confluence)
 
     p_hopf = sub.add_parser("hopf-check", help="Hopf axiom suite")
-    _add_common(p_hopf, default_presentation="builtin:suq2")
+    _add_common(p_hopf)
     p_hopf.set_defaults(fn=cmd_hopf_check)
 
     p_con = sub.add_parser("contract", help="order-by-order contraction run")
-    _add_common(p_con)
+    _add_common(p_con, presentation=False)
     p_con.set_defaults(fn=cmd_contract)
 
     p_solve = sub.add_parser("solve-commutator",
                              help="back-solve [eta, etabar] from coproducts")
-    _add_common(p_solve)
+    _add_common(p_solve, presentation=False)
     p_solve.add_argument("--ln", action="store_true",
                          help="also back-solve the undetermined [L, N]")
     p_solve.set_defaults(fn=cmd_solve_commutator)
 
     p_rep = sub.add_parser("report", help="full verification pipeline")
-    _add_common(p_rep)
+    _add_common(p_rep, presentation=False)
     p_rep.set_defaults(fn=cmd_report)
     return ap
 

@@ -31,6 +31,7 @@ from .freealg import (
     Element,
     GeneratorMap,
     MapKind,
+    accumulate_scaled,
     format_element,
     format_word,
     tensor_embed,
@@ -131,7 +132,6 @@ class ContractionAnsatz:
         self._map = GeneratorMap(
             {src.gen(n): img for n, img in self.images.items()},
             MapKind.HOMOMORPHISM, src, alph, order)
-        self._map2 = self._map.on_slots(2)
 
     # -- q elimination -------------------------------------------------------
 
@@ -149,13 +149,12 @@ class ContractionAnsatz:
     # -- application ---------------------------------------------------------
 
     def apply(self, x: Element) -> Element:
-        """Contract a source element into the target free algebra (no
-        reduction; q powers are expanded and truncated)."""
+        """Contract a source element, or a 2-slot one slot by slot, into
+        the target free algebra (no reduction; q powers are expanded and
+        truncated)."""
         return self._map.apply(x.map_scalars(self._subst_scalar))
 
-    def apply_tensor(self, x2: Element) -> Element:
-        """Slot-wise contraction of a 2-slot source element."""
-        return self._map2.apply(x2.map_scalars(self._subst_scalar))
+    apply_tensor = apply
 
     # -- the d series ----------------------------------------------------------
 
@@ -391,10 +390,9 @@ def verify_change_of_variables(target: HopfPresentation,
     report = CheckReport()
     p, order, src = target.base, target.order, final.base.alphabet
     realize = catalog.final_to_klmn_map(final.base, p)
-    realize2 = realize.on_slots(2)
 
     def reduced2(x2):
-        return p.at_slots(2).normal_form(realize2.apply(x2))
+        return p.at_slots(2).normal_form(realize.apply(x2))
 
     def check(name, kind, f, f2, x, image, tag):
         residual = _map_residual(target, f, f2, kind, x, image)
@@ -451,7 +449,7 @@ def _commutator_rule(alph: Alphabet, x_name: str, y_name: str,
     """[x, y] = value as the rule rewriting the deglex-larger of x y and
     y x: either y x -> x y - value or x y -> y x + value."""
     gx, gy = alph.gen(x_name), alph.gen(y_name)
-    if alph.letter_key(gy) > alph.letter_key(gx):
+    if alph.names.index(y_name) > alph.names.index(x_name):
         lhs = (gy, gx)
         rhs = Element.from_word(alph, (gx, gy), value.order) - value
     else:
@@ -462,20 +460,21 @@ def _commutator_rule(alph: Alphabet, x_name: str, y_name: str,
 
 
 def _split_marker(x: Element):
-    """The marker-free terms of ``x`` and the context of each marked word,
-    or None when a word holds the marker twice (``x`` is not affine in
-    it)."""
+    """The marker-free terms of ``x`` and the context of each marked word
+    (its slot words, the marker's slot and position, the coefficient), or
+    None when a word holds the marker twice (``x`` is not affine in it)."""
     base = {}
     contexts = []
     for w, c in x.terms.items():
-        idxs = [i for i, g in enumerate(w) if g.name == MARKER]
+        parts = x.alphabet.parts(w)
+        idxs = [(s, i) for s, u in enumerate(parts)
+                for i, g in enumerate(u) if g.name == MARKER]
         if not idxs:
             base[w] = c
             continue
         if len(idxs) > 1:
             return None
-        i = idxs[0]
-        contexts.append((w[:i], w[i].slot, w[i + 1:], c))
+        contexts.append((parts, *idxs[0], c))
     return base, contexts
 
 
@@ -603,18 +602,16 @@ def _solve_marker(p: Presentation, x_name: str, y_name: str,
         return SolveOutcome("nonlinear", None, 0, 0)
     base_terms, contexts = split
 
-    marked_slots = {slot for _, slot, _, _ in contexts}
     directions: dict[str, Element] = {}
     for label, w in basis.items():
-        direction = (offsets[label].rebind(alph) if offsets
-                     else Element.zero(alph, order))
-        w_at = {s: (tensor_embed(w, s, slots) if s else w).rebind(alph)
-                for s in marked_slots}
-        for (pre, slot, post, coeff) in contexts:
-            ctx = (Element.from_word(alph, pre, order) * w_at[slot]
-                   * Element.from_word(alph, post, order)).scaled(coeff)
-            direction = direction + ctx
-        directions[label] = p_z.normal_form(direction)
+        terms = dict(offsets[label].rebind(alph).terms) if offsets else {}
+        for parts, s, i, coeff in contexts:  # w in place of the marker
+            u = parts[s]
+            for bw, bc in w.terms.items():
+                nw = parts[:s] + (u[:i] + bw + u[i + 1:],) + parts[s + 1:]
+                accumulate_scaled(terms, {nw if slots > 1 else nw[0]: bc},
+                                  coeff)
+        directions[label] = p_z.normal_form(Element._of(alph, terms, order))
     return _solve_affine_system(Element(alph, base_terms, order), directions,
                                 order)
 

@@ -1,17 +1,17 @@
 """Free noncommutative algebra over exact scalars.
 
 Elements are finite linear combinations of words over a generator alphabet.
-A word is a tuple of letters, and a letter (``GeneratorId``) is a named
-tuple ``(name, slot)``: it compares and hashes as the plain pair, in C, so
-hashing a word or looking it up in a dict never runs Python code.  Letters
-are immutable and print as ``a`` in the base algebra and ``a@2`` in a
-tensor slot.
+A word of the base algebra is a tuple of letters, and a letter
+(``GeneratorId``) is a named tuple ``(name,)``: it compares and hashes as a
+plain tuple, in C, so hashing a word or looking it up in a dict never runs
+Python code.  Letters are immutable and print as their name.
 
-Tensor squares and cubes are modeled in the same structure: letters carry a
-slot tag (0 for the base algebra, 1..3 for tensor factors).  Letters of
-distinct slots commute, so ``slot_words`` splits a tensor word into the base
-words of its slots; the tensor powers' normal form, the leg maps of the Hopf
-folds and printing all read a tensor word that way.
+Tensor squares and cubes are modeled in the same structure: an alphabet
+carries a slot count, and a word of a k-slot power is the k-tuple of its
+slots' base words.  Letters of distinct slots commute, so a product
+concatenates slot by slot, and the tensor powers' normal form, the maps,
+the leg maps of the Hopf folds and printing read a tensor word slot by
+slot.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import NamedTuple
 
 from .scalars import (
@@ -43,10 +44,9 @@ class MissingImage(ValueError):
 
 class GeneratorId(NamedTuple):
     name: str
-    slot: int = 0
 
     def __repr__(self):
-        return self.name if self.slot == 0 else f"{self.name}@{self.slot}"
+        return self.name
 
 
 @dataclass(frozen=True)
@@ -62,27 +62,28 @@ class Alphabet:
         if not 1 <= self.slot_count <= MAX_SLOTS:
             raise ValueError(f"slot count must be 1..{MAX_SLOTS}")
 
+    def gen(self, name: str) -> GeneratorId:
+        if name not in self.names:
+            raise AlphabetMismatch(f"unknown generator {name!r}")
+        return GeneratorId(name)
+
     @property
-    def slots(self) -> tuple[int, ...]:
-        if self.slot_count == 1:
-            return (0,)
-        return tuple(range(1, self.slot_count + 1))
+    def empty_word(self):
+        return () if self.slot_count == 1 else ((),) * self.slot_count
 
-    def gen(self, name: str, slot: int | None = None) -> GeneratorId:
-        if slot is None:
-            slot = self.slots[0]
-        g = GeneratorId(name, slot)
-        self.check_letter(g)
-        return g
+    def parts(self, word) -> tuple[Word, ...]:
+        """The slot words of ``word``: the word itself in the base algebra."""
+        return word if self.slot_count > 1 else (word,)
 
-    def check_letter(self, g: GeneratorId):
-        if g.name not in self.names:
-            raise AlphabetMismatch(f"unknown generator {g.name!r}")
-        if g.slot not in self.slots:
-            raise AlphabetMismatch(f"slot {g.slot} invalid for this alphabet")
+    def word_length(self, word) -> int:
+        return sum(map(len, self.parts(word)))
 
-    def letter_key(self, g: GeneratorId) -> tuple[int, int]:
-        return (g.slot, self.names.index(g.name))
+    def check_word(self, word):
+        parts = self.parts(word)
+        if len(parts) != self.slot_count or not all(
+                type(g) is GeneratorId and g.name in self.names
+                for u in parts for g in u):
+            raise AlphabetMismatch(f"not a word of this alphabet: {word!r}")
 
     @lru_cache(maxsize=None)
     def at_slots(self, slot_count: int) -> "Alphabet":
@@ -96,10 +97,13 @@ class Alphabet:
 Word = tuple[GeneratorId, ...]
 
 
-def word_key(alphabet: Alphabet, word: Word):
-    """Degree-lexicographic key: longer words are larger, ties compare
-    letter-by-letter by (slot, precedence)."""
-    return (len(word), tuple(alphabet.letter_key(g) for g in word))
+def word_key(alphabet: Alphabet, word):
+    """Degree-lexicographic key: words with more letters are larger, ties
+    compare letter by letter by (slot, precedence)."""
+    parts = alphabet.parts(word)
+    return (sum(map(len, parts)), tuple((s, alphabet.names.index(g.name))
+                                        for s, u in enumerate(parts)
+                                        for g in u))
 
 
 class Element:
@@ -134,20 +138,21 @@ class Element:
 
     @classmethod
     def unit(cls, alphabet: Alphabet, order: int) -> "Element":
-        return cls._of(alphabet, {(): Scalar.one(order)}, order)
+        return cls._of(alphabet, {alphabet.empty_word: Scalar.one(order)},
+                       order)
 
     @classmethod
-    def from_word(cls, alphabet: Alphabet, word: Word, order: int,
+    def from_word(cls, alphabet: Alphabet, word, order: int,
                   coeff: Scalar | None = None) -> "Element":
-        for g in word:
-            alphabet.check_letter(g)
+        word = tuple(word)
+        alphabet.check_word(word)
         c = coeff if coeff is not None else Scalar.one(order)
-        return cls(alphabet, {tuple(word): c}, order)
+        return cls(alphabet, {word: c}, order)
 
     @classmethod
-    def generator(cls, alphabet: Alphabet, name: str, order: int,
-                  slot: int | None = None) -> "Element":
-        return cls.from_word(alphabet, (alphabet.gen(name, slot),), order)
+    def generator(cls, alphabet: Alphabet, name: str,
+                  order: int) -> "Element":
+        return cls.from_word(alphabet, (alphabet.gen(name),), order)
 
     # -- queries -----------------------------------------------------------
 
@@ -159,20 +164,21 @@ class Element:
         return self.terms.keys()
 
     def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+        return max(map(self.alphabet.word_length, self.terms), default=0)
 
     def coefficient(self, word: Word) -> Scalar:
         return self.terms.get(tuple(word), Scalar.zero(self.order))
 
     def contains_letter(self, name: str) -> bool:
-        return any(g.name == name for w in self.terms for g in w)
+        parts = self.alphabet.parts
+        return any(g.name == name for w in self.terms for u in parts(w)
+                   for g in u)
 
     def contains_adjacent(self, first: str, second: str) -> bool:
-        for w in self.terms:
-            for a, b in zip(w, w[1:]):
-                if a.name == first and b.name == second and a.slot == b.slot:
-                    return True
-        return False
+        parts = self.alphabet.parts
+        return any(a.name == first and b.name == second
+                   for w in self.terms for u in parts(w)
+                   for a, b in zip(u, u[1:]))
 
     def leading_word(self) -> Word:
         if self.is_zero:
@@ -203,9 +209,8 @@ class Element:
         if isinstance(other, (int, Fraction, GaussianRational, Scalar)):
             return self.scaled(other)
         self._check(other)
-        return Element._of(self.alphabet, product_terms(self.terms,
-                                                        other.terms),
-                           self.order)
+        return Element._of(self.alphabet, product_terms(
+            self.terms, other.terms, self.alphabet.slot_count), self.order)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, Scalar)):
@@ -243,11 +248,14 @@ class Element:
                 for k, d in sorted(out.items())}
 
     def rebind(self, alphabet: Alphabet) -> "Element":
-        """The same terms over another alphabet (names must be a superset)."""
-        for w in self.terms:
-            for g in w:
-                alphabet.check_letter(g)
-        return Element(alphabet, dict(self.terms), self.order)
+        """The same terms over another alphabet (names must be a superset);
+        a letter-free element takes its slot count."""
+        terms = self.terms
+        if not self.degree():
+            terms = {alphabet.empty_word: c for c in terms.values()}
+        for w in terms:
+            alphabet.check_word(w)
+        return Element(alphabet, dict(terms), self.order)
 
     def __str__(self):
         return format_element(self)
@@ -273,7 +281,8 @@ class GeneratorMap:
     """Images for each generator, extended by the declared law.
 
     Homomorphisms preserve letter order, antihomomorphisms reverse it, and
-    the antilinear kind additionally conjugates every coefficient.
+    the antilinear kind additionally conjugates every coefficient.  A map
+    into the base algebra maps an element of a tensor power slot by slot.
     """
 
     images: dict[GeneratorId, Element]
@@ -283,32 +292,32 @@ class GeneratorMap:
     order: int
 
     def apply(self, x: Element) -> Element:
-        if x.alphabet != self.source:
+        k = x.alphabet.slot_count
+        if x.alphabet != self.source.at_slots(k) or (
+                k > 1 and self.target.slot_count > 1):
             raise AlphabetMismatch("element not over the map's source alphabet")
         star = self.kind is MapKind.STAR
-        reverse = self.kind is not MapKind.HOMOMORPHISM
-        out = Element.zero(self.target, self.order)
+        unit = {(): Scalar.one(self.order)}
+        out: dict = {}
         for word, coeff in x.terms.items():
-            prod = Element.unit(self.target, self.order).scaled(
-                coeff.conjugate() if star else coeff)
-            for g in reversed(word) if reverse else word:
-                img = self.images.get(g)
-                if img is None:
-                    raise MissingImage(f"no image for generator {g!r}")
-                prod = prod * img
-                if prod.is_zero:
-                    break
-            out = out + prod
-        return out
+            terms = (self._image(word) if k == 1 else
+                     reduce(append_slot, map(self._image, word), unit))
+            accumulate_scaled(out, terms, coeff.conjugate() if star else coeff)
+        return Element._of(self.target if k == 1 else self.target.at_slots(k),
+                           out, self.order)
 
-    def on_slots(self, slot_count: int = 2) -> "GeneratorMap":
-        """The slot-wise extension to a tensor power: a letter in slot s
-        goes to its image moved into slot s."""
-        source = self.source.at_slots(slot_count)
-        images = {GeneratorId(g.name, s): tensor_embed(img, s, slot_count)
-                  for g, img in self.images.items() for s in source.slots}
-        return GeneratorMap(images, self.kind, source,
-                            self.target.at_slots(slot_count), self.order)
+    def _image(self, word: Word) -> dict:
+        """The terms of the free image of a base word."""
+        prod = {self.target.empty_word: Scalar.one(self.order)}
+        reverse = self.kind is not MapKind.HOMOMORPHISM
+        for g in reversed(word) if reverse else word:
+            img = self.images.get(g)
+            if img is None:
+                raise MissingImage(f"no image for generator {g!r}")
+            prod = product_terms(prod, img.terms, self.target.slot_count)
+            if not prod:
+                break
+        return prod
 
 
 def accumulate_scaled(acc: dict, terms: dict, s: Scalar) -> None:
@@ -336,9 +345,10 @@ def accumulate_scaled(acc: dict, terms: dict, s: Scalar) -> None:
             del acc[w]
 
 
-def product_terms(x: dict, y: dict) -> dict:
+def product_terms(x: dict, y: dict, slot_count: int = 1) -> dict:
     """The word -> coefficient dict of the product of ``x`` and ``y``: each
-    word of ``x`` concatenated with each word of ``y``."""
+    word of ``x`` concatenated with each word of ``y``, slot by slot in a
+    tensor power."""
     acc: dict = {}
     cancelled = False
     for w1, c1 in x.items():
@@ -346,7 +356,7 @@ def product_terms(x: dict, y: dict) -> dict:
             c = c1 * c2
             if not c.terms:
                 continue
-            w = w1 + w2
+            w = w1 + w2 if slot_count == 1 else tuple(map(add, w1, w2))
             cur = acc.get(w)
             if cur is None:
                 acc[w] = c
@@ -360,40 +370,35 @@ def product_terms(x: dict, y: dict) -> dict:
     return acc
 
 
+def append_slot(terms: dict, leg: dict) -> dict:
+    """The terms of ``terms`` (x) ``leg``: each word of ``leg``, a base
+    word, placed in one more slot after each word of ``terms``."""
+    return {w + (v,): p for w, c in terms.items() for v, d in leg.items()
+            if (p := c * d).terms}
+
+
 def tensor_embed(x: Element, slot: int, slot_count: int = 2) -> Element:
-    """Retag a base-algebra element into one tensor slot."""
+    """Place a base-algebra element in one tensor slot."""
     if x.alphabet.slot_count != 1:
         raise AlphabetMismatch("tensor_embed expects a base-algebra element")
-    if not 1 <= slot <= slot_count <= MAX_SLOTS:
-        raise ValueError(f"slot {slot} out of range for {slot_count} factors")
-    target = x.alphabet.at_slots(slot_count)
-    terms = {
-        tuple(GeneratorId(g.name, slot) for g in w): c
-        for w, c in x.terms.items()
-    }
-    return Element(target, terms, x.order)
+    return retag_slots(x, {1: slot}, slot_count)
 
 
 def retag_slots(x: Element, mapping: dict[int, int], slot_count: int) -> Element:
-    """Move letters between slots (used for coassociativity checks)."""
-    target = x.alphabet.at_slots(slot_count)
-    terms: dict = {}
+    """Move slot s of each word of ``x`` (a base element has one slot) to
+    slot ``mapping.get(s, s)`` of a ``slot_count``-slot power; the slots no
+    word moves to stay empty (used for coassociativity checks)."""
+    moves = [mapping.get(s, s) for s in range(1, x.alphabet.slot_count + 1)]
+    if slot_count < 2 or len(set(range(1, slot_count + 1)).intersection(
+            moves)) < len(moves):
+        raise ValueError(f"slots {moves} do not fit {slot_count} factors")
+    terms = {}
     for w, c in x.terms.items():
-        nw = tuple(GeneratorId(g.name, mapping.get(g.slot, g.slot)) for g in w)
-        for g in nw:
-            target.check_letter(g)
-        cur = terms.get(nw)
-        terms[nw] = c if cur is None else cur + c
-    return Element(target, terms, x.order)
-
-
-def slot_words(word: Word, slot_count: int) -> tuple[Word, ...]:
-    """The letters of each tensor slot of ``word``, in their order, as
-    words of the base algebra."""
-    parts: list[list] = [[] for _ in range(slot_count)]
-    for name, slot in word:
-        parts[slot - 1].append(GeneratorId(name, 0))
-    return tuple(map(tuple, parts))
+        nw = [()] * slot_count
+        for s, u in zip(moves, x.alphabet.parts(w)):
+            nw[s - 1] = u
+        terms[tuple(nw)] = c
+    return Element._of(x.alphabet.at_slots(slot_count), terms, x.order)
 
 
 # -- printing ---------------------------------------------------------------
@@ -414,10 +419,9 @@ def _format_run_length(letters: tuple[GeneratorId, ...]) -> str:
     return "*".join(parts)
 
 
-def format_word(word: Word, slot_count: int) -> str:
-    if slot_count == 1:
-        return _format_run_length(word)
-    return " ox ".join(map(_format_run_length, slot_words(word, slot_count)))
+def format_word(word, slot_count: int) -> str:
+    parts = word if slot_count > 1 else (word,)
+    return " ox ".join(map(_format_run_length, parts))
 
 
 def format_element(x: Element) -> str:

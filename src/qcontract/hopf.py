@@ -19,7 +19,9 @@ the rules is itself checked.  ``fold_tensor``, which multiplies the two
 legs of a tensor back together, maps each leg word straight to the terms
 of its image: the convolution and the antipode check read the kept
 antipode image of each leg, so a leg's antipode is computed once per
-presentation, not once per fold.
+presentation, not once per fold.  A word of the 2-slot algebra is the pair
+``(u, v)`` of its legs' base words, and the 3-slot coassociativity check
+applies the coproduct to one leg and places the other.
 
 The step budget: computing an image draws the allowances of the normal
 forms it takes; an image already kept charges nothing.
@@ -38,7 +40,6 @@ from .freealg import (
     Word,
     accumulate_scaled,
     retag_slots,
-    slot_words,
     tensor_embed,
 )
 from .reports import CheckRecord, CheckReport
@@ -69,7 +70,7 @@ class HopfPresentation:
         # coproduct images must avoid excluded generators
         for g, img in self.coproduct.images.items():
             for w in img.words():
-                for letter in w:
+                for letter in (x for u in w for x in u):
                     if letter.name in self.excluded:
                         raise ValueError(
                             f"coproduct of {g.name} hits excluded generator "
@@ -179,8 +180,7 @@ class HopfPresentation:
 
     def star_tensor(self, x2: Element) -> Element:
         """Slot-wise star on the 2-slot algebra."""
-        return self.base.at_slots(2).normal_form(
-            self.star.on_slots(2).apply(x2))
+        return self.base.at_slots(2).normal_form(self.star.apply(x2))
 
     # -- convolution-style folds ---------------------------------------------
 
@@ -190,15 +190,14 @@ class HopfPresentation:
         ``x2``: each maps a normal base word to the terms (word ->
         coefficient) of its normal image.
 
-        ``x2`` is reduced once; each of its terms ``c u (x) v`` adds
+        ``x2`` is reduced once; each of its terms ``c (u, v)`` adds
         ``c*lc*rc`` at each word ``lu + rv`` of ``left(u)`` and
         ``right(v)``, and the sum is reduced once.  The maps run once per
         tensor word, so a map that reads kept images (``antipode_image``)
         computes each leg once per presentation."""
         x2 = self.base.at_slots(2).normal_form(x2)
         acc: dict = {}
-        for word, c in x2.terms.items():
-            u, v = slot_words(word, 2)
+        for (u, v), c in x2.terms.items():
             rights = right(v).items()
             for lu, lc in left(u).items():
                 accumulate_scaled(acc, {lu + rv: rc for rv, rc in rights},
@@ -248,30 +247,28 @@ def check_delta_respects_relations(h: HopfPresentation) -> CheckReport:
 
 def check_coassociativity(h: HopfPresentation) -> CheckReport:
     """(Delta (x) id) Delta = (id (x) Delta) Delta on every Hopf generator,
-    checked in the 3-slot algebra."""
+    checked in the 3-slot algebra: on each term ``c (u, v)`` of Delta g, the
+    generator coproducts map one leg freely and the other leg is placed."""
     report = CheckReport()
-    p2 = h.base.at_slots(2)
+    alph, order = h.base.alphabet, h.order
     p3 = h.base.at_slots(3)
-    alph2 = p2.alphabet
-    left_images = {}
-    right_images = {}
-    deltas = {name: h.apply_coproduct(
-        Element.generator(h.base.alphabet, name, h.order))
-        for name in h.hopf_generators()}
+    deltas = {name: h.apply_coproduct(Element.generator(alph, name, order))
+              for name in h.hopf_generators()}
+    delta = GeneratorMap({alph.gen(n): d for n, d in deltas.items()},
+                         MapKind.HOMOMORPHISM, alph, alph.at_slots(2), order)
+
+    def word(w):
+        return Element.from_word(alph, w, order)
+
     for name, delta_g in deltas.items():
-        left_images[alph2.gen(name, 1)] = retag_slots(delta_g, {}, 3)
-        left_images[alph2.gen(name, 2)] = Element.generator(
-            p3.alphabet, name, h.order, slot=3)
-        right_images[alph2.gen(name, 1)] = Element.generator(
-            p3.alphabet, name, h.order, slot=1)
-        right_images[alph2.gen(name, 2)] = retag_slots(delta_g, {1: 2, 2: 3}, 3)
-    delta_id = GeneratorMap(left_images, MapKind.HOMOMORPHISM, alph2,
-                            p3.alphabet, h.order)
-    id_delta = GeneratorMap(right_images, MapKind.HOMOMORPHISM, alph2,
-                            p3.alphabet, h.order)
-    for name, delta_g in deltas.items():
-        residual = p3.normal_form(
-            delta_id.apply(delta_g) - id_delta.apply(delta_g))
+        acc: dict = {}
+        for (u, v), c in delta_g.terms.items():
+            left = (retag_slots(delta.apply(word(u)), {}, 3)
+                    * tensor_embed(word(v), 3, 3))
+            right = (tensor_embed(word(u), 1, 3)
+                     * retag_slots(delta.apply(word(v)), {1: 2, 2: 3}, 3))
+            accumulate_scaled(acc, (left - right).terms, c)
+        residual = p3.normal_form(Element._of(p3.alphabet, acc, order))
         report.add_residual(f"{h.name}/coassociativity/{name}", residual,
                             h.coproduct_tags.get(name))
     return report

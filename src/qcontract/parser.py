@@ -18,7 +18,8 @@ only ``\n`` starts a new line.
 
 The parser works on word -> coefficient dicts and a slot count (the
 alphabet of the value), and forms one ``Element`` at the end: a product
-concatenates words, a sum adds coefficients.
+concatenates words (slot by slot in a tensor power), a sum adds
+coefficients.
 
 Expanding can blow up, so every product is charged to the step budget
 before it is done: a typed product (``*``, ``ox`` or a commutator) one step
@@ -132,8 +133,9 @@ def _negated(terms: dict) -> dict:
     return {w: -c for w, c in terms.items()}
 
 
-def _degree(terms: dict) -> int:
-    return max(map(len, terms), default=0)
+def _degree(value) -> int:
+    alph, terms = value
+    return max(map(alph.word_length, terms), default=0)
 
 
 class _Parser:
@@ -152,7 +154,6 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.alphabet = alphabet
-        self.slot = alphabet.slots[0]  # the slot of a generator's letter
         self.params = params
         self.order = order
         self.one = Scalar.one(order)
@@ -182,9 +183,11 @@ class _Parser:
         if alph_a.names == alph_b.names:
             # a scalar (its words all empty) takes the other's slot count
             if alph_a.slot_count == 1 and not any(a[1]):
-                return (alph_b, a[1]), b
+                return (alph_b, {alph_b.empty_word: c
+                                 for c in a[1].values()}), b
             if alph_b.slot_count == 1 and not any(b[1]):
-                return a, (alph_a, b[1])
+                return a, (alph_a, {alph_a.empty_word: c
+                                    for c in b[1].values()})
         self.fail("mixed tensor ranks in expression")
 
     def add(self, a, b):
@@ -213,14 +216,14 @@ class _Parser:
         the free words of ``b``."""
         alph, p = a[0], self.presentation
         if p is None or (alph is not p.alphabet and alph != p.alphabet):
-            return alph, product_terms(a[1], b[1])
+            return alph, product_terms(a[1], b[1], alph.slot_count)
         return alph, p._multiply(a[1], b[1], self.reducing)
 
     def _reduced(self, x):
         """``x``, reduced when parsing against a presentation."""
         if self.presentation is None:
             return x
-        return self._times((x[0], {(): self.one}), x)
+        return self._times((x[0], {x[0].empty_word: self.one}), x)
 
     def _expanded(self, parse):
         """What ``parse()`` parses, in free words: not reduced."""
@@ -280,7 +283,7 @@ class _Parser:
             self.pos += 1
             # nf(x*y) folds nf(x) by the letters of the free words of y,
             # so y stays expanded unless x is a scalar: nf(c*y) = c*nf(y)
-            if self.presentation is not None and any(acc[1]):
+            if self.presentation is not None and _degree(acc):
                 y = self._expanded(self.parse_factor)
             else:
                 y = self.parse_factor()
@@ -321,14 +324,15 @@ class _Parser:
                 return tokens[i + 1].value == "^"
         return False
 
-    def _charge(self, a: dict, b: dict):
-        cost = len(a) * len(b) * (_degree(a) + _degree(b))
-        if not cost and () in a and () in b:
+    def _charge(self, a, b):
+        cost = len(a[1]) * len(b[1]) * (_degree(a) + _degree(b))
+        empty = a[0].empty_word
+        if not cost and empty in a[1] and empty in b[1]:
             # a power of a scalar writes no letter, but its terms and its
             # numbers grow: one step per further pair of terms, and one per
             # 8 products of 64-bit words, multiplying the numerators and
             # reducing the product's numerators by its denominators
-            s, t = a[()], b[()]
+            s, t = a[1][empty], b[1][empty]
             (n1, d1), (n2, d2) = s.int_words(), t.int_words()
             cost = (len(s.terms) * len(t.terms) - 1
                     + ((n1 * n2 + (n1 + n2) * (d1 + d2)) >> 3))
@@ -336,19 +340,19 @@ class _Parser:
 
     def _power(self, x, exp: int):
         alph, terms = x
-        out = {(): self.one}
+        out = {alph.empty_word: self.one}
         if exp >= 0:
             for _ in range(exp):
-                self._charge(out, terms)
+                self._charge((alph, out), x)
                 out = self._times((alph, out), x)[1]
             return alph, out
-        if len(terms) == 1 and () in terms:
+        if len(terms) == 1 and alph.empty_word in terms:
             try:
-                inv = terms[()].inverse_of_unit()
+                inv = terms[alph.empty_word].inverse_of_unit()
             except ValueError:
                 self.fail("negative power of a non-invertible scalar")
             for _ in range(-exp):
-                self._charge(out, terms)
+                self._charge((alph, out), x)
                 out = {w: p for w, c in out.items() if (p := c * inv).terms}
             return alph, out
         self.fail("negative powers are only defined for scalar monomials")
@@ -360,8 +364,7 @@ class _Parser:
         if kind == "NAME":
             if name in self.alphabet.names and name not in RESERVED:
                 return self._reduced(
-                    (self.alphabet,
-                     {(GeneratorId(name, self.slot),): self.one}))
+                    (self.alphabet, {(GeneratorId(name),): self.one}))
             if name == "i":
                 return self._scalar(Scalar.imag_unit(self.order))
             if name == "eps":

@@ -25,8 +25,8 @@ presentation or not; ``parser.parse_expression`` reduces an expression
 factor by factor through it.
 
 A tensor square or cube (``Presentation.at_slots``, a :class:`TensorPower`)
-has no rules of its own: it reduces each slot word of a tensor word through
-the base presentation's normal form.
+has no rules of its own: a tensor word is the tuple of its slot words, and
+it reduces each of them through the base presentation's normal form.
 
 The step budget: one limit, ``DEFAULT_STEP_LIMIT`` unless a ``with
 step_limit(n):`` block sets it (the command line sets it once, from
@@ -45,8 +45,8 @@ only appends a letter and is free.  A folded word, or one found in the
 whole-word memo, is charged the terms of its result the same way; a prefix
 two words share is folded once.  A tensor power's normal form charges each
 slot word's base reduction (nothing for a memoised one) and each
-coefficient product of its slot-by-slot multiplication; moving letters
-between slots is free.  The memos keep results only, so a warm memo
+coefficient product of its slot-by-slot multiplication; placing a slot
+word in its slot is free.  The memos keep results only, so a warm memo
 charges less than a cold one: ``(a+b+c+d)^8`` in suq2 takes 950,334
 rewriter steps and 280,654 table steps, and reduced factor by factor while
 parsing, 3,663 steps for its reductions and 8,720 for its expansion.  The
@@ -68,8 +68,8 @@ from .freealg import (
     GeneratorId,
     Word,
     accumulate_scaled,
+    append_slot,
     product_terms,
-    slot_words,
     word_key,
 )
 from .scalars import Scalar
@@ -121,7 +121,7 @@ class RuleOrientationError(ValueError):
 @dataclass(frozen=True)
 class MonomialOrder:
     """Deglex order: longer words are larger; equal lengths compare
-    letter-by-letter by (slot, precedence)."""
+    letter by letter by precedence."""
 
     alphabet: Alphabet
 
@@ -167,8 +167,8 @@ class Presentation:
                      reverse=True)
         self._by_first = by_first
         self._table = NormalWordTable(self)
-        # (slot, word) -> nf(word) moved into that tensor slot, shared by
-        # the tensor powers
+        # (slot, word) -> nf(word), shared by the tensor powers; keyed by
+        # slot too, so a word met in two slots is charged in each
         self._legs: dict[tuple[int, Word], dict] = {}
         # slot count -> its tensor power while one is in use: a power holds
         # its base, so a strong entry would make a reference cycle that
@@ -183,8 +183,7 @@ class Presentation:
             if r.lhs in seen:
                 raise RuleOrientationError(r.label, "duplicate left-hand side")
             seen.add(r.lhs)
-            for g in r.lhs:
-                self.alphabet.check_letter(g)
+            self.alphabet.check_word(r.lhs)
             if r.rhs.alphabet != self.alphabet:
                 raise AlphabetMismatch(
                     f"rule {r.label!r}: right-hand side over a different alphabet")
@@ -305,8 +304,9 @@ class Presentation:
 class TensorPower:
     """A presentation's tensor square or cube.  Letters of distinct slots
     commute, so ``nf(u_1 (x) ... (x) u_n) = nf(u_1) (x) ... (x) nf(u_n)``:
-    ``normal_form`` reduces each slot word of a word by the base
-    presentation's normal form and multiplies the results slot by slot."""
+    ``normal_form`` reduces each slot word of a word ``(u_1, ..., u_n)`` by
+    the base presentation's normal form and places the results slot by
+    slot."""
 
     def __init__(self, base: Presentation, slot_count: int):
         self.base = base
@@ -325,12 +325,10 @@ class TensorPower:
         try:
             for word, coeff in x.terms.items():
                 terms = {(): coeff}
-                for slot, part in enumerate(
-                        slot_words(word, self.alphabet.slot_count), 1):
+                for slot, part in enumerate(word, 1):
                     legs = self._leg(slot, part, budget)
                     _charge(budget, len(terms) * len(legs), what)
-                    terms = {u + v: p for u, c in terms.items()
-                             for v, d in legs.items() if (p := c * d).terms}
+                    terms = append_slot(terms, legs)
                 for w, c in terms.items():
                     _add_term(acc, w, c)
         except StepLimitExceeded:
@@ -338,17 +336,14 @@ class TensorPower:
         return Element._of(self.alphabet, acc, self.trunc_order)
 
     def _leg(self, slot: int, word: Word, budget: list[int]) -> dict:
-        """The base normal form of the slot word ``word``, moved into
-        ``slot``; the base keeps the memo, so it outlives this object."""
+        """The base normal form of the word in ``slot``; the base keeps the
+        memo, so it outlives this object."""
         legs, key = self.base._legs, (slot, word)
-        moved = legs.get(key)
-        if moved is None:
-            terms = self.base._reduce(
+        leg = legs.get(key)
+        if leg is None:
+            leg = legs[key] = self.base._reduce(
                 {word: Scalar.one(self.trunc_order)}, budget)
-            moved = legs[key] = {
-                tuple([GeneratorId(g.name, slot) for g in w]): c
-                for w, c in terms.items()}
-        return moved
+        return leg
 
 
 def _add_term(acc: dict, w, c: Scalar) -> None:
@@ -367,8 +362,8 @@ def _add_term(acc: dict, w, c: Scalar) -> None:
 class NormalWordTable:
     """Normal forms by multiplying normal words by one letter at a time.
 
-    Letters are numbered slot by slot in precedence order, and words are
-    tuples of those numbers.  ``products[v + (g,)]`` holds ``nf(v*g)`` for
+    Letters are numbered in precedence order, and words are tuples of
+    those numbers.  ``products[v + (g,)]`` holds ``nf(v*g)`` for
     a normal word ``v`` with ``v*g`` reducible.  Since ``v`` is
     irreducible, a redex of ``v*g`` ends at ``g``: with ``v = p*l`` and a
     rule ``l*g -> r``, filling the entry multiplies the normal prefix ``p``
@@ -381,11 +376,9 @@ class NormalWordTable:
     """
 
     def __init__(self, p: Presentation):
-        alph = p.alphabet
         self.order = p.trunc_order
         self.exceeded = p._exceeded
-        self.letters = tuple(GeneratorId(n, s) for s in alph.slots
-                             for n in alph.names)
+        self.letters = tuple(map(GeneratorId, p.alphabet.names))
         self.index = {g: i for i, g in enumerate(self.letters)}
         # per last letter: (length of the rest of the lhs, the rest, rhs
         # terms), strongest lhs first as in the rewriter

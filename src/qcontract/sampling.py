@@ -42,17 +42,17 @@ def random_element(rng: Random, p: Presentation | TensorPower,
                    exclude=()) -> Element:
     """A random element of ``p``'s free algebra over the letters not in
     ``exclude``; its scalars raise a parameter to a negative power where
-    the rules of ``p`` do."""
+    the rules of ``p`` do.  In a tensor power each letter draws its slot."""
     alph, laurent = p.alphabet, p.laurent_params
     letters = [n for n in alph.names if n not in exclude]
+    k = alph.slot_count
     terms: dict = {}
     for _ in range(rng.randint(1, n_terms)):
-        word = []
+        parts = [[] for _ in range(k)]
         for _ in range(rng.randint(0, degree)):
             name = rng.choice(letters)
-            slot = alph.slots[0] if alph.slot_count == 1 else rng.choice(alph.slots)
-            word.append(alph.gen(name, slot))
-        w = tuple(word)
+            parts[rng.randrange(k) if k > 1 else 0].append(alph.gen(name))
+        w = tuple(map(tuple, parts)) if k > 1 else tuple(parts[0])
         c = random_scalar(rng, p.trunc_order, params, laurent=laurent)
         cur = terms.get(w)
         terms[w] = c if cur is None else cur + c

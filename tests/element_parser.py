@@ -214,7 +214,7 @@ class _Parser:
             self.next()
             # nf(x*y) folds nf(x) by the letters of the free words of y,
             # so y stays expanded unless x is a scalar: nf(c*y) = c*nf(y)
-            if any(acc.terms):
+            if acc.degree():
                 y = self._expanded(self.parse_factor)
             else:
                 y = self.parse_factor()
@@ -256,8 +256,9 @@ class _Parser:
 
     def _charge(self, a: Element, b: Element):
         cost = len(a.terms) * len(b.terms) * (a.degree() + b.degree())
-        if not cost and () in a.terms and () in b.terms:
-            s, t = a.terms[()], b.terms[()]
+        empty = a.alphabet.empty_word
+        if not cost and empty in a.terms and empty in b.terms:
+            s, t = a.terms[empty], b.terms[empty]
             (n1, d1), (n2, d2) = s.int_words(), t.int_words()
             cost = (len(s.terms) * len(t.terms) - 1
                     + ((n1 * n2 + (n1 + n2) * (d1 + d2)) >> 3))
@@ -271,8 +272,8 @@ class _Parser:
                 self._charge(out, x)
                 out = self._times(out, x)
             return out
-        if len(x.terms) == 1 and () in x.terms:
-            coeff = x.terms[()]
+        if len(x.terms) == 1 and x.alphabet.empty_word in x.terms:
+            coeff = x.terms[x.alphabet.empty_word]
             try:
                 inv = coeff.inverse_of_unit()
             except ValueError:

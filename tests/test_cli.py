@@ -521,6 +521,20 @@ class TestContractCommand:
             2, "", "error: no image for generator G\n")
 
 
+@pytest.mark.parametrize("command", ["contract", "solve-commutator", "report"])
+def test_commands_on_the_builtins_take_no_presentation(capsys, command):
+    # -p was accepted and ignored: a path never read passed the checks
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-p", "/nonexistent.preso"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: -p" in capsys.readouterr().err
+    code, out, _ = run(capsys, command, "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert doc["config"]["presentation"] is None
+
+
 # Each directory holds the shipped files, one builtin listing its generators
 # in another order that its rules still decrease in
 @pytest.mark.parametrize("fixture", ["reordered_suq2", "reordered_klmn",

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from dense_elimination import dense_gauss_solve
 from element_parser import parse_expression as element_parse
 from element_parser import tokenize as element_tokenize
-from slot_swap import slot_swap_power
+from slot_swap import flat, projected, slot_swap_power
 
 from qcontract import catalog, contract, scalars
 from qcontract.freealg import Element, GeneratorId, tensor_embed
@@ -351,15 +351,19 @@ def test_table_matches_rewriter_on_tensor_words(name, order):
     h = catalog.load_presentation(f"builtin:{name}", order)
     p2 = _confluent(slot_swap_power(h.base, 2))
     by_slot = h.base.at_slots(2)
+    alph2 = by_slot.alphabet
     rng = Random(f"{name}-{order}-tensor")
     for _ in range(6):
         x = random_q_lam_element(rng, p2, degree=5, n_terms=4)
         _assert_paths_agree(p2, x, rng)
-        assert by_slot.normal_form(x) == p2.rewrite(x)
+        assert by_slot.normal_form(projected(x, alph2)) == projected(
+            p2.rewrite(x), alph2)
     for g in h.hopf_generators():
         x = h.coproduct.apply(Element.generator(h.base.alphabet, g, order))
-        _assert_paths_agree(p2, x * x * x, rng)
-        assert by_slot.normal_form(x * x * x) == p2.rewrite(x * x * x)
+        cube = flat(x, p2) * flat(x, p2) * flat(x, p2)
+        _assert_paths_agree(p2, cube, rng)
+        assert by_slot.normal_form(x * x * x) == projected(
+            p2.rewrite(cube), alph2)
 
 
 NON_CONFLUENT = "[generators]\nc b a\n\n[rules]\na*b -> 1\nb*c -> 1\n"
@@ -641,15 +645,13 @@ class DataclassLetter:
     """Oracle: a letter as the frozen dataclass it used to be."""
 
     name: str
-    slot: int = 0
 
     def __repr__(self):
-        return self.name if self.slot == 0 else f"{self.name}@{self.slot}"
+        return self.name
 
 
-letter_pairs = st.tuples(st.sampled_from(["a", "b", "K", "eta", "etabar"]),
-                         st.integers(0, 3))
-words = st.lists(letter_pairs, max_size=5)
+letter_fields = st.tuples(st.sampled_from(["a", "b", "K", "eta", "etabar"]))
+words = st.lists(letter_fields, max_size=5)
 
 
 def test_letters_hash_in_c():
@@ -657,7 +659,7 @@ def test_letters_hash_in_c():
     assert GeneratorId.__eq__ is tuple.__eq__
 
 
-@given(letter_pairs, letter_pairs)
+@given(letter_fields, letter_fields)
 @settings(max_examples=200)
 def test_letter_equality_and_hash(x, y):
     gx, gy = GeneratorId(*x), GeneratorId(*y)
@@ -666,18 +668,17 @@ def test_letter_equality_and_hash(x, y):
     assert (gx != gy) == (x != y)
     assert hash(gx) == hash(GeneratorId(*x))
     assert repr(gx) == repr(ox) == str(gx)
-    assert (gx.name, gx.slot) == x
+    assert (gx.name,) == x
 
 
 def test_letter_repr_and_immutability():
     assert repr(GeneratorId("a")) == "a"
-    assert repr(GeneratorId("a", 2)) == "a@2"
-    assert f"{GeneratorId('K', 1)!r}" == "K@1"
-    g = GeneratorId("a", 1)
+    assert f"{GeneratorId('K')!r}" == "K"
+    g = GeneratorId("a")
     with pytest.raises(AttributeError):
         g.name = "b"
-    with pytest.raises(AttributeError):
-        g.slot = 2
+    with pytest.raises(TypeError):
+        GeneratorId("a", 2)  # a letter carries no slot
 
 
 @given(st.lists(st.tuples(words, st.integers()), max_size=12), st.lists(words))
@@ -860,10 +861,8 @@ def fold_tensor_per_word(h: HopfPresentation, x2: Element, left, right):
     x2 = h.base.at_slots(2).normal_form(x2)
     acc = Element.zero(h.base.alphabet, h.order)
     for word, coeff in x2.terms.items():
-        u, v = (Element.from_word(
-            h.base.alphabet,
-            tuple(GeneratorId(g.name) for g in word if g.slot == s), h.order)
-            for s in (1, 2))
+        u, v = (Element.from_word(h.base.alphabet, leg, h.order)
+                for leg in word)
         acc = acc + (left(u) * right(v)).scaled(coeff)
     return h.base.normal_form(acc)
 
@@ -960,7 +959,7 @@ def test_leg_first_met_in_the_fold_is_guarded_like_the_antipode():
     h = catalog.load_presentation("builtin:ekappa2-klmn", 1)
     assert "J" in h.excluded
     alph2 = h.base.at_slots(2).alphabet
-    x2 = Element.from_word(alph2, (alph2.gen("J", 1), alph2.gen("K", 2)), 1)
+    x2 = Element.from_word(alph2, ((alph2.gen("J"),), (alph2.gen("K"),)), 1)
     with pytest.raises(ExcludedGenerator) as in_fold:
         h.fold_tensor(x2, h.antipode_image, h.word_image)
     with pytest.raises(ExcludedGenerator) as direct:
