@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import os
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -115,6 +116,8 @@ def file_name(argv: list[str]) -> str:
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
+    # argparse wraps its usage message to the terminal's width; fix it
+    os.environ["COLUMNS"] = "80"
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:

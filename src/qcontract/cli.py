@@ -103,8 +103,8 @@ def _contraction_checks(b: dict[str, HopfPresentation]) -> CheckReport:
 
 def _emit(report: CheckReport, args) -> int:
     if args.output == "json":
-        doc = report_to_json_dict(
-            report, __version__, {k: getattr(args, k, None) for k in _CONFIG_KEYS})
+        doc = report_to_json_dict(report, __version__, {
+            k: getattr(args, k, None) for k in _CONFIG_KEYS})
         print(json.dumps(doc, indent=2))
     else:
         for r in report.records:
