@@ -67,8 +67,11 @@ def _commands() -> list[list[str]]:
     # a broken coproduct: failing 2- and 3-slot residuals are printed
     cmds += [["hopf-check", "-p", "tests/golden/suq2_bad_coproduct.preso",
               *out] for out in ([], ["--output", "json"])]
-    # contract, solve-commutator and report take no presentation
+    # contract, solve-commutator and report take no presentation, and no
+    # command takes an option it would ignore
     cmds.append(["contract", "-p", "tests/golden/suq2_bad_coproduct.preso"])
+    cmds += [["nf", "--output", "json", "a*d"],
+             ["solve-commutator", "--seed", "5"]]
     # a klmn with a doubled L*K deformation and a flipped star of N: the
     # relation, star-square, identity and realization records fail, so
     # their residual strings are compared too

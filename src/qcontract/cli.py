@@ -44,8 +44,11 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _add_common(p: argparse.ArgumentParser, presentation=True):
-    if presentation:  # the commands that check the builtins take none
+def _add_common(p: argparse.ArgumentParser, *read: str):
+    """Register the options every command reads, and those of ``read``
+    (``presentation``, ``seed``, ``max_overlap``, ``output``, ``timings``)
+    that this one reads too: a command takes no option it would ignore."""
+    if "presentation" in read:
         p.add_argument("-p", "--presentation", default="builtin:suq2",
                        help="builtin:NAME or a presentation file path")
     p.add_argument("--order", type=int, default=1, dest="truncation_order",
@@ -54,19 +57,24 @@ def _add_common(p: argparse.ArgumentParser, presentation=True):
     p.add_argument("--step-limit", type=_positive_int,
                    default=DEFAULT_STEP_LIMIT,
                    help="steps each normal form or expansion may take")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-overlap", type=int, default=6)
-    p.add_argument("--output", choices=("text", "json"), default="text")
-    p.add_argument("--timings", action="store_true",
-                   help="record wall-clock millis per check (off by default "
-                        "so output is byte-identical across runs)")
+    if "seed" in read:
+        p.add_argument("--seed", type=int, default=42)
+    if "max_overlap" in read:
+        p.add_argument("--max-overlap", type=int, default=6)
+    if "output" in read:
+        p.add_argument("--output", choices=("text", "json"), default="text")
+    if "timings" in read:
+        p.add_argument("--timings", action="store_true",
+                       help="record wall-clock millis per check (off by "
+                            "default so output is byte-identical across runs)")
     p.add_argument("--lam-zero", action="store_true",
                    help="work in the classical limit (lam = 0)")
     p.add_argument("--catalog-dir", default=None,
                    help="override the builtin presentation directory")
 
 
-#: the parsed arguments a JSON report's ``config`` block carries, in order
+#: the parsed arguments a JSON report's ``config`` block carries, in order;
+#: one the command does not take is null
 _CONFIG_KEYS = ("presentation", "truncation_order", "step_limit", "seed",
                 "max_overlap", "output")
 
@@ -299,31 +307,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_nf = sub.add_parser("nf", help="normal form of an expression")
-    _add_common(p_nf)
+    _add_common(p_nf, "presentation")
     p_nf.add_argument("expression")
     p_nf.set_defaults(fn=cmd_nf)
 
     p_conf = sub.add_parser("confluence", help="critical-pair resolution")
-    _add_common(p_conf)
+    _add_common(p_conf, "presentation", "max_overlap", "output")
     p_conf.set_defaults(fn=cmd_confluence)
 
     p_hopf = sub.add_parser("hopf-check", help="Hopf axiom suite")
-    _add_common(p_hopf)
+    _add_common(p_hopf, "presentation", "seed", "output", "timings")
     p_hopf.set_defaults(fn=cmd_hopf_check)
 
     p_con = sub.add_parser("contract", help="order-by-order contraction run")
-    _add_common(p_con, presentation=False)
+    _add_common(p_con, "output", "timings")
     p_con.set_defaults(fn=cmd_contract)
 
     p_solve = sub.add_parser("solve-commutator",
                              help="back-solve [eta, etabar] from coproducts")
-    _add_common(p_solve, presentation=False)
+    _add_common(p_solve, "output")
     p_solve.add_argument("--ln", action="store_true",
                          help="also back-solve the undetermined [L, N]")
     p_solve.set_defaults(fn=cmd_solve_commutator)
 
     p_rep = sub.add_parser("report", help="full verification pipeline")
-    _add_common(p_rep, presentation=False)
+    _add_common(p_rep, "seed", "max_overlap", "output", "timings")
     p_rep.set_defaults(fn=cmd_report)
     return ap
 

@@ -73,8 +73,8 @@ REPORT_SCHEMA = {
                 "presentation": {"type": ["string", "null"]},
                 "truncation_order": {"type": "integer"},
                 "step_limit": {"type": "integer"},
-                "seed": {"type": "integer"},
-                "max_overlap": {"type": "integer"},
+                "seed": {"type": ["integer", "null"]},
+                "max_overlap": {"type": ["integer", "null"]},
                 "output": {"enum": ["text", "json"]},
             },
         },

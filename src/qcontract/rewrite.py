@@ -7,7 +7,8 @@ checked, not assumed, by resolving every overlap and inclusion ambiguity
 between rule left-hand sides.
 
 ``normal_form`` multiplies in the basis of normal words, one letter at a
-time, through a memoised table ``nf(v*g)`` (see :class:`NormalWordTable`).
+time, through a memoised table ``nf(v*g)`` over the engine's own words
+(see :class:`NormalWordTable`), and keeps each word it reduces whole.
 Filling the table only applies rules, so on every presentation it returns an
 irreducible reduct of its input, and on a confluent one the unique normal
 form (Bergman's diamond lemma).  The plain rewriter (``Presentation.rewrite``)
@@ -25,8 +26,8 @@ presentation or not; ``parser.parse_expression`` reduces an expression
 factor by factor through it.
 
 A tensor square or cube (``Presentation.at_slots``, a :class:`TensorPower`)
-has no rules of its own: a tensor word is the tuple of its slot words, and
-it reduces each of them through the base presentation's normal form.
+has no rules or memo of its own: a tensor word is the tuple of its slot
+words, and it reduces each of them through the base's whole-word memo.
 
 The step budget: one limit, ``DEFAULT_STEP_LIMIT`` unless a ``with
 step_limit(n):`` block sets it (the command line sets it once, from
@@ -44,18 +45,17 @@ whether the entry was just filled or memoised; a ``v*g`` that stays normal
 only appends a letter and is free.  A folded word, or one found in the
 whole-word memo, is charged the terms of its result the same way; a prefix
 two words share is folded once.  A tensor power's normal form charges each
-slot word's base reduction (nothing for a memoised one) and each
-coefficient product of its slot-by-slot multiplication; placing a slot
-word in its slot is free.  The memos keep results only, so a warm memo
-charges less than a cold one: ``(a+b+c+d)^8`` in suq2 takes 950,334
-rewriter steps and 280,654 table steps, and reduced factor by factor while
-parsing, 3,663 steps for its reductions and 8,720 for its expansion.  The
-rewriter keeps no memo.
+slot word's base reduction, nothing for one in the whole-word memo (from
+either slot, or from a base normal form), and each coefficient product of
+its slot-by-slot multiplication; placing a slot word in its slot is free.
+The memos keep results only, so a warm memo charges less than a cold
+one: ``(a+b+c+d)^8`` in suq2 takes 950,334 rewriter steps and 280,654 table
+steps, and reduced factor by factor while parsing, 3,663 steps for its
+reductions and 8,720 for its expansion.  The rewriter keeps no memo.
 """
 
 from __future__ import annotations
 
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -167,13 +167,6 @@ class Presentation:
                      reverse=True)
         self._by_first = by_first
         self._table = NormalWordTable(self)
-        # (slot, word) -> nf(word), shared by the tensor powers; keyed by
-        # slot too, so a word met in two slots is charged in each
-        self._legs: dict[tuple[int, Word], dict] = {}
-        # slot count -> its tensor power while one is in use: a power holds
-        # its base, so a strong entry would make a reference cycle that
-        # keeps the memos alive until a full garbage collection
-        self._powers = weakref.WeakValueDictionary()
 
     def _validate(self):
         seen = set()
@@ -203,13 +196,12 @@ class Presentation:
 
     def at_slots(self, slot_count: int) -> "Presentation | TensorPower":
         """The tensor power with ``slot_count`` factors (this presentation
-        itself for one): the same object while one is in use."""
+        itself for one).  A power keeps no state of its own: it shares the
+        base's table and memos, and its alphabet is the one object
+        ``Alphabet.at_slots`` keeps."""
         if slot_count == 1:
             return self
-        power = self._powers.get(slot_count)
-        if power is None:
-            power = self._powers[slot_count] = TensorPower(self, slot_count)
-        return power
+        return TensorPower(self, slot_count)
 
     # -- rewriting ---------------------------------------------------------
 
@@ -304,9 +296,9 @@ class Presentation:
 class TensorPower:
     """A presentation's tensor square or cube.  Letters of distinct slots
     commute, so ``nf(u_1 (x) ... (x) u_n) = nf(u_1) (x) ... (x) nf(u_n)``:
-    ``normal_form`` reduces each slot word of a word ``(u_1, ..., u_n)`` by
-    the base presentation's normal form and places the results slot by
-    slot."""
+    ``normal_form`` reduces each slot word of a word ``(u_1, ..., u_n)``
+    through the base's whole-word memo and places the results slot by slot.
+    A power keeps no state of its own."""
 
     def __init__(self, base: Presentation, slot_count: int):
         self.base = base
@@ -322,11 +314,16 @@ class TensorPower:
     def normal_form(self, x: Element) -> Element:
         Presentation._check_alphabet(self, x)
         budget, acc, what = allowance(), {}, self._exceeded
+        words, one = self.base._table.words, Scalar.one(self.trunc_order)
         try:
             for word, coeff in x.terms.items():
                 terms = {(): coeff}
-                for slot, part in enumerate(word, 1):
-                    legs = self._leg(slot, part, budget)
+                for part in word:
+                    # free when the base's whole-word memo holds it (met in
+                    # any slot, or reduced by the base); else reduced into it
+                    legs = words.get(part)
+                    if legs is None:
+                        legs = self.base._reduce({part: one}, budget)
                     _charge(budget, len(terms) * len(legs), what)
                     terms = append_slot(terms, legs)
                 for w, c in terms.items():
@@ -334,16 +331,6 @@ class TensorPower:
         except StepLimitExceeded:
             raise StepLimitExceeded(what) from None
         return Element._of(self.alphabet, acc, self.trunc_order)
-
-    def _leg(self, slot: int, word: Word, budget: list[int]) -> dict:
-        """The base normal form of the word in ``slot``; the base keeps the
-        memo, so it outlives this object."""
-        legs, key = self.base._legs, (slot, word)
-        leg = legs.get(key)
-        if leg is None:
-            leg = legs[key] = self.base._reduce(
-                {word: Scalar.one(self.trunc_order)}, budget)
-        return leg
 
 
 def _add_term(acc: dict, w, c: Scalar) -> None:
@@ -362,39 +349,32 @@ def _add_term(acc: dict, w, c: Scalar) -> None:
 class NormalWordTable:
     """Normal forms by multiplying normal words by one letter at a time.
 
-    Letters are numbered in precedence order, and words are tuples of
-    those numbers.  ``products[v + (g,)]`` holds ``nf(v*g)`` for
-    a normal word ``v`` with ``v*g`` reducible.  Since ``v`` is
-    irreducible, a redex of ``v*g`` ends at ``g``: with ``v = p*l`` and a
-    rule ``l*g -> r``, filling the entry multiplies the normal prefix ``p``
-    by the letters of each word of ``r`` through the table again.  Each such
-    product is smaller than ``v*g`` in the deglex order, so the recursion
-    ends.  A fill only applies rules, so every entry is an irreducible
-    reduct of its word, a pure function of that word whatever else the
-    table holds; on a confluent presentation it is the normal form, and
-    ``nf(u*g) = nf(nf(u)*g)``.  ``words`` is the whole-word memo.
+    ``products[v + (g,)]`` holds ``nf(v*g)`` for a normal word ``v`` with
+    ``v*g`` reducible.  Since ``v`` is irreducible, a redex of ``v*g`` ends
+    at ``g``: with ``v = p*l`` and a rule ``l*g -> r``, filling the entry
+    multiplies the normal prefix ``p`` by the letters of each word of ``r``
+    through the table again.  Each such product is smaller than ``v*g`` in
+    the deglex order, so the recursion ends.  A fill only applies rules, so
+    every entry is an irreducible reduct of its word, a pure function of
+    that word whatever else the table holds; on a confluent presentation it
+    is the normal form, and ``nf(u*g) = nf(nf(u)*g)``.  ``words`` is the
+    whole-word memo, which the tensor powers read too.
     """
 
     def __init__(self, p: Presentation):
         self.order = p.trunc_order
         self.exceeded = p._exceeded
-        self.letters = tuple(map(GeneratorId, p.alphabet.names))
-        self.index = {g: i for i, g in enumerate(self.letters)}
         # per last letter: (length of the rest of the lhs, the rest, rhs
         # terms), strongest lhs first as in the rewriter
-        self.ending: list[list] = [[] for _ in self.letters]
+        self.ending: dict[GeneratorId, list] = {
+            GeneratorId(name): [] for name in p.alphabet.names}
         for idx in sorted(range(len(p.rules)), reverse=True,
                           key=lambda i: p.order.key(p.rules[i].lhs)):
             r = p.rules[idx]
-            lhs = self._code(r.lhs)
-            rhs = tuple((self._code(w), c) for w, c in r.rhs.terms.items())
-            self.ending[lhs[-1]].append((len(lhs) - 1, lhs[:-1], rhs))
-        self.products: dict[tuple[int, ...], dict] = {}
-        self.words: dict[tuple[int, ...], dict] = {}
-
-    def _code(self, word: Word) -> tuple[int, ...]:
-        index = self.index
-        return tuple([index[g] for g in word])
+            self.ending[r.lhs[-1]].append(
+                (len(r.lhs) - 1, r.lhs[:-1], tuple(r.rhs.terms.items())))
+        self.products: dict[Word, dict] = {}
+        self.words: dict[Word, dict] = {}
 
     def reduce(self, terms: dict, budget: list[int]) -> dict:
         """The normal form of the word -> coefficient ``terms``."""
@@ -407,42 +387,36 @@ class NormalWordTable:
         turn, then by that word's coefficient.  The fold is linear and runs
         left to right, so this is the dict ``reduce`` gives for the
         expanded product."""
-        return self._fold({self._code(u): c for u, c in x.items()}, y,
-                          budget)
+        return self._fold(x, y, budget)
 
     def _fold(self, start: dict, terms: dict, budget: list[int],
               memo: dict | None = None) -> dict:
         """``sum nf(start * w) * c`` over the words ``w`` and coefficients
-        ``c`` of ``terms``, for ``start`` over coded normal words.  Words
-        are folded in sorted order, so neighbours share their common
-        prefix's partial products on a stack.  ``memo``, when given, keeps
-        each word's result."""
+        ``c`` of ``terms``, for ``start`` over normal words.  Words are
+        folded in the order of their letters' names, so neighbours share
+        their common prefix's partial products on a stack: each prefix is
+        folded once, whatever the names.  ``memo``, when given, keeps each
+        word's result."""
         what, acc = self.exceeded, {}
         stack = [start]  # stack[i]: nf(start * the first i letters of prev)
-        prev: tuple[int, ...] = ()
-        for iw, coeff in sorted([(self._code(w), c) for w, c in terms.items()],
-                                key=itemgetter(0)):
-            result = None if memo is None else memo.get(iw)
+        prev: Word = ()
+        for w, coeff in sorted(terms.items(), key=itemgetter(0)):
+            result = None if memo is None else memo.get(w)
             if result is None:
-                k, top = 0, min(len(prev), len(iw))
-                while k < top and prev[k] == iw[k]:
+                k, top = 0, min(len(prev), len(w))
+                while k < top and prev[k] == w[k]:
                     k += 1
                 del stack[k + 1:]
-                for g in iw[k:]:
+                for g in w[k:]:
                     stack.append(self._times(stack[-1], g, budget))
-                result, prev = stack[-1], iw
+                result, prev = stack[-1], w
                 if memo is not None:
-                    memo[iw] = result
+                    memo[w] = result
             _charge(budget, len(result), what)
             accumulate_scaled(acc, result, coeff)
-        return self._decode(acc)
+        return acc
 
-    def _decode(self, terms: dict) -> dict:
-        letters = self.letters
-        return {tuple(map(letters.__getitem__, w)): c
-                for w, c in terms.items()}
-
-    def _times(self, terms: dict, g: int, budget: list[int]) -> dict:
+    def _times(self, terms: dict, g: GeneratorId, budget: list[int]) -> dict:
         """``nf(terms * g)`` for ``terms`` over normal words."""
         acc: dict = {}
         ending, products, what = self.ending[g], self.products, self.exceeded
@@ -463,8 +437,7 @@ class NormalWordTable:
             accumulate_scaled(acc, hit, c)
         return acc
 
-    def _fill(self, w: tuple[int, ...], prefix: tuple[int, ...], rhs,
-              budget: list[int]) -> dict:
+    def _fill(self, w: Word, prefix: Word, rhs, budget: list[int]) -> dict:
         """Fill ``products[w]`` by the rule whose lhs ends ``w`` after the
         normal ``prefix``."""
         _charge(budget, 1, self.exceeded)  # the fill applies one rule

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from renaming import reversed_names, section_names, substituted
 
 from qcontract import catalog, cli, contract, parser, rewrite, scalars
 from qcontract.cli import main
@@ -533,6 +534,26 @@ def test_commands_on_the_builtins_take_no_presentation(capsys, command):
     doc = json.loads(out)
     jsonschema.validate(doc, REPORT_SCHEMA)
     assert doc["config"]["presentation"] is None
+    # only report reads a seed and an overlap bound
+    for key in ("seed", "max_overlap"):
+        assert (doc["config"][key] is None) == (command != "report")
+
+
+@pytest.mark.parametrize("command,option", [
+    ("nf", "--seed"), ("nf", "--max-overlap"), ("nf", "--output"),
+    ("nf", "--timings"), ("confluence", "--seed"), ("confluence", "--timings"),
+    ("hopf-check", "--max-overlap"), ("contract", "--seed"),
+    ("contract", "--max-overlap"), ("solve-commutator", "--seed"),
+    ("solve-commutator", "--max-overlap"), ("solve-commutator", "--timings"),
+])
+def test_commands_take_no_option_they_ignore(capsys, command, option):
+    # each was accepted and ignored: nf --output json printed plain text
+    value = {"--timings": [], "--output": ["json"]}.get(option, ["3"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *(["a*d"] if command == "nf" else []), option, *value])
+    assert exc.value.code == 2
+    assert (f"unrecognized arguments: {' '.join([option, *value])}\n"
+            in capsys.readouterr().err)
 
 
 # Each directory holds the shipped files, one builtin listing its generators
@@ -559,26 +580,6 @@ def test_generator_order_is_read_from_the_files(capsys, fixture, argv,
     assert sorted(out.splitlines()) == sorted(shipped.splitlines())
 
 
-def _section_names(text: str, section: str) -> list[str]:
-    """The names listed in a ``.preso`` section, in their order."""
-    names, current = [], None
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].split("@", 1)[0].strip()
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-        elif current == section:
-            names += line.split()
-    return names
-
-
-def _substituted(text: str, mapping: dict[str, str]) -> str:
-    """``text`` with each whole name in ``mapping`` replaced."""
-    alternatives = "|".join(map(re.escape, sorted(mapping, key=len,
-                                                  reverse=True)))
-    return re.sub(rf"(?<!\w)(?:{alternatives})(?!\w)",
-                  lambda m: mapping[m.group()], text)
-
-
 def _verdicts(capsys, *argv) -> tuple[int, dict[str, str] | str]:
     """The exit code and each record's status by name, or the error."""
     code, out, err = run(capsys, *argv, "--output", "json")
@@ -589,8 +590,8 @@ def _verdicts(capsys, *argv) -> tuple[int, dict[str, str] | str]:
 
 def _renamed_back(verdict, back: dict[str, str]):
     if isinstance(verdict, str):
-        return _substituted(verdict, back)
-    return {_substituted(name, back): status
+        return substituted(verdict, back)
+    return {substituted(name, back): status
             for name, status in verdict.items()}
 
 
@@ -610,15 +611,14 @@ def test_verdicts_do_not_depend_on_names(capsys, tmp_path, path):
     sort the other way round: every hopf-check and confluence record keeps
     its status, and every error its text, once the names are mapped back."""
     text = path.read_text()
-    gens = _section_names(text, "generators")
-    params = _section_names(text, "params")
+    gens = section_names(text, "generators")
+    params = section_names(text, "params")
     assert gens
-    rename = {g: f"g{len(gens) - k}x" for k, g in enumerate(gens)}
-    rename.update({p: f"p{len(params) - k}x" for k, p in enumerate(params)})
+    rename = {**reversed_names(gens, "g"), **reversed_names(params, "p")}
     back = {new: old for old, new in rename.items()}
     (tmp_path / "new").mkdir()
     renamed = tmp_path / "new" / path.name
-    renamed.write_text(_substituted(text, rename))
+    renamed.write_text(substituted(text, rename))
     for command in ("hopf-check", "confluence"):
         code, original = _verdicts(capsys, command, "-p", str(path))
         new_code, new = _verdicts(capsys, command, "-p", str(renamed))

@@ -23,9 +23,10 @@ from hypothesis import strategies as st
 from dense_elimination import dense_gauss_solve
 from element_parser import parse_expression as element_parse
 from element_parser import tokenize as element_tokenize
+from renaming import reversed_names, section_names, substituted
 from slot_swap import flat, projected, slot_swap_power
 
-from qcontract import catalog, contract, scalars
+from qcontract import catalog, contract, parser, rewrite, scalars
 from qcontract.freealg import Element, GeneratorId, tensor_embed
 from qcontract.hopf import ExcludedGenerator, HopfPresentation
 from qcontract.parser import parse_expression, tokenize
@@ -434,6 +435,81 @@ def test_deep_fill_chain_falls_back_to_the_rewriter():
     p = catalog.parse_presentation_text(text)
     x = parse_expression(f"x{n - 1}^2 + x3", p.alphabet, (), 1)
     assert str(p.normal_form(x)) == "x0^2 + x0"
+
+
+# -- the fold order against the generator names ------------------------------
+
+
+DATA = Path(catalog.__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
+FOLD_ORDER_FILES = [
+    *(DATA / f for f in ("suq2.preso", "ekappa2_klmn.preso",
+                         "ekappa2_final.preso")),
+    GOLDEN / "reordered_suq2" / "suq2.preso",
+    GOLDEN / "reordered_klmn" / "ekappa2_klmn.preso",
+    GOLDEN / "reordered_final" / "ekappa2_final.preso",
+]
+
+
+def _renamed_letters(x: Element, alphabet, rename: dict) -> Element:
+    """``x`` over ``alphabet``, each letter renamed."""
+    def word(u):
+        return tuple(GeneratorId(rename[g.name]) for g in u)
+    return Element(alphabet, {
+        word(w) if alphabet.slot_count == 1 else tuple(map(word, w)): c
+        for w, c in x.terms.items()}, x.order)
+
+
+@pytest.mark.parametrize("path", FOLD_ORDER_FILES,
+                         ids=lambda f: f"{f.parent.name}/{f.name}")
+def test_fold_order_changes_neither_results_nor_charges(path, monkeypatch):
+    """The table folds the words of a sum in sorted order of their letters'
+    names.  With the generators renamed, in their precedence order, to
+    names that sort the other way round, every normal form maps back to the
+    same element and draws the same steps: in the base, in its tensor
+    square and while parsing, on the memos both sides warm alike."""
+    text = path.read_text()
+    rename = reversed_names(section_names(text, "generators"), "g")
+    assert list(rename.values()) == sorted(rename.values(), reverse=True)
+    old, new = (catalog.parse_presentation_text(t, 2).base
+                for t in (text, substituted(text, rename)))
+    left: list[list[int]] = []
+
+    def drawn():
+        left.append([DEFAULT_STEP_LIMIT])
+        return left[-1]
+
+    monkeypatch.setattr(rewrite, "allowance", drawn)
+    monkeypatch.setattr(parser, "allowance", drawn)
+
+    def charged(fn, *args):
+        """``fn(*args)`` and the steps left of each allowance it drew."""
+        del left[:]
+        return fn(*args), [budget[0] for budget in left]
+
+    def same(p, q, x):
+        got, steps = charged(p.normal_form, x)
+        assert charged(q.normal_form, _renamed_letters(
+            x, q.alphabet, rename)) == (
+            _renamed_letters(got, q.alphabet, rename), steps)
+
+    # words of every length up to 4 over every letter, unreduced: a word
+    # shares its prefixes with many others
+    x = Element.unit(old.alphabet, 2)
+    for g in old.alphabet.names:
+        x = x + Element.generator(old.alphabet, g, 2)
+    same(old, new, x * x * x * x)
+    rng = Random(f"{path.parent.name}/{path.name}")
+    for k in (1, 2, 1):
+        for _ in range(12):
+            same(old.at_slots(k), new.at_slots(k), random_element(
+                rng, old.at_slots(k), degree=5, n_terms=8, params=old.params))
+    power = f"({' + '.join(old.alphabet.names)})^4"
+    got, steps = charged(parse_expression, power, old.alphabet, old.params,
+                         2, old)
+    assert charged(parse_expression, substituted(power, rename),
+                   new.alphabet, new.params, 2, new) == (
+        _renamed_letters(got, new.alphabet, rename), steps)
 
 
 # -- reducing factor by factor against reducing the expansion -----------------

@@ -30,6 +30,8 @@ def test_command_list_covers_the_pipeline():
     assert f"hopf-check -p {bad}" in lines
     assert f"hopf-check -p {bad} --output json" in lines
     assert f"contract -p {bad}" in lines
+    assert "nf --output json a*d" in lines
+    assert "solve-commutator --seed 5" in lines
     assert not any("--timings" in line for line in lines)
 
 

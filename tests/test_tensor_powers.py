@@ -126,7 +126,6 @@ def test_tensor_power_has_no_rules():
 def test_one_tensor_power_per_slot_count():
     p = catalog.suq2_presentation(1).base
     for k in (2, 3):
-        assert p.at_slots(k) is p.at_slots(k)
         assert p.at_slots(k).alphabet is p.at_slots(k).alphabet
 
 
@@ -141,13 +140,14 @@ def test_interleaved_words_print_slot_by_slot():
 
 
 # Smallest step limit at which this input reduces in suq2 (x) suq2 at order
-# 2 with cold memos: each slot word costs the steps of its base reduction,
-# a memoised one nothing, each product of the slot-by-slot multiplication
-# one step, and placing a slot word in its slot is free.  Warm memos charge
-# less, so every warm variant passes at the cold threshold.  A confluence
-# check run first changes nothing.
+# 2 with cold memos: a slot word costs the steps of its base reduction, which
+# keeps it in the base's whole-word memo, and nothing once it is there (met
+# in either slot, or reduced by the base itself); each product of the
+# slot-by-slot multiplication costs one step, and placing a slot word in its
+# slot is free.  Warm memos charge less, so every warm variant passes at the
+# cold threshold.  A confluence check run first changes nothing.
 TENSOR_INPUT = "(a ox a + b ox c + c ox b + d ox d)^3"
-TENSOR_THRESHOLD = 485
+TENSOR_THRESHOLD = 403
 
 
 @pytest.mark.parametrize("confluence_checked", [False, True])
