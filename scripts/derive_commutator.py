@@ -27,11 +27,13 @@ def main():
 
     print()
     print("back-solving [L, N] over normal monomials in K, M (degree <= 3)")
-    km = contract.solve_ln_commutator(order, basis=contract.ln_basis_km(order))
+    kmn_basis = contract.ln_basis_kmn(order)
+    km_basis = {label: x for label, x in kmn_basis.items()
+                if "N" not in label}
+    km = contract.solve_ln_commutator(order, basis=km_basis)
     print(f"  status: {km.status} (no K,M-only polynomial works)")
 
     print("back-solving [L, N] over normal monomials in K, M, N (degree <= 3)")
-    kmn_basis = contract.ln_basis_kmn(order)
     kmn = contract.solve_ln_commutator(order, basis=kmn_basis)
     print(f"  status: {kmn.status}")
     for label, coeff in kmn.solution.items():

@@ -13,7 +13,6 @@ from .freealg import (  # noqa: F401
 )
 from .hopf import HopfPresentation  # noqa: F401
 from .rewrite import (  # noqa: F401
-    MonomialOrder,
     Presentation,
     RewriteRule,
     check_local_confluence,

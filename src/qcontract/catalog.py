@@ -43,7 +43,6 @@ from .freealg import (
     GeneratorMap,
     MapKind,
     format_element,
-    format_word,
 )
 from .hopf import HopfPresentation
 from .parser import RESERVED, ParseError, parse_expression, tokenize
@@ -83,11 +82,9 @@ def _mk_rule(alphabet: Alphabet, params: tuple[str, ...], order: int,
     if not word or not coeff.is_one:
         raise PresentationFormatError(
             f"rule left-hand side must be a plain word: {lhs_text!r}")
-    return RewriteRule(word, rhs, _rule_text(word, rhs))
-
-
-def _rule_text(lhs, rhs: Element) -> str:
-    return f"{format_word(lhs, 1)} -> {format_element(rhs)}"
+    rule = RewriteRule(word, rhs)
+    rule.label  # printed at load: a number too long to print names its line
+    return rule
 
 
 def _parse_entry(lineno: int, text: str, alphabet: Alphabet,
@@ -180,7 +177,7 @@ def at_zero(params: frozenset[str], x):
 def classical_limit(h: HopfPresentation) -> HopfPresentation:
     """The lam -> 0 degeneration: every deformation term is dropped, leaving
     the commutative function algebra with the same coproducts.  Each rule
-    is relabelled by its lam = 0 text and keeps its equation tag.  The
+    is named by its lam = 0 text and keeps its equation tag.  The
     result holds lam at zero (``zero_params``), so every expression read in
     it takes lam as 0 too."""
     zero = frozenset({"lam"})
@@ -190,16 +187,9 @@ def classical_limit(h: HopfPresentation) -> HopfPresentation:
                              for g, img in m.images.items()},
                             m.kind, m.source, m.target, m.order)
 
-    rules, rule_tags = [], {}
-    for r in h.base.rules:
-        rhs = at_zero(zero, r.rhs)
-        label = _rule_text(r.lhs, rhs)
-        rules.append(RewriteRule(r.lhs, rhs, label))
-        if r.label in h.rule_tags:
-            rule_tags[label] = h.rule_tags[r.label]
     base = Presentation(
         h.base.alphabet,
-        rules,
+        [RewriteRule(r.lhs, at_zero(zero, r.rhs)) for r in h.base.rules],
         h.base.trunc_order,
         name=f"{h.base.name}@lam=0",
         params=h.base.params,
@@ -213,7 +203,7 @@ def classical_limit(h: HopfPresentation) -> HopfPresentation:
         star=map0(h.star),
         excluded=h.excluded,
         name=f"{h.name}@lam=0",
-        rule_tags=rule_tags,
+        rule_tags=dict(h.rule_tags),
         coproduct_tags=dict(h.coproduct_tags),
         antipode_tag=h.antipode_tag,
     )
@@ -545,7 +535,7 @@ def parse_presentation_text(text: str, order: int = 1, name: str = ""):
             raise PresentationFormatError(
                 f"line {lineno}: {exc}") from exc
         if tag:
-            rule_tags[rules[-1].label] = tag
+            rule_tags[rules[-1].lhs] = tag
     base = Presentation(alphabet, rules, order, name=name, params=params)
 
     if not any(s in sections for s in _HOPF_SECTIONS):
@@ -617,8 +607,7 @@ def serialize_presentation(h) -> str:
     lines += ["", "[params]"] + sorted(params)
     lines += ["", "[generators]", " ".join(base.alphabet.names)]
     lines += ["", "[rules]"]
-    lines += [_tagged(_rule_text(r.lhs, r.rhs),
-                      hopf and hopf.rule_tags.get(r.label))
+    lines += [_tagged(r.label, hopf and hopf.rule_tags.get(r.lhs))
               for r in base.rules]
     if hopf:
         alph = base.alphabet

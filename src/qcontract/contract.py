@@ -15,7 +15,10 @@ The suites take the presentations they check, loaded once by the caller;
 their truncation order is read off them.  A classical limit holds lam at
 zero (``zero_params``), so the q series and every text read in it take
 lam as 0.  ``_map_residual`` alone asks whether a map respects a relation
-or a structure map.
+or a structure map, and ``check_rows`` alone records the answers: every
+contraction square and change-of-variables identity is a row it reduces,
+guards against the undetermined [L, N] and records, per eps order where
+asked.  The coproduct squares take their tags from the target's file.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .freealg import (
     GeneratorMap,
     MapKind,
     accumulate_scaled,
-    format_element,
     format_word,
     tensor_embed,
 )
@@ -190,79 +192,67 @@ class ContractionAnsatz:
 # --------------------------------------------------------------------------
 
 
-def verify_relation_contraction(ansatz: ContractionAnsatz, rel: Element,
-                                label: str, tag: str | None = None) -> CheckReport:
-    """Contract one source relation and reduce each eps order; raw
-    (pre-reduction) residuals are kept in the records."""
+def check_rows(target: HopfPresentation, phi, phi2, rows,
+               orders: range | None = None) -> CheckReport:
+    """One record per row ``(name, kind, x, image, tag)``: the difference
+    ``_map_residual`` gives, reduced in the power of ``target`` with its
+    slot count and guarded against the undetermined [L, N].  With
+    ``orders``, one record ``<name>/eps^k`` per order k, reduced from the
+    eps^k part of the difference, which a relation record keeps as
+    ``raw``; a tuple ``tag`` holds one tag per order.  A counit difference
+    is a multiple of 1, recorded as it is."""
     report = CheckReport()
-    img = ansatz.apply(rel)
-    comps = img.eps_components()
-    zero = Element.zero(ansatz.target.base.alphabet, ansatz.order)
-    for k in ansatz.checked_orders():
-        raw = comps.get(k, zero)
-        reduced = ansatz.target.base.normal_form(raw)
-        _guard_ln(reduced, f"relation {label} at eps^{k}")
-        report.add_residual(f"contract/relation/{label}/eps^{k}", reduced,
-                            tag, raw=str(raw))
+    for name, kind, x, image, tag in rows:
+        diff = _map_residual(target, phi, phi2, kind, x, image)
+        parts = [(name, diff, tag)]
+        if orders is not None:
+            comps = diff.eps_components()
+            zero = Element.zero(diff.alphabet, target.order)
+            parts = [(f"{name}/eps^{k}", comps.get(k, zero),
+                      tag[k] if isinstance(tag, tuple) else tag)
+                     for k in orders]
+        for record, raw, record_tag in parts:
+            residual = raw
+            if kind != "counit":
+                residual = target.base.at_slots(
+                    raw.alphabet.slot_count).normal_form(raw)
+                _guard_ln(residual, record)
+            extra = {"raw": str(raw)} if orders and kind == "relation" else {}
+            report.add_residual(record, residual, record_tag, **extra)
     return report
 
 
-def verify_all_relation_contractions(ansatz: ContractionAnsatz) -> CheckReport:
-    report = CheckReport()
-    for comp in catalog.rtt_relations(ansatz.source.base):
-        label = f"rtt[{comp.row[0]}{comp.row[1]},{comp.col[0]}{comp.col[1]}]"
-        report.extend(verify_relation_contraction(
-            ansatz, comp.element, label, catalog.TAG_RTT))
-    det = catalog.determinant_relation(ansatz.source.base)
-    report.extend(verify_relation_contraction(
-        ansatz, det, "determinant", catalog.TAG_DETERMINANT))
-    return report
+def _coproduct_tags(ansatz: ContractionAnsatz, gname: str) -> tuple:
+    """Per checked order k, the target's coproduct tag of the generator
+    whose multiple is the eps^k part of the image of ``gname``: its square
+    at eps^k checks that generator's coproduct."""
+    comps = ansatz.images[gname].eps_components()
+    parts = [list(comps[k].terms) if k in comps else []
+             for k in ansatz.checked_orders()]
+    return tuple(ansatz.target.coproduct_tags.get(format_word(*words, 1))
+                 if len(words) == 1 else None for words in parts)
 
 
-_COPRODUCT_ORDER_TAGS = {
-    "a": ("Eq. (11)", "Eq. (13)"),
-    "b": ("Eq. (12)", "Eq. (14)"),
-    "c": ("Eq. (12)", "Eq. (14)"),
-    "d": ("Eq. (11)", "Eq. (13)"),
-}
-
-
-def verify_coproduct_contraction(ansatz: ContractionAnsatz,
-                                 gname: str) -> CheckReport:
-    """The coproduct square: contracting the source coproduct of g must
-    agree, order by order, with the target coproduct of the contracted g."""
-    report = CheckReport()
-    p2 = ansatz.target.base.at_slots(2)
-    g = Element.generator(ansatz.source.base.alphabet, gname, ansatz.order)
-    comps = _map_residual(
-        ansatz.target, ansatz.apply,
-        lambda x2: p2.normal_form(ansatz.apply_tensor(x2)), "coproduct", g,
-        ansatz.source.apply_coproduct(g)).eps_components()
-    zero = Element.zero(p2.alphabet, ansatz.order)
-    for k in ansatz.checked_orders():
-        residual = p2.normal_form(comps.get(k, zero))
-        _guard_ln(residual, f"coproduct square for {gname} at eps^{k}")
-        report.add_residual(f"contract/coproduct-square/{gname}/eps^{k}",
-                            residual, _COPRODUCT_ORDER_TAGS[gname][k])
-    return report
+def _square_rows(ansatz: ContractionAnsatz, square: str, kind: str,
+                 source_map, tag):
+    """The ``kind`` square of each source generator g, its image under
+    ``source_map``; ``tag`` gives the row's tag from the generator name."""
+    for gname in ("a", "b", "c", "d"):
+        g = Element.generator(ansatz.source.base.alphabet, gname, ansatz.order)
+        yield (f"contract/{square}/{gname}", kind, g, source_map(g), tag(gname))
 
 
 def verify_star_contraction(ansatz: ContractionAnsatz) -> CheckReport:
     """The star square: contracting g* must agree with the target star of
     the contracted g, order by order (this is what fixes the star rules of
-    the contracted generators)."""
-    report = CheckReport()
+    the contracted generators), and the contracted star is involutive."""
     p = ansatz.target.base
-    for gname in ("a", "b", "c", "d"):
-        g = Element.generator(ansatz.source.base.alphabet, gname, ansatz.order)
-        # phi(g*) - phi(g)*, the opposite sign of the map residual
-        comps = (-_map_residual(ansatz.target, ansatz.apply, None, "star", g,
-                                ansatz.source.star.apply(g))).eps_components()
-        zero = Element.zero(p.alphabet, ansatz.order)
-        for k in ansatz.checked_orders():
-            report.add_residual(f"contract/star-square/{gname}/eps^{k}",
-                                p.normal_form(comps.get(k, zero)), "Eq. (15)")
-    # involutivity of the contracted star on the target generators
+    # the star is real-linear, so the square of -phi is phi(g*) - phi(g)*
+    report = check_rows(
+        ansatz.target, lambda x: -ansatz.apply(x), None,
+        _square_rows(ansatz, "star-square", "star", ansatz.source.star.apply,
+                     lambda g: "Eq. (15)"),
+        ansatz.checked_orders())
     for name in ("K", "L", "M", "N"):
         t = Element.generator(p.alphabet, name, ansatz.order)
         report.add_residual(
@@ -290,13 +280,13 @@ def verify_d_series(ansatz: ContractionAnsatz) -> CheckReport:
     report.add_residual("contract/d-series/raw-matches-display",
                         moves.normal_form(d.raw - d.display_form),
                         catalog.TAG_D_SERIES)
-    for label, rel_text in (
-        ("a*d", "a*d - 1 - q*b*c"),
-        ("d*a", "d*a - 1 - q^-1*b*c"),
-    ):
-        rel = catalog.parse_in(ansatz.source.base, rel_text)
-        report.extend(verify_relation_contraction(
-            ansatz, rel, f"d-series/{label}", catalog.TAG_D_SERIES))
+    report.extend(check_rows(ansatz.target, ansatz.apply, None, (
+        (f"contract/relation/d-series/{label}", "relation",
+         catalog.parse_in(ansatz.source.base, text), None,
+         catalog.TAG_D_SERIES)
+        for label, text in (("a*d", "a*d - 1 - q*b*c"),
+                            ("d*a", "d*a - 1 - q^-1*b*c"))),
+        ansatz.checked_orders()))
     # a^-1 sanity: a * a_inverse = 1 through the derived depth
     prod = ansatz.apply(Element.generator(ansatz.source.base.alphabet, "a",
                                           ansatz.order)) * d.a_inverse
@@ -320,8 +310,8 @@ def verify_star_determines_l(ansatz: ContractionAnsatz) -> CheckReport:
     minus_l = -Element.generator(p.alphabet, "L", ansatz.order)
     fired: set[int] = set()
     residual = p.rewrite(raw_o1 - minus_l, fired=fired)
-    lk_rules = {i for i, r in enumerate(p.rules)
-                if r.label.startswith(("L*K", "L*J"))}
+    mixed = {(p.alphabet.gen("L"), p.alphabet.gen(x)) for x in ("K", "J")}
+    lk_rules = {i for i, r in enumerate(p.rules) if r.lhs in mixed}
     report.add(CheckRecord(
         name="contract/star-square/L-rule-link",
         ok=residual.is_zero and bool(fired & lk_rules),
@@ -387,40 +377,29 @@ def verify_change_of_variables(target: HopfPresentation,
     """All identities of the exponential-variable change, verified in the
     K, L, M, N algebra ``target``, plus the full realization of the final
     presentation (rules and Hopf data) inside it."""
-    report = CheckReport()
     p, order, src = target.base, target.order, final.base.alphabet
     realize = catalog.final_to_klmn_map(final.base, p)
-
-    def reduced2(x2):
-        return p.at_slots(2).normal_form(realize.apply(x2))
-
-    def check(name, kind, f, f2, x, image, tag):
-        residual = _map_residual(target, f, f2, kind, x, image)
-        if kind != "counit":
-            slots = 2 if kind == "coproduct" else 1
-            residual = p.at_slots(slots).normal_form(residual)
-            _guard_ln(residual, "change of variables")
-        report.add_residual(f"change-of-variables/{name}", residual, tag)
-
-    for name, kind, x, image, tag in _identities(target):
-        check(name, kind, _same, _same, x, image, tag)
+    report = check_rows(target, _same, _same, (
+        (f"change-of-variables/{name}", *row)
+        for name, *row in _identities(target)))
     # the realization leaves out the etabar*eta rule: its linear-variable
     # form needs the undetermined [L, N], so the solver fixes it instead
-    for rule in final.base.rules:
-        if rule.lhs != (src.gen("etabar"), src.gen("eta")):
-            check(f"realize/rule/{rule.label}", "relation", realize.apply,
-                  None, rule.as_element(src), None,
-                  final.rule_tags.get(rule.label))
+    rows = [(f"change-of-variables/realize/rule/{rule.label}", "relation",
+             rule.as_element(src), None, final.rule_tags.get(rule.lhs))
+            for rule in final.base.rules
+            if rule.lhs != (src.gen("etabar"), src.gen("eta"))]
     for name in src.names:
         g = Element.generator(src, name, order)
-        for kind, image, tag in (
-                ("coproduct", final.apply_coproduct(g),
-                 final.coproduct_tags.get(name)),
-                ("star", final.star.apply(g), None),
-                ("antipode", final.antipode.apply(g), None),
-                ("counit", final.counit[name], None)):
-            check(f"realize/{kind}/{name}", kind, realize.apply, reduced2,
-                  g, image, tag)
+        rows += [(f"change-of-variables/realize/{kind}/{name}", kind, g,
+                  image, tag) for kind, image, tag in (
+            ("coproduct", final.apply_coproduct(g),
+             final.coproduct_tags.get(name)),
+            ("star", final.star.apply(g), None),
+            ("antipode", final.antipode.apply(g), None),
+            ("counit", final.counit[name], None))]
+    report.extend(check_rows(
+        target, realize.apply,
+        lambda x2: p.at_slots(2).normal_form(realize.apply(x2)), rows))
     return report
 
 
@@ -455,8 +434,7 @@ def _commutator_rule(alph: Alphabet, x_name: str, y_name: str,
     else:
         lhs = (gx, gy)
         rhs = Element.from_word(alph, (gy, gx), value.order) + value
-    return RewriteRule(lhs, rhs,
-                       f"{format_word(lhs, 1)} -> {format_element(rhs)}")
+    return RewriteRule(lhs, rhs)
 
 
 def _split_marker(x: Element):
@@ -572,8 +550,7 @@ def marker_presentation(p: Presentation, x_name: str,
     letter, so in general it is not confluent."""
     order = p.trunc_order
     alph_z = Alphabet(p.alphabet.names + (MARKER,))
-    rules = [RewriteRule(r.lhs, r.rhs.rebind(alph_z), r.label)
-             for r in p.rules]
+    rules = [RewriteRule(r.lhs, r.rhs.rebind(alph_z)) for r in p.rules]
     gx, gy = p.alphabet.gen(x_name), p.alphabet.gen(y_name)
     if p.is_normal_word((gx, gy)) and p.is_normal_word((gy, gx)):
         rules.append(_commutator_rule(alph_z, x_name, y_name,
@@ -697,32 +674,15 @@ def solver_suite(final: HopfPresentation) -> CheckReport:
 LN_BASIS_DEGREE = 3
 
 
-def ln_basis_km(order: int,
-                max_degree: int = LN_BASIS_DEGREE) -> dict[str, Element]:
-    """Normal monomials in K and M only, degree <= max_degree."""
-    return _ln_basis(catalog.builtin_alphabet("ekappa2-klmn"), order,
-                     max_degree, with_n=False)
-
-
 def ln_basis_kmn(order: int,
                  max_degree: int = LN_BASIS_DEGREE) -> dict[str, Element]:
-    """Normal monomials in K, M and N, degree <= max_degree."""
-    return _ln_basis(catalog.builtin_alphabet("ekappa2-klmn"), order,
-                     max_degree, with_n=True)
-
-
-def _ln_basis(alph: Alphabet, order: int, max_degree: int,
-              with_n: bool) -> dict[str, Element]:
-    """The monomials K^i M^j N^k over ``alph`` (j at most 1, k 0 unless
-    ``with_n``) of degree at most ``max_degree``, labelled by their
-    words."""
+    """The normal monomials K^i M^j N^k (j at most 1) of degree at most
+    ``max_degree``, labelled by their words."""
+    alph = catalog.builtin_alphabet("ekappa2-klmn")
     out: dict[str, Element] = {}
-    max_n = max_degree if with_n else 0
     for i in range(max_degree + 1):
         for j in (0, 1):
-            for k in range(max_n + 1):
-                if i + j + k > max_degree:
-                    continue
+            for k in range(max_degree + 1 - i - j):
                 word = tuple([alph.gen("K")] * i + [alph.gen("M")] * j
                              + [alph.gen("N")] * k)
                 label = "1" if not word else "*".join(g.name for g in word)
@@ -738,7 +698,7 @@ def solve_ln_commutator(order: int = 1,
     ``ln_basis_kmn(order)``."""
     p = catalog.ekappa2_klmn_presentation(order).base
     if basis is None:
-        basis = _ln_basis(p.alphabet, order, LN_BASIS_DEGREE, with_n=True)
+        basis = ln_basis_kmn(order)
     named = klmn_named_elements(p)
     eta = named["eta"].definition
     etabar = named["etabar"].definition
@@ -784,12 +744,26 @@ def contraction_suite(source: HopfPresentation,
     """Relations, d series, coproduct and star squares for the contraction
     of ``source`` onto ``target``."""
     ansatz = ContractionAnsatz(source, target)
+    src, orders = source.base, ansatz.checked_orders()
     report = CheckReport()
     report.add(structural_ansatz_record(ansatz))
     report.extend(verify_d_series(ansatz))
-    report.extend(verify_all_relation_contractions(ansatz))
-    for gname in ("a", "b", "c", "d"):
-        report.extend(verify_coproduct_contraction(ansatz, gname))
+    relations = [
+        (f"contract/relation/rtt[{c.row[0]}{c.row[1]},{c.col[0]}{c.col[1]}]",
+         "relation", c.element, None, catalog.TAG_RTT)
+        for c in catalog.rtt_relations(src)]
+    relations.append(("contract/relation/determinant", "relation",
+                      catalog.determinant_relation(src), None,
+                      catalog.TAG_DETERMINANT))
+    report.extend(check_rows(target, ansatz.apply, None, relations, orders))
+    p2 = target.base.at_slots(2)
+    report.extend(check_rows(
+        target, ansatz.apply,
+        lambda x2: p2.normal_form(ansatz.apply_tensor(x2)),
+        _square_rows(ansatz, "coproduct-square", "coproduct",
+                     source.apply_coproduct,
+                     partial(_coproduct_tags, ansatz)),
+        orders))
     report.extend(verify_star_contraction(ansatz))
     report.extend(verify_star_determines_l(ansatz))
     return report

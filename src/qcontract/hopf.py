@@ -60,9 +60,9 @@ class HopfPresentation:
     star: GeneratorMap
     excluded: frozenset[str] = frozenset()
     name: str = ""
-    #: equation tags surfaced in reports: per rule label, per coproduct
-    #: generator, and one for the antipode/counit pair
-    rule_tags: dict[str, str] = field(default_factory=dict)
+    #: equation tags surfaced in reports: per rule left-hand word, per
+    #: coproduct generator, and one for the antipode/counit pair
+    rule_tags: dict[Word, str] = field(default_factory=dict)
     coproduct_tags: dict[str, str] = field(default_factory=dict)
     antipode_tag: str | None = None
 
@@ -241,7 +241,7 @@ def check_delta_respects_relations(h: HopfPresentation) -> CheckReport:
         residual = p2.normal_form(
             h.coproduct.apply(lhs_elem) - h.coproduct.apply(rule.rhs))
         report.add_residual(f"{h.name}/delta-respects/{rule.label}",
-                            residual, h.rule_tags.get(rule.label))
+                            residual, h.rule_tags.get(rule.lhs))
     return report
 
 
@@ -317,7 +317,7 @@ def check_star(h: HopfPresentation) -> CheckReport:
         rel = rule.as_element(h.base.alphabet)
         report.add_residual(f"{h.name}/star-respects/{rule.label}",
                             h.base.normal_form(h.star.apply(rel)),
-                            h.rule_tags.get(rule.label))
+                            h.rule_tags.get(rule.lhs))
     p2 = h.base.at_slots(2)
     for name in h.hopf_generators():
         g = Element.generator(h.base.alphabet, name, h.order)

@@ -69,6 +69,8 @@ from .freealg import (
     Word,
     accumulate_scaled,
     append_slot,
+    format_element,
+    format_word,
     product_terms,
     word_key,
 )
@@ -119,21 +121,14 @@ class RuleOrientationError(ValueError):
 
 
 @dataclass(frozen=True)
-class MonomialOrder:
-    """Deglex order: longer words are larger; equal lengths compare
-    letter by letter by precedence."""
-
-    alphabet: Alphabet
-
-    def key(self, word: Word):
-        return word_key(self.alphabet, word)
-
-
-@dataclass(frozen=True)
 class RewriteRule:
     lhs: Word
     rhs: Element
-    label: str
+
+    @cached_property
+    def label(self) -> str:
+        """The rule's text, ``lhs -> rhs``, printed when first read."""
+        return f"{format_word(self.lhs, 1)} -> {format_element(self.rhs)}"
 
     def as_element(self, alphabet: Alphabet) -> Element:
         """lhs - rhs as an element (vanishes in the presented algebra)."""
@@ -147,7 +142,6 @@ class Presentation:
                  name: str = "", params: tuple[str, ...] = (),
                  zero_params: frozenset[str] = frozenset()):
         self.alphabet = alphabet
-        self.order = MonomialOrder(alphabet)
         self.trunc_order = trunc_order
         self.name = name
         self._exceeded = ("step limit exceeded while reducing in "
@@ -163,7 +157,7 @@ class Presentation:
         for i, r in enumerate(self.rules):
             by_first.setdefault(r.lhs[0], []).append(i)
         for lst in by_first.values():
-            lst.sort(key=lambda i: self.order.key(self.rules[i].lhs),
+            lst.sort(key=lambda i: word_key(alphabet, self.rules[i].lhs),
                      reverse=True)
         self._by_first = by_first
         self._table = NormalWordTable(self)
@@ -180,9 +174,9 @@ class Presentation:
             if r.rhs.alphabet != self.alphabet:
                 raise AlphabetMismatch(
                     f"rule {r.label!r}: right-hand side over a different alphabet")
-            lk = self.order.key(r.lhs)
+            lk = word_key(self.alphabet, r.lhs)
             for w in r.rhs.words():
-                if not lk > self.order.key(w):
+                if not lk > word_key(self.alphabet, w):
                     raise RuleOrientationError(
                         r.label, "does not strictly decrease the monomial order")
 
@@ -369,7 +363,7 @@ class NormalWordTable:
         self.ending: dict[GeneratorId, list] = {
             GeneratorId(name): [] for name in p.alphabet.names}
         for idx in sorted(range(len(p.rules)), reverse=True,
-                          key=lambda i: p.order.key(p.rules[i].lhs)):
+                          key=lambda i: word_key(p.alphabet, p.rules[i].lhs)):
             r = p.rules[idx]
             self.ending[r.lhs[-1]].append(
                 (len(r.lhs) - 1, r.lhs[:-1], tuple(r.rhs.terms.items())))

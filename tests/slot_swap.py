@@ -32,8 +32,7 @@ def slot_swap_power(p: Presentation, slot_count: int) -> Presentation:
     rules = [
         RewriteRule(_moved(r.lhs, s),
                     Element(alph, {_moved(w, s): c
-                                   for w, c in r.rhs.terms.items()}, order),
-                    f"{r.label} @slot{s}")
+                                   for w, c in r.rhs.terms.items()}, order))
         for s in slots for r in p.rules]
     one = Scalar.one(order)
     for lo in slots:
@@ -42,8 +41,7 @@ def slot_swap_power(p: Presentation, slot_count: int) -> Presentation:
                 for yn in p.alphabet.names:
                     x, y = _letter(xn, hi), _letter(yn, lo)
                     rules.append(RewriteRule(
-                        (x, y), Element(alph, {(y, x): one}, order),
-                        f"slot-swap {xn}@{hi},{yn}@{lo}"))
+                        (x, y), Element(alph, {(y, x): one}, order)))
     return Presentation(alph, rules, order, name=f"{p.name}@{slot_count}",
                         params=p.params)
 

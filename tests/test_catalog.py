@@ -161,8 +161,8 @@ EXPECTED_TAGS = {
 
 
 def tags_by_lhs(h):
-    return {format_word(r.lhs, 1): h.rule_tags[r.label]
-            for r in h.base.rules if r.label in h.rule_tags}
+    return {format_word(r.lhs, 1): h.rule_tags[r.lhs]
+            for r in h.base.rules if r.lhs in h.rule_tags}
 
 
 def structure(h):

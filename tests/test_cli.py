@@ -484,6 +484,26 @@ class TestContractCommand:
         for name in ("rtt[12,12]", "rtt[21,21]", "determinant"):
             assert f"[FAIL] contract/relation/{name}/eps^1" in out
 
+    def test_coproduct_square_tags_are_read_from_the_klmn_file(
+            self, capsys, tmp_path):
+        # the eps^0 squares of a and d check the coproduct of K
+        cat = _shipped_copy(tmp_path)
+        target = cat / "ekappa2_klmn.preso"
+        line = "K -> M ox M + K ox K @ Eq. (11)"
+        assert line in target.read_text()
+        target.write_text(target.read_text().replace(
+            line, "K -> M ox M + K ox K @ Eq. (99)"))
+        code, out, _ = run(capsys, "contract", "--output", "json",
+                           "--catalog-dir", str(cat))
+        assert code == 0
+        tags = {c["name"]: c["paper_eq"] for c in json.loads(out)["checks"]}
+        for g in ("a", "d"):
+            assert tags[f"contract/coproduct-square/{g}/eps^0"] == "Eq. (99)"
+            assert tags[f"contract/coproduct-square/{g}/eps^1"] == "Eq. (13)"
+        for g in ("b", "c"):
+            assert tags[f"contract/coproduct-square/{g}/eps^0"] == "Eq. (12)"
+            assert tags[f"contract/coproduct-square/{g}/eps^1"] == "Eq. (14)"
+
     def test_lam_zero(self, capsys):
         code, out, _ = run(capsys, "contract", "--lam-zero")
         assert code == 0
@@ -818,7 +838,7 @@ class TestReport:
             for r in h.base.rules:
                 rhs = r.rhs.map_scalars(lambda s: s.set_param_zero("lam"))
                 text = f"{format_word(r.lhs, 1)} -> {rhs}"
-                expected[text] = h.rule_tags.get(r.label)
+                expected[text] = h.rule_tags.get(r.lhs)
         ruled = [c for c in checks
                  if any(part in c["name"] for part in (
                      "@lam=0/delta-respects/", "@lam=0/star-respects/",

@@ -48,7 +48,7 @@ class TestOrientationValidation:
         lhs = (alph.gen("b"), alph.gen("a"))
         rhs = parse_expression("a*b", alph, (), 1)
         with pytest.raises(RuleOrientationError) as exc:
-            Presentation(alph, [RewriteRule(lhs, rhs, "b*a -> a*b")], 1)
+            Presentation(alph, [RewriteRule(lhs, rhs)], 1)
         assert "b*a -> a*b" in str(exc.value)
 
     def test_equal_length_needs_strict_decrease(self):
@@ -56,7 +56,7 @@ class TestOrientationValidation:
         lhs = (alph.gen("a"),)
         rhs = parse_expression("a", alph, (), 1)
         with pytest.raises(RuleOrientationError):
-            Presentation(alph, [RewriteRule(lhs, rhs, "a -> a")], 1)
+            Presentation(alph, [RewriteRule(lhs, rhs)], 1)
 
 
 class TestStepLimit:
@@ -76,8 +76,8 @@ class TestCriticalPairs:
         alph = Alphabet(("c", "b", "a"))
         one = Element.unit(alph, 1)
         rules = [
-            RewriteRule((alph.gen("a"), alph.gen("b")), one, "ab -> 1"),
-            RewriteRule((alph.gen("b"), alph.gen("c")), one, "bc -> 1"),
+            RewriteRule((alph.gen("a"), alph.gen("b")), one),
+            RewriteRule((alph.gen("b"), alph.gen("c")), one),
         ]
         p = Presentation(alph, rules, 1, name="toy")
         pairs = critical_pairs(p, 6)
@@ -96,8 +96,7 @@ class TestCriticalPairs:
         alph = Alphabet(("b", "a"))
         rhs = parse_expression("b*b", alph, (), 1)
         p = Presentation(
-            alph, [RewriteRule((alph.gen("a"), alph.gen("b")), rhs, "ab -> bb")],
-            1)
+            alph, [RewriteRule((alph.gen("a"), alph.gen("b")), rhs)], 1)
         assert critical_pairs(p, 6) == []
 
     def test_inclusion_ambiguity_resolved(self):
@@ -106,8 +105,8 @@ class TestCriticalPairs:
         a, b = alph.gen("a"), alph.gen("b")
         one = Element.unit(alph, 1)
         p = Presentation(alph, [
-            RewriteRule((a, b), Element.from_word(alph, (a,), 1), "ab -> a"),
-            RewriteRule((b,), one, "b -> 1"),
+            RewriteRule((a, b), Element.from_word(alph, (a,), 1)),
+            RewriteRule((b,), one),
         ], 1)
         pairs = critical_pairs(p, 6)
         assert any(amb.kind == "inclusion" for amb in pairs)
@@ -119,8 +118,8 @@ class TestCriticalPairs:
         a, b = alph.gen("a"), alph.gen("b")
         c = alph.gen("c")
         p = Presentation(alph, [
-            RewriteRule((a, b), Element.from_word(alph, (b,), 1), "ab -> b"),
-            RewriteRule((b,), Element.from_word(alph, (c,), 1), "b -> c"),
+            RewriteRule((a, b), Element.from_word(alph, (b,), 1)),
+            RewriteRule((b,), Element.from_word(alph, (c,), 1)),
         ], 1)
         report = check_local_confluence(p, 6)
         inclusions = [it for it in report.items
