@@ -31,6 +31,10 @@ NF_INPUTS = {
 }
 
 
+COMMAND_NAMES = ("nf", "confluence", "hopf-check", "contract",
+                 "solve-commutator", "report")
+
+
 def _commands() -> list[list[str]]:
     cmds = [["report", "--output", "json", "--order", str(k), "--seed", str(s)]
             for s in (1, 7, 42) for k in range(5)]
@@ -97,6 +101,8 @@ def _commands() -> list[list[str]]:
     cmds += [["nf", "7" * 5000 + "*a"], ["nf", "2^20000*a"],
              ["nf", "-p", "tests/golden/huge_coefficient.preso", "x"],
              ["nf", "2^99999999*a"]]
+    # the help texts: a command's parser holds only its own options
+    cmds += [["--help"]] + [[cmd, "--help"] for cmd in COMMAND_NAMES]
     return cmds
 
 

@@ -47,7 +47,7 @@ from .freealg import (
 from .hopf import HopfPresentation
 from .parser import RESERVED, ParseError, parse_expression, tokenize
 from .rewrite import Presentation, RewriteRule
-from .scalars import NumberTooLong, Scalar
+from .scalars import NumberTooLong, Scalar, check_printable
 
 BUILTIN_NAMES = ("suq2", "ekappa2-klmn", "ekappa2-final")
 _BUILTIN_FILES = {
@@ -82,9 +82,9 @@ def _mk_rule(alphabet: Alphabet, params: tuple[str, ...], order: int,
     if not word or not coeff.is_one:
         raise PresentationFormatError(
             f"rule left-hand side must be a plain word: {lhs_text!r}")
-    rule = RewriteRule(word, rhs)
-    rule.label  # printed at load: a number too long to print names its line
-    return rule
+    for c in rhs.terms.values():  # a number too long to print names its line
+        check_printable(c)
+    return RewriteRule(word, rhs)
 
 
 def _parse_entry(lineno: int, text: str, alphabet: Alphabet,

@@ -44,10 +44,31 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _add_common(p: argparse.ArgumentParser, *read: str):
+class _Refused(argparse.Action):
+    """An option that other commands take with a value, refused with its
+    value: a command with a positional argument would otherwise read that
+    value as the argument and name the wrong token as unrecognized."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.refused = [*getattr(namespace, "refused", ()),
+                             option_string, *([] if values is None
+                                              else [values])]
+
+
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser: refused options are unrecognized arguments,
+    listed first."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        return args, [*vars(args).pop("refused", ()), *extras]
+
+
+def _add_options(p: argparse.ArgumentParser, *read: str):
     """Register the options every command reads, and those of ``read``
-    (``presentation``, ``seed``, ``max_overlap``, ``output``, ``timings``)
-    that this one reads too: a command takes no option it would ignore."""
+    (``presentation``, ``expression``, ``seed``, ``max_overlap``,
+    ``output``, ``timings``, ``ln``) that this one reads too: a command
+    takes no option it would ignore."""
     if "presentation" in read:
         p.add_argument("-p", "--presentation", default="builtin:suq2",
                        help="builtin:NAME or a presentation file path")
@@ -71,6 +92,15 @@ def _add_common(p: argparse.ArgumentParser, *read: str):
                    help="work in the classical limit (lam = 0)")
     p.add_argument("--catalog-dir", default=None,
                    help="override the builtin presentation directory")
+    if "ln" in read:
+        p.add_argument("--ln", action="store_true",
+                       help="also back-solve the undetermined [L, N]")
+    if "expression" in read:
+        p.add_argument("expression")
+        for name in ("seed", "max_overlap", "output"):
+            if name not in read:
+                p.add_argument(f"--{name.replace('_', '-')}", nargs="?",
+                               action=_Refused, help=argparse.SUPPRESS)
 
 
 #: the parsed arguments a JSON report's ``config`` block carries, in order;
@@ -299,45 +329,42 @@ def cmd_report(args) -> int:
     return _emit(_timed(run, args), args)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; given a command's name, one in which
+    only that command has its options, which parses that command alike
+    (its help and usage errors too) at a third of the cost."""
+    ap = _Parser(
         prog="qcontract",
         description="Exact symbolic checks for quantum-group presentations "
                     "and the kappa-contraction of quantum SU(2).")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p_nf = sub.add_parser("nf", help="normal form of an expression")
-    _add_common(p_nf, "presentation")
-    p_nf.add_argument("expression")
-    p_nf.set_defaults(fn=cmd_nf)
-
-    p_conf = sub.add_parser("confluence", help="critical-pair resolution")
-    _add_common(p_conf, "presentation", "max_overlap", "output")
-    p_conf.set_defaults(fn=cmd_confluence)
-
-    p_hopf = sub.add_parser("hopf-check", help="Hopf axiom suite")
-    _add_common(p_hopf, "presentation", "seed", "output", "timings")
-    p_hopf.set_defaults(fn=cmd_hopf_check)
-
-    p_con = sub.add_parser("contract", help="order-by-order contraction run")
-    _add_common(p_con, "output", "timings")
-    p_con.set_defaults(fn=cmd_contract)
-
-    p_solve = sub.add_parser("solve-commutator",
-                             help="back-solve [eta, etabar] from coproducts")
-    _add_common(p_solve, "output")
-    p_solve.add_argument("--ln", action="store_true",
-                         help="also back-solve the undetermined [L, N]")
-    p_solve.set_defaults(fn=cmd_solve_commutator)
-
-    p_rep = sub.add_parser("report", help="full verification pipeline")
-    _add_common(p_rep, "seed", "max_overlap", "output", "timings")
-    p_rep.set_defaults(fn=cmd_report)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=argparse.ArgumentParser)
+    # each command: its help line, the function it runs, the options it reads
+    commands = {
+        "nf": ("normal form of an expression", cmd_nf,
+               ("presentation", "expression")),
+        "confluence": ("critical-pair resolution", cmd_confluence,
+                       ("presentation", "max_overlap", "output")),
+        "hopf-check": ("Hopf axiom suite", cmd_hopf_check,
+                       ("presentation", "seed", "output", "timings")),
+        "contract": ("order-by-order contraction run", cmd_contract,
+                     ("output", "timings")),
+        "solve-commutator": ("back-solve [eta, etabar] from coproducts",
+                             cmd_solve_commutator, ("output", "ln")),
+        "report": ("full verification pipeline", cmd_report,
+                   ("seed", "max_overlap", "output", "timings")),
+    }
+    for name, (help_line, fn, read) in commands.items():
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(fn=fn)
+        if command not in commands or command == name:
+            _add_options(p, *read)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv[0] if argv else None)
     args = ap.parse_args(argv)
     try:
         # every normal form and expansion of the command draws this limit,

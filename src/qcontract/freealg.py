@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import add
 from typing import NamedTuple
 
@@ -85,6 +85,11 @@ class Alphabet:
                 for u in parts for g in u):
             raise AlphabetMismatch(f"not a word of this alphabet: {word!r}")
 
+    @cached_property
+    def rank(self) -> dict[str, int]:
+        """Each name's precedence: its index in ``names``."""
+        return {n: i for i, n in enumerate(self.names)}
+
     @lru_cache(maxsize=None)
     def at_slots(self, slot_count: int) -> "Alphabet":
         """The same names over ``slot_count`` slots: one object per names
@@ -101,9 +106,10 @@ def word_key(alphabet: Alphabet, word):
     """Degree-lexicographic key: words with more letters are larger, ties
     compare letter by letter by (slot, precedence)."""
     parts = alphabet.parts(word)
-    return (sum(map(len, parts)), tuple((s, alphabet.names.index(g.name))
-                                        for s, u in enumerate(parts)
-                                        for g in u))
+    rank = alphabet.rank
+    return (sum(map(len, parts)), tuple([(s, rank[g.name])
+                                         for s, u in enumerate(parts)
+                                         for g in u]))
 
 
 class Element:

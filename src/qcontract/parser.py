@@ -54,8 +54,8 @@ from .freealg import (
     Element,
     GeneratorId,
     accumulate_scaled,
+    append_slot,
     product_terms,
-    tensor_embed,
 )
 from .rewrite import Presentation, _charge, allowance
 from .scalars import Scalar
@@ -267,15 +267,18 @@ class _Parser:
             parts.append(self.parse_slotprod())
         if len(parts) > 3:
             self.fail("at most three tensor factors supported")
+        # each factor's words placed in one more slot, charged as the
+        # product of the factors embedded in their slots
         out = None
-        for slot, (alph, terms) in enumerate(parts, start=1):
+        for alph, terms in parts:
             if alph.slot_count != 1:
                 self.fail("nested tensor factors are not supported")
-            emb = tensor_embed(Element._of(alph, terms, self.order), slot,
-                               slot_count=len(parts))
-            emb = emb.alphabet, emb.terms
-            out = emb if out is None else self.mul(out, emb)
-        return out
+            if out is None:
+                out = {(w,): c for w, c in terms.items()}
+            else:
+                _charge(self.budget, len(out) * len(terms), _PRODUCT)
+                out = append_slot(out, terms)
+        return parts[0][0].at_slots(len(parts)), out
 
     def parse_slotprod(self):
         acc = self.parse_factor()

@@ -238,6 +238,19 @@ def _ratio_text(n: int, d: int) -> str:
             f"{sys.get_int_max_str_digits()} digits") from None
 
 
+def check_printable(s: "Scalar") -> None:
+    """Raise :class:`NumberTooLong` unless every coefficient of ``s``
+    prints.  An int of at most ``limit * log2(10)`` bits has at most
+    ``limit`` digits (a limit of 0 is none), so only a coefficient with a
+    longer int is formatted to tell."""
+    limit = sys.get_int_max_str_digits()
+    bits = limit * 3321928 // 1000000  # at most limit * 3.32192809...
+    for c in s.terms.values():
+        if limit and max(c._a.bit_length(), c._b.bit_length(),
+                         c._d.bit_length()) > bits:
+            format_gaussian(c)
+
+
 def format_gaussian(gr: GaussianRational) -> str:
     """Render a Gaussian rational as an expression factor.
 

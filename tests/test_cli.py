@@ -215,6 +215,33 @@ class TestNf:
         assert err == ("error: line 5: number too long to print: more than "
                        f"{sys.get_int_max_str_digits()} digits\n")
 
+    # ``big`` is 10^limit, limit + 1 digits: each part of a rule coefficient
+    # prints up to the limit, the real part reduced by the denominator
+    @pytest.mark.parametrize("coefficient,prints", [
+        ("({big} - 1)", True), ("{big}", False),          # numerator
+        ("({big} - 1)^-1", True), ("({big})^-1", False),  # denominator
+        ("({big} - 1)*i", True), ("{big}*i", False),      # imaginary part
+        ("1/2*({big} + i)", True), ("1/2*(2*{big} + i)", False),
+    ])
+    @pytest.mark.parametrize("limit", [4300, 640, 0])
+    def test_rule_coefficient_prints_up_to_the_digit_limit(
+            self, capsys, tmp_path, coefficient, prints, limit):
+        big = f"(10^10)^{max(limit, 640) // 10}"
+        src = tmp_path / "big.preso"
+        src.write_text("[generators]\nx y\n\n[rules]\n"
+                       f"y*x -> {coefficient.format(big=big)}*x*y\n")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            got = run(capsys, "nf", "-p", str(src), "x")
+        finally:
+            sys.set_int_max_str_digits(saved)
+        if prints or not limit:  # a limit of 0 is none
+            assert got == (0, "x\n", "")
+        else:
+            assert got == (2, "", "error: line 5: number too long to print: "
+                           f"more than {limit} digits\n")
+
     @pytest.mark.parametrize("expr", ["2^99999999*a", "2^-99999999*a"])
     def test_huge_scalar_power_exits_3_within_the_step_limit(self, capsys,
                                                              expr):
@@ -574,6 +601,54 @@ def test_commands_take_no_option_they_ignore(capsys, command, option):
     assert exc.value.code == 2
     assert (f"unrecognized arguments: {' '.join([option, *value])}\n"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--seed", "3"), ("--max-overlap", "3"), ("--output", "json")])
+def test_nf_names_the_refused_option_with_its_value(capsys, option, value):
+    # before its expression too: the value is not read as the expression
+    with pytest.raises(SystemExit) as exc:
+        main(["nf", option, value, "a*d"])
+    assert exc.value.code == 2
+    assert (f"unrecognized arguments: {option} {value}\n"
+            in capsys.readouterr().err)
+
+
+COMMAND_NAMES = ("nf", "confluence", "hopf-check", "contract",
+                 "solve-commutator", "report")
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "-h"] for name in COMMAND_NAMES),
+    *([name, "--no-such-option"] for name in COMMAND_NAMES),
+    ["nf", "a", "--no-such-option"], ["nf", "a", "--output", "json"],
+    ["contract", "--order", "5"], ["-h"], [], ["no-such-command"],
+], ids=" ".join)
+def test_one_command_parser_prints_as_the_full_one(capsys, monkeypatch,
+                                                   argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for command in (argv[0] if argv else None, None):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser(command).parse_args(argv)
+        outcomes.append((exc.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] or outcomes[0][2]
+
+
+def test_a_command_registers_only_its_own_options(capsys, monkeypatch):
+    registered = []
+    add_options = cli._add_options
+
+    def counting(p, *read):
+        registered.append(p.prog)
+        add_options(p, *read)
+
+    monkeypatch.setattr(cli, "_add_options", counting)
+    assert run(capsys, "nf", "a") == (0, "a\n", "")
+    assert registered == ["qcontract nf"]
+    cli.build_parser()
+    assert len(registered) == 1 + len(COMMAND_NAMES)
 
 
 # Each directory holds the shipped files, one builtin listing its generators

@@ -17,6 +17,7 @@ from math import gcd
 from pathlib import Path
 from random import Random
 
+import element_parser
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -680,6 +681,37 @@ def test_term_parser_matches_the_oracle_without_confluence(index, limit,
     _parse_alike(text, p, 1, p, limit)
 
 
+def _parsed_with_charges(module, text, p, order, presentation):
+    """``module``'s parser on ``text``: the value's alphabet, its terms in
+    their order, and the steps left in the parser's two allowances."""
+    parse = module._Parser(module.tokenize(text), p.alphabet, ("lam", "q"),
+                           order, _cold(presentation))
+    with step_limit(DEFAULT_STEP_LIMIT):
+        value = parse.parse_expr()
+    alph, terms = ((value.alphabet, value.terms)
+                   if isinstance(value, Element) else value)
+    return alph, list(terms.items()), parse.budget[0], parse.reducing[0]
+
+
+@given(st.sampled_from(catalog.BUILTIN_NAMES), st.sampled_from([0, 1, 2]),
+       st.booleans(), st.integers(2, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_tensor_factors_placed_slot_by_slot_match_the_embedded_product(
+        name, order, reducing, count, data):
+    """``u ox v ox w`` built slot by slot equals the product of the factors
+    embedded in their slots (``tensor_embed``), in value, term order and
+    steps charged."""
+    p = _builtin(name, order)
+    factors = [data.draw(expression_texts(p.alphabet.names, depth=2))
+               for _ in range(count)]
+    assume(all(size <= 64 for _, size, _ in factors))
+    text = " ox ".join(f"({x})" for x, _, _ in factors)
+    got = _parsed_with_charges(parser, text, p, order, p if reducing else None)
+    assert got == _parsed_with_charges(element_parser, text, p, order,
+                                       p if reducing else None)
+    assert got[0].slot_count == count
+
+
 # Smallest step limits at which ``normal_form`` reduces these inputs at
 # order 2 through a cold normal-word table: one step per table fill and per
 # coefficient product formed.  A warm table forms fewer products, so every
@@ -843,6 +875,9 @@ def _cleaned(terms: dict, order: int) -> dict:
     st.lists(st.tuples(st.sampled_from(sorted(SCALAR_OPS)),
                        st.integers(0, 63), st.integers(0, 63),
                        st.booleans()), max_size=12))))
+@example((0, [{(MONOS[0], 0): FracPair(0), (MONOS[2], 0): FracPair(1)},
+              {(MONOS[0], 0): FracPair(1)}],
+           [("add", 0, 1, False), ("add", 2, 2, False)]))
 @settings(max_examples=200)
 def test_interned_arithmetic_against_the_oracle(case):
     """Results through the kept instances and the memos, with the tables
@@ -866,7 +901,9 @@ def test_interned_arithmetic_against_the_oracle(case):
             if got is not x and got is not y:  # x * 1 is x as it is
                 assert Scalar(got.terms, order) is got
         scalars.clear_tables()
-        fresh = op(scalar_of(t1, order), scalar_of(t2, order))
+        # the operands rebuilt from their own terms: an oracle dict may list
+        # its keys in another order (a zero it holds keeps its place)
+        fresh = op(Scalar(x.terms, order), Scalar(y.terms, order))
         assert list(fresh.terms.items()) == list(got.terms.items())
         assert fresh.truncation_order == got.truncation_order == order
         values.append((expected, got))

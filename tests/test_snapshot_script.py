@@ -33,6 +33,10 @@ def test_command_list_covers_the_pipeline():
     assert "nf --output json a*d" in lines
     assert "solve-commutator --seed 5" in lines
     assert not any("--timings" in line for line in lines)
+    assert "--help" in lines
+    for command in ("nf", "confluence", "hopf-check", "contract",
+                    "solve-commutator", "report"):
+        assert f"{command} --help" in lines
 
 
 def test_snapshot_subset_is_deterministic(tmp_path):
