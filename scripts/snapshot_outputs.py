@@ -30,6 +30,21 @@ NF_INPUTS = {
     "ekappa2-final": "(eta + etabar + E + F)^3",
 }
 
+#: three linear forms with fractional Gaussian coefficients times parameter
+#: powers, the nf-stress shape: the output prints multi-term coefficients
+#: with denominators
+FRACTIONAL_FORMS = (
+    "((1/2 + i)*{0} + (2/3 - i)*{p}*{1} - 3/2*i*{2} + 1/3*{p}^2*{3})",
+    "((1 - 1/2*i)*{p}*{0} + (1/3 + 2*i)*{1} - 5/2*{p}*{2} + (3/4 - i)*{3})",
+    "(2/3*i*{0} + (1/2 - 1/3*i)*{p}*{1} + (1 + i)*{2} - 1/2*{p}*{3})",
+)
+NF_FRACTIONAL = {
+    name: "*".join(f.format(*gens, p=param) for f in FRACTIONAL_FORMS)
+    for name, gens, param in (("suq2", "abcd", "q"),
+                              ("ekappa2-klmn", "KLMN", "lam"),
+                              ("ekappa2-final", ("eta", "etabar", "E", "F"),
+                               "lam"))}
+
 
 COMMAND_NAMES = ("nf", "confluence", "hopf-check", "contract",
                  "solve-commutator", "report")
@@ -59,6 +74,8 @@ def _commands() -> list[list[str]]:
     cmds.append(["nf", "(a + b + c + d)^10"])
     cmds.append(["nf", "-p", "builtin:ekappa2-klmn", "(K + L + M + N)^7"])
     cmds.append(["nf", "--step-limit", "100", "(d*a)^4"])
+    cmds += [["nf", "-p", f"builtin:{name}", expr]
+             for name, expr in NF_FRACTIONAL.items()]
     # the classical limit reads lam as 0 in an expression too
     cmds.append(["nf", "-p", "builtin:ekappa2-klmn", "--lam-zero",
                  "lam*K + L*K"])

@@ -330,15 +330,13 @@ def cmd_report(args) -> int:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command; given a command's name, one in which
-    only that command has its options, which parses that command alike
-    (its help and usage errors too) at a third of the cost."""
+    """The parser of every command; given a command's name, one that holds
+    only that command, which parses that command alike (its help and usage
+    errors too) at a fraction of the cost."""
     ap = _Parser(
         prog="qcontract",
         description="Exact symbolic checks for quantum-group presentations "
                     "and the kappa-contraction of quantum SU(2).")
-    sub = ap.add_subparsers(dest="command", required=True,
-                            parser_class=argparse.ArgumentParser)
     # each command: its help line, the function it runs, the options it reads
     commands = {
         "nf": ("normal form of an expression", cmd_nf,
@@ -354,11 +352,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         "report": ("full verification pipeline", cmd_report,
                    ("seed", "max_overlap", "output", "timings")),
     }
+    one = command in commands
+    # the usage line names every command whichever ones are built; errors
+    # naming the action itself arise only when no command is named
+    sub = ap.add_subparsers(
+        dest="command", required=True, parser_class=argparse.ArgumentParser,
+        metavar="{" + ",".join(commands) + "}" if one else None)
     for name, (help_line, fn, read) in commands.items():
+        if one and name != command:
+            continue
         p = sub.add_parser(name, help=help_line)
         p.set_defaults(fn=fn)
-        if command not in commands or command == name:
-            _add_options(p, *read)
+        _add_options(p, *read)
     return ap
 
 

@@ -26,6 +26,7 @@ from typing import NamedTuple
 from .scalars import (
     GaussianRational,
     Scalar,
+    add_product,
     format_scalar_term,
     scalar_term_key,
     _join_signed,
@@ -205,7 +206,11 @@ class Element:
         return Element._of(self.alphabet, acc, self.order)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        self._check(other)
+        acc = dict(self.terms)
+        accumulate_scaled(acc, other.terms,
+                          Scalar.from_rational(-1, self.order))
+        return Element._of(self.alphabet, acc, self.order)
 
     def __neg__(self) -> "Element":
         return Element._of(self.alphabet,
@@ -333,21 +338,35 @@ def accumulate_scaled(acc: dict, terms: dict, s: Scalar) -> None:
     this way has the terms, in the same order, of one built by adding
     ``Element.scaled`` results one at a time.  Scaling by the shared
     ``Scalar.one`` multiplies nothing; zero coefficients of ``terms`` are
-    still skipped."""
+    still skipped.
+
+    A word with no running coefficient yet takes the product ``c * s``, and
+    so does one where ``s``, ``c`` and the running coefficient have one
+    term each, whose product and sum are memoised.  Otherwise
+    ``add_product`` adds the product's terms straight into the running
+    coefficient, reducing each key once: the same value, with its terms in
+    the same order."""
+    if not s.terms:
+        return
     unit = s is Scalar.one(s.truncation_order)
+    single = len(s.terms) == 1
     for w, c in terms.items():
-        if not unit:
-            c = c * s
         if not c.terms:
             continue
         cur = acc.get(w)
-        if cur is None:
-            acc[w] = c
-            continue
-        c = cur + c
+        if cur is not None and not unit and (
+                not single or len(c.terms) > 1 or len(cur.terms) > 1):
+            c = add_product(cur, c, s)
+        else:
+            if not unit:
+                c = c * s
+                if not c.terms:
+                    continue
+            if cur is not None:
+                c = cur + c
         if c.terms:
             acc[w] = c
-        else:
+        elif cur is not None:
             del acc[w]
 
 
@@ -441,8 +460,7 @@ def format_element(x: Element) -> str:
         sc = x.terms[word]
         wstr = format_word(word, x.alphabet.slot_count)
         for key in sorted(sc.terms, key=scalar_term_key):
-            mono, eps = key
-            cstr = format_scalar_term(sc.terms[key], mono, eps)
+            cstr = format_scalar_term(sc.terms[key], key)
             if word:
                 if cstr == "1":
                     parts.append(wstr)

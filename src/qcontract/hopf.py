@@ -126,7 +126,10 @@ class HopfPresentation:
             lambda w: p2.normal_form(self.coproduct.apply(w)), p2.alphabet)
 
     def apply_counit(self, x: Element) -> Scalar:
-        nf = self._guard(x, "counit")
+        return self._counit(self._guard(x, "counit"))
+
+    def _counit(self, nf: Element) -> Scalar:
+        """The counit of a guarded normal element."""
         out = Scalar.zero(self.order)
         for word, coeff in nf.terms.items():
             val = coeff
@@ -152,8 +155,12 @@ class HopfPresentation:
         """m(S (x) id) Delta x.  A word's coproduct bypasses the coproduct
         memo: the word's convolution is kept, so its coproduct would not be
         asked for again.  ``fold_tensor`` reduces the free coproduct."""
+        return self._convolution(self._guard(x, "coproduct"))
+
+    def _convolution(self, nf: Element) -> Element:
+        """The convolution of a guarded normal element."""
         return self._linear(
-            "convolution", self._guard(x, "coproduct"),
+            "convolution", nf,
             lambda w: self.fold_tensor(self.coproduct.apply(w),
                                        self.antipode_image, self.word_image),
             self.base.alphabet)
@@ -332,9 +339,11 @@ def check_star(h: HopfPresentation) -> CheckReport:
 
 def check_convolution_on_element(h: HopfPresentation, x: Element) -> bool:
     """m(S (x) id) Delta x = eps(x) 1, the convolution-inverse identity.
-    Both sides are normal, so their difference needs no normal form."""
-    s_id = h.apply_convolution(x)
-    unit_eps = Element.unit(h.base.alphabet, h.order).scaled(h.apply_counit(x))
+    Both sides are normal, so their difference needs no normal form.  ``x``
+    is reduced and guarded once, as the coproduct's argument."""
+    nf = h._guard(x, "coproduct")
+    s_id = h._convolution(nf)
+    unit_eps = Element.unit(h.base.alphabet, h.order).scaled(h._counit(nf))
     return (s_id - unit_eps).is_zero
 
 

@@ -92,18 +92,19 @@ _TOKEN = re.compile(r"([^\S\n]*)(?:(\n)|(\d+)(?:/(\d+))?|([^\W\d]\w*)"
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    append = tokens.append
+    # built by tuple.__new__: the named tuple's own __new__ runs Python code
+    append, new = tokens.append, tuple.__new__
     line, col = 1, 1
     for blank, newline, num, den, name, op, other in _TOKEN.findall(text):
         col += len(blank)
         if op:
-            append(Token("OP", op, line, col))
+            append(new(Token, ("OP", op, line, col)))
             col += 1
         elif name:
             if not (name[0].isalpha() or name[0] == "_"):
                 raise ParseError(f"unexpected character {name[0]!r}",
                                  line, col)
-            append(Token("NAME", name, line, col))
+            append(new(Token, ("NAME", name, line, col)))
             col += len(name)
         elif num:
             try:
@@ -114,8 +115,8 @@ def tokenize(text: str) -> list[Token]:
                     f"digits", line, col) from None
             if not d:
                 raise ParseError("division by zero", line, col)
-            append(Token("NUMBER", Fraction(n, d) if den else Fraction(n),
-                         line, col))
+            value = Fraction(n, d) if den else Fraction(n)
+            append(new(Token, ("NUMBER", value, line, col)))
             col += len(num) + (len(den) + 1 if den else 0)
         elif newline:
             line, col = line + 1, 1

@@ -25,8 +25,13 @@ canonical triple.  Nearly every coefficient product in the engine
 multiplies two single-term scalars, and few distinct pairs occur, so
 products and sums of two single-term scalars are memoised by operand
 identity; a memo entry holds its operands, so their ids are not reused
-while it exists.  Multi-term scalars are built afresh, as they seldom
-repeat.  The tables live for one command: the CLI
+while it exists.  Multi-term scalars seldom repeat and are not memoised:
+``add_product`` adds a product into a running sum (the kernel of
+``freealg.accumulate_scaled``) as unreduced triples, so neither the
+product nor a sum of reduced terms is built, and ``Scalar.__mul__`` sums
+its products through the same loop.  Printing keeps each term key's
+factor text and order key in ``_TERM_TEXT``, built once per key.  The
+tables live for one command: the CLI
 empties them when a command starts and when it returns (``fresh_tables``),
 and they are emptied whenever one of them reaches ``TABLE_CAP`` entries,
 so a command's cost never depends on what ran before it and memory stays
@@ -348,23 +353,35 @@ def _mono_product(m1: ParamMonomial, m2: ParamMonomial) -> ParamMonomial:
     return ParamMonomial(acc.items())
 
 
+def _term_entry(key: tuple[ParamMonomial, int]) -> tuple:
+    """The printing order key and the factor text of a scalar term's key,
+    kept in ``_TERM_TEXT`` for the rest of the command."""
+    entry = _TERM_TEXT.get(key)
+    if entry is None:
+        mono, eps = key
+        factors = mono.factors()
+        if eps:
+            factors.append("eps" if eps == 1 else f"eps^{eps}")
+        entry = (eps, mono.sort_key()), "*".join(factors)
+        _remember(_TERM_TEXT, key, entry)
+    return entry
+
+
 def scalar_term_key(key: tuple[ParamMonomial, int]):
-    mono, eps = key
-    return (eps, mono.sort_key())
+    return _term_entry(key)[0]
 
 
-def format_scalar_term(coeff: GaussianRational, mono: ParamMonomial, eps: int) -> str:
+def format_scalar_term(coeff: GaussianRational,
+                       key: tuple[ParamMonomial, int]) -> str:
     """Render one scalar term; the result may start with a minus sign."""
-    factors = list(mono.factors())
-    if eps:
-        factors.append("eps" if eps == 1 else f"eps^{eps}")
+    text = _term_entry(key)[1]
     cs = format_gaussian(coeff)
-    if factors:
+    if text:
         if cs == "1":
-            return "*".join(factors)
+            return text
         if cs == "-1":
-            return "-" + "*".join(factors)
-        return "*".join([cs] + factors)
+            return "-" + text
+        return f"{cs}*{text}"
     return cs
 
 
@@ -473,16 +490,7 @@ class Scalar:
             if hit is not None:
                 return hit[2]
         acc = dict(self.terms)
-        for key, c in other.terms.items():
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = c
-                continue
-            a, b, d = _add3(cur._a, cur._b, cur._d, c._a, c._b, c._d)
-            if a or b:
-                acc[key] = _canon(a, b, d)
-            else:
-                del acc[key]
+        _merge(acc, other.terms, False)
         total = _scalar(acc, order)
         if memo is not None:
             _remember(_SUMS, memo, (self, other, total))
@@ -541,21 +549,9 @@ class Scalar:
                                                    a1 * b2 + b1 * a2,
                                                    d1 * c2._d)
             return _scalar(out, order)
-        # products summed as unreduced (a, b, d) triples, reduced once
-        acc: dict = {}
-        for (m1, e1), c1 in self.terms.items():
-            a1, b1, d1 = c1._a, c1._b, c1._d
-            for (m2, e2), c2 in other.terms.items():
-                e = e1 + e2
-                if e > order:
-                    continue
-                key = (m1 * m2, e)
-                a2, b2 = c2._a, c2._b
-                a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c2._d
-                cur = acc.get(key)
-                acc[key] = (a, b, d) if cur is None else _add3(*cur, a, b, d)
-        return _scalar({key: _canon(a, b, d)
-                        for key, (a, b, d) in acc.items() if a or b}, order)
+        return _scalar({key: _canon(a, b, d) for key, (a, b, d)
+                        in _product_triples(self.terms, other.terms,
+                                            order).items() if a or b}, order)
 
     __rmul__ = __mul__
 
@@ -639,8 +635,7 @@ class Scalar:
             return "0"
         parts = []
         for key in sorted(self.terms, key=scalar_term_key):
-            mono, eps = key
-            parts.append(format_scalar_term(self.terms[key], mono, eps))
+            parts.append(format_scalar_term(self.terms[key], key))
         return _join_signed(parts)
 
     def __repr__(self):
@@ -651,7 +646,7 @@ class Scalar:
 _ONES: dict[int, Scalar] = {}
 #: a unit's key in ``_SINGLES``, after its truncation order
 _UNIT_KEY = (_MONO_UNIT, 0, 1, 0, 1)
-#: the most entries a table below holds; reaching it empties all three.
+#: the most entries a table below holds; reaching it empties all four.
 #: One ``report`` fills at most about 570 values, 880 products and 1,190
 #: sums; full tables hold about 1.6 MB
 TABLE_CAP = 2048
@@ -660,6 +655,8 @@ _SINGLES: dict[tuple, Scalar] = {}
 #: (id(x), id(y)) -> (x, y, x*y), and (x, y, x+y), for single-term x and y
 _PRODUCTS: dict[tuple, tuple] = {}
 _SUMS: dict[tuple, tuple] = {}
+#: (monomial, eps) -> (its printing order key, its factor text)
+_TERM_TEXT: dict[tuple, tuple] = {}
 _set_terms = Scalar.terms.__set__
 _set_order = Scalar.truncation_order.__set__
 
@@ -695,12 +692,71 @@ def _remember(table: dict, key: tuple, entry: tuple) -> None:
     table[key] = entry
 
 
+def _product_triples(x: dict, y: dict, order: int) -> dict:
+    """The terms of the product of the term dicts ``x`` and ``y``, eps above
+    ``order`` dropped, as unreduced ``(a, b, d)`` triples summed per key in
+    the order the keys first appear; a sum that cancels keeps its key."""
+    acc: dict = {}
+    for (m1, e1), c1 in x.items():
+        a1, b1, d1 = c1._a, c1._b, c1._d
+        for (m2, e2), c2 in y.items():
+            e = e1 + e2
+            if e > order:
+                continue
+            key = (m1 * m2, e)
+            a2, b2 = c2._a, c2._b
+            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c2._d
+            cur = acc.get(key)
+            acc[key] = (a, b, d) if cur is None else _add3(*cur, a, b, d)
+    return acc
+
+
+def _merge(terms: dict, other: dict, unreduced: bool) -> None:
+    """Add the coefficients of ``other`` into the clean ``terms`` in place:
+    ``GaussianRational`` values, or unreduced ``(a, b, d)`` triples when
+    ``unreduced``.  A key of ``terms`` keeps its place and is reduced once,
+    or leaves when its sum is zero; a new nonzero key is appended."""
+    for key, c in other.items():
+        cur = terms.get(key)
+        if unreduced:
+            a, b, d = c
+            if cur is None:
+                if a or b:
+                    terms[key] = _canon(a, b, d)
+                continue
+        elif cur is None:
+            terms[key] = c
+            continue
+        else:
+            a, b, d = c._a, c._b, c._d
+        a, b, d = _add3(cur._a, cur._b, cur._d, a, b, d)
+        if a or b:
+            terms[key] = _canon(a, b, d)
+        else:
+            del terms[key]
+
+
+def add_product(cur: Scalar, x: Scalar, y: Scalar) -> Scalar:
+    """``cur + x*y`` in one pass: the product's terms are summed as
+    unreduced triples into a copy of ``cur``'s, and each key they touch is
+    reduced once.  The value and the term order are those of the two
+    operations; no product is built and nothing is memoised, and a one-term
+    result is its kept instance."""
+    order = cur.truncation_order
+    if x.truncation_order != order or y.truncation_order != order:
+        raise TruncationMismatch("truncation orders differ")
+    terms = dict(cur.terms)
+    _merge(terms, _product_triples(x.terms, y.terms, order), True)
+    return _scalar(terms, order)
+
+
 def clear_tables() -> None:
-    """Forget every kept single-term scalar but the units, and every
-    memoised product and sum."""
+    """Forget every kept single-term scalar but the units, every memoised
+    product and sum, and every term's printed text."""
     _SINGLES.clear()
     _PRODUCTS.clear()
     _SUMS.clear()
+    _TERM_TEXT.clear()
     for order, one in _ONES.items():
         _SINGLES[(order, *_UNIT_KEY)] = one
 

@@ -1,7 +1,8 @@
 """Differential tests: the integer-triple Gaussian rationals and their
 printer, the dict-accumulating normal form, the normal-word table, the tuple
 letters, the shared scalar one, the kept single-term scalars with their
-memoised products and sums, the tensor fold over kept leg images,
+memoised products and sums, the fused multiply-add of ``accumulate_scaled``
+and the printer's term table, the tensor fold over kept leg images,
 reducing while parsing, the term-level parser, the memoised Hopf maps and
 the solver's sparse elimination against independent slow paths."""
 
@@ -28,7 +29,12 @@ from renaming import reversed_names, section_names, substituted
 from slot_swap import flat, projected, slot_swap_power
 
 from qcontract import catalog, contract, parser, rewrite, scalars
-from qcontract.freealg import Element, GeneratorId, tensor_embed
+from qcontract.freealg import (
+    Element,
+    GeneratorId,
+    accumulate_scaled,
+    tensor_embed,
+)
 from qcontract.hopf import ExcludedGenerator, HopfPresentation
 from qcontract.parser import parse_expression, tokenize
 from qcontract.rewrite import (
@@ -907,6 +913,147 @@ def test_interned_arithmetic_against_the_oracle(case):
         assert list(fresh.terms.items()) == list(got.terms.items())
         assert fresh.truncation_order == got.truncation_order == order
         values.append((expected, got))
+
+
+def two_step_accumulate(acc: dict, terms: dict, s: Scalar) -> None:
+    """Oracle: ``acc += terms * s`` as a product, then a sum, per word."""
+    for w, c in terms.items():
+        p = c * s
+        if not p.terms:
+            continue
+        cur = acc.get(w)
+        if cur is None:
+            acc[w] = p
+            continue
+        total = cur + p
+        if total.terms:
+            acc[w] = total
+        else:
+            del acc[w]
+
+
+ACC_WORDS = [(), (GeneratorId("a"),), (GeneratorId("a"), GeneratorId("b")),
+             (GeneratorId("b"),)]
+
+
+def coefficient_terms(order, min_size=1):
+    """Term dicts of 0-4 (at least ``min_size``) nonzero terms over q, lam
+    and eps at most ``order``."""
+    return st.dictionaries(
+        st.tuples(st.sampled_from(MONOS), st.integers(0, order)),
+        pairs.filter(lambda p: not p.is_zero()), min_size=min_size,
+        max_size=4)
+
+
+@st.composite
+def accumulate_cases(draw):
+    order = draw(st.integers(0, 4))
+    words = st.sampled_from(ACC_WORDS)
+    terms = draw(st.dictionaries(words, coefficient_terms(order, 0),
+                                 max_size=4))
+    acc = draw(st.dictionaries(words, coefficient_terms(order), max_size=4))
+    factor = draw(st.none() | coefficient_terms(order))  # None: the unit
+    # words whose running coefficient cancels the product, keeping its own
+    # drawn terms or not
+    cancel = draw(st.dictionaries(words, st.booleans(), max_size=4))
+    return order, terms, acc, factor, cancel
+
+
+UNIT = ParamMonomial()
+
+
+@given(accumulate_cases())
+# eps*eps is dropped at order 1; the rest adds into two running terms
+@example((1, {ACC_WORDS[1]: {(UNIT, 1): FracPair(2), (UNIT, 0): FracPair(1)}},
+          {ACC_WORDS[1]: {(UNIT, 0): FracPair(3), (MONOS[1], 0): FracPair(1)}},
+          {(UNIT, 1): FracPair(1, 1)}, {}))
+# the running coefficient cancels the whole product: the word leaves
+@example((2, {ACC_WORDS[0]: {(MONOS[1], 0): FracPair(1)}},
+          {ACC_WORDS[0]: {(MONOS[2], 1): FracPair(5)}},
+          {(MONOS[2], 0): FracPair(0, 1), (UNIT, 2): FracPair(1)},
+          {ACC_WORDS[0]: False}))
+# the product's two lam terms cancel on a key the running one lacks
+@example((0, {ACC_WORDS[2]: {(UNIT, 0): FracPair(1),
+                             (MONOS[1], 0): FracPair(1)}},
+          {ACC_WORDS[2]: {(MONOS[2], 0): FracPair(2)}},
+          {(UNIT, 0): FracPair(1), (MONOS[1], 0): FracPair(-1)}, {}))
+@settings(max_examples=300, deadline=None)
+def test_accumulate_scaled_against_the_two_step_oracle(case):
+    """The fused multiply-add gives every word, in the same order, the
+    coefficient of a product then a sum, with its terms in the same order;
+    a one-term coefficient is its kept instance."""
+    order, terms_t, acc_t, factor, cancel = case
+    # a clear on reaching TABLE_CAP drops older kept instances
+    scalars.clear_tables()
+    s = Scalar.one(order) if factor is None else scalar_of(factor, order)
+    terms = {w: scalar_of(t, order) for w, t in terms_t.items()}
+    acc = {w: scalar_of(t, order) for w, t in acc_t.items()}
+    minus_one = Scalar.from_rational(-1, order)
+    for w, keep in cancel.items():
+        if w not in terms:
+            continue
+        own = acc[w] if keep and w in acc else Scalar.zero(order)
+        c = own + terms[w] * s * minus_one
+        if c.terms:
+            acc[w] = c
+        else:
+            acc.pop(w, None)
+    expected = dict(acc)
+    two_step_accumulate(expected, terms, s)
+    got = dict(acc)
+    accumulate_scaled(got, terms, s)
+    assert list(got) == list(expected)
+    for w, c in got.items():
+        assert list(c.terms.items()) == list(expected[w].terms.items())
+        assert c.truncation_order == order
+        if len(c.terms) == 1:
+            assert c is Scalar(c.terms, order)
+
+
+def factors_text(s: Scalar) -> str:
+    """Oracle: ``str`` of a scalar with each term's factors built from its
+    monomial's ``sort_key`` and ``factors``."""
+    if not s.terms:
+        return "0"
+    parts = []
+    for key in sorted(s.terms, key=lambda k: (k[1], k[0].sort_key())):
+        mono, eps = key
+        factors = list(mono.factors())
+        if eps:
+            factors.append("eps" if eps == 1 else f"eps^{eps}")
+        cs = format_gaussian(s.terms[key])
+        if factors:
+            text = ("*".join(factors) if cs == "1" else
+                    "-" + "*".join(factors) if cs == "-1" else
+                    "*".join([cs] + factors))
+        else:
+            text = cs
+        parts.append(text)
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+PRINT_MONOS = MONOS + [ParamMonomial((("t", -1), ("q", 3))),
+                       ParamMonomial((("lam", -2), ("b", 1), ("a", 1)))]
+
+
+@given(st.integers(0, 4).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.dictionaries(st.tuples(st.sampled_from(PRINT_MONOS),
+                              st.integers(0, k)), pairs, max_size=4),
+    min_size=1, max_size=3))))
+@settings(max_examples=200)
+def test_printed_terms_match_the_factor_oracle(case):
+    order, drawn = case
+    with scalars.fresh_tables():
+        for t in drawn:
+            x = scalar_of(t, order)
+            assert str(x) == str(x) == factors_text(x)
+        assert len(scalars._TERM_TEXT) == len(
+            {k for t in drawn for k, v in t.items()
+             if not v.is_zero()})
+    assert scalars._TERM_TEXT == {}
 
 
 COPIERS = [copy.copy, copy.deepcopy] + [
