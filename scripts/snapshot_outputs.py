@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Snapshot the output of a fixed list of qcontract commands.
 
-Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: ten
+Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: 16
 commands read presentation files under ``tests/golden``)
 
 Each command runs in-process through ``qcontract.cli.main``; its exit code,
@@ -88,6 +88,10 @@ def _commands() -> list[list[str]]:
     # a broken coproduct: failing 2- and 3-slot residuals are printed
     cmds += [["hopf-check", "-p", "tests/golden/suq2_bad_coproduct.preso",
               *out] for out in ([], ["--output", "json"])]
+    # the random layer's failure counts on both broken fixtures vary by seed
+    cmds += [["hopf-check", "-p", f"tests/golden/suq2_bad_{part}.preso",
+              "--seed", seed]
+             for part in ("antipode", "coproduct") for seed in "123"]
     # contract, solve-commutator and report take no presentation, and no
     # command takes an option it would ignore
     cmds.append(["contract", "-p", "tests/golden/suq2_bad_coproduct.preso"])

@@ -224,10 +224,6 @@ class RttComponent:
     def is_trivial(self) -> bool:
         return self.element.is_zero
 
-    def describe(self) -> str:
-        return (f"row=({self.row[0]},{self.row[1]}) "
-                f"col=({self.col[0]},{self.col[1]}): {self.element}")
-
 
 def r_matrix(order: int = 1) -> dict[tuple, Scalar]:
     """The 4x4 R matrix, rows and columns indexed by ordered index pairs:

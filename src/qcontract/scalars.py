@@ -578,9 +578,6 @@ class Scalar:
             self.truncation_order,
         )
 
-    def truncate(self, order: int) -> "Scalar":
-        return Scalar(self.terms, order)
-
     def eps_component(self, k: int) -> "Scalar":
         """The eps^k slice, with the eps power stripped off."""
         acc = {}

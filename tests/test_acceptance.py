@@ -6,6 +6,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from rtt_lines import describe
 
 from qcontract import catalog, contract
 from qcontract.hopf import (
@@ -67,7 +68,7 @@ def test_rtt_generation():
     got = {str(x) for x in distinct}
     golden = (GOLDEN / "rtt_relations.txt").read_text()
     produced = "\n".join(
-        c.describe() for c in catalog.rtt_relations(suq2)) + "\n"
+        describe(c) for c in catalog.rtt_relations(suq2)) + "\n"
     _record("rtt-generation",
             len(distinct) == 6 and got == reference and produced == golden,
             f"{len(distinct)} distinct classes, golden file exact")

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rtt_lines import describe
 
 from qcontract import catalog
 from qcontract.freealg import format_word
@@ -45,7 +46,7 @@ class TestRttGeneration:
         }
 
     def test_golden_file_exact(self, suq2):
-        lines = [c.describe() for c in catalog.rtt_relations(suq2.base)]
+        lines = [describe(c) for c in catalog.rtt_relations(suq2.base)]
         expected = (GOLDEN / "rtt_relations.txt").read_text()
         assert "\n".join(lines) + "\n" == expected
 

@@ -3,8 +3,9 @@ printer, the dict-accumulating normal form, the normal-word table, the tuple
 letters, the shared scalar one, the kept single-term scalars with their
 memoised products and sums, the fused multiply-add of ``accumulate_scaled``
 and the printer's term table, the tensor fold over kept leg images,
-reducing while parsing, the term-level parser, the memoised Hopf maps and
-the solver's sparse elimination against independent slow paths."""
+reducing while parsing, the term-level parser, the memoised Hopf maps, the
+random layer's per-word defects and the solver's sparse elimination against
+independent slow paths."""
 
 import copy
 import operator
@@ -35,7 +36,15 @@ from qcontract.freealg import (
     accumulate_scaled,
     tensor_embed,
 )
-from qcontract.hopf import ExcludedGenerator, HopfPresentation
+from qcontract.hopf import (
+    RANDOM_DEGREE,
+    RANDOM_ELEMENTS,
+    ExcludedGenerator,
+    HopfPresentation,
+    check_convolution_on_element,
+    check_star_twice_on_element,
+    random_layer,
+)
 from qcontract.parser import parse_expression, tokenize
 from qcontract.rewrite import (
     DEFAULT_STEP_LIMIT,
@@ -936,13 +945,22 @@ ACC_WORDS = [(), (GeneratorId("a"),), (GeneratorId("a"), GeneratorId("b")),
              (GeneratorId("b"),)]
 
 
+#: nonzero fractions of ``small``'s range, and pairs with a nonzero part,
+#: built so rather than filtered from ``pairs``
+nonzero_small = st.builds(lambda n, d, neg: Fraction(-n if neg else n, d),
+                          st.integers(1, 20), st.integers(1, 12),
+                          st.booleans())
+any_small = st.just(Fraction(0)) | nonzero_small
+nonzero_pairs = (st.builds(FracPair, nonzero_small, any_small)
+                 | st.builds(FracPair, any_small, nonzero_small))
+
+
 def coefficient_terms(order, min_size=1):
     """Term dicts of 0-4 (at least ``min_size``) nonzero terms over q, lam
     and eps at most ``order``."""
     return st.dictionaries(
         st.tuples(st.sampled_from(MONOS), st.integers(0, order)),
-        pairs.filter(lambda p: not p.is_zero()), min_size=min_size,
-        max_size=4)
+        nonzero_pairs, min_size=min_size, max_size=4)
 
 
 @st.composite
@@ -1147,9 +1165,9 @@ def leg_maps(h: HopfPresentation) -> dict:
     alph, order = h.base.alphabet, h.order
     return {
         "id": (h.word_image, lambda y: y),
-        "counit": (lambda w: {(): h.apply_counit(
-            Element.from_word(alph, w, order))},
-            lambda y: Element.unit(alph, order).scaled(h.apply_counit(y))),
+        "counit": (h.counit_image,
+                   lambda y: Element.unit(alph, order).scaled(
+                       h.apply_counit(y))),
         "antipode": (h.antipode_image, reference_antipode(h)),
     }
 
@@ -1226,6 +1244,23 @@ def test_leg_first_met_in_the_fold_is_guarded_like_the_antipode():
         h.apply_antipode(Element.generator(h.base.alphabet, "J", 1))
     assert str(in_fold.value) == str(direct.value)
     assert (h.base.alphabet.gen("J"),) not in h._images["antipode"]
+
+
+def test_counit_leg_is_guarded_like_the_counit():
+    h = catalog.load_presentation("builtin:ekappa2-klmn", 1)
+    alph = h.base.alphabet
+    word = (alph.gen("L"), alph.gen("J"))  # nf holds J
+    with pytest.raises(ExcludedGenerator) as leg:
+        h.counit_image(word)
+    with pytest.raises(ExcludedGenerator) as direct:
+        h.apply_counit(Element.from_word(alph, word, 1))
+    assert str(leg.value) == str(direct.value)
+    assert word not in h._images["counit"]
+    # K*J reduces to 1: its counit is kept
+    word = (alph.gen("K"), alph.gen("J"))
+    kept = h.counit_image(word)
+    assert h.counit_image(word) is kept
+    assert kept == {(): h.apply_counit(Element.from_word(alph, word, 1))}
 
 
 # -- memoised Hopf maps against the generator images and a normal form ---------
@@ -1322,6 +1357,96 @@ def test_copies_of_a_presentation_keep_their_own_memo():
     # have handed them final's images
     assert open_.apply_antipode(xs[0]) != final.apply_antipode(xs[0])
     assert limit.apply_antipode(xs[0]) != final.apply_antipode(xs[0])
+
+
+# -- the random layer's per-word defects against the element-level checks -----
+
+
+def element_convolution_check(h: HopfPresentation, x: Element) -> bool:
+    """Oracle: ``conv(nf(x)) - eps(nf(x)) 1`` is zero, on the element."""
+    nf = h._guard(x, "coproduct")
+    s_id = h._convolution(nf)
+    unit_eps = Element.unit(h.base.alphabet, h.order).scaled(h._counit(nf))
+    return (s_id - unit_eps).is_zero
+
+
+def element_star_twice_check(h: HopfPresentation, x: Element) -> bool:
+    """Oracle: ``nf(x** - x)`` is zero, on the element."""
+    return h.base.normal_form(h.apply_star_twice(x) - x).is_zero
+
+
+def verdict(check, h: HopfPresentation, x: Element):
+    try:
+        return check(h, x)
+    except ExcludedGenerator as exc:
+        return str(exc)
+
+
+def non_involutive_suq2(order: int) -> HopfPresentation:
+    """suq2 with ``d* = q*a``: ``a** = q*a``, so the double star of a word
+    holding ``a`` or ``d`` is not the word."""
+    head, star = catalog.builtin_source("suq2").split("[star]")
+    assert "d -> a\n" in star
+    return catalog.parse_presentation_text(
+        head + "[star]" + star.replace("d -> a\n", "d -> q*a\n"), order,
+        "suq2-star")
+
+
+#: each source (a builtin, a file under tests/golden, or the suq2 above),
+#: and whether one of its words has a nonzero convolution defect d and one
+#: a nonzero double-star defect e at every order
+LAYER_SOURCES = {
+    "builtin:suq2": (False, False),
+    "builtin:ekappa2-klmn": (False, False),
+    "builtin:ekappa2-final": (False, False),
+    "suq2_bad_coproduct.preso": (True, False),
+    "suq2_bad_antipode.preso": (True, False),
+    "corrupted_klmn/ekappa2_klmn.preso": (True, True),
+    "non-involutive": (False, True),
+}
+
+
+def layer_source(source: str, order: int) -> HopfPresentation:
+    if source == "non-involutive":
+        return non_involutive_suq2(order)
+    if not source.startswith("builtin:"):
+        source = GOLDEN / source
+    return catalog.load_presentation(source, order)
+
+
+@pytest.mark.parametrize("order", [1, 4])
+@pytest.mark.parametrize("source", LAYER_SOURCES)
+def test_random_layer_matches_the_element_checks(source, order):
+    """Per element and per seed, the sums of kept word defects give the
+    element-level verdicts, the same ``ExcludedGenerator`` on elements
+    over every letter, and the layer the same failure count."""
+    h = layer_source(source, order)
+    old, new = replace(h), replace(h)  # the oracle's memo is its own
+    checks = [(element_convolution_check, check_convolution_on_element),
+              (element_star_twice_check, check_star_twice_on_element)]
+    for seed in range(20):
+        draws = Random(seed)
+        failures = 0
+        for _ in range(RANDOM_ELEMENTS):
+            x = random_element(draws, h.base, degree=RANDOM_DEGREE,
+                               params=h.base.params, exclude=h.excluded)
+            for oracle, check in checks:
+                want = oracle(old, x)
+                assert check(new, x) == want
+                failures += not want
+        # over every letter, excluded ones too
+        x = random_element(Random(f"all-{seed}"), h.base, degree=4,
+                           params=h.base.params)
+        for oracle, check in checks:
+            assert verdict(check, new, x) == verdict(oracle, old, x)
+        # a cold memo per seed, as in a command
+        record = random_layer(replace(h), Random(seed))
+        assert record.ok == (failures == 0)
+        assert record.residual == (f"{failures} failures" if failures
+                                   else "0")
+    broken = [any(new._images[memo].values())
+              for memo in ("convolution-defect", "star-twice-defect")]
+    assert broken == list(LAYER_SOURCES[source])
 
 
 # -- the solver's sparse elimination against dense Gauss-Jordan ----------------

@@ -30,6 +30,10 @@ def test_command_list_covers_the_pipeline():
     assert f"hopf-check -p {bad}" in lines
     assert f"hopf-check -p {bad} --output json" in lines
     assert f"contract -p {bad}" in lines
+    for part in ("antipode", "coproduct"):
+        for seed in (1, 2, 3):
+            assert (f"hopf-check -p tests/golden/suq2_bad_{part}.preso "
+                    f"--seed {seed}" in lines)
     assert "nf --output json a*d" in lines
     assert "solve-commutator --seed 5" in lines
     assert not any("--timings" in line for line in lines)
