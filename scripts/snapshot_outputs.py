@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Snapshot the output of a fixed list of qcontract commands.
 
-Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: 16
+Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: 18
 commands read presentation files under ``tests/golden``)
 
 Each command runs in-process through ``qcontract.cli.main``; its exit code,
@@ -103,6 +103,14 @@ def _commands() -> list[list[str]]:
     cmds += [["contract", "--order", "1", "--catalog-dir",
               "tests/golden/corrupted_klmn", *out]
              for out in ([], ["--output", "json"])]
+    # confluence records one check per ambiguity and report counts the
+    # failing ones per builtin: 3-letter ambiguities skipped under
+    # --max-overlap 2, and the corrupted klmn's unresolved ones
+    cmds += [["confluence", "--max-overlap", "2"],
+             ["confluence", "-p",
+              "tests/golden/corrupted_klmn/ekappa2_klmn.preso"],
+             ["report", "--max-overlap", "2"],
+             ["report", "--catalog-dir", "tests/golden/corrupted_klmn"]]
     # grouplike eta and etabar: the [eta, etabar] solve is not linear
     cmds.append(["solve-commutator", "--catalog-dir",
                  "tests/golden/nonlinear_final"])

@@ -1,5 +1,5 @@
-"""Command-line surface: normal forms, confluence, Hopf suites, the full
-contraction verification and the commutator solver.
+"""Command-line surface: each command parses its options, runs a suite
+(those over the builtins from ``suites``) and prints the records.
 
 Exit codes: 0 pass, 1 verification failure, 2 usage or parse error,
 3 resource limit.
@@ -13,17 +13,11 @@ import sys
 import time
 from random import Random
 
-from . import __version__, catalog, contract, rewrite, scalars
+from . import __version__, catalog, contract, rewrite, scalars, suites
 from .freealg import AlphabetMismatch, MissingImage
-from .hopf import (
-    ExcludedGenerator,
-    HopfPresentation,
-    central_residuals,
-    grouplike_residual,
-    run_hopf_suite,
-)
+from .hopf import ExcludedGenerator, HopfPresentation, run_hopf_suite
 from .parser import ParseError, parse_expression
-from .reports import CheckRecord, CheckReport, report_to_json_dict
+from .reports import REPORT_SCHEMA, CheckReport, report_to_json_dict
 from .rewrite import (
     DEFAULT_STEP_LIMIT,
     OverlapBoundError,
@@ -103,46 +97,20 @@ def _add_options(p: argparse.ArgumentParser, *read: str):
                                action=_Refused, help=argparse.SUPPRESS)
 
 
-#: the parsed arguments a JSON report's ``config`` block carries, in order;
-#: one the command does not take is null
-_CONFIG_KEYS = ("presentation", "truncation_order", "step_limit", "seed",
-                "max_overlap", "output")
-
-
-def _load(args):
-    return catalog.load_presentation(
+def _load(args, base: bool = False):
+    """The presentation of ``-p``; with ``base``, a Hopf one's algebra."""
+    h = catalog.load_presentation(
         args.presentation, args.truncation_order, lam_zero=args.lam_zero)
-
-
-def _as_checked(loaded: dict[str, HopfPresentation],
-                args) -> dict[str, HopfPresentation]:
-    """The loaded builtins as the suites check them: under --lam-zero the
-    contracted algebras in their classical limit, while suq2 keeps its
-    q-form (the contraction eliminates q itself)."""
-    if not args.lam_zero:
-        return loaded
-    return {name: h if name == "suq2" else catalog.classical_limit(h)
-            for name, h in loaded.items()}
-
-
-def _builtins(args, names=catalog.BUILTIN_NAMES) -> dict[str, HopfPresentation]:
-    """Each builtin of ``names`` loaded once, as the suites check it."""
-    return _as_checked({name: catalog.load_presentation(
-        f"builtin:{name}", args.truncation_order) for name in names}, args)
-
-
-def _contraction_checks(b: dict[str, HopfPresentation]) -> CheckReport:
-    """The contraction suite and the change of variables on the builtins."""
-    report = contract.contraction_suite(b["suq2"], b["ekappa2-klmn"])
-    report.extend(contract.verify_change_of_variables(
-        b["ekappa2-klmn"], b["ekappa2-final"]))
-    return report
+    return h.base if base and isinstance(h, HopfPresentation) else h
 
 
 def _emit(report: CheckReport, args) -> int:
     if args.output == "json":
+        # the config block carries the schema's keys in order; one the
+        # command does not take is null
         doc = report_to_json_dict(report, __version__, {
-            k: getattr(args, k, None) for k in _CONFIG_KEYS})
+            k: getattr(args, k, None)
+            for k in REPORT_SCHEMA["properties"]["config"]["required"]})
         print(json.dumps(doc, indent=2))
     else:
         for r in report.records:
@@ -174,8 +142,7 @@ def _timed(fn, args) -> CheckReport:
 
 
 def cmd_nf(args) -> int:
-    h = _load(args)
-    base = h.base if isinstance(h, HopfPresentation) else h
+    base = _load(args, base=True)
     # the rules of a limit hold none of its zero parameters, so setting them
     # to 0 after the reduction is setting them to 0 before it
     print(catalog.at_zero(base.zero_params, parse_expression(
@@ -185,25 +152,8 @@ def cmd_nf(args) -> int:
 
 
 def cmd_confluence(args) -> int:
-    h = _load(args)
-    base = h.base if isinstance(h, HopfPresentation) else h
-    rep = check_local_confluence(base, args.max_overlap)
-    report = CheckReport()
-    for item in rep.items:
-        amb = item.ambiguity
-        word = "*".join(g.name for g in amb.word)
-        if item.skipped:
-            residual = (f"skipped: {len(amb.word)} letters exceed "
-                        f"--max-overlap {args.max_overlap}")
-        elif item.resolved:
-            residual = "0"
-        else:
-            residual = f"{item.nf_left} != {item.nf_right}"
-        report.add(CheckRecord(
-            name=f"{base.name}/confluence/{word}"
-                 f"[{amb.rule_i},{amb.rule_j},{amb.kind}]",
-            ok=item.resolved, residual=residual))
-    return _emit(report, args)
+    return _emit(check_local_confluence(_load(args, base=True),
+                                        args.max_overlap), args)
 
 
 def cmd_hopf_check(args) -> int:
@@ -215,118 +165,27 @@ def cmd_hopf_check(args) -> int:
 
 
 def cmd_contract(args) -> int:
-    return _emit(_timed(lambda: _contraction_checks(_builtins(args)), args),
-                 args)
+    return _emit(_timed(lambda: suites.contraction(suites.builtins(
+        args.truncation_order, args.lam_zero)), args), args)
 
 
 def cmd_solve_commutator(args) -> int:
     if args.ln and args.lam_zero:
         print("error: --ln is not supported with --lam-zero", file=sys.stderr)
         return EXIT_USAGE
-    final = _builtins(args, ("ekappa2-final",))["ekappa2-final"]
-    outcome, report = contract.solve_eta_etabar(final)
-    if outcome.solution:
-        for label, coeff in outcome.solution.items():
-            report.add(CheckRecord(
-                name=f"solver/eta-etabar/coefficient[{label}]",
-                ok=True, residual=str(coeff), paper_eq="Eq. (35)",
-                solved=True))
+    report = contract.eta_etabar_solution(suites.builtins(
+        args.truncation_order, args.lam_zero,
+        ("ekappa2-final",))["ekappa2-final"])
     if args.ln:
-        ln = contract.solve_ln_commutator(args.truncation_order)
-        report.add(CheckRecord(
-            name="solver/L-N/status", ok=ln.ok, residual=ln.status))
-        if ln.solution:
-            for label, coeff in ln.solution.items():
-                if not coeff.is_zero:
-                    report.add(CheckRecord(
-                        name=f"solver/L-N/coefficient[{label}]",
-                        ok=True, residual=str(coeff), solved=True))
+        report.extend(contract.ln_solution(args.truncation_order))
     return _emit(report, args)
-
-
-def _catalog_report(args):
-    """Load each builtin and check that its file is in canonical form;
-    returns the report and the loaded presentations by name."""
-    report = CheckReport()
-    loaded = {}
-    for name in catalog.BUILTIN_NAMES:
-        try:
-            h = catalog.load_presentation(f"builtin:{name}",
-                                          args.truncation_order)
-            if not isinstance(h, HopfPresentation):
-                residual = "no Hopf data"
-            elif (catalog.serialize_presentation(h)
-                  != catalog.builtin_source(name)):
-                residual = "not in canonical form"
-            else:
-                residual = "0"
-                loaded[name] = h
-        except (ValueError, OSError) as exc:  # unreadable or malformed
-            residual = str(exc)
-        report.add(CheckRecord(name=f"catalog/load/{name}",
-                               ok=residual == "0", residual=residual))
-    return report, loaded
 
 
 def cmd_report(args) -> int:
     """The full verification pipeline over all builtins."""
-    def run() -> CheckReport:
-        report, loaded = _catalog_report(args)
-        if not report.ok:
-            return report
-
-        b = _as_checked(loaded, args)
-        suq2, klmn, final = (b[name] for name in catalog.BUILTIN_NAMES)
-
-        # RTT generation against the reference relation set
-        distinct = catalog.distinct_rtt_relations(suq2.base)
-        reference = {str(x) for x in catalog.canonical_relation_forms(
-            catalog.reference_rtt_relation_set(suq2.base), suq2.base)}
-        got = {str(x) for x in distinct}
-        report.add(CheckRecord(
-            name="catalog/rtt/distinct-relations",
-            ok=got == reference and len(distinct) == 6,
-            residual="0" if got == reference else
-            f"got {sorted(got)} expected {sorted(reference)}",
-            paper_eq=catalog.TAG_RTT))
-        for comp in catalog.rtt_relations(suq2.base):
-            report.add_residual(
-                f"catalog/rtt/reduces[{comp.row[0]}{comp.row[1]},"
-                f"{comp.col[0]}{comp.col[1]}]",
-                suq2.base.normal_form(comp.element), catalog.TAG_RTT)
-
-        # confluence of the three builtins
-        for h in (suq2, klmn, final):
-            rep = check_local_confluence(h.base, args.max_overlap)
-            report.add(CheckRecord(
-                name=f"confluence/{h.base.name}",
-                ok=rep.ok,
-                residual="0" if rep.ok else
-                f"{len(rep.unresolved())} unresolved ambiguities"))
-
-        # Hopf suites
-        rng = Random(args.seed)
-        for h in (suq2, klmn, final):
-            report.extend(run_hopf_suite(h, rng))
-
-        # determinant is grouplike and central
-        det = catalog.determinant_element(suq2.base)
-        report.add_residual("suq2/determinant-grouplike",
-                            grouplike_residual(suq2, det),
-                            catalog.TAG_DETERMINANT)
-        cen = central_residuals(suq2.base, det)
-        report.add(CheckRecord(
-            name="suq2/determinant-central",
-            ok=all(r.is_zero for r in cen),
-            residual="0" if all(r.is_zero for r in cen) else "nonzero",
-            paper_eq=catalog.TAG_DETERMINANT))
-
-        # contraction suites, change of variables, solver
-        report.extend(_contraction_checks(b))
-        report.extend(contract.solver_suite(final))
-        return report
-
-    return _emit(_timed(run, args), args)
+    return _emit(_timed(lambda: suites.report(
+        args.truncation_order, args.seed, args.max_overlap, args.lam_zero),
+        args), args)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

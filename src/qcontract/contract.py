@@ -640,14 +640,19 @@ def solve_eta_etabar(final: HopfPresentation) -> tuple[SolveOutcome,
     basis = standard_commutator_basis(final.base)
     outcome = solve_commutator(catalog.without_commutator_rule(final),
                                "eta", "etabar", basis)
-    report = CheckReport()
-    report.add(CheckRecord(
-        name="solver/eta-etabar/status",
-        ok=outcome.ok,
-        residual=outcome.status,
-        paper_eq="Eq. (35)",
-    ))
-    return outcome, report
+    return outcome, CheckReport([CheckRecord(
+        name="solver/eta-etabar/status", ok=outcome.ok,
+        residual=outcome.status, paper_eq="Eq. (35)")])
+
+
+def eta_etabar_solution(final: HopfPresentation) -> CheckReport:
+    """The [eta, etabar] status record and each solved coefficient."""
+    outcome, report = solve_eta_etabar(final)
+    for label, coeff in (outcome.solution or {}).items():
+        report.add(CheckRecord(
+            name=f"solver/eta-etabar/coefficient[{label}]", ok=True,
+            residual=str(coeff), paper_eq="Eq. (35)", solved=True))
+    return report
 
 
 def solver_suite(final: HopfPresentation) -> CheckReport:
@@ -705,6 +710,19 @@ def solve_ln_commutator(order: int = 1,
     lam = Scalar.param("lam", order)
     expr = (eta * etabar - etabar * eta) - (etabar + eta).scaled(lam)
     return _solve_marker(p, "L", "N", expr, basis, None)
+
+
+def ln_solution(order: int) -> CheckReport:
+    """The [L, N] status record and each nonzero solved coefficient."""
+    ln = solve_ln_commutator(order)
+    report = CheckReport([CheckRecord(name="solver/L-N/status", ok=ln.ok,
+                                      residual=ln.status)])
+    for label, coeff in (ln.solution or {}).items():
+        if not coeff.is_zero:
+            report.add(CheckRecord(
+                name=f"solver/L-N/coefficient[{label}]", ok=True,
+                residual=str(coeff), solved=True))
+    return report
 
 
 def klmn_with_ln_rule(solution: dict[str, Scalar], basis: dict[str, Element],

@@ -16,7 +16,9 @@ reduces each word on a stack by the leftmost, strongest redex.  It is the
 reference: confluence checks reduce with it, so their verdict never depends
 on the table, it reports the rules it fires, and it takes over when table
 fills nest deeper than the interpreter's stack.  ``check_local_confluence``
-reports a verdict and changes nothing on its presentation.
+returns a :class:`~qcontract.reports.CheckReport`, the record type of every
+suite, with one record per ambiguity, and changes nothing on its
+presentation.
 
 The table also multiplies without expanding: ``Presentation._multiply``
 gives ``nf(x*y)`` for a normal ``x`` by folding ``x`` by the letters of each
@@ -57,7 +59,7 @@ reductions and 8,720 for its expansion.  The rewriter keeps no memo.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -74,6 +76,7 @@ from .freealg import (
     product_terms,
     word_key,
 )
+from .reports import CheckRecord, CheckReport
 from .scalars import Scalar
 
 DEFAULT_STEP_LIMIT = 10**6
@@ -483,34 +486,6 @@ class Ambiguity:
     right: Element
 
 
-@dataclass
-class ConfluenceItem:
-    """A resolved or unresolved ambiguity; one longer than ``max_overlap``
-    is skipped (not reduced) and counts as unresolved."""
-
-    ambiguity: Ambiguity
-    resolved: bool
-    nf_left: Element | None
-    nf_right: Element | None
-
-    @property
-    def skipped(self) -> bool:
-        return self.nf_left is None
-
-
-@dataclass
-class ConfluenceReport:
-    presentation: str
-    items: list[ConfluenceItem] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(it.resolved for it in self.items)
-
-    def unresolved(self) -> list[ConfluenceItem]:
-        return [it for it in self.items if not it.resolved]
-
-
 def _word_element(p: Presentation, word: Word) -> Element:
     return Element.from_word(p.alphabet, word, p.trunc_order)
 
@@ -549,16 +524,21 @@ def critical_pairs(p: Presentation, max_overlap: int) -> list[Ambiguity]:
 
 
 def check_local_confluence(p: Presentation,
-                           max_overlap: int = 6) -> ConfluenceReport:
-    """Reduce both sides of every ambiguity whose word has at most
-    ``max_overlap`` letters by the plain rewriter; each longer one is a
-    skipped failure.  The report is the verdict: ``p`` is left as it was."""
-    report = ConfluenceReport(presentation=p.name or "presentation")
+                           max_overlap: int = 6) -> CheckReport:
+    """One record per ambiguity: both sides of each ambiguity whose word has
+    at most ``max_overlap`` letters are reduced by the plain rewriter, and
+    each longer one is a skipped failure.  The report is the verdict: ``p``
+    is left as it was."""
+    report = CheckReport()
     for amb in critical_pairs(p, max_overlap):
         if len(amb.word) > max_overlap:
-            report.items.append(ConfluenceItem(amb, False, None, None))
-            continue
-        nl = p.rewrite(amb.left)
-        nr = p.rewrite(amb.right)
-        report.items.append(ConfluenceItem(amb, nl == nr, nl, nr))
+            residual = (f"skipped: {len(amb.word)} letters exceed "
+                        f"--max-overlap {max_overlap}")
+        else:
+            nl, nr = p.rewrite(amb.left), p.rewrite(amb.right)
+            residual = "0" if nl == nr else f"{nl} != {nr}"
+        report.add(CheckRecord(
+            name=f"{p.name}/confluence/{'*'.join(g.name for g in amb.word)}"
+                 f"[{amb.rule_i},{amb.rule_j},{amb.kind}]",
+            ok=residual == "0", residual=residual))
     return report

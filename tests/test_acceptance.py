@@ -80,7 +80,7 @@ def test_confluence_of_builtins():
               catalog.ekappa2_klmn_presentation(1),
               catalog.ekappa2_final_presentation(1)):
         report = check_local_confluence(h.base, max_overlap=6)
-        unresolved += len(report.unresolved())
+        unresolved += len(report.failures())
     _record("confluence-three-builtins", unresolved == 0,
             "zero unresolved ambiguities at max_overlap 6")
 

@@ -926,3 +926,49 @@ class TestReport:
             assert "lam" not in label
         assert "ekappa2-klmn@lam=0/delta-respects/L*K -> K*L" in {
             c["name"] for c in ruled}
+
+
+# -- each record family comes from one path: a single command's records are
+# -- the very ones report holds
+
+
+def _checks(capsys, *argv) -> list[dict]:
+    _, out, _ = run(capsys, *argv, "--output", "json")
+    return json.loads(out)["checks"]
+
+
+@pytest.mark.parametrize("order", ["1", "4"])
+def test_contract_checks_are_the_contraction_slice_of_report(capsys, order):
+    mine = _checks(capsys, "contract", "--order", order)
+    full = _checks(capsys, "report", "--order", order)
+    start = full.index(mine[0])
+    assert full[start:start + len(mine)] == mine
+    # the slice runs from the first contraction record to the solver's
+    assert mine[0]["name"].startswith("contract/")
+    assert not full[start - 1]["name"].startswith("contract/")
+    assert full[start + len(mine)]["name"].startswith("solver/")
+
+
+def test_eta_etabar_status_is_the_same_in_solve_and_report(capsys):
+    def status(checks):
+        (record,) = [c for c in checks
+                     if c["name"] == "solver/eta-etabar/status"]
+        return record
+    assert status(_checks(capsys, "solve-commutator")) == status(
+        _checks(capsys, "report"))
+
+
+def test_report_counts_the_failing_confluence_records(capsys):
+    summary = {c["name"]: c["residual"] for c in _checks(
+        capsys, "report", "--max-overlap", "2")
+        if c["name"].startswith("confluence/")}
+    assert list(summary) == [f"confluence/{n}" for n in catalog.BUILTIN_NAMES]
+    for name in catalog.BUILTIN_NAMES:
+        failed = [c for c in _checks(capsys, "confluence", "-p",
+                                     f"builtin:{name}", "--max-overlap", "2")
+                  if c["status"] == "fail"]
+        assert failed
+        assert all(c["residual"].startswith("skipped: 3 letters")
+                   for c in failed)
+        assert summary[f"confluence/{name}"] == (
+            f"{len(failed)} unresolved ambiguities")

@@ -36,6 +36,12 @@ def test_command_list_covers_the_pipeline():
                     f"--seed {seed}" in lines)
     assert "nf --output json a*d" in lines
     assert "solve-commutator --seed 5" in lines
+    # the per-ambiguity confluence records and report's counts of them
+    klmn = "tests/golden/corrupted_klmn"
+    assert "confluence --max-overlap 2" in lines
+    assert f"confluence -p {klmn}/ekappa2_klmn.preso" in lines
+    assert "report --max-overlap 2" in lines
+    assert f"report --catalog-dir {klmn}" in lines
     assert not any("--timings" in line for line in lines)
     assert "--help" in lines
     for command in ("nf", "confluence", "hopf-check", "contract",
