@@ -593,12 +593,13 @@ def serialize_presentation(h) -> str:
         base, hopf = h.base, h
     else:
         base, hopf = h, None
-    elems = [r.rhs for r in base.rules]
+    coeffs = [c for r in base.rules for c in r.rhs.terms.values()]
     if hopf:
-        elems += [img for m in (hopf.coproduct, hopf.antipode, hopf.star)
-                  for img in m.images.values()]
-    params = {pname for x in elems for c in x.terms.values()
-              for (mono, _eps) in c.terms for pname, _ in mono.exps}
+        coeffs += [c for m in (hopf.coproduct, hopf.antipode, hopf.star)
+                   for img in m.images.values() for c in img.terms.values()]
+        coeffs += hopf.counit.values()
+    params = {pname for c in coeffs for (mono, _eps) in c.terms
+              for pname, _ in mono.exps}
     lines = [f"# presentation: {base.name}"]
     lines += ["", "[params]"] + sorted(params)
     lines += ["", "[generators]", " ".join(base.alphabet.names)]

@@ -14,11 +14,13 @@ also hosts the linear solver that back-determines commutators (such as
 The suites take the presentations they check, loaded once by the caller;
 their truncation order is read off them.  A classical limit holds lam at
 zero (``zero_params``), so the q series and every text read in it take
-lam as 0.  ``_map_residual`` alone asks whether a map respects a relation
-or a structure map, and ``check_rows`` alone records the answers: every
-contraction square and change-of-variables identity is a row it reduces,
-guards against the undetermined [L, N] and records, per eps order where
-asked.  The coproduct squares take their tags from the target's file.
+lam as 0.  ``hopf.map_residual`` alone asks whether a map respects a
+relation or a structure map, and ``hopf.check_rows`` alone records the
+answers: every contraction square and change-of-variables identity is a
+row it reduces and records, per eps order where asked.  The contraction's
+``check_rows`` binds the guard against the undetermined [L, N], so every
+one of its rows is guarded.  The coproduct squares take their tags from
+the target's file.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from . import catalog
+from . import catalog, hopf
 from .catalog import klmn_named_elements
 from .freealg import (
     Alphabet,
@@ -69,27 +71,9 @@ def _eps_truncate(x: Element, max_degree: int) -> Element:
     return out
 
 
-def _same(x):
-    """The identity map, for a residual stated in the target itself."""
-    return x
-
-
-def _map_residual(target: HopfPresentation, phi, phi2, kind: str,
-                  x: Element, image) -> Element:
-    """The difference, before normal forms, that vanishes when ``phi``
-    respects the map ``kind`` of ``target`` at the source element ``x``
-    whose image under the source's map is ``image``: phi(x) for a relation
-    x, Delta(phi(x)) - phi2(image) (``phi2`` on tensors), M(phi(x)) -
-    phi(image) for the star or antipode M, (eps(phi(x)) - image) 1."""
-    if kind == "relation":
-        return phi(x)
-    if kind == "coproduct":
-        return target.apply_coproduct(phi(x)) - phi2(image)
-    if kind == "counit":
-        return Element.unit(target.base.alphabet, target.order).scaled(
-            target.apply_counit(phi(x)) - image)
-    mapped = target.apply_star if kind == "star" else target.apply_antipode
-    return mapped(phi(x)) - phi(image)
+#: the row loop of ``hopf``, every row guarded against the undetermined
+#: [L, N]
+check_rows = partial(hopf.check_rows, guard=_guard_ln)
 
 
 # --------------------------------------------------------------------------
@@ -192,36 +176,6 @@ class ContractionAnsatz:
 # --------------------------------------------------------------------------
 
 
-def check_rows(target: HopfPresentation, phi, phi2, rows,
-               orders: range | None = None) -> CheckReport:
-    """One record per row ``(name, kind, x, image, tag)``: the difference
-    ``_map_residual`` gives, reduced in the power of ``target`` with its
-    slot count and guarded against the undetermined [L, N].  With
-    ``orders``, one record ``<name>/eps^k`` per order k, reduced from the
-    eps^k part of the difference, which a relation record keeps as
-    ``raw``; a tuple ``tag`` holds one tag per order.  A counit difference
-    is a multiple of 1, recorded as it is."""
-    report = CheckReport()
-    for name, kind, x, image, tag in rows:
-        diff = _map_residual(target, phi, phi2, kind, x, image)
-        parts = [(name, diff, tag)]
-        if orders is not None:
-            comps = diff.eps_components()
-            zero = Element.zero(diff.alphabet, target.order)
-            parts = [(f"{name}/eps^{k}", comps.get(k, zero),
-                      tag[k] if isinstance(tag, tuple) else tag)
-                     for k in orders]
-        for record, raw, record_tag in parts:
-            residual = raw
-            if kind != "counit":
-                residual = target.base.at_slots(
-                    raw.alphabet.slot_count).normal_form(raw)
-                _guard_ln(residual, record)
-            extra = {"raw": str(raw)} if orders and kind == "relation" else {}
-            report.add_residual(record, residual, record_tag, **extra)
-    return report
-
-
 def _coproduct_tags(ansatz: ContractionAnsatz, gname: str) -> tuple:
     """Per checked order k, the target's coproduct tag of the generator
     whose multiple is the eps^k part of the image of ``gname``: its square
@@ -246,18 +200,14 @@ def verify_star_contraction(ansatz: ContractionAnsatz) -> CheckReport:
     """The star square: contracting g* must agree with the target star of
     the contracted g, order by order (this is what fixes the star rules of
     the contracted generators), and the contracted star is involutive."""
-    p = ansatz.target.base
     # the star is real-linear, so the square of -phi is phi(g*) - phi(g)*
     report = check_rows(
         ansatz.target, lambda x: -ansatz.apply(x), None,
         _square_rows(ansatz, "star-square", "star", ansatz.source.star.apply,
                      lambda g: "Eq. (15)"),
         ansatz.checked_orders())
-    for name in ("K", "L", "M", "N"):
-        t = Element.generator(p.alphabet, name, ansatz.order)
-        report.add_residual(
-            f"contract/star-involution/{name}",
-            p.normal_form(ansatz.target.apply_star_twice(t) - t), "Eq. (15)")
+    report.extend(hopf.star_involution(ansatz.target, ("K", "L", "M", "N"),
+                                       "contract", "Eq. (15)"))
     return report
 
 
@@ -379,7 +329,7 @@ def verify_change_of_variables(target: HopfPresentation,
     presentation (rules and Hopf data) inside it."""
     p, order, src = target.base, target.order, final.base.alphabet
     realize = catalog.final_to_klmn_map(final.base, p)
-    report = check_rows(target, _same, _same, (
+    report = check_rows(target, hopf.same, hopf.same, (
         (f"change-of-variables/{name}", *row)
         for name, *row in _identities(target)))
     # the realization leaves out the etabar*eta rule: its linear-variable

@@ -32,6 +32,11 @@ word's defect is zero; the convolution, the counit, the double star and the
 normal form are linear, so each verdict is the element-level one.  The
 counit leg of the counit checks reads a kept counit per word as well.
 
+Every check that a map respects a structure (a rule, the coproduct, the
+star) is a row of ``check_rows``, and ``map_residual`` alone computes its
+difference; the contraction's squares are rows too, and only they pass a
+guard.
+
 The step budget: computing an image draws the allowances of the normal
 forms it takes; an image already kept charges nothing.
 """
@@ -112,7 +117,8 @@ class HopfPresentation:
         ``conj(c_w)`` when ``conjugate``.  ``image`` maps a one-word element
         to a normal element over ``target``; it runs once per word, on the
         word with unit coefficient, and the memo ``name`` keeps its result
-        for every later call."""
+        for every later call.  A word whose image is zero adds nothing: when
+        every word's is, no coefficient is multiplied."""
         self.base._check_alphabet(x)
         memo = self._images[name]
         alph, order = self.base.alphabet, self.order
@@ -122,8 +128,9 @@ class HopfPresentation:
             if img is None:
                 img = memo[word] = image(
                     Element.from_word(alph, word, order)).terms
-            accumulate_scaled(acc, img, coeff.conjugate() if conjugate
-                              else coeff)
+            if img:
+                accumulate_scaled(acc, img, coeff.conjugate() if conjugate
+                                  else coeff)
         return Element._of(target, acc, order)
 
     def apply_coproduct(self, x: Element) -> Element:
@@ -207,34 +214,16 @@ class HopfPresentation:
 
     # -- per-word defects of the random layer --------------------------------
 
-    def vanishes(self, name: str, x: Element, defect) -> bool:
-        """Whether ``sum c_w defect(w)`` over the terms ``c_w w`` of ``x``
-        is zero.  ``defect`` maps a word to the terms of its defect; it runs
-        once per word, and the memo ``name`` keeps its result.  A word whose
-        defect is zero adds nothing: when every word's is, no coefficient
-        is multiplied."""
-        memo = self._images[name]
-        acc: dict = {}
-        for word, coeff in x.terms.items():
-            d = memo.get(word)
-            if d is None:
-                d = memo[word] = defect(word)
-            if d:
-                accumulate_scaled(acc, d, coeff)
-        return not acc
-
-    def convolution_defect(self, word: Word) -> dict:
+    def convolution_defect(self, w: Element) -> Element:
         """``m(S (x) id) Delta w - eps(w) 1`` of a normal word ``w`` of a
         guarded element."""
-        w = Element.from_word(self.base.alphabet, word, self.order)
         unit_eps = Element.unit(self.base.alphabet, self.order).scaled(
             self._counit(w))
-        return (self._convolution(w) - unit_eps).terms
+        return self._convolution(w) - unit_eps
 
-    def star_twice_defect(self, word: Word) -> dict:
+    def star_twice_defect(self, w: Element) -> Element:
         """``w** - nf(w)`` of a word ``w`` as given."""
-        w = Element.from_word(self.base.alphabet, word, self.order)
-        return (self.apply_star_twice(w) - self.base.normal_form(w)).terms
+        return self.apply_star_twice(w) - self.base.normal_form(w)
 
     def star_tensor(self, x2: Element) -> Element:
         """Slot-wise star on the 2-slot algebra."""
@@ -281,26 +270,92 @@ def central_residuals(p: Presentation, x: Element) -> list[Element]:
     return out
 
 
+# -- squares -----------------------------------------------------------------
+
+
+def same(x):
+    """The identity map, for a residual stated in the target itself."""
+    return x
+
+
+def map_residual(target: HopfPresentation, phi, phi2, kind: str,
+                 x: Element, image) -> Element:
+    """The difference, before normal forms, that vanishes when ``phi``
+    respects the map ``kind`` of ``target`` at the source element ``x``
+    whose image under the source's map is ``image``: phi(x) for a relation
+    x, Delta(phi(x)) - phi2(image) (``phi2`` on tensors), M(phi(x)) -
+    phi(image) for the star or antipode M, (eps(phi(x)) - image) 1."""
+    if kind == "relation":
+        return phi(x)
+    if kind == "coproduct":
+        return target.apply_coproduct(phi(x)) - phi2(image)
+    if kind == "counit":
+        return Element.unit(target.base.alphabet, target.order).scaled(
+            target.apply_counit(phi(x)) - image)
+    mapped = target.apply_star if kind == "star" else target.apply_antipode
+    return mapped(phi(x)) - phi(image)
+
+
+def check_rows(target: HopfPresentation, phi, phi2, rows,
+               orders: range | None = None, guard=None) -> CheckReport:
+    """One record per row ``(name, kind, x, image, tag)``: the difference
+    ``map_residual`` gives, reduced in the power of ``target`` with its
+    slot count and passed to ``guard(residual, record name)`` when one is
+    given.  With ``orders``, one record ``<name>/eps^k`` per order k,
+    reduced from the eps^k part of the difference, which a relation record
+    keeps as ``raw``; a tuple ``tag`` holds one tag per order.  A counit
+    difference is a multiple of 1, recorded as it is."""
+    report = CheckReport()
+    for name, kind, x, image, tag in rows:
+        diff = map_residual(target, phi, phi2, kind, x, image)
+        parts = [(name, diff, tag)]
+        if orders is not None:
+            comps = diff.eps_components()
+            zero = Element.zero(diff.alphabet, target.order)
+            parts = [(f"{name}/eps^{k}", comps.get(k, zero),
+                      tag[k] if isinstance(tag, tuple) else tag)
+                     for k in orders]
+        for record, raw, record_tag in parts:
+            residual = raw
+            if kind != "counit":
+                residual = target.base.at_slots(
+                    raw.alphabet.slot_count).normal_form(raw)
+                if guard is not None:
+                    guard(residual, record)
+            extra = {"raw": str(raw)} if orders and kind == "relation" else {}
+            report.add_residual(record, residual, record_tag, **extra)
+    return report
+
+
+def _rule_rows(h: HopfPresentation, check: str, rules):
+    """A relation row ``<h>/<check>/<label>`` per rule."""
+    for rule in rules:
+        yield (f"{h.name}/{check}/{rule.label}", "relation",
+               rule.as_element(h.base.alphabet), None,
+               h.rule_tags.get(rule.lhs))
+
+
+def star_involution(h: HopfPresentation, names, prefix: str,
+                    tag: str | None = None) -> CheckReport:
+    """x** = x on each generator of ``names``, one record
+    ``<prefix>/star-involution/<name>`` each."""
+    return check_rows(h, lambda x: h.apply_star_twice(x) - x, None, (
+        (f"{prefix}/star-involution/{name}", "relation",
+         Element.generator(h.base.alphabet, name, h.order), None, tag)
+        for name in names))
+
+
 # -- axiom checkers ----------------------------------------------------------
 
 
 def check_delta_respects_relations(h: HopfPresentation) -> CheckReport:
     """Well-definedness of the coproduct on the quotient: for every rule
-    the residual Delta(lhs) - Delta(rhs) must normalize to zero.  Rules that
+    the free coproduct of lhs - rhs must normalize to zero.  Rules that
     mention excluded generators carry no coproduct and are skipped."""
-    report = CheckReport()
-    p2 = h.base.at_slots(2)
-    for rule in h.base.rules:
-        involved = {g.name for g in rule.lhs} | {
-            g.name for w in rule.rhs.words() for g in w}
-        if involved & h.excluded:
-            continue
-        lhs_elem = Element.from_word(h.base.alphabet, rule.lhs, h.order)
-        residual = p2.normal_form(
-            h.coproduct.apply(lhs_elem) - h.coproduct.apply(rule.rhs))
-        report.add_residual(f"{h.name}/delta-respects/{rule.label}",
-                            residual, h.rule_tags.get(rule.lhs))
-    return report
+    rules = [rule for rule in h.base.rules if h.excluded.isdisjoint(
+        g.name for w in (rule.lhs, *rule.rhs.words()) for g in w)]
+    return check_rows(h, h.coproduct.apply, None,
+                      _rule_rows(h, "delta-respects", rules))
 
 
 def check_coassociativity(h: HopfPresentation) -> CheckReport:
@@ -362,25 +417,15 @@ def check_counit_antipode(h: HopfPresentation) -> CheckReport:
 def check_star(h: HopfPresentation) -> CheckReport:
     """Star axioms: involutivity on generators, compatibility with every
     rule, and Delta(x*) = (* (x) *) Delta(x) on Hopf generators."""
-    report = CheckReport()
-    for name in h.base.alphabet.names:
-        g = Element.generator(h.base.alphabet, name, h.order)
-        report.add_residual(f"{h.name}/star-involution/{name}",
-                            h.base.normal_form(h.apply_star_twice(g) - g))
-    for rule in h.base.rules:
-        rel = rule.as_element(h.base.alphabet)
-        report.add_residual(f"{h.name}/star-respects/{rule.label}",
-                            h.base.normal_form(h.star.apply(rel)),
-                            h.rule_tags.get(rule.lhs))
-    p2 = h.base.at_slots(2)
-    for name in h.hopf_generators():
-        g = Element.generator(h.base.alphabet, name, h.order)
-        g_star = h.apply_star(g)
-        lhs = h.apply_coproduct(g_star)
-        rhs = h.star_tensor(h.apply_coproduct(g))
-        report.add_residual(f"{h.name}/star-coproduct/{name}",
-                            p2.normal_form(lhs - rhs),
-                            h.coproduct_tags.get(name))
+    alph = h.base.alphabet
+    report = star_involution(h, alph.names, h.name)
+    report.extend(check_rows(h, h.star.apply, None,
+                             _rule_rows(h, "star-respects", h.base.rules)))
+    report.extend(check_rows(h, h.apply_star, h.star_tensor, (
+        (f"{h.name}/star-coproduct/{name}", "coproduct", g,
+         h.apply_coproduct(g), h.coproduct_tags.get(name))
+        for name in h.hopf_generators()
+        for g in [Element.generator(alph, name, h.order)])))
     return report
 
 
@@ -388,15 +433,15 @@ def check_convolution_on_element(h: HopfPresentation, x: Element) -> bool:
     """m(S (x) id) Delta x = eps(x) 1, the convolution-inverse identity, as
     the sum of the defects ``d(w)`` of the words of ``x``'s normal form.
     ``x`` is reduced and guarded once, as the coproduct's argument."""
-    return h.vanishes("convolution-defect", h._guard(x, "coproduct"),
-                      h.convolution_defect)
+    return h._linear("convolution-defect", h._guard(x, "coproduct"),
+                     h.convolution_defect, h.base.alphabet).is_zero
 
 
 def check_star_twice_on_element(h: HopfPresentation, x: Element) -> bool:
     """x** = x in the quotient, as the sum of the defects ``e(w)`` of the
     words of ``x`` as given."""
-    h.base._check_alphabet(x)
-    return h.vanishes("star-twice-defect", x, h.star_twice_defect)
+    return h._linear("star-twice-defect", x, h.star_twice_defect,
+                     h.base.alphabet).is_zero
 
 
 #: size and degree of the random layer's elements

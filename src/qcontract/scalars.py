@@ -519,8 +519,7 @@ class Scalar:
             other = self._coerce(other)  # a number, or a mismatch raised
         if self is one:
             return other
-        n1, n2 = len(self.terms), len(other.terms)
-        if n1 == 1 and n2 == 1:
+        if len(self.terms) == 1 and len(other.terms) == 1:
             memo = (id(self), id(other))
             hit = _PRODUCTS.get(memo)
             if hit is not None:
@@ -536,19 +535,6 @@ class Scalar:
             prod = _scalar(out, order)
             _remember(_PRODUCTS, memo, (self, other, prod))
             return prod
-        if n1 == 1 or n2 == 1:
-            # a single-term factor sends distinct terms to distinct keys
-            out = {}
-            for (m1, e1), c1 in self.terms.items():
-                a1, b1, d1 = c1._a, c1._b, c1._d
-                for (m2, e2), c2 in other.terms.items():
-                    e = e1 + e2
-                    if e <= order:
-                        a2, b2 = c2._a, c2._b
-                        out[(m1 * m2, e)] = _canon(a1 * a2 - b1 * b2,
-                                                   a1 * b2 + b1 * a2,
-                                                   d1 * c2._d)
-            return _scalar(out, order)
         return _scalar({key: _canon(a, b, d) for key, (a, b, d)
                         in _product_triples(self.terms, other.terms,
                                             order).items() if a or b}, order)

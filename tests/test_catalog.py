@@ -200,6 +200,17 @@ class TestGoldenFiles:
             assert catalog.serialize_presentation(loaded) == \
                 catalog.builtin_source(name)
 
+    def test_parameter_used_only_by_the_counit_is_kept(self):
+        text = ("[params]\nq\n\n[generators]\nK\n\n[coproduct]\nK -> K ox K"
+                "\n\n[counit]\nK -> q\n\n[antipode]\nK -> K\n\n[star]\n"
+                "K -> K\n")
+        h = catalog.parse_presentation_text(text, 1, "counit_q")
+        out = catalog.serialize_presentation(h)
+        assert "[params]\nq\n" in out
+        again = catalog.parse_presentation_text(out, 1, "counit_q")
+        assert catalog.serialize_presentation(again) == out
+        assert structure(again) == structure(h)
+
     def test_open_final_drops_only_the_commutator_rule(self, final):
         h = catalog.without_commutator_rule(final)
         assert h.name == h.base.name == "ekappa2-final-open"

@@ -5,7 +5,7 @@ memoised products and sums, the fused multiply-add of ``accumulate_scaled``
 and the printer's term table, the tensor fold over kept leg images,
 reducing while parsing, the term-level parser, the memoised Hopf maps, the
 random layer's per-word defects and the solver's sparse elimination against
-independent slow paths."""
+independent slow paths; and whole commands against the plain rewriter."""
 
 import copy
 import operator
@@ -24,12 +24,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from dense_elimination import dense_gauss_solve
+from reference_engines import reference_engines
 from element_parser import parse_expression as element_parse
 from element_parser import tokenize as element_tokenize
 from renaming import reversed_names, section_names, substituted
 from slot_swap import flat, projected, slot_swap_power
 
 from qcontract import catalog, contract, parser, rewrite, scalars
+from qcontract.cli import main
 from qcontract.freealg import (
     Element,
     GeneratorId,
@@ -1540,3 +1542,32 @@ def test_degree_5_ln_system_matches_dense(order, monkeypatch):
     lam = Scalar.param("lam", order)
     assert {label: coeff for label, coeff in outcome.solution.items()
             if not coeff.is_zero} == {"K*N": lam}
+
+
+#: commands that stay within their step limit under either engine; the
+#: rewriter charges by its own count, so a run that trips its limit only
+#: agrees in its verdict and is left out
+REFERENCE_COMMANDS = (
+    ("report", "--output", "json", "--order", "1"),
+    ("report", "--output", "json", "--order", "4"),
+    ("contract", "--order", "1"),
+    ("contract", "--order", "4", "--lam-zero"),
+    ("solve-commutator", "--ln"),
+    ("hopf-check", "-p", "builtin:suq2"),
+    ("confluence", "-p", "builtin:ekappa2-klmn"),
+    ("report", "--catalog-dir", "tests/golden/corrupted_klmn"),
+    ("hopf-check", "-p", "tests/golden/suq2_bad_coproduct.preso"),
+)
+
+
+@pytest.mark.parametrize("argv", REFERENCE_COMMANDS, ids=" ".join)
+def test_command_matches_under_the_reference_engines(argv, capsys,
+                                                     monkeypatch):
+    # the golden paths are relative to the root of the repository
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    with reference_engines():
+        ref_code = main(list(argv))
+    assert (ref_code, capsys.readouterr().out) == (code, out)
+    assert rewrite.Presentation._reduce.__module__ == "qcontract.rewrite"

@@ -271,6 +271,15 @@ class TestImageMemo:
         assert out.endswith("checks: 43  failed: 5\n")
 
 
+def test_star_residual_holding_l_n_is_recorded_not_refused(capsys):
+    # the [L, N] guard belongs to the contraction's rows alone: a Hopf
+    # record prints its residual even when it holds the subword L N
+    code = main(["hopf-check", "-p", str(GOLDEN / "star_ln.preso")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert "[FAIL] star_ln/star-involution/L  residual: N*L*N - L\n" in out
+
+
 def test_tensor_grouplike_helper(final, pe_final):
     x = pe_final("E*E")
     assert grouplike_residual(final, x).is_zero
