@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Snapshot the output of a fixed list of qcontract commands.
 
-Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: 19
+Usage: snapshot_outputs.py OUTDIR  (from the root of the repository: 20
 commands read presentation files under ``tests/golden``)
 
 Each command runs in-process through ``qcontract.cli.main``; its exit code,
@@ -91,6 +91,9 @@ def _commands() -> list[list[str]]:
     # a double star holding the subword L N: the Hopf checks record it as a
     # FAIL, where the contraction would refuse it as the undetermined [L, N]
     cmds.append(["hopf-check", "-p", "tests/golden/star_ln.preso"])
+    # a normal form holding two excluded generators: the error names the
+    # first in alphabet order, under every hash seed
+    cmds.append(["hopf-check", "-p", "tests/golden/two_excluded.preso"])
     # the random layer's failure counts on both broken fixtures vary by seed
     cmds += [["hopf-check", "-p", f"tests/golden/suq2_bad_{part}.preso",
               "--seed", seed]

@@ -179,7 +179,8 @@ def classical_limit(h: HopfPresentation) -> HopfPresentation:
     the commutative function algebra with the same coproducts.  Each rule
     is named by its lam = 0 text and keeps its equation tag.  The
     result holds lam at zero (``zero_params``), so every expression read in
-    it takes lam as 0 too."""
+    it takes lam as 0 too.  It is a copy of ``h`` by ``replace``, so its
+    table of kept images starts empty."""
     zero = frozenset({"lam"})
 
     def map0(m: GeneratorMap) -> GeneratorMap:
@@ -195,18 +196,10 @@ def classical_limit(h: HopfPresentation) -> HopfPresentation:
         params=h.base.params,
         zero_params=zero,
     )
-    return HopfPresentation(
-        base=base,
-        coproduct=map0(h.coproduct),
-        counit={k: at_zero(zero, v) for k, v in h.counit.items()},
-        antipode=map0(h.antipode),
-        star=map0(h.star),
-        excluded=h.excluded,
-        name=f"{h.name}@lam=0",
-        rule_tags=dict(h.rule_tags),
-        coproduct_tags=dict(h.coproduct_tags),
-        antipode_tag=h.antipode_tag,
-    )
+    return replace(h, base=base, coproduct=map0(h.coproduct),
+                   counit={k: at_zero(zero, v) for k, v in h.counit.items()},
+                   antipode=map0(h.antipode), star=map0(h.star),
+                   name=f"{h.name}@lam=0")
 
 
 # --------------------------------------------------------------------------

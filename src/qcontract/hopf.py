@@ -6,31 +6,31 @@ antilinear antihomomorphism.  Generators listed as excluded (computational
 adjoints such as the inverse of K) carry no coproduct, counit or antipode;
 the star is still defined on them.
 
-The coproduct, antipode and star are linear over words (the star
-antilinear), and so are the composites the antipode and star checks
-share with the random layer, the convolution m(S (x) id) Delta and the
-double star.  Each presentation keeps the image
-of every word it has met under each map, computed once, on the word with
-unit coefficient, by the generator images and a normal form; an element's
-image sums its coefficients times its words' images.  The coproduct,
-antipode and convolution read the words of the element's normal form, the
-star and double star its words as given, since whether the star respects
-the rules is itself checked.  ``fold_tensor``, which multiplies the two
-legs of a tensor back together, maps each leg word straight to the terms
-of its image: the convolution and the antipode check read the kept
-antipode image of each leg, so a leg's antipode is computed once per
-presentation, not once per fold.  A word of the 2-slot algebra is the pair
-``(u, v)`` of its legs' base words, and the 3-slot coassociativity check
-applies the coproduct to one leg and places the other.
+Every map is linear over words (the star antilinear), and so is each
+composite the checks share: the convolution m(S (x) id) Delta, the double
+star, and the random layer's per-word defects ``d(w) = m(S (x) id) Delta w
+- eps(w) 1`` of a normal word and ``e(w) = w** - nf(w)`` of a raw one.  A
+presentation keeps one table of word images: ``image(name, word)`` returns
+the terms of a word's image under the map ``name``, computed once, on the
+word with unit coefficient, by the entry ``name`` of ``_FILLS``.  The
+coproduct, counit, antipode and convolution fills guard their word, so a
+word whose normal form holds an excluded generator is refused and nothing
+is kept for it.  The counit's image of a word is a multiple of the unit.
+An element's image sums its coefficients times its words' images: the
+guarded maps read the words of the element's normal form, the star and
+double star its words as given, since whether the star respects the rules
+is itself checked.
 
-The random layer's two checks are linear over words too, so each is a sum
-of per-word defects, kept once per presentation like the images: a normal
-word's ``d(w) = m(S (x) id) Delta w - eps(w) 1`` and a raw word's
-``e(w) = w** - nf(w)``.  An element passes when ``sum c_w d(w)`` (and
-``sum c_w e(w)``) is zero, which needs no coefficient arithmetic when every
-word's defect is zero; the convolution, the counit, the double star and the
-normal form are linear, so each verdict is the element-level one.  The
-counit leg of the counit checks reads a kept counit per word as well.
+``fold_tensor``, which multiplies the two legs of a tensor back together,
+reads each leg's image from the same table by map name, so a leg's
+antipode or counit is computed once per presentation, not once per fold.
+A word of the 2-slot algebra is the pair ``(u, v)`` of its legs' base
+words, and the 3-slot coassociativity check places the kept coproduct of
+one leg beside the other.  The random layer's element passes when ``sum
+c_w d(w)`` (and ``sum c_w e(w)``) is zero, which needs no coefficient
+arithmetic when every word's defect is zero; the convolution, the counit,
+the double star and the normal form are linear, so each verdict is the
+element-level one.
 
 Every check that a map respects a structure (a rule, the coproduct, the
 star) is a row of ``check_rows``, and ``map_residual`` alone computes its
@@ -50,7 +50,6 @@ from .freealg import (
     Alphabet,
     Element,
     GeneratorMap,
-    MapKind,
     Word,
     accumulate_scaled,
     retag_slots,
@@ -89,9 +88,10 @@ class HopfPresentation:
                         raise ValueError(
                             f"coproduct of {g.name} hits excluded generator "
                             f"{letter.name}")
-        # map or defect name -> word -> its terms.  Set here, not declared
-        # as a field, so a copy made by ``dataclasses.replace`` (another
-        # algebra, say with a rule dropped) starts with an empty memo
+        # map name -> word -> the terms of its image.  Set here, not
+        # declared as a field, so a copy made by ``dataclasses.replace``
+        # (another algebra, say with a rule dropped) starts with an empty
+        # table
         self._images: dict[str, dict[Word, dict]] = defaultdict(dict)
 
     @property
@@ -101,129 +101,71 @@ class HopfPresentation:
     def hopf_generators(self) -> list[str]:
         return [n for n in self.base.alphabet.names if n not in self.excluded]
 
-    # -- structure maps on elements -----------------------------------------
+    # -- kept word images ----------------------------------------------------
 
     def _guard(self, x: Element, what: str) -> Element:
+        """The normal form of ``x``; refused when it holds an excluded
+        generator, the first in alphabet order named."""
         nf = self.base.normal_form(x)
-        for name in self.excluded:
-            if nf.contains_letter(name):
+        for name in self.base.alphabet.names:
+            if name in self.excluded and nf.contains_letter(name):
                 raise ExcludedGenerator(
                     f"{what} undefined: normal form contains {name!r}")
         return nf
 
-    def _linear(self, name: str, x: Element, image, target: Alphabet,
-                conjugate: bool = False) -> Element:
-        """``sum c_w image(w)`` over the terms ``c_w w`` of ``x``, with
-        ``conj(c_w)`` when ``conjugate``.  ``image`` maps a one-word element
-        to a normal element over ``target``; it runs once per word, on the
-        word with unit coefficient, and the memo ``name`` keeps its result
-        for every later call.  A word whose image is zero adds nothing: when
-        every word's is, no coefficient is multiplied."""
-        self.base._check_alphabet(x)
+    def image(self, name: str, word: Word) -> dict:
+        """The terms of the image of the base word ``word`` under the map
+        ``name``, kept: filled by ``_FILLS[name]`` on the word's first
+        request."""
         memo = self._images[name]
-        alph, order = self.base.alphabet, self.order
+        img = memo.get(word)
+        if img is None:
+            img = memo[word] = _FILLS[name](self, Element.from_word(
+                self.base.alphabet, word, self.order)).terms
+        return img
+
+    def _linear(self, name: str, x: Element, target: Alphabet,
+                conjugate: bool = False) -> Element:
+        """``sum c_w image(name, w)`` over the terms ``c_w w`` of ``x``, with
+        ``conj(c_w)`` when ``conjugate``, over ``target``.  A word whose
+        image is zero adds nothing: when every word's is, no coefficient is
+        multiplied."""
+        self.base._check_alphabet(x)
         acc: dict = {}
         for word, coeff in x.terms.items():
-            img = memo.get(word)
-            if img is None:
-                img = memo[word] = image(
-                    Element.from_word(alph, word, order)).terms
+            img = self.image(name, word)
             if img:
                 accumulate_scaled(acc, img, coeff.conjugate() if conjugate
                                   else coeff)
-        return Element._of(target, acc, order)
+        return Element._of(target, acc, self.order)
+
+    # -- structure maps on elements -----------------------------------------
 
     def apply_coproduct(self, x: Element) -> Element:
         """Homomorphic extension of the generator coproducts, normalized in
         the 2-slot algebra."""
-        p2 = self.base.at_slots(2)
-        return self._linear(
-            "coproduct", self._guard(x, "coproduct"),
-            lambda w: p2.normal_form(self.coproduct.apply(w)), p2.alphabet)
+        return self._linear("coproduct", self._guard(x, "coproduct"),
+                            self.base.at_slots(2).alphabet)
 
     def apply_counit(self, x: Element) -> Scalar:
-        return self._counit(self._guard(x, "counit"))
-
-    def _counit(self, nf: Element) -> Scalar:
-        """The counit of a guarded normal element."""
-        out = Scalar.zero(self.order)
-        for word, coeff in nf.terms.items():
-            val = coeff
-            for g in word:
-                val = val * self.counit[g.name]
-                if val.is_zero:
-                    break
-            out = out + val
-        return out
+        return self._linear("counit", self._guard(x, "counit"),
+                            self.base.alphabet).coefficient(())
 
     def apply_antipode(self, x: Element) -> Element:
-        return self._linear(
-            "antipode", self._guard(x, "antipode"),
-            lambda w: self.base.normal_form(self.antipode.apply(w)),
-            self.base.alphabet)
+        return self._linear("antipode", self._guard(x, "antipode"),
+                            self.base.alphabet)
 
     def apply_star(self, x: Element) -> Element:
-        return self._linear(
-            "star", x, lambda w: self.base.normal_form(self.star.apply(w)),
-            self.base.alphabet, conjugate=True)
+        return self._linear("star", x, self.base.alphabet, conjugate=True)
 
     def apply_convolution(self, x: Element) -> Element:
-        """m(S (x) id) Delta x.  A word's coproduct bypasses the coproduct
-        memo: the word's convolution is kept, so its coproduct would not be
-        asked for again.  ``fold_tensor`` reduces the free coproduct."""
-        return self._convolution(self._guard(x, "coproduct"))
-
-    def _convolution(self, nf: Element) -> Element:
-        """The convolution of a guarded normal element."""
-        return self._linear(
-            "convolution", nf,
-            lambda w: self.fold_tensor(self.coproduct.apply(w),
-                                       self.antipode_image, self.word_image),
-            self.base.alphabet)
-
-    def antipode_image(self, word: Word) -> dict:
-        """The terms of the kept antipode image of a normal base word.  A
-        word not met yet goes through ``apply_antipode``, which guards it
-        and keeps its image."""
-        img = self._images["antipode"].get(word)
-        if img is None:
-            img = self.apply_antipode(
-                Element.from_word(self.base.alphabet, word, self.order)).terms
-        return img
-
-    def counit_image(self, word: Word) -> dict:
-        """The counit of a base word as a leg map of ``fold_tensor``, kept
-        per word; a word not met yet goes through ``apply_counit``, which
-        guards it."""
-        memo = self._images["counit"]
-        img = memo.get(word)
-        if img is None:
-            img = memo[word] = {(): self.apply_counit(
-                Element.from_word(self.base.alphabet, word, self.order))}
-        return img
-
-    def word_image(self, word: Word) -> dict:
-        """The identity as a leg map of ``fold_tensor``."""
-        return {word: Scalar.one(self.order)}
+        """m(S (x) id) Delta x."""
+        return self._linear("convolution", self._guard(x, "coproduct"),
+                            self.base.alphabet)
 
     def apply_star_twice(self, x: Element) -> Element:
         """x**: the star is antilinear, so applied twice it is linear."""
-        return self._linear(
-            "star-twice", x, lambda w: self.apply_star(self.apply_star(w)),
-            self.base.alphabet)
-
-    # -- per-word defects of the random layer --------------------------------
-
-    def convolution_defect(self, w: Element) -> Element:
-        """``m(S (x) id) Delta w - eps(w) 1`` of a normal word ``w`` of a
-        guarded element."""
-        unit_eps = Element.unit(self.base.alphabet, self.order).scaled(
-            self._counit(w))
-        return self._convolution(w) - unit_eps
-
-    def star_twice_defect(self, w: Element) -> Element:
-        """``w** - nf(w)`` of a word ``w`` as given."""
-        return self.apply_star_twice(w) - self.base.normal_form(w)
+        return self._linear("star-twice", x, self.base.alphabet)
 
     def star_tensor(self, x2: Element) -> Element:
         """Slot-wise star on the 2-slot algebra."""
@@ -231,26 +173,61 @@ class HopfPresentation:
 
     # -- convolution-style folds ---------------------------------------------
 
-    def fold_tensor(self, x2: Element, left, right) -> Element:
-        """Multiply the two tensor legs back together after applying ``left``
-        to the slot-1 word and ``right`` to the slot-2 word of each word of
-        ``x2``: each maps a normal base word to the terms (word ->
-        coefficient) of its normal image.
+    def fold_tensor(self, x2: Element, left: str | None,
+                    right: str | None) -> Element:
+        """Multiply the two tensor legs back together after applying the map
+        ``left`` to the slot-1 word and ``right`` to the slot-2 word of each
+        word of ``x2``; ``None`` is the identity.
 
         ``x2`` is reduced once; each of its terms ``c (u, v)`` adds
-        ``c*lc*rc`` at each word ``lu + rv`` of ``left(u)`` and
-        ``right(v)``, and the sum is reduced once.  The maps run once per
-        tensor word, so a map that reads kept images (``antipode_image``)
-        computes each leg once per presentation."""
+        ``c*lc*rc`` at each word ``lu + rv`` of the kept images of ``u``
+        and ``v``, and the sum is reduced once.  Each leg's image is read
+        once per tensor word and computed once per presentation."""
         x2 = self.base.at_slots(2).normal_form(x2)
+        one = Scalar.one(self.order)
         acc: dict = {}
         for (u, v), c in x2.terms.items():
-            rights = right(v).items()
-            for lu, lc in left(u).items():
+            rights = (self.image(right, v) if right else {v: one}).items()
+            for lu, lc in (self.image(left, u) if left else {u: one}).items():
                 accumulate_scaled(acc, {lu + rv: rc for rv, rc in rights},
                                   c * lc)
         return self.base.normal_form(
             Element._of(self.base.alphabet, acc, self.order))
+
+
+# -- the fill of each kept map: a one-word element -> its image --------------
+
+
+def _counit_fill(h: HopfPresentation, w: Element) -> Element:
+    eps = Scalar.zero(h.order)
+    for word, coeff in h._guard(w, "counit").terms.items():
+        for g in word:
+            coeff = coeff * h.counit[g.name]
+            if coeff.is_zero:
+                break
+        eps = eps + coeff
+    return Element.unit(h.base.alphabet, h.order).scaled(eps)
+
+
+#: the convolution folds the antipode into a word's free coproduct, which
+#: is not kept, as the word's convolution is; the convolution defect reads
+#: the kept convolution and counit, whose fills guard the word
+_FILLS = {
+    "coproduct": lambda h, w: h.base.at_slots(2).normal_form(
+        h.coproduct.apply(h._guard(w, "coproduct"))),
+    "counit": _counit_fill,
+    "antipode": lambda h, w: h.base.normal_form(
+        h.antipode.apply(h._guard(w, "antipode"))),
+    "star": lambda h, w: h.base.normal_form(h.star.apply(w)),
+    "convolution": lambda h, w: h.fold_tensor(
+        h.coproduct.apply(h._guard(w, "coproduct")), "antipode", None),
+    "star-twice": lambda h, w: h.apply_star(h.apply_star(w)),
+    "convolution-defect": lambda h, w: (
+        h._linear("convolution", w, h.base.alphabet)
+        - h._linear("counit", w, h.base.alphabet)),
+    "star-twice-defect": lambda h, w: (h.apply_star_twice(w)
+                                       - h.base.normal_form(w)),
+}
 
 
 def grouplike_residual(h: HopfPresentation, x: Element) -> Element:
@@ -361,25 +338,24 @@ def check_delta_respects_relations(h: HopfPresentation) -> CheckReport:
 def check_coassociativity(h: HopfPresentation) -> CheckReport:
     """(Delta (x) id) Delta = (id (x) Delta) Delta on every Hopf generator,
     checked in the 3-slot algebra: on each term ``c (u, v)`` of Delta g, the
-    generator coproducts map one leg freely and the other leg is placed."""
+    kept coproduct of one leg is placed beside the other leg."""
     report = CheckReport()
     alph, order = h.base.alphabet, h.order
-    p3 = h.base.at_slots(3)
-    deltas = {name: h.apply_coproduct(Element.generator(alph, name, order))
-              for name in h.hopf_generators()}
-    delta = GeneratorMap({alph.gen(n): d for n, d in deltas.items()},
-                         MapKind.HOMOMORPHISM, alph, alph.at_slots(2), order)
+    alph2, p3 = h.base.at_slots(2).alphabet, h.base.at_slots(3)
+
+    def delta(w):
+        return Element._of(alph2, h.image("coproduct", w), order)
 
     def word(w):
         return Element.from_word(alph, w, order)
 
-    for name, delta_g in deltas.items():
+    for name in h.hopf_generators():
+        delta_g = h.apply_coproduct(Element.generator(alph, name, order))
         acc: dict = {}
         for (u, v), c in delta_g.terms.items():
-            left = (retag_slots(delta.apply(word(u)), {}, 3)
-                    * tensor_embed(word(v), 3, 3))
+            left = retag_slots(delta(u), {}, 3) * tensor_embed(word(v), 3, 3)
             right = (tensor_embed(word(u), 1, 3)
-                     * retag_slots(delta.apply(word(v)), {1: 2, 2: 3}, 3))
+                     * retag_slots(delta(v), {1: 2, 2: 3}, 3))
             accumulate_scaled(acc, (left - right).terms, c)
         residual = p3.normal_form(Element._of(p3.alphabet, acc, order))
         report.add_residual(f"{h.name}/coassociativity/{name}", residual,
@@ -392,16 +368,16 @@ def check_counit_antipode(h: HopfPresentation) -> CheckReport:
     (eps (x) id) Delta g = g = (id (x) eps) Delta g and
     m(S (x) id) Delta g = eps(g) 1 = m(id (x) S) Delta g."""
     report = CheckReport()
-    alph, counit = h.base.alphabet, h.counit_image
+    alph = h.base.alphabet
     for name in h.hopf_generators():
         g = Element.generator(alph, name, h.order)
         g_nf = h.base.normal_form(g)
         dg = h.apply_coproduct(g)
-        eps_id = h.fold_tensor(dg, counit, h.word_image)
-        id_eps = h.fold_tensor(dg, h.word_image, counit)
+        eps_id = h.fold_tensor(dg, "counit", None)
+        id_eps = h.fold_tensor(dg, None, "counit")
         unit_eps = Element.unit(alph, h.order).scaled(h.apply_counit(g))
         s_id = h.apply_convolution(g)
-        id_s = h.fold_tensor(dg, h.word_image, h.antipode_image)
+        id_s = h.fold_tensor(dg, None, "antipode")
         checks = [
             (f"counit-left/{name}", eps_id - g_nf),
             (f"counit-right/{name}", id_eps - g_nf),
@@ -434,14 +410,13 @@ def check_convolution_on_element(h: HopfPresentation, x: Element) -> bool:
     the sum of the defects ``d(w)`` of the words of ``x``'s normal form.
     ``x`` is reduced and guarded once, as the coproduct's argument."""
     return h._linear("convolution-defect", h._guard(x, "coproduct"),
-                     h.convolution_defect, h.base.alphabet).is_zero
+                     h.base.alphabet).is_zero
 
 
 def check_star_twice_on_element(h: HopfPresentation, x: Element) -> bool:
     """x** = x in the quotient, as the sum of the defects ``e(w)`` of the
     words of ``x`` as given."""
-    return h._linear("star-twice-defect", x, h.star_twice_defect,
-                     h.base.alphabet).is_zero
+    return h._linear("star-twice-defect", x, h.base.alphabet).is_zero
 
 
 #: size and degree of the random layer's elements

@@ -13,7 +13,7 @@ import pickle
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import gcd
 from pathlib import Path
@@ -30,12 +30,15 @@ from element_parser import tokenize as element_tokenize
 from renaming import reversed_names, section_names, substituted
 from slot_swap import flat, projected, slot_swap_power
 
-from qcontract import catalog, contract, parser, rewrite, scalars
+from qcontract import catalog, contract, hopf, parser, rewrite, scalars
 from qcontract.cli import main
 from qcontract.freealg import (
     Element,
     GeneratorId,
+    GeneratorMap,
+    MapKind,
     accumulate_scaled,
+    retag_slots,
     tensor_embed,
 )
 from qcontract.hopf import (
@@ -43,11 +46,13 @@ from qcontract.hopf import (
     RANDOM_ELEMENTS,
     ExcludedGenerator,
     HopfPresentation,
+    check_coassociativity,
     check_convolution_on_element,
     check_star_twice_on_element,
     random_layer,
 )
 from qcontract.parser import parse_expression, tokenize
+from qcontract.reports import CheckReport
 from qcontract.rewrite import (
     DEFAULT_STEP_LIMIT,
     Presentation,
@@ -1151,10 +1156,23 @@ def fold_tensor_per_word(h: HopfPresentation, x2: Element, left, right):
 
 
 def counted(fn, seen: list):
-    def wrapped(x):
-        seen.append(tuple(x.terms) if isinstance(x, Element) else x)
-        return fn(x)
+    """``fn``, recording the arguments of each call in ``seen``."""
+    def wrapped(*args):
+        seen.append(args)
+        return fn(*args)
     return wrapped
+
+
+def counted_fills(monkeypatch, names) -> list:
+    """The ``(name, word)`` of each kept image computed from now on for the
+    maps ``names``: each fill of the table records its word."""
+    computed: list = []
+    for name in names:
+        def fill(h, w, name=name, inner=hopf._FILLS[name]):
+            computed.append((name, *w.terms))
+            return inner(h, w)
+        monkeypatch.setitem(hopf._FILLS, name, fill)
+    return computed
 
 
 def reference_antipode(h: HopfPresentation):
@@ -1164,16 +1182,27 @@ def reference_antipode(h: HopfPresentation):
     return lambda y: base.normal_form(h.antipode.apply(base.normal_form(y)))
 
 
-def leg_maps(h: HopfPresentation) -> dict:
-    """Each leg of the Hopf folds as a word map for ``fold_tensor`` and an
-    element map for the per-word oracle."""
+def reference_counit(h: HopfPresentation):
+    """Oracle: the counit as a multiple of the unit, by the generator values
+    on the words of the normal form, with no memo."""
     alph, order = h.base.alphabet, h.order
+
+    def counit(y):
+        eps = Scalar.zero(order)
+        for word, coeff in h.base.normal_form(y).terms.items():
+            eps = eps + reduce(operator.mul,
+                               (h.counit[g.name] for g in word), coeff)
+        return Element.unit(alph, order).scaled(eps)
+    return counit
+
+
+def leg_maps(h: HopfPresentation) -> dict:
+    """Each leg of the Hopf folds as a map name for ``fold_tensor`` (None
+    for the identity) and an element map for the per-word oracle."""
     return {
-        "id": (h.word_image, lambda y: y),
-        "counit": (h.counit_image,
-                   lambda y: Element.unit(alph, order).scaled(
-                       h.apply_counit(y))),
-        "antipode": (h.antipode_image, reference_antipode(h)),
+        "id": (None, lambda y: y),
+        "counit": ("counit", reference_counit(h)),
+        "antipode": ("antipode", reference_antipode(h)),
     }
 
 
@@ -1191,46 +1220,48 @@ def fold_inputs(h: HopfPresentation, rng) -> list:
 
 @pytest.mark.parametrize("order", range(5))
 @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
-def test_fold_tensor_matches_per_word_loop(name, order):
+def test_fold_tensor_matches_per_word_loop(name, order, monkeypatch):
     h = catalog.load_presentation(f"builtin:{name}", order)
     p2 = h.base.at_slots(2)
     inputs = fold_inputs(h, Random(f"fold-{name}-{order}"))
     maps = leg_maps(h)
     legs = [(maps["antipode"], maps["id"]), (maps["id"], maps["antipode"]),
             (maps["counit"], maps["id"]), (maps["id"], maps["counit"])]
-    computed: list = []  # each leg whose antipode image was computed
-    h.apply_antipode = counted(h.apply_antipode, computed)
+    # each leg whose antipode or counit image was computed
+    computed = counted_fills(monkeypatch, ["antipode", "counit"])
+    reads: list = []
+    h.image = counted(h.image, reads)
     for x2 in inputs:
         n_words = len(p2.normal_form(x2).terms)
         for (left, left_oracle), (right, right_oracle) in legs:
-            seen_l, seen_r = [], []
-            got = h.fold_tensor(x2, counted(left, seen_l),
-                                counted(right, seen_r))
+            reads.clear()
+            got = h.fold_tensor(x2, left, right)
             assert got == fold_tensor_per_word(h, x2, left_oracle,
                                                right_oracle)
-            # each map ran once per tensor word, and each antipode leg was
-            # computed once over all the folds: later ones read it kept
-            assert len(seen_l) == len(seen_r) == n_words
+            # the leg's map was read once per tensor word, and each leg's
+            # image computed once over all the folds: later ones read it
+            # kept
+            assert len(reads) == n_words
+            assert {m for m, _ in reads} <= {left or right}
             assert len(computed) == len(set(computed))
 
 
 @pytest.mark.parametrize("order", [1, 4])
 @pytest.mark.parametrize("name", catalog.BUILTIN_NAMES)
-def test_word_fold_on_a_cold_and_a_warm_antipode_memo(name, order):
+def test_word_fold_on_a_cold_and_a_warm_antipode_memo(name, order,
+                                                      monkeypatch):
     h = catalog.load_presentation(f"builtin:{name}", order)
     inputs = fold_inputs(h, Random(f"kept-{name}-{order}"))
-    maps = leg_maps(h)
-    ident, antipode, oracle = maps["id"][0], *maps["antipode"]
+    oracle = reference_antipode(h)
     want = [fold_tensor_per_word(h, x2, oracle, lambda y: y)
             for x2 in inputs]
     memo = h._images["antipode"]
     assert not memo  # cold: every leg is met first inside the fold
-    assert [h.fold_tensor(x2, antipode, ident) for x2 in inputs] == want
+    assert [h.fold_tensor(x2, "antipode", None) for x2 in inputs] == want
     kept = dict(memo)
     assert kept
-    computed: list = []
-    h.apply_antipode = counted(h.apply_antipode, computed)
-    assert [h.fold_tensor(x2, antipode, ident) for x2 in inputs] == want
+    computed = counted_fills(monkeypatch, ["antipode"])
+    assert [h.fold_tensor(x2, "antipode", None) for x2 in inputs] == want
     # warm: every leg read from the memo, none computed again
     assert computed == [] and memo == kept
     for word, img in kept.items():
@@ -1244,7 +1275,7 @@ def test_leg_first_met_in_the_fold_is_guarded_like_the_antipode():
     alph2 = h.base.at_slots(2).alphabet
     x2 = Element.from_word(alph2, ((alph2.gen("J"),), (alph2.gen("K"),)), 1)
     with pytest.raises(ExcludedGenerator) as in_fold:
-        h.fold_tensor(x2, h.antipode_image, h.word_image)
+        h.fold_tensor(x2, "antipode", None)
     with pytest.raises(ExcludedGenerator) as direct:
         h.apply_antipode(Element.generator(h.base.alphabet, "J", 1))
     assert str(in_fold.value) == str(direct.value)
@@ -1256,15 +1287,15 @@ def test_counit_leg_is_guarded_like_the_counit():
     alph = h.base.alphabet
     word = (alph.gen("L"), alph.gen("J"))  # nf holds J
     with pytest.raises(ExcludedGenerator) as leg:
-        h.counit_image(word)
+        h.image("counit", word)
     with pytest.raises(ExcludedGenerator) as direct:
         h.apply_counit(Element.from_word(alph, word, 1))
     assert str(leg.value) == str(direct.value)
     assert word not in h._images["counit"]
     # K*J reduces to 1: its counit is kept
     word = (alph.gen("K"), alph.gen("J"))
-    kept = h.counit_image(word)
-    assert h.counit_image(word) is kept
+    kept = h.image("counit", word)
+    assert h.image("counit", word) is kept
     assert kept == {(): h.apply_counit(Element.from_word(alph, word, 1))}
 
 
@@ -1272,13 +1303,12 @@ def test_counit_leg_is_guarded_like_the_counit():
 
 
 def reference_images(h: HopfPresentation, x: Element) -> dict:
-    """Oracle: each map of ``h`` by its generator images and a normal form,
-    with no memo; the convolution folds by the per-word oracle above."""
+    """Oracle: each map of ``h`` by its generator images (the counit by its
+    generator values) and a normal form, with no memo; the convolution
+    folds by the per-word oracle above."""
     base = h.base
     nf = base.normal_form(x)
-
-    def antipode(y):
-        return base.normal_form(h.antipode.apply(base.normal_form(y)))
+    antipode = reference_antipode(h)
 
     def star(y):
         return base.normal_form(h.star.apply(y))
@@ -1286,6 +1316,7 @@ def reference_images(h: HopfPresentation, x: Element) -> dict:
     delta = base.at_slots(2).normal_form(h.coproduct.apply(nf))
     return {
         "coproduct": delta,
+        "counit": reference_counit(h)(x).coefficient(()),
         "antipode": antipode(x),
         "star": star(x),
         "convolution": fold_tensor_per_word(h, delta, antipode, lambda y: y),
@@ -1296,6 +1327,7 @@ def reference_images(h: HopfPresentation, x: Element) -> dict:
 def memoised_images(h: HopfPresentation, x: Element) -> dict:
     return {
         "coproduct": h.apply_coproduct(x),
+        "counit": h.apply_counit(x),
         "antipode": h.apply_antipode(x),
         "star": h.apply_star(x),
         "convolution": h.apply_convolution(x),
@@ -1368,10 +1400,10 @@ def test_copies_of_a_presentation_keep_their_own_memo():
 
 
 def element_convolution_check(h: HopfPresentation, x: Element) -> bool:
-    """Oracle: ``conv(nf(x)) - eps(nf(x)) 1`` is zero, on the element."""
-    nf = h._guard(x, "coproduct")
-    s_id = h._convolution(nf)
-    unit_eps = Element.unit(h.base.alphabet, h.order).scaled(h._counit(nf))
+    """Oracle: ``conv(x) - eps(x) 1`` is zero, on the element."""
+    s_id = h.apply_convolution(x)
+    unit_eps = Element.unit(h.base.alphabet, h.order).scaled(
+        h.apply_counit(x))
     return (s_id - unit_eps).is_zero
 
 
@@ -1452,6 +1484,56 @@ def test_random_layer_matches_the_element_checks(source, order):
     broken = [any(new._images[memo].values())
               for memo in ("convolution-defect", "star-twice-defect")]
     assert broken == list(LAYER_SOURCES[source])
+
+
+# -- coassociativity on kept coproduct legs against a free coproduct map -------
+
+
+def coassociativity_by_free_map(h: HopfPresentation) -> CheckReport:
+    """Oracle: each check of ``check_coassociativity``, with each leg of
+    Delta g mapped by the free homomorphism of the generator coproducts
+    instead of read from the kept coproduct images."""
+    report = CheckReport()
+    alph, order = h.base.alphabet, h.order
+    p3 = h.base.at_slots(3)
+    deltas = {name: h.apply_coproduct(Element.generator(alph, name, order))
+              for name in h.hopf_generators()}
+    delta = GeneratorMap({alph.gen(n): d for n, d in deltas.items()},
+                         MapKind.HOMOMORPHISM, alph, alph.at_slots(2), order)
+
+    def word(w):
+        return Element.from_word(alph, w, order)
+
+    for name, delta_g in deltas.items():
+        acc = Element.zero(p3.alphabet, order)
+        for (u, v), c in delta_g.terms.items():
+            left = (retag_slots(delta.apply(word(u)), {}, 3)
+                    * tensor_embed(word(v), 3, 3))
+            right = (tensor_embed(word(u), 1, 3)
+                     * retag_slots(delta.apply(word(v)), {1: 2, 2: 3}, 3))
+            acc = acc + (left - right).scaled(c)
+        report.add_residual(f"{h.name}/coassociativity/{name}",
+                            p3.normal_form(acc), h.coproduct_tags.get(name))
+    return report
+
+
+@pytest.mark.parametrize("order", [1, 4])
+@pytest.mark.parametrize("source", [
+    "builtin:suq2", "builtin:ekappa2-klmn", "builtin:ekappa2-final",
+    "suq2_bad_coproduct.preso", "suq2_bad_antipode.preso",
+    "corrupted_klmn/ekappa2_klmn.preso"])
+def test_coassociativity_legs_match_the_free_coproduct_map(source, order):
+    """The same records, passing or failing with the same residuals, on
+    confluent presentations and on the broken fixtures, some of which are
+    not confluent."""
+    h = layer_source(source, order)
+
+    def records(report):
+        return [(r.name, r.ok, r.residual) for r in report.records]
+
+    want = records(coassociativity_by_free_map(replace(h)))
+    assert records(check_coassociativity(h)) == want
+    assert records(check_coassociativity(h)) == want  # on a warm table
 
 
 # -- the solver's sparse elimination against dense Gauss-Jordan ----------------

@@ -32,6 +32,8 @@ def test_command_list_covers_the_pipeline():
     assert f"contract -p {bad}" in lines
     # a Hopf record whose residual holds L N, which the contraction refuses
     assert "hopf-check -p tests/golden/star_ln.preso" in lines
+    # an error naming one of two excluded generators, under CI's hash seeds
+    assert "hopf-check -p tests/golden/two_excluded.preso" in lines
     for part in ("antipode", "coproduct"):
         for seed in (1, 2, 3):
             assert (f"hopf-check -p tests/golden/suq2_bad_{part}.preso "
