@@ -76,6 +76,8 @@ def _commands() -> list[list[str]]:
     cmds.append(["nf", "--step-limit", "100", "(d*a)^4"])
     cmds += [["nf", "-p", f"builtin:{name}", expr]
              for name, expr in NF_FRACTIONAL.items()]
+    # products of coefficients holding eps: their eps^2 terms are dropped
+    cmds.append(["nf", "--order", "1", "((1/2 + eps)*a + (1 - i*eps)*b)^3"])
     # the classical limit reads lam as 0 in an expression too
     cmds.append(["nf", "-p", "builtin:ekappa2-klmn", "--lam-zero",
                  "lam*K + L*K"])

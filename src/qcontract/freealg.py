@@ -343,9 +343,9 @@ def accumulate_scaled(acc: dict, terms: dict, s: Scalar) -> None:
     A word with no running coefficient yet takes the product ``c * s``, and
     so does one where ``s``, ``c`` and the running coefficient have one
     term each, whose product and sum are memoised.  Otherwise
-    ``add_product`` adds the product's terms straight into the running
-    coefficient, reducing each key once: the same value, with its terms in
-    the same order."""
+    ``add_product`` adds each term of the product into a copy of the
+    running coefficient's terms and reduces it there: the same value, with
+    its terms in the same order."""
     if not s.terms:
         return
     unit = s is Scalar.one(s.truncation_order)

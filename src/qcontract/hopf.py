@@ -13,13 +13,15 @@ star, and the random layer's per-word defects ``d(w) = m(S (x) id) Delta w
 presentation keeps one table of word images: ``image(name, word)`` returns
 the terms of a word's image under the map ``name``, computed once, on the
 word with unit coefficient, by the entry ``name`` of ``_FILLS``.  The
-coproduct, counit, antipode and convolution fills guard their word, so a
+coproduct, counit, antipode and convolution are guarded (``_GUARDS``): a
 word whose normal form holds an excluded generator is refused and nothing
 is kept for it.  The counit's image of a word is a multiple of the unit.
-An element's image sums its coefficients times its words' images: the
-guarded maps read the words of the element's normal form, the star and
-double star its words as given, since whether the star respects the rules
-is itself checked.
+An element's image sums its coefficients times its words' images: a
+guarded map reduces and guards the element once and fills each of its
+normal words as it is, while a word read directly (a fold's leg, say) is
+reduced and guarded on its first request.  The star and double star read
+the element's words as given, since whether the star respects the rules is
+itself checked.
 
 ``fold_tensor``, which multiplies the two legs of a tensor back together,
 reads each leg's image from the same table by map name, so a leg's
@@ -115,25 +117,35 @@ class HopfPresentation:
 
     def image(self, name: str, word: Word) -> dict:
         """The terms of the image of the base word ``word`` under the map
-        ``name``, kept: filled by ``_FILLS[name]`` on the word's first
-        request."""
-        memo = self._images[name]
-        img = memo.get(word)
+        ``name``, kept.  On the word's first request a guarded map reduces
+        and guards it, and its fill gets the normal form; any other fill
+        gets the word."""
+        img = self._images[name].get(word)
         if img is None:
-            img = memo[word] = _FILLS[name](self, Element.from_word(
-                self.base.alphabet, word, self.order)).terms
+            x = Element.from_word(self.base.alphabet, word, self.order)
+            what = _GUARDS.get(name)
+            img = self._keep(name, word,
+                             x if what is None else self._guard(x, what))
+        return img
+
+    def _keep(self, name: str, word: Word, x: Element) -> dict:
+        img = self._images[name][word] = _FILLS[name](self, x).terms
         return img
 
     def _linear(self, name: str, x: Element, target: Alphabet,
                 conjugate: bool = False) -> Element:
         """``sum c_w image(name, w)`` over the terms ``c_w w`` of ``x``, with
-        ``conj(c_w)`` when ``conjugate``, over ``target``.  A word whose
-        image is zero adds nothing: when every word's is, no coefficient is
-        multiplied."""
+        ``conj(c_w)`` when ``conjugate``, over ``target``.  For a guarded
+        map ``x`` is already reduced and guarded, so each word's image is
+        filled from the word as it is.  A word whose image is zero adds
+        nothing: when every word's is, no coefficient is multiplied."""
         self.base._check_alphabet(x)
-        acc: dict = {}
+        memo, alph, acc = self._images[name], self.base.alphabet, {}
         for word, coeff in x.terms.items():
-            img = self.image(name, word)
+            img = memo.get(word)
+            if img is None:
+                img = self._keep(name, word,
+                                 Element.from_word(alph, word, self.order))
             if img:
                 accumulate_scaled(acc, img, coeff.conjugate() if conjugate
                                   else coeff)
@@ -200,7 +212,7 @@ class HopfPresentation:
 
 def _counit_fill(h: HopfPresentation, w: Element) -> Element:
     eps = Scalar.zero(h.order)
-    for word, coeff in h._guard(w, "counit").terms.items():
+    for word, coeff in w.terms.items():
         for g in word:
             coeff = coeff * h.counit[g.name]
             if coeff.is_zero:
@@ -209,18 +221,24 @@ def _counit_fill(h: HopfPresentation, w: Element) -> Element:
     return Element.unit(h.base.alphabet, h.order).scaled(eps)
 
 
+#: each guarded map, and the map its refusal names: a word's image is
+#: defined only when its normal form holds no excluded generator
+_GUARDS = {"coproduct": "coproduct", "counit": "counit",
+           "antipode": "antipode", "convolution": "coproduct",
+           "convolution-defect": "coproduct"}
+
 #: the convolution folds the antipode into a word's free coproduct, which
 #: is not kept, as the word's convolution is; the convolution defect reads
-#: the kept convolution and counit, whose fills guard the word
+#: the kept convolution and counit.  A guarded map's fill gets a normal
+#: form already guarded
 _FILLS = {
     "coproduct": lambda h, w: h.base.at_slots(2).normal_form(
-        h.coproduct.apply(h._guard(w, "coproduct"))),
+        h.coproduct.apply(w)),
     "counit": _counit_fill,
-    "antipode": lambda h, w: h.base.normal_form(
-        h.antipode.apply(h._guard(w, "antipode"))),
+    "antipode": lambda h, w: h.base.normal_form(h.antipode.apply(w)),
     "star": lambda h, w: h.base.normal_form(h.star.apply(w)),
-    "convolution": lambda h, w: h.fold_tensor(
-        h.coproduct.apply(h._guard(w, "coproduct")), "antipode", None),
+    "convolution": lambda h, w: h.fold_tensor(h.coproduct.apply(w),
+                                              "antipode", None),
     "star-twice": lambda h, w: h.apply_star(h.apply_star(w)),
     "convolution-defect": lambda h, w: (
         h._linear("convolution", w, h.base.alphabet)

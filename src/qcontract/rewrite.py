@@ -453,14 +453,19 @@ def normal_form_random(p: Presentation, x: Element, rng) -> Element:
     """Normal form under a randomized rewriting strategy.
 
     On a confluent presentation this must agree with the deterministic
-    strategy; the equivalence is exercised by the property suite.
+    strategy; the equivalence is exercised by the property suite.  Many
+    paths reach the same word, so each word's redexes are listed once per
+    call.
     """
     acc: dict = {}
     stack = list(x.terms.items())
     budget = allowance()
+    redexes: dict = {}
     while stack:
         w, c = stack.pop(rng.randrange(len(stack)))
-        matches = list(p._matches(w))
+        matches = redexes.get(w)
+        if matches is None:
+            matches = redexes[w] = list(p._matches(w))
         if not matches:
             cur = acc.get(w)
             acc[w] = c if cur is None else cur + c

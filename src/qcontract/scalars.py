@@ -13,10 +13,9 @@ discarded by every operation; everything else is exact rational arithmetic.
 A Gaussian rational is stored as three ints ``(a + b*i)/d`` in canonical
 form, ``d > 0`` and ``gcd(a, b, d) == 1``, so equal values have equal
 triples.  Sums and products work on the ints and reduce once per result
-(no gcd at all when the denominator is 1); ``Scalar`` products accumulate
-unreduced triples per term and build their result without re-cleaning it.
-Parameter monomials are interned, one instance per exponent tuple, so
-a scalar term's key is found by identity; their products are memoised.
+(no gcd at all when the denominator is 1).  Parameter monomials are
+interned, one instance per exponent tuple, so a scalar term's key is found
+by identity; their products are memoised.
 
 A single-term ``Scalar`` is hash-consed: every constructor and every
 arithmetic result of one term (but an operand returned as it is) returns
@@ -25,13 +24,15 @@ canonical triple.  Nearly every coefficient product in the engine
 multiplies two single-term scalars, and few distinct pairs occur, so
 products and sums of two single-term scalars are memoised by operand
 identity; a memo entry holds its operands, so their ids are not reused
-while it exists.  Multi-term scalars seldom repeat and are not memoised:
-``add_product`` adds a product into a running sum (the kernel of
-``freealg.accumulate_scaled``) as unreduced triples, so neither the
-product nor a sum of reduced terms is built, and ``Scalar.__mul__`` sums
-its products through the same loop.  Printing keeps each term key's
-factor text and order key in ``_TERM_TEXT``, built once per key.  The
-tables live for one command: the CLI
+while it exists.  Multi-term scalars seldom repeat and are not memoised.
+Every other product runs through one kernel, ``_add_products``, which adds
+each term of the product into a term dict in place and reduces it there:
+``Scalar.__mul__`` adds into an empty dict, and ``add_product`` into a copy
+of a running sum (the multiply-add of ``freealg.accumulate_scaled``), so
+no product is built.  Nearly always one factor has a single term, which
+sends distinct keys to distinct keys, so each key is met once.  Printing
+keeps each term key's factor text and order key in ``_TERM_TEXT``, built
+once per key.  The tables live for one command: the CLI
 empties them when a command starts and when it returns (``fresh_tables``),
 and they are emptied whenever one of them reaches ``TABLE_CAP`` entries,
 so a command's cost never depends on what ran before it and memory stays
@@ -490,7 +491,7 @@ class Scalar:
             if hit is not None:
                 return hit[2]
         acc = dict(self.terms)
-        _merge(acc, other.terms, False)
+        _merge(acc, other.terms)
         total = _scalar(acc, order)
         if memo is not None:
             _remember(_SUMS, memo, (self, other, total))
@@ -535,9 +536,9 @@ class Scalar:
             prod = _scalar(out, order)
             _remember(_PRODUCTS, memo, (self, other, prod))
             return prod
-        return _scalar({key: _canon(a, b, d) for key, (a, b, d)
-                        in _product_triples(self.terms, other.terms,
-                                            order).items() if a or b}, order)
+        terms: dict = {}
+        _add_products(terms, self.terms, other.terms, order)
+        return _scalar(terms, order)
 
     __rmul__ = __mul__
 
@@ -675,61 +676,83 @@ def _remember(table: dict, key: tuple, entry: tuple) -> None:
     table[key] = entry
 
 
-def _product_triples(x: dict, y: dict, order: int) -> dict:
-    """The terms of the product of the term dicts ``x`` and ``y``, eps above
-    ``order`` dropped, as unreduced ``(a, b, d)`` triples summed per key in
-    the order the keys first appear; a sum that cancels keeps its key."""
-    acc: dict = {}
-    for (m1, e1), c1 in x.items():
-        a1, b1, d1 = c1._a, c1._b, c1._d
-        for (m2, e2), c2 in y.items():
-            e = e1 + e2
-            if e > order:
-                continue
-            key = (m1 * m2, e)
-            a2, b2 = c2._a, c2._b
-            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c2._d
-            cur = acc.get(key)
-            acc[key] = (a, b, d) if cur is None else _add3(*cur, a, b, d)
-    return acc
-
-
-def _merge(terms: dict, other: dict, unreduced: bool) -> None:
-    """Add the coefficients of ``other`` into the clean ``terms`` in place:
-    ``GaussianRational`` values, or unreduced ``(a, b, d)`` triples when
-    ``unreduced``.  A key of ``terms`` keeps its place and is reduced once,
-    or leaves when its sum is zero; a new nonzero key is appended."""
+def _merge(terms: dict, other: dict) -> None:
+    """Add the terms of ``other`` into the clean ``terms`` in place: a key
+    of ``terms`` keeps its place and is reduced once, or leaves when its
+    sum is zero; a new key is appended."""
     for key, c in other.items():
         cur = terms.get(key)
-        if unreduced:
-            a, b, d = c
-            if cur is None:
-                if a or b:
-                    terms[key] = _canon(a, b, d)
-                continue
-        elif cur is None:
+        if cur is None:
             terms[key] = c
             continue
-        else:
-            a, b, d = c._a, c._b, c._d
-        a, b, d = _add3(cur._a, cur._b, cur._d, a, b, d)
+        a, b, d = _add3(cur._a, cur._b, cur._d, c._a, c._b, c._d)
         if a or b:
             terms[key] = _canon(a, b, d)
         else:
             del terms[key]
 
 
+def _add_products(terms: dict, x: dict, y: dict, order: int) -> None:
+    """Add ``x*y``, eps above ``order`` dropped, into the clean term dict
+    ``terms`` in place, reducing each key as it is written (one gcd when
+    its denominator is not 1).  The outer loop runs over the shorter
+    operand: a one-term factor sends distinct keys to distinct keys, so
+    then each key is met once.  A key whose sum reaches zero holds
+    ``GR_ZERO`` until the loop ends, so the keys of ``terms`` keep their
+    places, new keys follow in the order first met, and a key that ends at
+    zero leaves."""
+    if len(x) > len(y):
+        x, y = y, x
+    cancelled = False
+    for (m1, e1), c1 in x.items():
+        room = order - e1
+        if room < 0:
+            continue
+        a1, b1, d1 = c1._a, c1._b, c1._d
+        for (m2, e2), c2 in y.items():
+            if e2 > room:
+                continue
+            key = (m1 if not m2 else m2 if not m1 else _mono_product(m1, m2),
+                   e1 + e2)
+            a2, b2 = c2._a, c2._b
+            a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c2._d
+            cur = terms.get(key)
+            if cur is not None:
+                dc = cur._d
+                if dc == d:
+                    a += cur._a
+                    b += cur._b
+                else:
+                    a, b, d = a * dc + cur._a * d, b * dc + cur._b * d, d * dc
+                if not a and not b:
+                    terms[key] = GR_ZERO
+                    cancelled = True
+                    continue
+            if d != 1:
+                g = gcd(a, b, d)
+                if g != 1:
+                    a //= g
+                    b //= g
+                    d //= g
+            z = terms[key] = _new(GaussianRational)
+            _set_a(z, a)
+            _set_b(z, b)
+            _set_d(z, d)
+    if cancelled:
+        for key in [key for key, c in terms.items() if c is GR_ZERO]:
+            del terms[key]
+
+
 def add_product(cur: Scalar, x: Scalar, y: Scalar) -> Scalar:
-    """``cur + x*y`` in one pass: the product's terms are summed as
-    unreduced triples into a copy of ``cur``'s, and each key they touch is
-    reduced once.  The value and the term order are those of the two
-    operations; no product is built and nothing is memoised, and a one-term
-    result is its kept instance."""
+    """``cur + x*y`` in one pass: the product's terms are added into a copy
+    of ``cur``'s (``_add_products``).  The value and the term order are
+    those of the two operations; no product is built and nothing is
+    memoised, and a one-term result is its kept instance."""
     order = cur.truncation_order
     if x.truncation_order != order or y.truncation_order != order:
         raise TruncationMismatch("truncation orders differ")
     terms = dict(cur.terms)
-    _merge(terms, _product_triples(x.terms, y.terms, order), True)
+    _add_products(terms, x.terms, y.terms, order)
     return _scalar(terms, order)
 
 

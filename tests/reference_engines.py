@@ -8,6 +8,11 @@ results slot by slot.  The normal-word table and its whole-word memo are
 never read.  The original methods come back on leaving the block, by an
 exception too.  The rewriter charges the step budget by its own count, so
 only runs that stay within their limit compare byte for byte.
+
+Within ``no_kept_scalars()`` the scalar tables hold at most one entry:
+``scalars.TABLE_CAP`` is 1, so every table is emptied at each insert, no
+single-term scalar is shared and no product or sum is memoised.  The cap
+comes back on leaving the block.
 """
 
 from contextlib import contextmanager
@@ -18,6 +23,7 @@ from qcontract.freealg import (
     append_slot,
     product_terms,
 )
+from qcontract import scalars
 from qcontract.rewrite import Presentation, TensorPower, allowance
 from qcontract.scalars import Scalar
 
@@ -57,3 +63,13 @@ def reference_engines():
     finally:
         for cls, name, method in saved:
             setattr(cls, name, method)
+
+
+@contextmanager
+def no_kept_scalars():
+    saved = scalars.TABLE_CAP
+    scalars.TABLE_CAP = 1
+    try:
+        yield
+    finally:
+        scalars.TABLE_CAP = saved

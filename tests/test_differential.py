@@ -1,11 +1,12 @@
 """Differential tests: the integer-triple Gaussian rationals and their
 printer, the dict-accumulating normal form, the normal-word table, the tuple
 letters, the shared scalar one, the kept single-term scalars with their
-memoised products and sums, the fused multiply-add of ``accumulate_scaled``
-and the printer's term table, the tensor fold over kept leg images,
-reducing while parsing, the term-level parser, the memoised Hopf maps, the
-random layer's per-word defects and the solver's sparse elimination against
-independent slow paths; and whole commands against the plain rewriter."""
+memoised products and sums, the multiply-add kernel of ``add_product``
+and ``accumulate_scaled`` and the printer's term table, the tensor fold
+over kept leg images, reducing while parsing, the term-level parser, the
+memoised Hopf maps, the random layer's per-word defects and the solver's
+sparse elimination against independent slow paths; and whole commands
+against the plain rewriter and with no kept scalars."""
 
 import copy
 import operator
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from dense_elimination import dense_gauss_solve
-from reference_engines import reference_engines
+from reference_engines import no_kept_scalars, reference_engines
 from element_parser import parse_expression as element_parse
 from element_parser import tokenize as element_tokenize
 from renaming import reversed_names, section_names, substituted
@@ -1038,6 +1039,75 @@ def test_accumulate_scaled_against_the_two_step_oracle(case):
             assert c is Scalar(c.terms, order)
 
 
+# -- the multiply-add kernel against the two-step oracle ---------------------
+
+
+#: the operand shapes of a multi-term product: (x has many terms, y has)
+PRODUCT_SHAPES = [(False, True), (True, False), (True, True)]
+
+
+@st.composite
+def product_cases(draw):
+    """A product ``x*y`` of one of ``PRODUCT_SHAPES`` at some order, and a
+    running coefficient, some of whose keys the product cancels."""
+    order = draw(st.integers(0, 4))
+    x, y = (draw(st.dictionaries(
+        st.tuples(st.sampled_from(MONOS), st.integers(0, order)),
+        nonzero_pairs, min_size=2 if many else 1, max_size=4 if many else 1))
+        for many in draw(st.sampled_from(PRODUCT_SHAPES)))
+    cur = draw(coefficient_terms(order, 0))
+    prod = _cleaned(oracle_mul(x, y, order), order)
+    for key in draw(st.lists(st.sampled_from(list(prod)), max_size=2)
+                    if prod else st.just([])):
+        cur[key] = -prod[key]
+    return order, x, y, cur
+
+
+@given(product_cases())
+# eps^2 is dropped at order 1; one term adds into a running key
+@example((1, {(UNIT, 1): FracPair(2), (UNIT, 0): FracPair(1)},
+          {(UNIT, 1): FracPair(1, 1)}, {(UNIT, 1): FracPair(3)}))
+# (1 + lam)(lam - 1): the lam terms cancel inside the product, and the
+# running unit term against it, so that key leaves
+@example((0, {(UNIT, 0): FracPair(1), (MONOS[1], 0): FracPair(1)},
+          {(MONOS[1], 0): FracPair(1), (UNIT, 0): FracPair(-1)},
+          {(MONOS[1], 0): FracPair(3), (UNIT, 0): FracPair(1)}))
+# (1 + lam)(lam + 1) onto -lam: the running lam term passes through zero
+# and keeps its place
+@example((2, {(UNIT, 0): FracPair(1), (MONOS[1], 0): FracPair(1)},
+          {(MONOS[1], 0): FracPair(1), (UNIT, 0): FracPair(1)},
+          {(MONOS[1], 0): FracPair(-1)}))
+@settings(max_examples=300, deadline=None)
+def test_multiply_add_kernel_against_the_two_step_oracle(case):
+    """``add_product(cur, x, y)`` and ``x * y`` equal the oracle's product
+    then sum, term for term and in the order of the two operations; with a
+    one-term factor, the running keys keep their places and new keys
+    follow the many-term operand's order."""
+    order, tx, ty, tcur = case
+    scalars.clear_tables()
+    x, y, cur = (scalar_of(t, order) for t in (tx, ty, tcur))
+    prod = x * y
+    assert_scalar_matches(prod, _cleaned(oracle_mul(tx, ty, order), order),
+                          order)
+    got = scalars.add_product(cur, x, y)
+    assert_scalar_matches(got, _cleaned(oracle_add(
+        tcur, oracle_mul(tx, ty, order)), order), order)
+    assert list(got.terms.items()) == list((cur + prod).terms.items())
+    for result in (prod, got):
+        assert result.truncation_order == order
+        if len(result.terms) == 1:
+            assert result is Scalar(result.terms, order)
+    if len(x.terms) == 1 or len(y.terms) == 1:
+        ((mono, eps),), many = ((x.terms, y) if len(x.terms) == 1
+                                else (y.terms, x))
+        new = [(mono * m, eps + e) for m, e in many.terms
+               if eps + e <= order]
+        assert list(prod.terms) == [k for k in new if k in prod.terms]
+        assert list(got.terms) == (
+            [k for k in cur.terms if k in got.terms]
+            + [k for k in new if k in got.terms and k not in cur.terms])
+
+
 def factors_text(s: Scalar) -> str:
     """Oracle: ``str`` of a scalar with each term's factors built from its
     monomial's ``sort_key`` and ``factors``."""
@@ -1297,6 +1367,28 @@ def test_counit_leg_is_guarded_like_the_counit():
     kept = h.image("counit", word)
     assert h.image("counit", word) is kept
     assert kept == {(): h.apply_counit(Element.from_word(alph, word, 1))}
+
+
+def test_an_element_is_guarded_once(monkeypatch):
+    """A guarded map reduces and guards an element once and fills each of
+    its normal words as it is; a word read directly is reduced on its first
+    request only."""
+    h = catalog.load_presentation("builtin:ekappa2-klmn", 1)
+    alph = h.base.alphabet
+    x = Element.zero(alph, 1)
+    for names in ("KL", "LM", "MN", "NK"):
+        x = x + Element.from_word(alph, tuple(map(alph.gen, names)), 1)
+    want = reference_counit(h)(x).coefficient(())
+    reduced: list = []
+    monkeypatch.setattr(h.base, "normal_form",
+                        counted(h.base.normal_form, reduced))
+    assert h.apply_counit(x) == want
+    assert len(reduced) == 1 and len(h.base.normal_form(x).terms) > 1
+    reduced.clear()
+    word = (alph.gen("N"), alph.gen("L"))
+    kept = h.image("counit", word)
+    assert len(reduced) == 1
+    assert h.image("counit", word) is kept and len(reduced) == 1
 
 
 # -- memoised Hopf maps against the generator images and a normal form ---------
@@ -1653,3 +1745,30 @@ def test_command_matches_under_the_reference_engines(argv, capsys,
         ref_code = main(list(argv))
     assert (ref_code, capsys.readouterr().out) == (code, out)
     assert rewrite.Presentation._reduce.__module__ == "qcontract.rewrite"
+
+
+#: the reference commands and a klmn normal form with fractional complex
+#: lam coefficients, whose products have many terms
+NO_TABLE_COMMANDS = REFERENCE_COMMANDS + ((
+    "nf", "-p", "builtin:ekappa2-klmn",
+    "((1/2 + i)*K + (2/3 - i)*lam*L - 3/2*i*M + 1/3*lam^2*N)"
+    "*((1 - 1/2*i)*lam*K + (1/3 + 2*i)*L - 5/2*lam*M + (3/4 - i)*N)"),)
+
+
+@pytest.mark.parametrize("argv", NO_TABLE_COMMANDS, ids=" ".join)
+def test_command_matches_with_no_kept_scalars(argv, capsys, monkeypatch):
+    """Every table emptied at each insert: the same bytes and exit code
+    with no scalar shared and nothing memoised."""
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    clears: list = []
+    monkeypatch.setattr(scalars, "clear_tables",
+                        counted(scalars.clear_tables, clears))
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    normal = len(clears)  # when the command starts and when it returns
+    with no_kept_scalars():
+        capped_code = main(list(argv))
+    assert (capped_code, capsys.readouterr().out) == (code, out)
+    # the capped run empties its tables at inserts too
+    assert len(clears) - normal > normal
+    assert scalars.TABLE_CAP == 2048

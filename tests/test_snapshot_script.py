@@ -39,6 +39,7 @@ def test_command_list_covers_the_pipeline():
             assert (f"hopf-check -p tests/golden/suq2_bad_{part}.preso "
                     f"--seed {seed}" in lines)
     assert "nf --output json a*d" in lines
+    assert 'nf --order 1 ((1/2 + eps)*a + (1 - i*eps)*b)^3' in lines
     assert "solve-commutator --seed 5" in lines
     # the per-ambiguity confluence records and report's counts of them
     klmn = "tests/golden/corrupted_klmn"
@@ -68,6 +69,13 @@ def test_snapshot_subset_is_deterministic(tmp_path):
         "$ qcontract nf --step-limit 20 d*d*d*d*a*a*a*a\nexit: 3\n"
         "--- stdout\n--- stderr\n"
         "step limit exceeded: step limit exceeded while reducing in suq2\n")
+    # eps^2 and eps^3 are dropped from every product of the eps terms
+    truncated = by_name[mod.file_name(
+        ["nf", "--order", "1", "((1/2 + eps)*a + (1 - i*eps)*b)^3"])]
+    assert truncated.startswith(
+        "$ qcontract nf --order 1 ((1/2 + eps)*a + (1 - i*eps)*b)^3\n"
+        "exit: 0\n--- stdout\n1/8*a^3 + 3/4*eps*a^3 + ")
+    assert "eps*b^3\n--- stderr\n" in truncated and "eps^" not in truncated
     assert by_name["confluence_-p_builtin_suq2.txt"].startswith(
         "$ qcontract confluence -p builtin:suq2\nexit: 0\n--- stdout\n")
 
